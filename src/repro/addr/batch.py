@@ -16,13 +16,13 @@ Three pieces live here:
   versions of the :class:`IPv6Address` accessors,
 * :class:`FlatLPM` -- a flattened longest-prefix-match table: a prefix set is
   decomposed once into disjoint 128-bit intervals so that batch lookups are a
-  single vectorised binary search instead of per-address trie walks,
+  single native binary search instead of per-address trie walks,
 * :func:`batch_fanout_targets` -- vectorised generation of the paper's
   16-probe APD fan-out for many prefixes at once (Table 3).
 
-128-bit values do not fit numpy's integer dtypes, so comparisons and searches
-operate lexicographically on ``(hi, lo)`` pairs; :func:`searchsorted128`
-implements a vectorised binary search over such pairs.
+128-bit values do not fit numpy's integer dtypes, so every search packs each
+``(hi, lo)`` pair into one 16-byte big-endian ``V16`` key, whose byte order
+is its numeric order, and makes one native ``np.searchsorted`` call.
 """
 
 from __future__ import annotations
@@ -365,6 +365,26 @@ class AddressBatch:
         return order, starts, AddressBatch(hi[starts], lo[starts])
 
 
+def _pack128(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``(hi, lo)`` pairs as ``V16`` keys: ``hi`` then ``lo``, both big-endian,
+    so numpy's bytewise ``V16`` order is the keys' 128-bit order."""
+    hi = np.asarray(hi, dtype=np.uint64)
+    keys = np.empty(hi.shape + (2,), dtype=">u8")
+    keys[..., 0] = hi
+    keys[..., 1] = lo
+    return keys.view("V16")[..., 0]
+
+
+def _exact_positions(keys: np.ndarray, queries: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """*pos* (left insertion points of *queries* in *keys*) where the key
+    there equals the query, -1 where the query is absent."""
+    n = int(keys.shape[0])
+    if n == 0:
+        return np.full(queries.shape, -1, dtype=np.int64)
+    safe = np.minimum(pos, n - 1)
+    return np.where(keys[safe] == queries, safe, np.int64(-1))
+
+
 def searchsorted128(
     sorted_hi: np.ndarray,
     sorted_lo: np.ndarray,
@@ -372,37 +392,14 @@ def searchsorted128(
     query_lo: np.ndarray,
     side: str = "right",
 ) -> np.ndarray:
-    """Vectorised ``searchsorted`` over 128-bit ``(hi, lo)`` keys.
+    """``np.searchsorted`` over 128-bit ``(hi, lo)`` keys.
 
-    ``sorted_hi/lo`` must be sorted lexicographically.  Implemented as an
-    explicit branchless binary search (~log2(n) vectorised steps) because
-    numpy has no native 128-bit dtype.
+    ``sorted_hi/lo`` must be sorted in ascending 128-bit order.  Both sides
+    are packed into 16-byte keys and searched with one native call.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"invalid side: {side!r}")
-    n = int(sorted_hi.shape[0])
-    query_hi = np.asarray(query_hi, dtype=np.uint64)
-    query_lo = np.asarray(query_lo, dtype=np.uint64)
-    result_lo = np.zeros(query_hi.shape, dtype=np.int64)
-    if n == 0:
-        return result_lo
-    result_hi = np.full(query_hi.shape, n, dtype=np.int64)
-    for _ in range(n.bit_length() + 1):
-        active = result_lo < result_hi
-        if not active.any():
-            break
-        mid = (result_lo + result_hi) >> 1
-        safe_mid = np.minimum(mid, n - 1)
-        mh = sorted_hi[safe_mid]
-        ml = sorted_lo[safe_mid]
-        if side == "right":
-            go_right = (mh < query_hi) | ((mh == query_hi) & (ml <= query_lo))
-        else:
-            go_right = (mh < query_hi) | ((mh == query_hi) & (ml < query_lo))
-        go_right &= active
-        result_lo = np.where(go_right, mid + 1, result_lo)
-        result_hi = np.where(active & ~go_right, mid, result_hi)
-    return result_lo
+    return np.searchsorted(
+        _pack128(sorted_hi, sorted_lo), _pack128(query_hi, query_lo), side=side
+    )
 
 
 def find128(
@@ -412,13 +409,9 @@ def find128(
     query_lo: np.ndarray,
 ) -> np.ndarray:
     """Exact-match positions of queries in sorted ``(hi, lo)`` arrays, -1 if absent."""
-    n = int(sorted_hi.shape[0])
-    if n == 0:
-        return np.full(np.asarray(query_hi).shape, -1, dtype=np.int64)
-    pos = searchsorted128(sorted_hi, sorted_lo, query_hi, query_lo, side="left")
-    safe = np.minimum(pos, n - 1)
-    hit = (pos < n) & (sorted_hi[safe] == query_hi) & (sorted_lo[safe] == query_lo)
-    return np.where(hit, safe, np.int64(-1))
+    keys = _pack128(sorted_hi, sorted_lo)
+    queries = _pack128(query_hi, query_lo)
+    return _exact_positions(keys, queries, np.searchsorted(keys, queries))
 
 
 def union_sorted(
@@ -427,9 +420,9 @@ def union_sorted(
     """Merge a sorted-unique *incoming* batch into a sorted-unique *base*.
 
     This is the vectorised dedup step of the incremental hitlist merge: the
-    standing batch stays sorted, so membership of the day's new records is one
-    :func:`find128` binary search and the insertion points one
-    :func:`searchsorted128` pass -- no Python-dict round-trips.
+    standing batch stays sorted, so one native search of the day's new
+    records gives both their membership and their insertion points -- no
+    Python-dict round-trips.
 
     Returns ``(merged, base_pos, incoming_pos, is_new)`` where ``merged`` is
     the sorted union, ``base_pos[i]`` is the position of ``base[i]`` in
@@ -439,10 +432,13 @@ def union_sorted(
     n, m = len(base), len(incoming)
     if m == 0:
         return base, np.arange(n, dtype=np.int64), np.zeros(0, np.int64), np.zeros(0, bool)
-    match = find128(base.hi, base.lo, incoming.hi, incoming.lo)
+    keys = _pack128(base.hi, base.lo)
+    queries = _pack128(incoming.hi, incoming.lo)
+    pos = np.searchsorted(keys, queries)
+    match = _exact_positions(keys, queries, pos)
     is_new = match < 0
     fresh = incoming.take(is_new)
-    insert = searchsorted128(base.hi, base.lo, fresh.hi, fresh.lo, side="left")
+    insert = pos[is_new]
     # Each base row shifts right by the number of fresh rows inserted at or
     # before it; fresh row j lands at its insertion point plus its own rank.
     inserted_before = np.cumsum(np.bincount(insert, minlength=n + 1)).astype(np.int64)
@@ -466,17 +462,17 @@ class FlatLPM:
     A set of CIDR prefixes (any two are either disjoint or nested) is swept
     once into at most ``2 * len(prefixes) + 1`` disjoint address intervals,
     each annotated with the index of its most specific covering prefix.  A
-    batch lookup is then one vectorised binary search over the interval start
-    points -- replacing the per-address 128-step trie walk that dominates
-    scalar de-aliasing and BGP mapping.
+    batch lookup is then one native search of the packed interval starts --
+    replacing the per-address 128-step trie walk that dominates scalar
+    de-aliasing and BGP mapping.
     """
 
-    __slots__ = ("objects", "_starts_hi", "_starts_lo", "_values")
+    __slots__ = ("objects", "_start_keys", "_values")
 
     #: Immutability contract, enforced statically by reprolint rule R2: the
     #: interval arrays are built once in ``__init__`` and then only read --
     #: lookups are pure searchsorted probes over frozen columns.
-    __frozen_arrays__ = ("_starts_hi", "_starts_lo", "_values")
+    __frozen_arrays__ = ("_start_keys", "_values")
 
     def __init__(self, pairs: Iterable[tuple["IPv6Prefix", object]]):
         pairs = list(pairs)
@@ -507,12 +503,8 @@ class FlatLPM:
             else:
                 starts.append(start)
                 values.append(value)
-        self._starts_hi = np.fromiter(
-            (s >> 64 for s in starts), dtype=np.uint64, count=len(starts)
-        )
-        self._starts_lo = np.fromiter(
-            (s & _LO_MASK for s in starts), dtype=np.uint64, count=len(starts)
-        )
+        packed = AddressBatch.from_ints(starts)
+        self._start_keys = _pack128(packed.hi, packed.lo)
         self._values = np.asarray(values, dtype=np.int64)
 
     def __len__(self) -> int:
@@ -521,9 +513,7 @@ class FlatLPM:
     def lookup_indices(self, batch: AddressBatch) -> np.ndarray:
         """Index (into :attr:`objects`) of each address's most specific
         covering prefix, or -1 where no stored prefix covers the address."""
-        pos = searchsorted128(
-            self._starts_hi, self._starts_lo, batch.hi, batch.lo, side="right"
-        )
+        pos = np.searchsorted(self._start_keys, _pack128(batch.hi, batch.lo), side="right")
         return self._values[pos - 1]
 
     def lookup_values(self, batch: AddressBatch) -> list[object]:

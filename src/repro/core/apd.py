@@ -191,8 +191,9 @@ class APDResult:
     day: int
     outcomes: dict[IPv6Prefix, PrefixProbeOutcome] = field(default_factory=dict)
     _trie: PrefixTrie | None = field(default=None, repr=False, compare=False)
-    _flat: FlatLPM | None = field(default=None, repr=False, compare=False)
-    _flat_verdicts: "np.ndarray | None" = field(default=None, repr=False, compare=False)
+    _flat: "tuple[FlatLPM, np.ndarray] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def probed_prefixes(self) -> list[IPv6Prefix]:
@@ -225,15 +226,19 @@ class APDResult:
             self._trie = trie
         return self._trie
 
-    def _ensure_flat(self) -> FlatLPM:
+    def verdict_lpm(self) -> tuple[FlatLPM, np.ndarray]:
+        """The probed prefixes as one :class:`FlatLPM` plus its verdict array.
+
+        ``verdicts[i]`` is the aliased verdict of the prefix behind LPM index
+        *i*.  Built once per result, forcing every lazy ``is_aliased``, and
+        shared by :meth:`is_aliased_batch` and the day's published snapshot.
+        """
         if self._flat is None:
-            self._flat = FlatLPM(
+            lpm = FlatLPM(
                 (prefix, outcome.is_aliased)
                 for prefix, outcome in self.outcomes.items()
             )
-            self._flat_verdicts = np.array(
-                [bool(v) for v in self._flat.objects], dtype=bool
-            )
+            self._flat = lpm, np.array([bool(v) for v in lpm.objects], dtype=bool)
         return self._flat
 
     def is_aliased(self, address: "IPv6Address | int | str") -> bool:
@@ -253,12 +258,11 @@ class APDResult:
         search for the entire array instead of a 128-step trie walk per
         address.
         """
-        flat = self._ensure_flat()
-        indices = flat.lookup_indices(batch)
+        lpm, verdicts = self.verdict_lpm()
+        indices = lpm.lookup_indices(batch)
+        covered = indices >= 0
         result = np.zeros(len(batch), dtype=bool)
-        if flat.objects:
-            covered = indices >= 0
-            result[covered] = self._flat_verdicts[indices[covered]]
+        result[covered] = verdicts[indices[covered]]
         return result
 
     def filter_non_aliased(self, addresses: Iterable[IPv6Address]) -> list[IPv6Address]:

@@ -177,7 +177,7 @@ class _BatchIndex:
         "hosts",
         "host_ids",
         "host_services",
-        "region_list",
+        "region_hosts",
         "region_services",
         "region_answer_p",
         "region_syn_proxy",
@@ -228,28 +228,29 @@ class _BatchIndex:
             dtype=np.int64,
             count=len(internet.hosts),
         )
-        self.region_list = internet.aliased_regions
+        region_list = internet.aliased_regions
+        self.region_hosts = [r.host for r in region_list]
         self.region_services = np.fromiter(
-            (_service_mask(r.host.services) for r in self.region_list),
+            (_service_mask(r.host.services) for r in region_list),
             dtype=np.int64,
-            count=len(self.region_list),
+            count=len(region_list),
         )
         # Non-stochastic regions (deterministic-anomaly gate) encode as
         # "always answers, no proxy, no limit" so the batch path mirrors the
         # scalar reply exactly and draws nothing for them.
         self.region_answer_p = np.array(
-            [r.answer_probability if r.stochastic else 1.0 for r in self.region_list],
+            [r.answer_probability if r.stochastic else 1.0 for r in region_list],
             dtype=float,
         )
         self.region_syn_proxy = np.array(
-            [r.syn_proxy and r.stochastic for r in self.region_list], dtype=bool
+            [r.syn_proxy and r.stochastic for r in region_list], dtype=bool
         )
         self.region_icmp_limit = np.array(
             [
                 np.nan
                 if (r.icmp_rate_limit is None or not r.stochastic)
                 else r.icmp_rate_limit
-                for r in self.region_list
+                for r in region_list
             ],
             dtype=float,
         )
@@ -261,36 +262,37 @@ class _BatchIndex:
         pos = find128(self.bound_hi, self.bound_lo, batch.hi, batch.lo)
         return np.where(pos >= 0, self.bound_host[np.maximum(pos, 0)], np.int64(-1))
 
-    def region_online(self, day: int) -> np.ndarray:
-        """Boolean online state of every aliased region's machine on *day*."""
-        cached = self._region_online.get(day)
-        if cached is None:
-            cached = np.fromiter(
-                (r.host.stability.is_online(day) for r in self.region_list),
-                dtype=bool,
-                count=len(self.region_list),
-            )
-            self._region_online[day] = cached
-        return cached
+    def region_online(self, day: int, region_rows: np.ndarray) -> np.ndarray:
+        """Online state on *day* of the aliased-region machine behind each row."""
+        return _memo_online(self._region_online, self.region_hosts, day, region_rows)
 
     def host_online(self, day: int, host_positions: np.ndarray) -> np.ndarray:
-        """Per-target online state for targets bound to hosts (False elsewhere).
-
-        Stability is evaluated lazily per (host, day) and memoised, so sparse
-        batches only pay for the hosts they actually hit.
-        """
-        cache = self._host_online.get(day)
-        if cache is None:
-            cache = np.full(len(self.hosts), -1, dtype=np.int8)
-            self._host_online[day] = cache
-        hit = host_positions[host_positions >= 0]
-        unknown = np.unique(hit[cache[hit] < 0]) if hit.size else hit
-        for position in unknown.tolist():
-            cache[position] = 1 if self.hosts[position].stability.is_online(day) else 0
+        """Per-target online state for targets bound to hosts (False elsewhere)."""
         online = np.zeros(host_positions.shape, dtype=bool)
         bound = host_positions >= 0
-        online[bound] = cache[host_positions[bound]] == 1
+        online[bound] = _memo_online(
+            self._host_online, self.hosts, day, host_positions[bound]
+        )
         return online
+
+
+def _memo_online(
+    cache_by_day: dict[int, np.ndarray], machines: list[Host], day: int, rows: np.ndarray
+) -> np.ndarray:
+    """``machines[row].stability.is_online(day)`` for each of *rows*.
+
+    Evaluated lazily per (machine, day) and memoised in an int8 array per day
+    (-1 = not yet evaluated), so sparse batches only pay for the machines
+    they actually hit.
+    """
+    cache = cache_by_day.get(day)
+    if cache is None:
+        cache = np.full(len(machines), -1, dtype=np.int8)
+        cache_by_day[day] = cache
+    unknown = np.unique(rows[cache[rows] < 0])
+    for row in unknown.tolist():
+        cache[row] = 1 if machines[row].stability.is_online(day) else 0
+    return cache[rows] == 1
 
 
 @dataclass(slots=True)
@@ -746,7 +748,7 @@ class SimulatedInternet:
         in_region = region_index >= 0
         region_rows = region_index[in_region]
         bound = host_positions >= 0
-        region_online = index.region_online(day)
+        region_online = index.region_online(day, region_rows)
         host_online = index.host_online(day, host_positions)
         # Sub-day rotation: hosts dark on their old addresses by wave time,
         # and the day's re-homed addresses answering in their place.
@@ -785,7 +787,7 @@ class SimulatedInternet:
             answered = np.zeros(n, dtype=bool)
             if region_rows.size:
                 ok = (index.region_services[region_rows] & bit) != 0
-                ok &= region_online[region_rows]
+                ok &= region_online
                 if protocol.is_tcp and index.region_syn_proxy.any():
                     syn = index.region_syn_proxy[region_rows]
                     ok &= ~syn | (

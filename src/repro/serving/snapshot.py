@@ -215,7 +215,7 @@ class HitlistSnapshot:
         self._responsive = readonly_view(np.asarray(responsive, dtype=bool))
         self._unaliased = readonly_view(np.asarray(unaliased, dtype=bool))
         self._apd_lpm = apd_lpm
-        self._apd_verdicts = apd_verdicts
+        self._apd_verdicts = None if apd_verdicts is None else readonly_view(apd_verdicts)
         if asn is None:
             self._asn = None
             self._asn_sorted = None
@@ -242,8 +242,9 @@ class HitlistSnapshot:
         :meth:`Hitlist.snapshot_arrays` (zero copy), the day's scan result is
         scattered back onto the full rows (matrix assignment on the batch
         engine, per-protocol membership search on the reference engine), and
-        the APD verdicts are flattened into an LPM with every lazy
-        ``is_aliased`` forced *now*, so no reader ever races a lazy cache.
+        the APD verdicts are the day's own LPM from
+        :meth:`~repro.core.apd.APDResult.verdict_lpm`, with every lazy
+        ``is_aliased`` forced by *now*, so no reader ever races a lazy cache.
         """
         from repro.addr.batch import find128
         from repro.probing.scheduler import BatchDailyScanResult
@@ -273,9 +274,7 @@ class HitlistSnapshot:
                 member_batch = AddressBatch.from_addresses(members).unique()
                 member_pos = find128(batch.hi, batch.lo, member_batch.hi, member_batch.lo)
                 responsive[member_pos[member_pos >= 0], j] = True
-        outcomes = daily.apd_result.outcomes
-        apd_lpm = FlatLPM((p, o.is_aliased) for p, o in outcomes.items())
-        apd_verdicts = np.array([bool(v) for v in apd_lpm.objects], dtype=bool)
+        apd_lpm, apd_verdicts = daily.apd_result.verdict_lpm()
         asn = None
         if internet is not None:
             bgp = internet.bgp_lpm()
@@ -425,7 +424,8 @@ class HitlistSnapshot:
             )
         low = int(np.searchsorted(self._asn_sorted, asn, side="left"))
         high = int(np.searchsorted(self._asn_sorted, asn, side="right"))
-        rows = np.sort(self._asn_order[low:high])
+        # The stable argsort already lists each AS's rows in ascending order.
+        rows = self._asn_order[low:high]
         return ASAnswer(asn=asn, **self._subset_rows(rows))
 
     def download(self) -> SnapshotDownload:

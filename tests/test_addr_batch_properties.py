@@ -5,7 +5,8 @@ algebra, ``FlatLPM`` against the bit-walking :class:`PrefixTrie`,
 ``searchsorted128`` against :mod:`bisect`, and the hi/lo packing against
 plain 128-bit integer arithmetic.  Randomised inputs cover the corners the
 hand-written parity tests cannot enumerate (empty sides, duplicate-heavy
-inputs, nested prefixes, /0 and /128 extremes).
+inputs, nested prefixes, /0 and /128 extremes, and the 16-byte keys' corner
+words).
 """
 
 import bisect
@@ -24,7 +25,18 @@ from repro.addr.batch import (
 from repro.addr.prefix import IPv6Prefix
 from repro.addr.trie import PrefixTrie
 
-address_ints = st.integers(min_value=0, max_value=2**128 - 1)
+#: 64-bit words at the corners of the packed byte order: zero bytes, the
+#: sign bit and the extremes.  Few distinct words, so lists of such values
+#: also carry long runs of equal ``hi``.
+CORNER_WORDS = (0, 1, 0xFF, 0x100, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1)
+address_ints = st.one_of(
+    st.integers(min_value=0, max_value=2**128 - 1),
+    st.builds(
+        lambda hi, lo: hi << 64 | lo,
+        st.sampled_from(CORNER_WORDS),
+        st.sampled_from(CORNER_WORDS),
+    ),
+)
 address_lists = st.lists(address_ints, max_size=200)
 prefix_specs = st.tuples(address_ints, st.integers(min_value=0, max_value=128))
 

@@ -594,7 +594,7 @@ def test_repository_declares_the_core_invariants():
     assert context.guarded_by["HitlistServer"]["_snapshots"] == "_publish_lock"
     assert context.guarded_by["HitlistServer"]["_query_counts"] == "_stats_lock"
     assert context.frozen_arrays["AddressBatch"] == ("hi", "lo")
-    assert "_starts_hi" in context.frozen_arrays["FlatLPM"]
+    assert "_start_keys" in context.frozen_arrays["FlatLPM"]
     assert "_responsive" in context.frozen_arrays["HitlistSnapshot"]
 
 

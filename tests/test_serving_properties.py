@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.addr.address import FULL_MASK, IPv6Address
 from repro.addr.prefix import IPv6Prefix
-from repro.serving import HitlistServer
+from repro.serving import HitlistServer, HitlistSnapshot
 
 FIRST_DAY = 25  # the tiny tier's run-up horizon
 PREFIX_LENGTHS = (8, 16, 32, 40, 44, 48, 56, 64, 96, 112, 128)
@@ -31,6 +31,8 @@ def served():
     truth = {
         "scalars": scalars,
         "values": [a.value for a in scalars],
+        # The snapshot files unrouted rows under AS -1.
+        "asns": [-1 if asn is None else asn for asn in map(server.internet.asn_of, scalars)],
         "targets": {a.value for a in daily.scan_targets},
         "responsive": {
             protocol: {a.value for a in daily.responsive_on(protocol)}
@@ -140,16 +142,45 @@ class TestPointQueryEqualsMembership:
             value in members for members in truth["responsive"].values()
         )
 
-    @given(value=st.integers(0, FULL_MASK))
-    @settings(max_examples=40, deadline=None)
-    def test_arbitrary_addresses(self, served, value):
-        _, snapshot, _, truth = served
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_arbitrary_addresses(self, served, data):
+        """Arbitrary addresses, and misses in the /64 of a listed row, get the
+        membership and the APD verdict of the scalar trie."""
+        _, snapshot, daily, truth = served
+        same_64 = st.builds(
+            lambda listed, iid: listed >> 64 << 64 | iid,
+            st.sampled_from(truth["values"]),
+            st.integers(0, 2**64 - 1),
+        )
+        value = data.draw(st.one_of(st.integers(0, FULL_MASK), same_64), label="value")
         answer = snapshot.point_query(value)
         assert answer.in_hitlist == (value in truth["provenance"])
+        assert answer.aliased == daily.apd_result.is_aliased(value)
         if not answer.in_hitlist:
             assert answer.sources == ()
             assert answer.first_seen_day is None
             assert answer.responsive == tuple(False for _ in snapshot.protocols)
+
+
+class TestASQueryEqualsBruteForce:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_of_the_origin_as(self, served, data):
+        _, snapshot, _, truth = served
+        row = data.draw(st.integers(0, len(truth["values"]) - 1), label="row")
+        asn = truth["asns"][row]
+        answer = snapshot.as_query(asn)
+        expected = [v for v, a in zip(truth["values"], truth["asns"]) if a == asn]
+        rows = answer.addresses.to_ints()
+        assert rows == expected
+        assert rows == sorted(rows)
+
+    def test_snapshot_without_internet_refuses(self, served):
+        _, snapshot, daily, truth = served
+        bare = HitlistSnapshot.from_daily(daily, generation=snapshot.generation)
+        with pytest.raises(ValueError, match="without an AS index"):
+            bare.as_query(truth["asns"][0])
 
 
 class TestProvenanceRoundTrip:
