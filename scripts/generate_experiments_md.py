@@ -6,7 +6,8 @@ and writes docs/EXPERIMENTS.md with, per experiment, the paper's reported
 values, the qualitative expectation ("what shape must hold"), and the measured
 report produced by this reproduction.  The generated file is committed and
 linked from the README; regenerate it after changes that shift measured
-numbers.
+numbers.  The file holds no wall-clock time, so a regeneration of unchanged
+code reproduces it byte for byte, and CI checks that it does.
 
 Run with:  PYTHONPATH=src python scripts/generate_experiments_md.py
 """
@@ -154,8 +155,7 @@ def main() -> None:
     lines.append(
         "Generated by `python scripts/generate_experiments_md.py` with the default "
         f"experiment configuration (seed {config.seed}, {config.num_ases} ASes, "
-        f"hitlist target {config.hitlist_target:,}, {config.longitudinal_days}-day campaign). "
-        f"Total runtime: {elapsed:.0f} s."
+        f"hitlist target {config.hitlist_target:,}, {config.longitudinal_days}-day campaign)."
     )
     lines.append("")
     lines.append(

@@ -112,8 +112,9 @@ class IPv6Prefix:
     def subnets(self, new_length: int) -> Iterator["IPv6Prefix"]:
         """Iterate over all subnets of *new_length* inside this prefix.
 
-        The number of subnets is ``2**(new_length - length)``; callers are
-        expected to keep the expansion small (APD uses 4-bit steps → 16).
+        The number of subnets is ``2**(new_length - length)``, so keep the
+        expansion small; to pick a few of many subnets, use
+        :meth:`nth_subnet` on their indices instead.
         """
         if new_length < self.length:
             raise ValueError("new_length must not be shorter than the prefix length")

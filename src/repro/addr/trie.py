@@ -78,6 +78,23 @@ class PrefixTrie(Generic[V]):
     ) -> Optional[tuple[IPv6Prefix, V]]:
         """Return the most specific ``(prefix, value)`` covering *address*."""
         value = _to_int(address)
+        best = self._deepest_match(value)
+        if best is None:
+            return None
+        length, best_value = best
+        return IPv6Prefix.of(value, length), best_value
+
+    def lookup(self, address: "int | str | object") -> Optional[V]:
+        """Value of the most specific covering prefix, or None."""
+        best = self._deepest_match(_to_int(address))
+        return None if best is None else best[1]
+
+    def covers(self, address: "int | str | object") -> bool:
+        """True when any stored prefix covers *address*."""
+        return self._deepest_match(_to_int(address)) is not None
+
+    def _deepest_match(self, value: int) -> Optional[tuple[int, V]]:
+        """``(length, value)`` of the most specific prefix covering *value*."""
         node = self._root
         best: Optional[tuple[int, V]] = None
         if node.has_value:
@@ -90,19 +107,7 @@ class PrefixTrie(Generic[V]):
             node = child
             if node.has_value:
                 best = (depth, node.value)  # type: ignore[arg-type]
-        if best is None:
-            return None
-        length, best_value = best
-        return IPv6Prefix.of(value, length), best_value
-
-    def lookup(self, address: "int | str | object") -> Optional[V]:
-        """Value of the most specific covering prefix, or None."""
-        match = self.longest_match(address)
-        return None if match is None else match[1]
-
-    def covers(self, address: "int | str | object") -> bool:
-        """True when any stored prefix covers *address*."""
-        return self.longest_match(address) is not None
+        return best
 
     def get_exact(self, prefix: "IPv6Prefix | str") -> Optional[V]:
         """Value stored for exactly this prefix (no longest-prefix semantics)."""

@@ -57,6 +57,18 @@ class APDConfig:
     #: Number of responsive fan-out addresses required to call a prefix aliased.
     aliased_threshold: int = FANOUT
 
+    def qualifying_runs(self, networks: AddressBatch, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Run starts of sorted /*length* *networks*, and which runs qualify.
+
+        The candidate rule: a network qualifies with more than
+        ``min_targets_per_prefix`` rows, and every /64 does while
+        ``always_probe_64`` holds.  One boundary scan counts every network.
+        """
+        starts = networks.sorted_run_starts()
+        if length == 64 and self.always_probe_64:
+            return starts, np.ones(len(starts), dtype=bool)
+        return starts, np.diff(starts, append=len(networks)) > self.min_targets_per_prefix
+
 
 class PrefixProbeOutcome:
     """Probe outcome for one candidate prefix on one day.
@@ -104,14 +116,20 @@ class PrefixProbeOutcome:
         targets: AddressBatch,
         matrix: np.ndarray,
         protocols: tuple[Protocol, ...],
+        aliased: bool | None = None,
     ) -> "PrefixProbeOutcome":
-        """Batch-engine constructor: a (branch x protocol) boolean matrix."""
+        """Batch-engine constructor: a (branch x protocol) boolean matrix.
+
+        *aliased* is the verdict when the caller already reduced it from the
+        matrix; ``None`` leaves it to the first :attr:`is_aliased` read.
+        """
         outcome = cls(prefix=prefix, day=day)
         outcome._targets = None
         outcome._targets_batch = targets
         outcome._matrix = matrix
         outcome._protocols = protocols
         outcome._branch_responses = None
+        outcome._aliased = aliased
         return outcome
 
     @property
@@ -343,27 +361,18 @@ class AliasedPrefixDetector:
         addresses, except /64s which always qualify.  ``extra_prefixes``
         (e.g. BGP announcements) are probed as given.
         """
-        counts: dict[IPv6Prefix, int] = {}
+        config = self.config
+        candidates: set[IPv6Prefix] = set(extra_prefixes)
         if addresses:
-            batch = AddressBatch.from_addresses(addresses)
-            for length in self.config.prefix_lengths:
+            batch = AddressBatch.from_addresses(addresses).sort()
+            for length in config.prefix_lengths:
+                # The batch is sorted and masking is monotonic, so the masked
+                # networks arrive sorted too.
                 networks = batch.masked(length)
-                stacked = np.stack((networks.hi, networks.lo), axis=1)
-                uniques, unique_counts = np.unique(stacked, axis=0, return_counts=True)
-                for (hi, lo), count in zip(uniques.tolist(), unique_counts.tolist()):
-                    counts[IPv6Prefix((hi << 64) | lo, length)] = count
-        candidates: list[IPv6Prefix] = []
-        seen: set[IPv6Prefix] = set()
-        for prefix, count in counts.items():
-            if count > self.config.min_targets_per_prefix or (
-                prefix.length == 64 and self.config.always_probe_64
-            ):
-                candidates.append(prefix)
-                seen.add(prefix)
-        for prefix in extra_prefixes:
-            if prefix not in seen:
-                seen.add(prefix)
-                candidates.append(prefix)
+                starts, qualifies = config.qualifying_runs(networks, length)
+                keep = starts[qualifies]
+                for hi, lo in zip(networks.hi[keep].tolist(), networks.lo[keep].tolist()):
+                    candidates.add(IPv6Prefix((hi << 64) | lo, length))
         return sorted(candidates)
 
     # -- probing -----------------------------------------------------------------
@@ -414,6 +423,12 @@ class AliasedPrefixDetector:
         )
         counts = np.bincount(prefix_index, minlength=len(prefix_list)).astype(np.int64)
         starts = np.cumsum(counts) - counts
+        # Every verdict in one pass over the matrix, not a few numpy calls
+        # per outcome: aliased when every fan-out row answered.
+        answered = np.bincount(
+            prefix_index, weights=result.responsive.any(axis=1), minlength=len(prefix_list)
+        )
+        aliased = (answered >= counts).tolist()
         protocols = result.protocols
         outcomes: dict[IPv6Prefix, PrefixProbeOutcome] = {}
         for i, prefix in enumerate(prefix_list):
@@ -424,6 +439,7 @@ class AliasedPrefixDetector:
                 AddressBatch(targets.hi[start:end], targets.lo[start:end]),
                 result.responsive[start:end],
                 protocols,
+                aliased=aliased[i],
             )
         return outcomes
 
@@ -535,4 +551,6 @@ class AliasedPrefixDetector:
         prefixes: Iterable[IPv6Prefix] = (),
     ) -> "Mapping[int, APDResult]":
         """Run APD daily over several days (input to the sliding window)."""
+        # Materialised once: a one-shot iterable must reach every day.
+        prefixes = list(prefixes)
         return {day: self.run(addresses, prefixes, day) for day in days}

@@ -31,7 +31,6 @@ from repro.addr.address import IPv6Address
 from repro.addr.batch import (
     AddressBatch,
     find128,
-    prefix_masks,
     readonly_view,
     searchsorted128,
     union_sorted,
@@ -646,36 +645,29 @@ class HitlistService:
         """Re-evaluate candidate membership for prefixes touched by new rows.
 
         Returns the ``(length, hi, lo)`` keys of every prefix whose candidate
-        membership changed today.  The standing batch is sorted, so each
-        touched network's current address count is one lower/upper bound
-        search pair -- no per-length count tables to maintain, and untouched
-        prefixes (whose counts cannot have changed) cost nothing.
+        membership changed today.  The standing batch is sorted, so per
+        length one boundary scan over its masked networks
+        (:meth:`APDConfig.qualifying_runs`, as in one-shot candidate
+        selection) judges every network, and the new rows' positions in the
+        standing batch, found once, mark the networks they touched.
         """
         changed: set[tuple[int, int, int]] = set()
         if len(new_batch) == 0:
             return changed
         config = self.apd_config
-        threshold = config.min_targets_per_prefix
         standing = self._standing.address_batch
+        positions = searchsorted128(standing.hi, standing.lo, new_batch.hi, new_batch.lo, "left")
         for length in config.prefix_lengths:
-            # new_batch is sorted and masking is monotonic, so the masked
-            # networks arrive sorted too: one boundary scan groups them.
-            s = new_batch.masked(length)
-            uniq = s.take(s.sorted_run_starts())
-            if length == 64 and config.always_probe_64:
-                # Every touched /64 is a candidate; no count search needed.
-                qualifying = uniq
-            else:
-                mask_hi, mask_lo = prefix_masks(np.int64(length))
-                end_hi = uniq.hi | ~np.uint64(mask_hi)
-                end_lo = uniq.lo | ~np.uint64(mask_lo)
-                low = searchsorted128(standing.hi, standing.lo, uniq.hi, uniq.lo, "left")
-                high = searchsorted128(standing.hi, standing.lo, end_hi, end_lo, "right")
-                qualifying = uniq.take(high - low > threshold)
+            networks = standing.masked(length)
+            starts, qualifies = config.qualifying_runs(networks, length)
+            # A new row's network is the last run starting at or before it.
+            touched = np.zeros(len(starts), dtype=bool)
+            touched[np.searchsorted(starts, positions, side="right") - 1] = True
+            keep = starts[touched & qualifies]
             # Only qualifying networks matter downstream: a touched candidate
             # always qualifies (counts never shrink), and touched
             # non-candidates are never consulted by the re-probe decision.
-            for hi, lo in zip(qualifying.hi.tolist(), qualifying.lo.tolist()):
+            for hi, lo in zip(networks.hi[keep].tolist(), networks.lo[keep].tolist()):
                 key = (length, hi, lo)
                 changed.add(key)
                 if key not in self._candidates:

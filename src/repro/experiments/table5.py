@@ -18,6 +18,7 @@ from repro.addr.batch import AddressBatch, batch_fanout_targets
 from repro.addr.prefix import IPv6Prefix
 from repro.core.consistency import ConsistencyChecker, ConsistencyReport
 from repro.experiments.context import ExperimentContext
+from repro.netmodel.host import Host
 from repro.netmodel.services import HostRole, Protocol
 from repro.probing.fingerprint import FingerprintProbe
 
@@ -84,6 +85,10 @@ def run(ctx: ExperimentContext, max_prefixes: int = 150) -> Table5Result:
             aliased_records[prefix] = records
 
     # Validation set: non-aliased /64s with many responding addresses.
+    # Every host indexed by (AS, covering /64), in host order.
+    hosts_by_64: dict[tuple[int, IPv6Prefix], list[Host]] = {}
+    for h in ctx.internet.hosts:
+        hosts_by_64.setdefault((h.asn, IPv6Prefix.of(h.primary_address, 64)), []).append(h)
     non_aliased_records = {}
     for host in ctx.internet.hosts_by_role(HostRole.WEB_SERVER, HostRole.CDN_EDGE):
         if len(non_aliased_records) >= max_prefixes:
@@ -98,11 +103,7 @@ def run(ctx: ExperimentContext, max_prefixes: int = 150) -> Table5Result:
         # Probe the prefix's actually responding addresses (its hosts), which
         # is what ">= 16 responding IP addresses in a non-aliased /64" means;
         # at simulation scale we accept prefixes with fewer bound addresses.
-        same_prefix_hosts = [
-            h
-            for h in ctx.internet.hosts
-            if h.asn == host.asn and IPv6Prefix.of(h.primary_address, 64) == prefix
-        ]
+        same_prefix_hosts = hosts_by_64[(host.asn, prefix)]
         records = [probe.probe(a) for h in same_prefix_hosts for a in h.addresses]
         records = [r for r in records if r.responded]
         if len(records) >= 2:

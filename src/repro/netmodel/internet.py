@@ -379,9 +379,9 @@ class SimulatedInternet:
             # Deaggregate into a handful of /40s or /48s.
             new_len = rng.choice((40, 48))
             count = rng.randint(2, 6)
-            subnets = list(allocation.subnets(new_len))
-            announced = sorted(rng.sample(range(len(subnets)), min(count, len(subnets))))
-            plan.announced = [subnets[i] for i in announced]
+            num_subnets = 1 << (new_len - allocation.length)
+            announced = sorted(rng.sample(range(num_subnets), min(count, num_subnets)))
+            plan.announced = [allocation.nth_subnet(new_len, i) for i in announced]
         else:
             plan.announced = [allocation]
         # A small share of very specific announcements for realism (zesplot

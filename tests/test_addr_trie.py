@@ -122,6 +122,8 @@ class TestAgainstReferenceModel:
             else:
                 assert got[0].length == expected.length
                 assert q in got[0]
+            assert trie.lookup(q) == (None if got is None else got[1])
+            assert trie.covers(q) == (got is not None)
 
     def test_many_random_disjoint_prefixes(self):
         rng = random.Random(7)

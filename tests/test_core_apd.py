@@ -1,8 +1,10 @@
 """Tests for aliased prefix detection, the Murdock baseline and the sliding window."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.addr import IPv6Prefix
 from repro.addr.generate import random_addresses_in_prefix
@@ -67,6 +69,48 @@ class TestCandidateSelection:
         extra = IPv6Prefix.parse("2001:db8::/64")
         candidates = detector.candidate_prefixes([], extra_prefixes=[extra])
         assert extra in candidates
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        iids=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)), max_size=40
+        ),
+        sparse=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+        threshold=st.sampled_from((0, 1, 2, 3)),
+        always_probe_64=st.booleans(),
+        lengths=st.lists(
+            st.one_of(st.just(64), st.sampled_from(range(64, 125, 4))), min_size=1, max_size=5
+        ),
+        data=st.data(),
+    )
+    def test_matches_bruteforce_counts(
+        self, tiny_internet, iids, sparse, threshold, always_probe_64, lengths, data
+    ):
+        # Few distinct nybbles at /68, /100 and /128 inside one /64 (counts
+        # cross the threshold at several levels, duplicates are common), plus
+        # a sibling /64 holding at most three addresses.
+        dense = IPv6Prefix.parse("2001:db8:1:2::/64").network
+        addresses = [dense | (a << 60) | (b << 28) | c for a, b, c in iids]
+        addresses += [IPv6Prefix.parse("2001:db8:1:3::/64").network | iid for iid in sparse]
+        prefix_lengths = (*lengths, lengths[0])  # one length always repeats
+        config = APDConfig(
+            prefix_lengths=prefix_lengths,
+            min_targets_per_prefix=threshold,
+            always_probe_64=always_probe_64,
+        )
+        qualifying = set()
+        for length in set(prefix_lengths):
+            counts = Counter(IPv6Prefix.of(a, length) for a in addresses)
+            qualifying.update(
+                p
+                for p, count in counts.items()
+                if count > threshold or (length == 64 and always_probe_64)
+            )
+        pool = sorted(qualifying) + [IPv6Prefix.parse("2001:db8:1::/48")]
+        extras = data.draw(st.lists(st.sampled_from(pool), max_size=4))
+        detector = AliasedPrefixDetector(tiny_internet, config, seed=1)
+        got = detector.candidate_prefixes(addresses, extra_prefixes=extras)
+        assert got == sorted(qualifying | set(extras))
 
 
 class TestProbing:
@@ -141,6 +185,14 @@ class TestProbing:
         inside_outer_only = IPv6Address.parse("2001:db8:0:0:f000::1")
         assert not result.is_aliased(inside_inner)
         assert result.is_aliased(inside_outer_only)
+
+
+class TestRunWindow:
+    def test_one_shot_prefix_iterable_reaches_every_day(self, tiny_internet):
+        detector = AliasedPrefixDetector(tiny_internet, seed=1)
+        extra = IPv6Prefix.parse("2001:db8::/64")
+        results = detector.run_window([], days=[0, 1, 2], prefixes=(p for p in [extra]))
+        assert [extra in results[day].outcomes for day in (0, 1, 2)] == [True] * 3
 
 
 class TestMurdockBaseline:

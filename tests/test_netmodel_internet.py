@@ -1,5 +1,6 @@
 """Tests for the simulated Internet substrate."""
 
+import dataclasses
 import random
 
 import pytest
@@ -131,6 +132,23 @@ class TestSimulatedInternetBuild:
         b = SimulatedInternet(TINY_CONFIG)
         assert [h.primary_address for h in a.hosts] == [h.primary_address for h in b.hosts]
         assert a.aliased_prefixes() == b.aliased_prefixes()
+
+    def test_deaggregated_announcements_are_distinct_sorted_subnets(self):
+        from tests.conftest import TINY_CONFIG
+
+        config = dataclasses.replace(
+            TINY_CONFIG,
+            deaggregation_rate=1.0,
+            aliased_region_rate=0.0,
+            stochastic_anomalies=False,
+        )
+        internet = SimulatedInternet(config)
+        for plan in internet.plans:
+            carved = [p for p in plan.announced if p.length in (40, 48)]
+            assert 2 <= len(carved) <= 6
+            assert len({p.length for p in carved}) == 1
+            assert all(plan.allocation.contains(p) for p in carved)
+            assert carved == sorted(set(carved))
 
     def test_all_bound_addresses_are_routed(self, tiny_internet):
         for addr in tiny_internet.all_bound_addresses()[:500]:
