@@ -17,6 +17,7 @@ from benchmarks.conftest import run_once, write_bench_json
 from repro.addr import IPv6Prefix
 from repro.addr.generate import fanout_targets, random_addresses_in_prefix
 from repro.core.apd import AliasedPrefixDetector, APDConfig
+from repro.exec import ExecutionPolicy
 from repro.experiments import table3
 from repro.netmodel.services import Protocol
 
@@ -101,7 +102,9 @@ def test_bench_apd_batch_speedup(benchmark, ctx):
         candidates = AliasedPrefixDetector(internet, seed=17).candidate_prefixes(
             ctx.hitlist.addresses
         )[:400]
-        scalar = AliasedPrefixDetector(internet, APDConfig(), seed=17, engine="scalar")
+        scalar = AliasedPrefixDetector(
+            internet, APDConfig(), seed=17, policy=ExecutionPolicy(reference=True)
+        )
         start = time.perf_counter()
         scalar_outcomes = scalar.probe_prefixes(candidates, day=0)
         scalar_elapsed = time.perf_counter() - start

@@ -15,6 +15,7 @@ import numpy as np
 from benchmarks.conftest import run_once, write_bench_json
 from repro.addr.generate import synthetic_mixed_batch
 from repro.core.clustering import EntropyClustering, kmeans
+from repro.exec import ExecutionPolicy
 
 HITLIST_SIZE = 100_000
 NUM_PREFIXES = 200
@@ -38,12 +39,14 @@ def test_bench_clustering_speedup(benchmark):
         # outside the timed region so the comparison is engine vs engine,
         # not list construction.
         addresses = batch.to_addresses()
-        reference = EntropyClustering(min_addresses=100, seed=SEED, engine="reference")
+        reference = EntropyClustering(
+            min_addresses=100, seed=SEED, policy=ExecutionPolicy(reference=True)
+        )
         start = time.perf_counter()
         reference_fps = reference.fingerprints_by_prefix(addresses, 32)
         reference_result = reference.cluster(reference_fps, k=4)
         reference_elapsed = time.perf_counter() - start
-        batched = EntropyClustering(min_addresses=100, seed=SEED, engine="batch")
+        batched = EntropyClustering(min_addresses=100, seed=SEED)
         # The batch pass is ~ms-scale; best of three so one scheduler hiccup
         # cannot dominate the ratio.
         batch_elapsed = float("inf")
@@ -115,8 +118,8 @@ def test_bench_kmeans_engine_parity(benchmark):
         )
         outcomes = []
         for k in (2, 3, 4, 6, 8):
-            reference = kmeans(data, k, seed=SEED, engine="reference")
-            vectorized = kmeans(data, k, seed=SEED, engine="vectorized")
+            reference = kmeans(data, k, seed=SEED, policy=ExecutionPolicy(reference=True))
+            vectorized = kmeans(data, k, seed=SEED)
             outcomes.append((k, reference, vectorized))
         return outcomes
 

@@ -11,6 +11,7 @@ deterministic Internet used here) identical responsive sets.
 import time
 
 from benchmarks.conftest import run_once, write_bench_json
+from repro.exec import ExecutionPolicy
 from repro.genaddr import GenerationPipeline
 from repro.netmodel import InternetConfig, SimulatedInternet
 from repro.netmodel.services import HostRole
@@ -57,7 +58,7 @@ def test_bench_genaddr_batch_speedup(benchmark):
 
         start = time.perf_counter()
         reference = GenerationPipeline(
-            internet, engine="reference", **PIPELINE_PARAMS
+            internet, policy=ExecutionPolicy(reference=True), **PIPELINE_PARAMS
         ).run(seeds, day=0, probe=True)
         reference_elapsed = time.perf_counter() - start
 
@@ -65,9 +66,9 @@ def test_bench_genaddr_batch_speedup(benchmark):
         batch_elapsed = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            batch = GenerationPipeline(
-                internet, engine="batch", **PIPELINE_PARAMS
-            ).run(seeds, day=0, probe=True)
+            batch = GenerationPipeline(internet, **PIPELINE_PARAMS).run(
+                seeds, day=0, probe=True
+            )
             batch_elapsed = min(batch_elapsed, time.perf_counter() - start)
         return reference_elapsed, batch_elapsed, reference, batch
 

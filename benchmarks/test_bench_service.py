@@ -2,7 +2,7 @@
 
 The paper's headline artefact is the *daily* service: every day it merges
 sources, strips aliased prefixes and scans five protocols.  The incremental
-``engine="batch"`` loop -- day-window merges into the standing columnar
+fast-engine loop -- day-window merges into the standing columnar
 hitlist, APD verdict reuse for unchanged prefixes, one ``probe_batch`` call
 per day -- must beat the rebuild-everything reference loop by >= 5x over a
 multi-day run while publishing exactly the same responsive addresses and
@@ -14,6 +14,7 @@ import time
 
 from benchmarks.conftest import run_once, write_bench_json
 from repro.core.hitlist import HitlistService
+from repro.exec import ExecutionPolicy
 from repro.netmodel import InternetConfig, SimulatedInternet
 from repro.sources import assemble_all_sources
 
@@ -49,7 +50,9 @@ def test_bench_service_incremental_speedup(benchmark):
         internet.probe_batch([1], day=0)
 
         start = time.perf_counter()
-        reference = HitlistService(internet, assembly, seed=13, engine="reference")
+        reference = HitlistService(
+            internet, assembly, seed=13, policy=ExecutionPolicy(reference=True)
+        )
         reference_days = reference.run_days(DAYS)
         reference_elapsed = time.perf_counter() - start
 
@@ -57,7 +60,7 @@ def test_bench_service_incremental_speedup(benchmark):
         batch_elapsed = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            service = HitlistService(internet, assembly, seed=13, engine="batch")
+            service = HitlistService(internet, assembly, seed=13)
             batch_days = service.run_days(DAYS)
             batch_elapsed = min(batch_elapsed, time.perf_counter() - start)
         return reference_elapsed, batch_elapsed, batch_days, reference_days, service

@@ -17,8 +17,7 @@ import time
 from benchmarks.conftest import run_once, write_bench_json
 from repro.addr.address import IPv6Address
 from repro.addr.prefix import IPv6Prefix
-from repro.scenarios import get_scenario
-from repro.serving import HitlistServer
+from repro.scenarios import build, get_scenario
 
 POINT_QUERIES = 20_000
 PREFIX_QUERIES = 2_000
@@ -37,7 +36,7 @@ def test_bench_serving_queries(benchmark):
 
     def measure():
         runup = get_scenario("baseline", scale="default").experiment_config().runup_days
-        server = HitlistServer.from_scenario("baseline", scale="default")
+        server = build("server", "baseline", scale="default")
         snapshot = server.publish_day(runup)
         values = snapshot._values
         n = len(values)

@@ -26,8 +26,9 @@ def main() -> None:
     _, seeds = apd.split(hitlist.addresses)
     print(f"Seeds: {len(seeds):,} non-aliased hitlist addresses")
 
-    # engine="batch" (the default) runs generation and probing columnar;
-    # engine="reference" selects the scalar loop with identical output.
+    # The default policy runs generation and probing columnar;
+    # policy=ExecutionPolicy(reference=True) selects the scalar loop with
+    # identical output.
     # Passing apd_result reuses the cached verdicts to drop generated
     # candidates that fall inside aliased prefixes, as the paper requires.
     pipeline = GenerationPipeline(
@@ -35,7 +36,6 @@ def main() -> None:
         min_seeds_per_as=80,
         generation_budget_per_as=300,
         seed=99,
-        engine="batch",
     )
     report = pipeline.run(
         seeds, known_addresses=hitlist.addresses, day=0, probe=True, apd_result=apd

@@ -26,7 +26,7 @@ RUNUP_DAYS = 90
 def main() -> None:
     internet = SimulatedInternet(InternetConfig(seed=5, num_ases=80, base_hosts_per_allocation=12))
     assembly = assemble_all_sources(internet, total_target=3000, seed=9, runup_days=RUNUP_DAYS)
-    service = HitlistService(internet, assembly, seed=17, engine="batch")
+    service = HitlistService(internet, assembly, seed=17)
 
     days = range(RUNUP_DAYS - 7, RUNUP_DAYS)
     print("day  input     targets  aliased-pfx  apd-probed  responsive  icmp   tcp80")

@@ -12,8 +12,7 @@ Run with:  PYTHONPATH=src python examples/scenario_sweep.py
 """
 
 from repro.experiments import table1
-from repro.experiments.context import ExperimentContext
-from repro.scenarios import get_scenario
+from repro.scenarios import build, get_scenario
 
 PRESETS = ("baseline", "cdn-heavy", "high-churn")
 
@@ -30,7 +29,7 @@ ROWS = (
 
 def measure(preset: str) -> dict:
     """Table 1 + APD numbers for one scenario preset at the test scale."""
-    ctx = ExperimentContext.from_scenario(preset, scale="test")
+    ctx = build("context", preset, scale="test")
     coverage = table1.run(ctx)
     aliased, clean = ctx.aliased_split
     total = len(ctx.hitlist.addresses)

@@ -15,8 +15,7 @@ Run with:  python examples/serve_hitlist.py
 from repro.addr.address import IPv6Address
 from repro.addr.prefix import IPv6Prefix
 from repro.netmodel.services import Protocol
-from repro.scenarios import get_scenario
-from repro.serving import HitlistServer
+from repro.scenarios import build, get_scenario
 
 SCENARIO = "baseline"
 SCALE = "test"
@@ -24,7 +23,7 @@ SCALE = "test"
 
 def main() -> None:
     runup = get_scenario(SCENARIO, scale=SCALE).experiment_config().runup_days
-    server = HitlistServer.from_scenario(SCENARIO, scale=SCALE)
+    server = build("server", SCENARIO, scale=SCALE)
 
     snapshot = server.publish_day(runup)
     print(

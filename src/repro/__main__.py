@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.exec import SHARD_KEYS, STORAGE_KINDS, ExecutionPolicy, resolve_policy
+from repro.exec import SHARD_KEYS, STORAGE_KINDS, ExecutionPolicy
 from repro.experiments import EXPERIMENTS, run_all, run_experiment
 from repro.experiments.context import (
     DEFAULT_EXPERIMENT_CONFIG,
@@ -29,7 +29,7 @@ from repro.experiments.context import (
     ExperimentConfig,
     ExperimentContext,
 )
-from repro.scenarios import SCALE_TIERS, get_scenario, iter_scenarios, scenario_names
+from repro.scenarios import SCALE_TIERS, build, get_scenario, iter_scenarios, scenario_names
 
 _SCALES = {"default": DEFAULT_EXPERIMENT_CONFIG, "test": TEST_EXPERIMENT_CONFIG}
 
@@ -37,9 +37,9 @@ _SCALES = {"default": DEFAULT_EXPERIMENT_CONFIG, "test": TEST_EXPERIMENT_CONFIG}
 def _add_policy_options(parser: argparse.ArgumentParser) -> None:
     """The execution-policy flags, shared by every pipeline-running command."""
     parser.add_argument(
-        "--engine",
-        default=None,
-        help="engine family: batch/vectorized or reference/scalar (default: batch)",
+        "--reference",
+        action="store_true",
+        help="run the scalar reference engines instead of the fast ones",
     )
     parser.add_argument(
         "--chunk-rows",
@@ -131,23 +131,19 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
 
 def _build_policy(args: argparse.Namespace) -> ExecutionPolicy:
     """The execution policy described by the CLI policy flags."""
-    return resolve_policy(
-        engine=ExecutionPolicy(
-            engine=args.engine if args.engine is not None else "batch",
-            chunk_rows=args.chunk_rows,
-            workers=args.workers,
-            storage=args.storage,
-            shard_by=args.shard_by,
-        )
+    return ExecutionPolicy(
+        reference=args.reference,
+        chunk_rows=args.chunk_rows,
+        workers=args.workers,
+        storage=args.storage,
+        shard_by=args.shard_by,
     )
 
 
 def _build_server(args: argparse.Namespace):
     """A server over the requested scenario, plus the first day to publish."""
-    from repro.serving import HitlistServer
-
-    server = HitlistServer.from_scenario(
-        args.scenario, scale=args.scale, seed=args.seed, engine=_build_policy(args)
+    server = build(
+        "server", args.scenario, scale=args.scale, seed=args.seed, policy=_build_policy(args)
     )
     first_day = args.day
     if first_day is None:
@@ -330,7 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
     try:
         config = resolve_config(args.scale, args.scenario)
-        ctx = ExperimentContext(config, engine=_build_policy(args))
+        ctx = ExperimentContext(config, policy=_build_policy(args))
     except ValueError as error:
         print(error, file=sys.stderr)
         return 2

@@ -12,14 +12,6 @@ ordinary linters cannot see:
 * **R3 lock discipline** -- attributes a class declares guarded (via a
   ``_GUARDED_BY`` class map) are only touched inside a ``with`` block on
   the declared lock.
-* **R4 engine parity** -- every ``engine=`` entry point dispatches over both
-  the fast and the reference engine family (via
-  :func:`repro.core.engines.canonical_engine` or explicit dispatch), and
-  unknown-engine errors list every accepted synonym.
-* **R5 policy resolution** -- functions accepting an
-  :class:`~repro.exec.ExecutionPolicy` route it through
-  :func:`repro.exec.resolve_policy` instead of ad-hoc string compares on the
-  raw ``.engine`` attribute, so synonym normalisation cannot be bypassed.
 
 This package is a small rule-engine framework over Python :mod:`ast`
 (per-file visitor dispatch, a rule registry, ``# reprolint: disable=RULE``
@@ -42,8 +34,6 @@ from repro.analysis_static.engine import (
 from repro.analysis_static import rules_determinism  # noqa: F401
 from repro.analysis_static import rules_immutability  # noqa: F401
 from repro.analysis_static import rules_locks  # noqa: F401
-from repro.analysis_static import rules_parity  # noqa: F401
-from repro.analysis_static import rules_policy  # noqa: F401
 
 __all__ = [
     "Finding",

@@ -25,8 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis_static",
         description=(
             "reprolint: AST-based invariant checks for determinism (R1), "
-            "snapshot immutability (R2), lock discipline (R3) and engine "
-            "parity (R4)."
+            "snapshot immutability (R2) and lock discipline (R3)."
         ),
     )
     parser.add_argument(

@@ -10,8 +10,6 @@ cover the names that predate those declarations and the path allowlists.
 
 from __future__ import annotations
 
-from repro.core.engines import FAST_ENGINE_NAMES, REFERENCE_ENGINE_NAMES
-
 # -- R1 determinism ---------------------------------------------------------
 
 #: Path fragments where wall-clock reads are legitimate: CLI drivers and
@@ -72,11 +70,3 @@ R2_APPROVED_WRAPPER_FUNCS: frozenset[str] = frozenset({"readonly_view"})
 R2_APPROVED_WRAPPER_METHODS: frozenset[str] = frozenset(
     {"readonly", "copy", "tolist", "astype", "any", "all", "sum", "to_addresses", "to_ints"}
 )
-
-# -- R4 engine parity -------------------------------------------------------
-
-#: The two engine-name families every ``engine=`` entry point must cover
-#: (re-exported so the rule has no import-order dependency on core).
-R4_FAST_NAMES: frozenset[str] = frozenset(FAST_ENGINE_NAMES)
-R4_REFERENCE_NAMES: frozenset[str] = frozenset(REFERENCE_ENGINE_NAMES)
-R4_ALL_SYNONYMS: tuple[str, ...] = tuple(sorted(R4_FAST_NAMES | R4_REFERENCE_NAMES))

@@ -32,7 +32,6 @@ from repro.exec import (
     plan_chunk_spans,
     plan_chunk_spans_within,
     plan_worker_spans,
-    resolve_policy,
     scratch_memmap,
 )
 from repro.netmodel.internet import SimulatedInternet
@@ -313,14 +312,14 @@ class APDResult:
 class AliasedPrefixDetector:
     """The paper's multi-level APD over the simulated Internet.
 
-    Two probing engines are available:
+    Two probing engines are available, selected by ``policy.reference``:
 
-    * ``"batch"`` (default): fan-out targets for all candidate prefixes are
-      generated in one vectorised pass and resolved with a single
+    * the fast engine (default): fan-out targets for all candidate prefixes
+      are generated in one vectorised pass and resolved with a single
       :meth:`SimulatedInternet.probe_batch` call -- the hot path for whole
       hitlists, turning O(prefixes x 16 x protocols) Python probe round-trips
       into a handful of array operations.
-    * ``"scalar"``: the original per-probe reference loop over
+    * the reference engine: the original per-probe scalar loop over
       :meth:`SimulatedInternet.probe`, kept for parity testing, ablations and
       benchmarks.
 
@@ -334,15 +333,14 @@ class AliasedPrefixDetector:
         internet: SimulatedInternet,
         config: APDConfig = APDConfig(),
         seed: int = 0,
-        engine: "ExecutionPolicy | str | None" = None,
+        *,
+        policy: ExecutionPolicy = ExecutionPolicy(),
     ):
-        policy = resolve_policy(engine=engine, fast="batch", reference="scalar")
         if config.fanout != FANOUT:
             raise ValueError("the paper's APD uses a fixed fan-out of 16 probes")
         self.internet = internet
         self.config = config
         self.policy = policy
-        self.engine = policy.engine
         self._seed = seed
         self._rng = random.Random(seed)
         self._nprng = np.random.default_rng(seed)
@@ -383,9 +381,9 @@ class AliasedPrefixDetector:
         Thin wrapper kept for backward compatibility: dispatches to the
         detector's engine (a one-prefix batch, or the scalar reference loop).
         """
-        if self.engine == "batch":
-            return self.probe_prefixes([prefix], day)[prefix]
-        return self._probe_prefix_scalar(prefix, day)
+        if self.policy.reference:
+            return self._probe_prefix_scalar(prefix, day)
+        return self.probe_prefixes([prefix], day)[prefix]
 
     def _probe_prefix_scalar(self, prefix: IPv6Prefix, day: int = 0) -> PrefixProbeOutcome:
         """Reference implementation: one :meth:`SimulatedInternet.probe` call
@@ -413,7 +411,7 @@ class AliasedPrefixDetector:
         prefixes collapse onto one outcome (probed once).
         """
         prefix_list = list(dict.fromkeys(prefixes))
-        if self.engine == "scalar":
+        if self.policy.reference:
             return {p: self._probe_prefix_scalar(p, day) for p in prefix_list}
         if self.policy.is_streaming and prefix_list:
             return self._probe_prefixes_streaming(prefix_list, day)

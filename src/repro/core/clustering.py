@@ -6,13 +6,13 @@ cluster by its popularity and per-nybble median entropy (Figure 2).
 
 k-means is implemented here directly (numpy only) with k-means++ seeding and
 multiple restarts, so the library has no dependency on an external ML stack.
-Two Lloyd engines are available:
+Two Lloyd engines are available, selected by ``policy.reference``:
 
-* ``"vectorized"`` (default) — pairwise distances in one broadcast
+* the fast engine (default) — pairwise distances in one broadcast
   ``(x - c)^2`` reduction, centroid updates via ``np.add.at``/``bincount``;
   the hot path.
-* ``"reference"`` — the original per-centroid loop, kept for seeded parity
-  tests and ablations.
+* the reference engine — the original per-centroid loop, kept for seeded
+  parity tests and ablations.
 
 Both engines share the k-means++ seeding (identical rng draw sequence) and a
 common finalisation step, so under the same seed they converge to identical
@@ -21,7 +21,6 @@ labels, SSE and centroids.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -38,7 +37,7 @@ from repro.core.entropy import (
     grouped_nybble_entropies,
     median_profile,
 )
-from repro.exec import ExecutionPolicy, lloyd_chunked, resolve_policy
+from repro.exec import ExecutionPolicy, lloyd_chunked
 
 @dataclass(slots=True)
 class KMeansResult:
@@ -172,32 +171,30 @@ def _lloyd_vectorized(
     return labels, centroids, iterations
 
 
-_LLOYD_ENGINES = {"vectorized": _lloyd_vectorized, "reference": _lloyd_reference}
-
-
 def kmeans(
     data: np.ndarray,
     k: int,
     seed: int = 0,
     max_iterations: int = 200,
     restarts: int = 5,
-    engine: "ExecutionPolicy | str | None" = None,
+    *,
+    policy: ExecutionPolicy = ExecutionPolicy(),
 ) -> KMeansResult:
     """Lloyd's k-means with k-means++ seeding and several restarts.
 
-    Returns the restart with the lowest sum of squared errors.  ``engine``
-    accepts an :class:`~repro.exec.ExecutionPolicy` (or a deprecated engine
-    string) selecting the Lloyd implementation; both engines consume the
-    identical seeded rng stream and agree on the result.  A streaming policy
-    on the vectorized engine chunks/shards the label-assignment step while
-    staying bit-identical (see :func:`repro.exec.lloyd_chunked`).
+    Returns the restart with the lowest sum of squared errors.  ``policy``
+    selects the Lloyd implementation; both engines consume the identical
+    seeded rng stream and agree on the result.  A streaming policy on the
+    fast engine chunks/shards the label-assignment step while staying
+    bit-identical (see :func:`repro.exec.lloyd_chunked`).
     """
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("data must be a non-empty 2-D array")
     if not 1 <= k <= data.shape[0]:
         raise ValueError(f"k={k} out of range for {data.shape[0]} points")
-    policy = resolve_policy(engine=engine, fast="vectorized", reference="reference")
-    if policy.engine == "vectorized" and policy.is_streaming:
+    if policy.reference:
+        lloyd = _lloyd_reference
+    elif policy.is_streaming:
         chunk_rows = policy.effective_chunk_rows or data.shape[0]
 
         def lloyd(data, centroids, k, max_iterations):
@@ -211,7 +208,7 @@ def kmeans(
             )
 
     else:
-        lloyd = _LLOYD_ENGINES[policy.engine]
+        lloyd = _lloyd_vectorized
     rng = random.Random(seed)
     best: KMeansResult | None = None
     for _ in range(restarts):
@@ -231,12 +228,12 @@ def sse_curve(
     data: np.ndarray,
     k_values: Sequence[int],
     seed: int = 0,
-    engine: "ExecutionPolicy | str | None" = None,
+    *,
+    policy: ExecutionPolicy = ExecutionPolicy(),
 ) -> dict[int, float]:
     """Sum of squared errors for each candidate k (Eq. 6)."""
-    policy = resolve_policy(engine=engine, fast="vectorized", reference="reference")
     return {
-        k: kmeans(data, k, seed=seed, engine=policy).sse
+        k: kmeans(data, k, seed=seed, policy=policy).sse
         for k in k_values
         if k <= data.shape[0]
     }
@@ -322,11 +319,12 @@ class ClusteringResult:
 class EntropyClustering:
     """Cluster networks of a hitlist by their entropy fingerprints.
 
-    ``engine`` selects the implementation: ``"batch"`` (default) groups and
-    fingerprints a columnar :class:`AddressBatch` in one pass and runs the
-    vectorised k-means; ``"reference"`` keeps the original scalar
+    ``policy`` selects the implementation: the fast engine (default) groups
+    and fingerprints a columnar :class:`AddressBatch` in one pass and runs
+    the vectorised k-means; ``policy.reference`` keeps the original scalar
     ``group_by_prefix`` + per-network fingerprint loop and the reference
-    k-means, for parity tests and ablations.
+    k-means, for parity tests and ablations.  Chunking/worker/storage knobs
+    reach the k-means too, so a streaming clustering policy streams it.
     """
 
     def __init__(
@@ -335,24 +333,14 @@ class EntropyClustering:
         min_addresses: int = MIN_ADDRESSES,
         candidate_ks: Sequence[int] = tuple(range(1, 21)),
         seed: int = 0,
-        engine: "ExecutionPolicy | str | None" = None,
+        *,
+        policy: ExecutionPolicy = ExecutionPolicy(),
     ):
         self.span = span
         self.min_addresses = min_addresses
         self.candidate_ks = tuple(candidate_ks)
         self.seed = seed
-        self.policy = resolve_policy(engine=engine, fast="batch", reference="reference")
-        self.engine = self.policy.engine
-
-    @property
-    def _kmeans_engine(self) -> ExecutionPolicy:
-        """The clustering policy translated to the k-means engine pair.
-
-        Chunking/worker/storage knobs carry over so a streaming clustering
-        policy streams its k-means too.
-        """
-        name = "vectorized" if self.engine == "batch" else "reference"
-        return dataclasses.replace(self.policy, engine=name)
+        self.policy = policy
 
     # -- fingerprint extraction ------------------------------------------------
 
@@ -367,7 +355,7 @@ class EntropyClustering:
         sequence of address-like values.
         """
         is_batch = isinstance(addresses, AddressBatch)
-        if self.engine == "reference":
+        if self.policy.reference:
             sequence = addresses.to_addresses() if is_batch else addresses
             return self._fingerprints_by_prefix_reference(sequence, prefix_length)
         batch = addresses if is_batch else AddressBatch.from_addresses(addresses)
@@ -466,9 +454,9 @@ class EntropyClustering:
                     f"no candidate k <= {len(fingerprints)} fingerprints "
                     f"(candidate_ks={self.candidate_ks}); pass k explicitly"
                 )
-            sse_by_k = sse_curve(data, usable_ks, seed=self.seed, engine=self._kmeans_engine)
+            sse_by_k = sse_curve(data, usable_ks, seed=self.seed, policy=self.policy)
             chosen_k = elbow_k(sse_by_k)
-        result = kmeans(data, chosen_k, seed=self.seed, engine=self._kmeans_engine)
+        result = kmeans(data, chosen_k, seed=self.seed, policy=self.policy)
         return self._summarise(fingerprints, result, sse_by_k)
 
     def cluster_prefixes(

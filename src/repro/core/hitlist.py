@@ -14,10 +14,10 @@ The hitlist itself is columnar: addresses live in sorted ``uint64`` hi/lo
 arrays with a per-source membership bitmask and a ``first_seen_day`` array,
 and scalar :class:`~repro.addr.address.IPv6Address` views are materialised
 only at the publish boundary.  :class:`HitlistService` runs the daily loop in
-one of two engines: the incremental ``"batch"`` engine (default) merges only
-the day's new source records into the standing batch, reuses APD verdicts for
+one of two engines: the incremental fast engine (default) merges only the
+day's new source records into the standing batch, reuses APD verdicts for
 prefixes whose candidate membership is unchanged, and scans targets with one
-``probe_batch`` call; the ``"reference"`` engine keeps the original
+``probe_batch`` call; ``ExecutionPolicy(reference=True)`` keeps the original
 rebuild-everything scalar loop for parity testing.
 """
 
@@ -39,7 +39,7 @@ from repro.addr.prefix import IPv6Prefix
 from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult, PrefixProbeOutcome
 from repro.core.bias import CoverageStats, coverage_stats
 from repro.events.dynamics import NetworkDynamics
-from repro.exec import ExecutionPolicy, resolve_policy
+from repro.exec import ExecutionPolicy
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
 from repro.probing.scheduler import BatchDailyScanResult, DailyScanResult, ScanScheduler
@@ -450,11 +450,10 @@ class HitlistService:
     Composes source collection, APD and responsiveness scanning into the
     daily loop the paper runs for six months, and keeps per-day outputs.
 
-    Two engines are available (any synonym from
-    :mod:`repro.core.engines` is accepted):
+    Two engines are available, selected by ``policy.reference``:
 
-    * ``"batch"`` (default) -- incremental and columnar.  Day *d* merges only
-      source records with ``first_seen_day`` in the not-yet-merged window
+    * the fast engine (default) -- incremental and columnar.  Day *d* merges
+      only source records with ``first_seen_day`` in the not-yet-merged window
       into the standing batch (vectorised dedup via sorted hi/lo binary
       search), updates per-length candidate-prefix counts incrementally,
       re-probes only candidate prefixes whose membership changed (all other
@@ -462,9 +461,9 @@ class HitlistService:
       five-protocol scan with one ``probe_batch`` call, keeping per-day
       responsiveness as (target x protocol) boolean matrices.  Days must be
       run in increasing order.
-    * ``"reference"`` -- the original scalar loop: rebuild the hitlist from
-      scratch, run APD over everything, sweep per protocol with the scalar
-      ZMap scanner.  Kept for seeded parity tests and benchmarks.
+    * the reference engine -- the original scalar loop: rebuild the hitlist
+      from scratch, run APD over everything, sweep per protocol with the
+      scalar ZMap scanner.  Kept for seeded parity tests and benchmarks.
     """
 
     def __init__(
@@ -474,14 +473,14 @@ class HitlistService:
         apd_config: APDConfig = APDConfig(),
         protocols: Sequence[Protocol] = ALL_PROTOCOLS,
         seed: int = 0,
-        engine: "ExecutionPolicy | str | None" = None,
+        *,
+        policy: ExecutionPolicy = ExecutionPolicy(),
     ):
         self.internet = internet
         self.assembly = assembly
         self.apd_config = apd_config
         self.protocols = tuple(protocols)
-        self.policy = resolve_policy(engine=engine, fast="batch", reference="reference")
-        self.engine = self.policy.engine
+        self.policy = policy
         self._seed = seed
         #: Sub-day dynamics (token buckets, rotation churn, probe waves), or
         #: None for the degenerate whole-day configuration.  Owned per
@@ -499,38 +498,6 @@ class HitlistService:
         self._candidate_sorted: list[IPv6Prefix] | None = None
         self._outcome_cache: dict[IPv6Prefix, PrefixProbeOutcome] = {}
 
-    @classmethod
-    def from_scenario(
-        cls,
-        scenario: "str | object",
-        *,
-        scale: str | None = None,
-        anomalies: str | None = None,
-        seed: int | None = None,
-        engine: "ExecutionPolicy | str | None" = None,
-        protocols: Sequence[Protocol] = ALL_PROTOCOLS,
-    ) -> "HitlistService":
-        """A service over a named scenario preset (see :mod:`repro.scenarios`).
-
-        Delegates to :func:`repro.scenarios.build` (the one construction
-        path shared by every scenario consumer), which wires the scenario's
-        simulated Internet, source assembly and APD floor.  ``scale`` and
-        ``anomalies`` compose the named tiers on top of the preset.  Service
-        days share the sources' run-up timeline: run days at or after the
-        scenario's ``runup_days`` to see the full hitlist input.
-        """
-        from repro.scenarios import build
-
-        return build(
-            "service",
-            scenario,
-            scale=scale,
-            anomalies=anomalies,
-            seed=seed,
-            policy=resolve_policy(engine=engine),
-            protocols=protocols,
-        )
-
     # -- daily loop -------------------------------------------------------------
 
     def add_publish_hook(self, hook) -> None:
@@ -546,10 +513,10 @@ class HitlistService:
 
     def run_day(self, day: int) -> DailyHitlist:
         """Run the full pipeline for one day and record the outcome."""
-        if self.engine == "batch":
-            daily = self._run_day_batch(day)
-        else:
+        if self.policy.reference:
             daily = self._run_day_reference(day)
+        else:
+            daily = self._run_day_batch(day)
         self.history[day] = daily
         for hook in self._publish_hooks:
             hook(daily)
@@ -582,7 +549,7 @@ class HitlistService:
         if self._merged_through is not None and day < self._merged_through:
             raise ValueError(
                 f"batch service days must be non-decreasing (day {day} after "
-                f"{self._merged_through}); use engine='reference' for replays"
+                f"{self._merged_through}); use ExecutionPolicy(reference=True) for replays"
             )
         new_batch = self._merge_new_records(day)
         changed = self._update_candidates(new_batch)
@@ -598,7 +565,7 @@ class HitlistService:
                 self.internet,
                 self.apd_config,
                 seed=self._seed ^ (day * 0x45D9F3B),
-                engine=self.policy,
+                policy=self.policy,
             )
             self._outcome_cache.update(detector.probe_prefixes(to_probe, day))
         apd_result = APDResult(day=day)

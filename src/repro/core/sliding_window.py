@@ -7,15 +7,15 @@ sizes 0..5 by the number of prefixes that remain "unstable" -- i.e. flip
 between aliased and non-aliased across days -- and selects a window of 3 days
 (reducing unstable prefixes by almost 80 %).
 
-Two implementations coexist:
+Two implementations coexist, selected by ``policy.reference``:
 
-* ``"vectorized"`` (default) -- daily outcomes are materialised once into
+* the fast engine (default) -- daily outcomes are materialised once into
   ``(prefix, day)`` matrices (a uint64 branch bitmask, the expected fan-out
   and an outcome-present flag); each window size is then a handful of
   column shifts-and-ORs plus one ``bitwise_count``, instead of
   O(prefixes x days x windows) dict walks.
-* ``"scalar"`` -- the original per-prefix dict walks, kept as the reference
-  for parity tests and as the implementation behind the public per-prefix
+* the reference engine -- the original per-prefix dict walks, kept for
+  parity tests and as the implementation behind the public per-prefix
   queries.
 """
 
@@ -34,7 +34,6 @@ from repro.exec import (
     map_shards,
     plan_chunk_spans,
     plan_worker_spans,
-    resolve_policy,
 )
 
 
@@ -87,15 +86,14 @@ class SlidingWindowMerger:
     def __init__(
         self,
         daily_results: Mapping[int, APDResult],
-        engine: "ExecutionPolicy | str | None" = None,
+        *,
+        policy: ExecutionPolicy = ExecutionPolicy(),
     ):
         if not daily_results:
             raise ValueError("at least one daily APD result is required")
-        policy = resolve_policy(engine=engine, fast="vectorized", reference="scalar")
         self._daily = dict(sorted(daily_results.items()))
         self._days = list(self._daily)
         self.policy = policy
-        self.engine = policy.engine
         self._matrices: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._prefixes: list[IPv6Prefix] | None = None
         self._verdict_cache: dict[int, np.ndarray] = {}
@@ -194,7 +192,7 @@ class SlidingWindowMerger:
                         if branch >= 64:
                             raise ValueError(
                                 f"branch {branch} of {prefix} exceeds the 64-bit "
-                                "mask of the vectorized engine; use engine='scalar'"
+                                "mask of the fast engine; use ExecutionPolicy(reference=True)"
                             )
                         mask |= 1 << branch
                     masks[i, j] = mask
@@ -260,7 +258,7 @@ class SlidingWindowMerger:
     def window_stats(self, window: int) -> WindowStats:
         """Unstable-prefix count and final aliased count for one window size."""
         prefixes = self.prefixes()
-        if self.engine == "scalar":
+        if self.policy.reference:
             unstable = sum(1 for p in prefixes if self.is_unstable(p, window))
             last_day = self._days[-1]
             aliased_final = sum(
@@ -294,7 +292,7 @@ class SlidingWindowMerger:
     def final_aliased_prefixes(self, window: int = 3) -> list[IPv6Prefix]:
         """Aliased prefixes on the last day under the chosen window."""
         prefixes = self.prefixes()
-        if self.engine == "scalar":
+        if self.policy.reference:
             last_day = self._days[-1]
             return [
                 p for p in prefixes if self.windowed_is_aliased(p, last_day, window)

@@ -1,10 +1,9 @@
 """Out-of-core + multi-core execution tier.
 
-One frozen :class:`ExecutionPolicy` value -- accepted everywhere a bare
-``engine=`` string used to be -- selects the implementation family *and* how
-it runs: streaming chunk size, worker count, RAM vs memmap column storage,
-and the shard key.  :func:`resolve_policy` is the single canonical coercion
-point (``None`` / policy / deprecated bare string); the kernels here are the
+One frozen :class:`ExecutionPolicy` value -- the keyword-only ``policy=`` of
+every engine-paired entry point -- selects the implementation (fast, or the
+scalar reference twin) *and* how it runs: streaming chunk size, worker count,
+RAM vs memmap column storage, and the shard key.  The kernels here are the
 chunked and sharded twins of the three hottest paths, each bit-identical to
 its single-core, in-RAM engine (see ``docs/SCALING.md`` for the determinism
 contract and measured scaling curves).
@@ -24,7 +23,6 @@ from repro.exec.policy import (
     SHARD_KEYS,
     STORAGE_KINDS,
     ExecutionPolicy,
-    resolve_policy,
 )
 from repro.exec.shard import (
     fork_available,
@@ -51,7 +49,6 @@ __all__ = [
     "plan_chunk_spans",
     "plan_chunk_spans_within",
     "plan_worker_spans",
-    "resolve_policy",
     "scratch_memmap",
     "snap_spans_to_boundaries",
 ]

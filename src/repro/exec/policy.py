@@ -1,22 +1,13 @@
-"""The unified execution policy: one object selecting *how* an engine runs.
+"""The execution policy: one frozen value selecting *how* an engine runs.
 
-Every vectorised subsystem historically took a bare ``engine="batch"`` string.
-That spelling selects an implementation but cannot say anything about *scale*:
-chunk sizes for out-of-core streaming, worker counts for shard-parallel
-execution, or whether batch columns live in RAM or behind a memory-mapped
-file.  :class:`ExecutionPolicy` packages all of it into one frozen value that
-is accepted everywhere ``engine=`` is accepted today, and
-:func:`resolve_policy` is the single canonical coercion point:
-
-* ``None`` resolves to the caller's fast engine with in-RAM, single-worker,
-  unchunked execution -- exactly the historical default.
-* An :class:`ExecutionPolicy` passes through with its engine name normalised
-  to the caller's canonical pair (any synonym from
-  :mod:`repro.core.engines` is accepted, unknown names raise the same
-  every-synonym-listing error as always).
-* A bare string remains supported as a deprecated spelling: it resolves to a
-  plain in-RAM policy and emits a :class:`DeprecationWarning` -- this function
-  is the one place in the tree where that deprecation lives.
+Every engine-paired entry point (APD, clustering and k-means, the sliding
+window, the daily service, 6Gen, the generation pipeline and the experiment
+context) takes a keyword-only ``policy=ExecutionPolicy()``.  Its one engine
+switch is ``reference``: ``False`` (the default) runs the fast columnar
+engine, ``True`` the scalar twin the differential oracle holds it to.  The
+remaining knobs say how the fast engine scales: chunk sizes for out-of-core
+streaming, worker counts for shard-parallel execution, and whether batch
+columns live in RAM or behind a memory-mapped file.
 
 Policies are frozen and hashable, so they can ride inside scenario caches and
 hypothesis examples just like :class:`~repro.scenarios.Scenario`.
@@ -24,8 +15,6 @@ hypothesis examples just like :class:`~repro.scenarios.Scenario`.
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from dataclasses import dataclass
 
 #: Accepted backing stores for streamed batch columns.
@@ -43,9 +32,8 @@ DEFAULT_CHUNK_ROWS = 65_536
 class ExecutionPolicy:
     """How an engine executes: implementation, chunking, workers, storage.
 
-    ``engine`` names the implementation family (any synonym from
-    :mod:`repro.core.engines`); the remaining fields only apply to the fast
-    columnar engines:
+    ``reference`` selects the scalar reference engine instead of the fast
+    columnar one; the remaining fields only apply to the fast engines:
 
     * ``chunk_rows`` -- rows materialised per streaming step (``None`` keeps
       the historical whole-batch-at-once behaviour),
@@ -55,7 +43,7 @@ class ExecutionPolicy:
       boundaries; ``"rows"`` cuts plain contiguous row ranges.
     """
 
-    engine: str = "batch"
+    reference: bool = False
     chunk_rows: int | None = None
     workers: int = 1
     storage: str = "ram"
@@ -98,38 +86,3 @@ class ExecutionPolicy:
             return DEFAULT_CHUNK_ROWS
         return None
 
-
-def resolve_policy(
-    engine: "ExecutionPolicy | str | None" = None,
-    *,
-    fast: str = "batch",
-    reference: str = "reference",
-) -> ExecutionPolicy:
-    """Coerce an ``engine=`` argument into a canonical :class:`ExecutionPolicy`.
-
-    The one resolution path shared by every entry point: ``fast`` and
-    ``reference`` are the calling layer's canonical engine names (exactly as
-    for :func:`repro.core.engines.canonical_engine`).  ``None`` means "the
-    default fast engine, plain in-RAM execution"; a policy passes through
-    with its engine name normalised; a bare string is the deprecated legacy
-    spelling and resolves to a plain policy after a :class:`DeprecationWarning`.
-    """
-    # Imported lazily: repro.core's vectorised modules themselves import
-    # repro.exec at module level, so a top-level import here would be circular.
-    from repro.core.engines import canonical_engine
-
-    if engine is None:
-        return ExecutionPolicy(engine=fast)
-    if isinstance(engine, ExecutionPolicy):
-        name = canonical_engine(engine.engine, fast, reference)
-        if name == engine.engine:
-            return engine
-        return dataclasses.replace(engine, engine=name)
-    warnings.warn(
-        "bare engine strings are deprecated; pass "
-        "repro.exec.ExecutionPolicy(engine=...) (or omit the argument for "
-        "the default fast engine). Bare strings remain supported.",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ExecutionPolicy(engine=canonical_engine(engine, fast, reference))

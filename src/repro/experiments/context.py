@@ -19,7 +19,7 @@ from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch
 from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult
 from repro.core.hitlist import Hitlist
-from repro.exec import ExecutionPolicy, resolve_policy
+from repro.exec import ExecutionPolicy
 from repro.netmodel.config import InternetConfig
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
@@ -93,38 +93,21 @@ TEST_EXPERIMENT_CONFIG = ExperimentConfig(
 
 
 class ExperimentContext:
-    """Lazily built, cached pipeline artefacts shared by all experiments."""
+    """Lazily built, cached pipeline artefacts shared by all experiments.
+
+    ``policy`` reaches every engine-paired step an experiment runs: the
+    context's own day-0 APD and the detectors, clusterings, window mergers
+    and generation pipelines the experiments build over it.
+    """
 
     def __init__(
         self,
         config: ExperimentConfig = DEFAULT_EXPERIMENT_CONFIG,
-        engine: "ExecutionPolicy | str | None" = None,
+        *,
+        policy: ExecutionPolicy = ExecutionPolicy(),
     ):
         self.config = config
-        self.policy = resolve_policy(engine=engine, fast="batch", reference="reference")
-
-    @classmethod
-    def from_scenario(
-        cls,
-        scenario: "str | object",
-        *,
-        scale: str | None = None,
-        anomalies: str | None = None,
-        seed: int | None = None,
-        engine: "ExecutionPolicy | str | None" = None,
-    ) -> "ExperimentContext":
-        """Context for a named scenario preset (see :mod:`repro.scenarios`).
-
-        ``scale`` / ``anomalies`` name a scale tier / anomaly mix to compose
-        on top of the preset; ``seed`` overrides the scenario seed; ``engine``
-        an :class:`~repro.exec.ExecutionPolicy` for the pipeline hot paths.
-        """
-        from repro.scenarios import build
-
-        return build(
-            "context", scenario, scale=scale, anomalies=anomalies, seed=seed,
-            policy=resolve_policy(engine=engine),
-        )
+        self.policy = policy
 
     # -- substrate -----------------------------------------------------------------
 
@@ -161,7 +144,7 @@ class ExperimentContext:
             self.internet,
             self.apd_config,
             seed=self.config.seed ^ 0xA9D,
-            engine=self.policy,
+            policy=self.policy,
         )
         return detector.run(self.hitlist.addresses, day=0)
 

@@ -75,10 +75,10 @@ def run(
     """
     batch = ctx.hitlist.address_batch
     full = EntropyClustering(
-        span=FULL_SPAN, min_addresses=min_addresses, seed=ctx.config.seed
+        span=FULL_SPAN, min_addresses=min_addresses, seed=ctx.config.seed, policy=ctx.policy
     ).cluster_prefixes(batch, prefix_length)
     iid = EntropyClustering(
-        span=IID_SPAN, min_addresses=min_addresses, seed=ctx.config.seed
+        span=IID_SPAN, min_addresses=min_addresses, seed=ctx.config.seed, policy=ctx.policy
     ).cluster_prefixes(batch, prefix_length)
     return Fig2Result(full_span=full, iid_span=iid)
 

@@ -53,15 +53,21 @@ def run(
     the per-/32 minimum is lowered (the paper's 100-address minimum applies
     to its 50 M-address hitlist).
     """
+
+    def clustering(min_addresses: int) -> EntropyClustering:
+        return EntropyClustering(
+            span=FULL_SPAN, min_addresses=min_addresses, seed=ctx.config.seed, policy=ctx.policy
+        )
+
     dns_responders = sorted(ctx.responsive_on(Protocol.UDP53), key=lambda a: a.value)
     # At small simulation scale few /32s may reach the requested minimum;
     # relax it progressively (down to 5 addresses) until clustering has input.
     minimum = min_addresses_dns
-    clusterer = EntropyClustering(span=FULL_SPAN, min_addresses=minimum, seed=ctx.config.seed)
+    clusterer = clustering(minimum)
     fingerprints_dns = clusterer.fingerprints_by_prefix(dns_responders, 32)
     while len(fingerprints_dns) < 2 and minimum > 5:
         minimum = max(5, minimum // 2)
-        clusterer = EntropyClustering(span=FULL_SPAN, min_addresses=minimum, seed=ctx.config.seed)
+        clusterer = clustering(minimum)
         fingerprints_dns = clusterer.fingerprints_by_prefix(dns_responders, 32)
     dns_clustering = clusterer.cluster(fingerprints_dns)
 
@@ -79,9 +85,9 @@ def run(
         name = str(prefix)
         groups.setdefault(name, []).append(address)
         prefix_by_name[name] = prefix
-    clustering = EntropyClustering(span=FULL_SPAN, min_addresses=min_addresses_bgp, seed=ctx.config.seed)
-    fingerprints = clustering.fingerprints_by_group(groups)
-    bgp_clustering = clustering.cluster(fingerprints)
+    bgp_clusterer = clustering(min_addresses_bgp)
+    fingerprints = bgp_clusterer.fingerprints_by_group(groups)
+    bgp_clustering = bgp_clusterer.cluster(fingerprints)
 
     labelled_prefixes = []
     values = {}

@@ -44,9 +44,11 @@ def run(
     windows: Sequence[int] = range(6),
 ) -> Table4Result:
     """Run APD daily and sweep the window sizes."""
-    detector = AliasedPrefixDetector(ctx.internet, ctx.apd_config, seed=ctx.config.seed ^ 0x7AB)
+    detector = AliasedPrefixDetector(
+        ctx.internet, ctx.apd_config, seed=ctx.config.seed ^ 0x7AB, policy=ctx.policy
+    )
     daily = detector.run_window(ctx.hitlist.addresses, days=days)
-    merger = SlidingWindowMerger(daily)
+    merger = SlidingWindowMerger(daily, policy=ctx.policy)
     return Table4Result(stats=list(merger.sweep_windows(windows)))
 
 

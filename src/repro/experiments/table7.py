@@ -20,7 +20,6 @@ from typing import Mapping
 
 from repro.analysis.comparison import overlap_stats
 from repro.core.bias import as_distribution, prefix_distribution
-from repro.exec import ExecutionPolicy, resolve_policy
 from repro.experiments.context import ExperimentContext
 from repro.genaddr.pipeline import GenerationPipeline, GenerationReport
 from repro.netmodel.services import Protocol
@@ -90,22 +89,21 @@ class Table7Result:
 def run(
     ctx: ExperimentContext,
     generation_budget_per_as: int = 400,
-    engine: "ExecutionPolicy | str | None" = None,
 ) -> Table7Result:
     """Run the per-AS generation pipeline on the non-aliased hitlist.
 
     The day-0 APD verdicts cached on the context filter generated candidates
     that fall inside aliased prefixes (no prefix is re-probed for this).
-    ``engine`` accepts an :class:`~repro.exec.ExecutionPolicy` (or deprecated
-    engine string); the default batch engine runs generation and the probe
-    sweep columnar end to end, ``"reference"`` selects the scalar loop.
+    The pipeline runs under the context's policy: the default fast engine
+    runs generation and the probe sweep columnar end to end, a reference
+    policy selects the scalar loop.
     """
     pipeline = GenerationPipeline(
         ctx.internet,
         min_seeds_per_as=ctx.config.apd_min_targets,
         generation_budget_per_as=generation_budget_per_as,
         seed=ctx.config.seed ^ 0x6E4,
-        engine=resolve_policy(engine=engine),
+        policy=ctx.policy,
     )
     report = pipeline.run(
         ctx.non_aliased_addresses,

@@ -17,17 +17,16 @@ relative behaviour (low overall response rate, 6Gen ahead of Entropy/IP,
 small but highly responsive overlap) is what the Table 7 / Figure 9
 experiments check.
 
-Two engines run the same methodology (:mod:`repro.core.engines` synonyms
-accepted):
+Two engines run the same methodology, selected by ``policy.reference``:
 
-* ``engine="batch"`` (default) keeps everything columnar: per-AS seed
+* the fast engine (default) keeps everything columnar: per-AS seed
   partitioning is one flattened-LPM lookup over the BGP table, the
   generators emit packed uint64 hi/lo batches, hitlist dedup is one
   ``union_sorted`` binary-search merge, aliased filtering reuses the cached
   APD verdicts (``APDResult.is_aliased_batch``), and both tools' candidates
   are probed with a single ``probe_batch`` sweep whose (candidate x
   protocol) matrix backs the report.
-* ``engine="reference"`` is the original scalar loop, kept for seeded
+* the reference engine is the original scalar loop, kept for seeded
   parity: both engines consume the pipeline's random stream identically, so
   they emit bit-identical candidate sets and per-AS reports (and, on a
   deterministic Internet, identical responsive sets).
@@ -43,7 +42,7 @@ import numpy as np
 from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch, union_sorted
 from repro.addr.generate import dedupe, sample_capped, sample_capped_batch
-from repro.exec import ExecutionPolicy, resolve_policy
+from repro.exec import ExecutionPolicy
 from repro.genaddr.entropy_ip import EntropyIPGenerator, EntropyIPModel
 from repro.genaddr.sixgen import SixGenGenerator
 from repro.netmodel.internet import BatchProbeResult, SimulatedInternet
@@ -271,45 +270,16 @@ class GenerationPipeline:
         generation_budget_per_as: int = 2_000,
         generated_cap_per_as: int = 100_000,
         seed: int = 0,
-        engine: "ExecutionPolicy | str | None" = None,
+        *,
+        policy: ExecutionPolicy = ExecutionPolicy(),
     ):
         self.internet = internet
         self.min_seeds_per_as = min_seeds_per_as
         self.seed_cap_per_as = seed_cap_per_as
         self.generation_budget_per_as = generation_budget_per_as
         self.generated_cap_per_as = generated_cap_per_as
-        self.policy = resolve_policy(engine=engine, fast="batch", reference="reference")
-        self.engine = self.policy.engine
+        self.policy = policy
         self._rng = random.Random(seed)
-
-    @classmethod
-    def from_scenario(
-        cls,
-        scenario: "str | object",
-        *,
-        scale: str | None = None,
-        anomalies: str | None = None,
-        seed: int | None = None,
-        engine: "ExecutionPolicy | str | None" = None,
-        **kwargs,
-    ) -> "GenerationPipeline":
-        """A pipeline over a named scenario preset's simulated Internet.
-
-        Delegates to :func:`repro.scenarios.build`; ``scale`` / ``anomalies``
-        compose the named tiers on top of the preset and remaining keyword
-        arguments go to the constructor.
-        """
-        from repro.scenarios import build
-
-        return build(
-            "pipeline",
-            scenario,
-            scale=scale,
-            anomalies=anomalies,
-            seed=seed,
-            policy=resolve_policy(engine=engine),
-            **kwargs,
-        )
 
     # -- seed preparation ------------------------------------------------------------
 
@@ -388,9 +358,11 @@ class GenerationPipeline:
         the detector labelled aliased are dropped before probing -- reusing
         the cached APD verdicts instead of re-probing any prefix.
         """
-        if self.engine == "batch":
-            return self._run_batch(non_aliased_addresses, known_addresses, day, probe, apd_result)
-        return self._run_reference(non_aliased_addresses, known_addresses, day, probe, apd_result)
+        if self.policy.reference:
+            return self._run_reference(
+                non_aliased_addresses, known_addresses, day, probe, apd_result
+            )
+        return self._run_batch(non_aliased_addresses, known_addresses, day, probe, apd_result)
 
     def _run_reference(
         self,
@@ -411,7 +383,7 @@ class GenerationPipeline:
             budget = self.generation_budget_per_as
             entropy_model = EntropyIPModel(seeds)
             entropy_addresses = EntropyIPGenerator(entropy_model).generate(budget)
-            sixgen = SixGenGenerator(seeds, seed=sixgen_seed, engine=self.policy)
+            sixgen = SixGenGenerator(seeds, seed=sixgen_seed, policy=self.policy)
             sixgen_addresses = sixgen.generate(budget)
             for tool, addresses in zip(TOOLS, (entropy_addresses, sixgen_addresses)):
                 capped = sample_capped(addresses, self.generated_cap_per_as, self._rng)
@@ -466,7 +438,7 @@ class GenerationPipeline:
             budget = self.generation_budget_per_as
             entropy_model = EntropyIPModel(seed_batch)
             entropy_batch = EntropyIPGenerator(entropy_model).generate_batch(budget)
-            sixgen = SixGenGenerator(seed_batch, seed=sixgen_seed, engine=self.policy)
+            sixgen = SixGenGenerator(seed_batch, seed=sixgen_seed, policy=self.policy)
             sixgen_batch = sixgen.generate_batch(budget)
             for tool, generated in zip(TOOLS, (entropy_batch, sixgen_batch)):
                 capped = sample_capped_batch(generated, self.generated_cap_per_as, self._rng)

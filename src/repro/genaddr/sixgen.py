@@ -11,13 +11,13 @@ targets.
 This implementation follows that structure with a scalable greedy merge and
 budget-aware range enumeration, in two seeded-identical engines:
 
-* ``engine="batch"`` (default) grows clusters over per-position nybble
+* the fast engine (default) grows clusters over per-position nybble
   *bitmask* matrices -- the pair search evaluates all candidate merges with
   one broadcast OR + ``bitwise_count`` product instead of per-pair Python
   set unions -- and enumerates wildcard expansions by mixed-radix decoding
   (the ``np.meshgrid``-style product of the per-position value arrays).
-* ``engine="reference"`` is the original per-string loop, kept for parity
-  tests and benchmarks.
+* the reference engine (``ExecutionPolicy(reference=True)``) is the
+  original per-string loop, kept for parity tests and benchmarks.
 
 Both engines make identical merge decisions (exact range sizes, identical
 tie-breaking), so they produce identical clusters and identical generated
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.addr.address import HEX_ALPHABET, IPv6Address, LO_MASK, NYBBLES
 from repro.addr.batch import AddressBatch, find128, union_sorted
-from repro.exec import ExecutionPolicy, resolve_policy
+from repro.exec import ExecutionPolicy
 
 #: Bit masks of the 16 nybble values, for unpacking range bitmasks.
 _BIT_COLUMNS = np.uint16(1) << np.arange(16, dtype=np.uint16)
@@ -177,10 +177,10 @@ class SixGenGenerator:
         max_cluster_size: int = 2**20,
         max_clusters: int = 256,
         seed: int = 0,
-        engine: "ExecutionPolicy | str | None" = None,
+        *,
+        policy: ExecutionPolicy = ExecutionPolicy(),
     ):
-        self.policy = resolve_policy(engine=engine, fast="batch", reference="reference")
-        self.engine = self.policy.engine
+        self.policy = policy
         self.max_cluster_size = max_cluster_size
         self._rng = random.Random(seed)
         batch = (
@@ -192,10 +192,10 @@ class SixGenGenerator:
         self._seed_batch = batch
         self._seed_strings: list[str] | None = None
         self._seed_set_cache: set[str] | None = None
-        if self.engine == "batch":
-            self.clusters = self._grow_clusters_batch(batch, max_clusters)
-        else:
+        if self.policy.reference:
             self.clusters = self._grow_clusters(self._seed_nybbles(), max_clusters)
+        else:
+            self.clusters = self._grow_clusters_batch(batch, max_clusters)
 
     def _seed_nybbles(self) -> list[str]:
         """Sorted seed nybble strings (materialised lazily from the batch)."""

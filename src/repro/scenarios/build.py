@@ -1,24 +1,21 @@
 """One construction path from a scenario to any pipeline object.
 
-The ``from_scenario`` constructors on :class:`ExperimentContext`,
-:class:`HitlistService`, :class:`HitlistServer` and
-:class:`GenerationPipeline` used to each re-derive the scenario wiring
-(experiment config, substrate, APD floor) independently; they now all
-delegate here, and CLI / benchmarks / tests can call :func:`build` directly:
+:func:`build` is the only scenario constructor: the CLI, benchmarks, tests
+and examples all wire a scenario's experiment config, substrate and APD
+floor through it, so no consumer re-derives that wiring:
 
     service = scenarios.build("service", "megascale",
                               policy=ExecutionPolicy(chunk_rows=65536))
 
-*policy* is anything :func:`repro.exec.resolve_policy` accepts -- an
-:class:`~repro.exec.ExecutionPolicy`, ``None`` for the defaults, or a
-deprecated bare engine string.
+*policy* is an :class:`~repro.exec.ExecutionPolicy` (``None`` for the
+defaults); it reaches the context, service, server and pipeline targets.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.exec import ExecutionPolicy, resolve_policy
+from repro.exec import ExecutionPolicy
 from repro.scenarios.registry import as_scenario
 
 #: Buildable targets, in rough dependency order.
@@ -39,20 +36,21 @@ def build(
     scale: str | None = None,
     anomalies: str | None = None,
     seed: int | None = None,
-    policy: "ExecutionPolicy | str | None" = None,
+    policy: ExecutionPolicy | None = None,
     **kwargs: Any,
 ):
     """Construct *target* for a scenario preset under one execution policy.
 
     ``target`` is one of :data:`BUILD_TARGETS`; ``scale`` / ``anomalies``
     compose named tiers on top of the preset and ``seed`` overrides the
-    scenario seed, exactly as in the ``from_scenario`` constructors this
-    helper subsumes.  Extra keyword arguments are forwarded to the target's
+    scenario seed.  Extra keyword arguments are forwarded to the target's
     constructor (e.g. ``protocols=`` for the service, ``validate_hook=`` for
-    the server).
+    the server).  Service days share the sources' run-up timeline: run days
+    at or after the scenario's ``runup_days`` to see the full hitlist input.
     """
     resolved = as_scenario(scenario, scale=scale, anomalies=anomalies)
-    policy = resolve_policy(engine=policy)
+    if policy is None:
+        policy = ExecutionPolicy()
     if target == "internet":
         return resolved.build_internet(seed=seed)
     if target == "substrate":
@@ -61,7 +59,7 @@ def build(
         from repro.experiments.context import ExperimentContext
 
         return ExperimentContext(
-            resolved.experiment_config(seed=seed), engine=policy, **kwargs
+            resolved.experiment_config(seed=seed), policy=policy, **kwargs
         )
     if target == "service":
         from repro.core.apd import APDConfig
@@ -74,7 +72,7 @@ def build(
             assembly,
             apd_config=APDConfig(min_targets_per_prefix=config.apd_min_targets),
             seed=config.seed,
-            engine=policy,
+            policy=policy,
             **kwargs,
         )
     if target == "server":
@@ -96,7 +94,7 @@ def build(
         return GenerationPipeline(
             resolved.build_internet(seed=seed),
             seed=config.seed,
-            engine=policy,
+            policy=policy,
             **kwargs,
         )
     raise ValueError(

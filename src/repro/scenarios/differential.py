@@ -3,13 +3,13 @@
 Every subsystem of the pipeline ships a fast columnar engine next to the
 scalar reference implementation it must agree with:
 
-* APD -- :class:`~repro.core.apd.AliasedPrefixDetector` (``batch``/``scalar``),
-* clustering -- :class:`~repro.core.clustering.EntropyClustering`
-  (``batch``/``reference``),
-* the daily service -- :class:`~repro.core.hitlist.HitlistService`
-  (``batch``/``reference``),
-* generation -- :class:`~repro.genaddr.pipeline.GenerationPipeline`
-  (``batch``/``reference``).
+* APD -- :class:`~repro.core.apd.AliasedPrefixDetector`,
+* clustering -- :class:`~repro.core.clustering.EntropyClustering`,
+* the daily service -- :class:`~repro.core.hitlist.HitlistService`,
+* generation -- :class:`~repro.genaddr.pipeline.GenerationPipeline`.
+
+Each pair is the same entry point under ``ExecutionPolicy()`` and
+``ExecutionPolicy(reference=True)``.
 
 :func:`run_differential` builds ONE deterministic Internet from a scenario
 (the scenario's anomaly mix is forced to ``deterministic``: zero loss, zero
@@ -143,11 +143,9 @@ def check_apd(
 
     Returns the batch result so downstream checks can reuse the verdicts.
     """
-    batch = AliasedPrefixDetector(
-        internet, apd_config, seed=seed, engine=ExecutionPolicy(engine="batch")
-    ).run(addresses, day=0)
+    batch = AliasedPrefixDetector(internet, apd_config, seed=seed).run(addresses, day=0)
     scalar = AliasedPrefixDetector(
-        internet, apd_config, seed=seed, engine=ExecutionPolicy(engine="scalar")
+        internet, apd_config, seed=seed, policy=ExecutionPolicy(reference=True)
     ).run(addresses, day=0)
     problems = []
     if set(batch.outcomes) != set(scalar.outcomes):
@@ -181,7 +179,7 @@ def check_clustering(
             min_addresses=min_addresses,
             candidate_ks=candidate_ks,
             seed=seed,
-            engine=ExecutionPolicy(engine=name),
+            policy=ExecutionPolicy(reference=name == "reference"),
         )
         for name in ("reference", "batch")
     }
@@ -234,7 +232,7 @@ def check_service(
             assembly,
             apd_config=apd_config,
             seed=seed,
-            engine=ExecutionPolicy(engine=name),
+            policy=ExecutionPolicy(reference=name == "reference"),
         )
         for name in ("reference", "batch")
     }
@@ -286,7 +284,7 @@ def check_generation(
             min_seeds_per_as=min_seeds_per_as,
             generation_budget_per_as=generation_budget_per_as,
             seed=seed,
-            engine=ExecutionPolicy(engine=name),
+            policy=ExecutionPolicy(reference=name == "reference"),
         )
         reports[name] = pipeline.run(
             non_aliased, day=0, probe=True, apd_result=apd_result
@@ -358,9 +356,9 @@ def run_differential(
         report.checks.append(apd_check)
     elif "generation" in pairs:
         # Generation only needs verdicts to seed from: skip the scalar engine.
-        apd_result = AliasedPrefixDetector(
-            internet, apd_config, seed=seed, engine=ExecutionPolicy(engine="batch")
-        ).run(addresses, day=0)
+        apd_result = AliasedPrefixDetector(internet, apd_config, seed=seed).run(
+            addresses, day=0
+        )
     if "clustering" in pairs:
         report.checks.append(check_clustering(internet, addresses, seed))
     if "service" in pairs:

@@ -34,7 +34,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.hitlist import HitlistService
-from repro.netmodel.services import ALL_PROTOCOLS, Protocol
+from repro.netmodel.services import Protocol
 from repro.serving.snapshot import (
     ASAnswer,
     HitlistSnapshot,
@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.addr.address import IPv6Address
     from repro.addr.prefix import IPv6Prefix
     from repro.core.hitlist import DailyHitlist
-    from repro.exec import ExecutionPolicy
     from repro.netmodel.internet import SimulatedInternet
 
 
@@ -105,35 +104,6 @@ class HitlistServer:
         self._query_counts = {"point": 0, "prefix": 0, "as": 0, "download": 0}
         self._executor: ThreadPoolExecutor | None = None
         service.add_publish_hook(self._on_publish)
-
-    @classmethod
-    def from_scenario(
-        cls,
-        scenario: "str | object",
-        *,
-        scale: str | None = None,
-        anomalies: str | None = None,
-        seed: int | None = None,
-        engine: "ExecutionPolicy | str | None" = None,
-        protocols: Sequence[Protocol] = ALL_PROTOCOLS,
-        validate_hook: "Callable[[HitlistSnapshot], None] | None" = None,
-    ) -> "HitlistServer":
-        """A server over a named scenario preset (see :mod:`repro.scenarios`).
-
-        Builds the scenario's service via :meth:`HitlistService.from_scenario`
-        (same substrate wiring as every other scenario consumer) and wraps it.
-        Publish days at or after the scenario's ``runup_days`` to serve the
-        full hitlist input.
-        """
-        service = HitlistService.from_scenario(
-            scenario,
-            scale=scale,
-            anomalies=anomalies,
-            seed=seed,
-            engine=engine,
-            protocols=protocols,
-        )
-        return cls(service, validate_hook=validate_hook)
 
     # -- publish side (serialised) ----------------------------------------
 

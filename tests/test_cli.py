@@ -4,6 +4,7 @@ import pytest
 
 from repro.__main__ import build_parser, main
 from repro.experiments import EXPERIMENTS
+from repro.scenarios import build
 
 
 class TestParser:
@@ -76,8 +77,15 @@ class TestExecution:
         assert "in hitlist: False" in out
         assert "responsive on tcp443: False" in out
 
-    def test_query_rejects_unknown_engine(self, capsys):
-        assert main(["query", "--scale", "tiny", "--engine", "turbo", "--address", "::1"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown engine" in err
-        assert "turbo" in err
+    def test_query_reference_prints_the_default_answer(self, capsys):
+        # An aliased hitlist address: its answer (membership, sources, first
+        # seen, never scanned) is engine-independent by construction.
+        daily = build("service", "baseline", scale="tiny").run_day(25)
+        address = next(a for a in daily.hitlist.addresses if daily.apd_result.is_aliased(a))
+        argv = ["query", "--scale", "tiny", "--address", address.compressed]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--reference"]) == 0
+        assert capsys.readouterr().out == default
+        assert "in hitlist: True" in default
+        assert "aliased: True" in default

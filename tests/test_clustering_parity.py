@@ -25,6 +25,9 @@ from repro.core.clustering import (
     sse_curve,
 )
 from repro.core.entropy import FULL_SPAN, IID_SPAN, grouped_nybble_entropies, nybble_entropies
+from repro.exec import ExecutionPolicy
+
+REFERENCE = ExecutionPolicy(reference=True)
 
 
 def _random_hitlist(seed: int, count: int, num_prefixes: int) -> AddressBatch:
@@ -38,11 +41,9 @@ class TestGroupedFingerprintParity:
     def test_batch_matches_reference(self, seed, span):
         batch = _random_hitlist(seed, count=4000, num_prefixes=12)
         reference = EntropyClustering(
-            span=span, min_addresses=50, seed=seed, engine="reference"
+            span=span, min_addresses=50, seed=seed, policy=REFERENCE
         )
-        batched = EntropyClustering(
-            span=span, min_addresses=50, seed=seed, engine="batch"
-        )
+        batched = EntropyClustering(span=span, min_addresses=50, seed=seed)
         expected = reference.fingerprints_by_prefix(batch.to_addresses(), 32)
         actual = batched.fingerprints_by_prefix(batch, 32)
         assert [f.network for f in actual] == [f.network for f in expected]
@@ -86,8 +87,8 @@ class TestKMeansEngineParity:
             center + rng.normal(0, 0.15, size=(25, 6)) for center in centers
         ])
         for k in (1, 2, 4, 7):
-            reference = kmeans(data, k, seed=seed, engine="reference")
-            vectorized = kmeans(data, k, seed=seed, engine="vectorized")
+            reference = kmeans(data, k, seed=seed, policy=REFERENCE)
+            vectorized = kmeans(data, k, seed=seed)
             assert np.array_equal(reference.labels, vectorized.labels)
             assert reference.sse == vectorized.sse
             assert np.array_equal(reference.centroids, vectorized.centroids)
@@ -96,8 +97,8 @@ class TestKMeansEngineParity:
     def test_sse_curve_engines_agree(self):
         rng = np.random.default_rng(3)
         data = rng.random((50, 5))
-        assert sse_curve(data, [1, 2, 4], seed=1, engine="reference") == sse_curve(
-            data, [1, 2, 4], seed=1, engine="vectorized"
+        assert sse_curve(data, [1, 2, 4], seed=1, policy=REFERENCE) == sse_curve(
+            data, [1, 2, 4], seed=1
         )
 
     def test_duplicate_points_parity(self):
@@ -105,16 +106,10 @@ class TestKMeansEngineParity:
         # runs, and both engines must walk it identically.
         data = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0]]), 15, axis=0)
         for seed in range(5):
-            reference = kmeans(data, 3, seed=seed, engine="reference")
-            vectorized = kmeans(data, 3, seed=seed, engine="vectorized")
+            reference = kmeans(data, 3, seed=seed, policy=REFERENCE)
+            vectorized = kmeans(data, 3, seed=seed)
             assert np.array_equal(reference.labels, vectorized.labels)
             assert reference.sse == vectorized.sse
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((4, 2)), 2, engine="gpu")
-        with pytest.raises(ValueError):
-            EntropyClustering(engine="gpu")
 
 
 class TestKMeansPlusPlusDistinctSeeds:

@@ -11,6 +11,9 @@ from repro.addr.generate import random_addresses_in_prefix
 from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult
 from repro.core.apd_murdock import MurdockDetector
 from repro.core.sliding_window import SlidingWindowMerger
+from repro.exec import ExecutionPolicy
+
+REFERENCE = ExecutionPolicy(reference=True)
 
 
 @pytest.fixture(scope="module")
@@ -263,14 +266,10 @@ class TestSlidingWindow:
     def test_vectorized_matches_scalar_engine(self, daily_results):
         """The bitmask-matrix sweep and the per-prefix dict walks agree."""
         vectorized = SlidingWindowMerger(daily_results)
-        scalar = SlidingWindowMerger(daily_results, engine="scalar")
+        scalar = SlidingWindowMerger(daily_results, policy=REFERENCE)
         assert vectorized.sweep_windows(range(6)) == scalar.sweep_windows(range(6))
         for window in range(6):
             assert vectorized.final_aliased_prefixes(window) == scalar.final_aliased_prefixes(window)
-
-    def test_unknown_engine_rejected(self, daily_results):
-        with pytest.raises(ValueError):
-            SlidingWindowMerger(daily_results, engine="quantum")
 
     def test_large_fanout_within_mask_capacity(self):
         """Branch indices up to 63 fit the vectorized uint64 bitmask; beyond
@@ -289,7 +288,7 @@ class TestSlidingWindow:
         stats = merger.window_stats(0)  # 40 branches > 32: needs uint64 masks
         assert stats.aliased_final == 1
         assert merger.window_stats(0) == SlidingWindowMerger(
-            {0: wide}, engine="scalar"
+            {0: wide}, policy=REFERENCE
         ).window_stats(0)
 
         overflow = APDResult(day=0)
@@ -298,9 +297,9 @@ class TestSlidingWindow:
         )
         big.branch_responses = [{Protocol.ICMP} for _ in range(70)]
         overflow.outcomes[prefix] = big
-        with pytest.raises(ValueError, match="engine='scalar'"):
+        with pytest.raises(ValueError, match=r"ExecutionPolicy\(reference=True\)"):
             SlidingWindowMerger({0: overflow}).window_stats(0)
-        scalar = SlidingWindowMerger({0: overflow}, engine="scalar")
+        scalar = SlidingWindowMerger({0: overflow}, policy=REFERENCE)
         assert scalar.window_stats(0).aliased_final == 1
 
     def test_expected_fanout_from_window_not_hardcoded(self):
@@ -323,8 +322,8 @@ class TestSlidingWindow:
         )
         filler.branch_responses = [set() for _ in range(16)]
         day1.outcomes[other] = filler
-        for engine in ("vectorized", "scalar"):
-            merger = SlidingWindowMerger({0: day0, 1: day1}, engine=engine)
+        for policy in (ExecutionPolicy(), REFERENCE):
+            merger = SlidingWindowMerger({0: day0, 1: day1}, policy=policy)
             # All 8 of 8 branches answered within the window -> aliased.
             assert merger.windowed_is_aliased(narrow, 1, 1)
             # Window 0 has no outcome at all: falls back to the APD fan-out

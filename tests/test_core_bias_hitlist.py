@@ -15,6 +15,7 @@ from repro.core.bias import (
     top_x_fractions,
 )
 from repro.core.hitlist import Hitlist, HitlistEntry, HitlistService
+from repro.exec import ExecutionPolicy
 from repro.netmodel.services import HostRole, Protocol
 from repro.sources import assemble_all_sources
 
@@ -122,8 +123,8 @@ class TestHitlistService:
     def test_run_day_honours_day_cutoff(self, small_internet):
         """Regression: day *d* must not see records first observed later."""
         assembly = assemble_all_sources(small_internet, total_target=2500, seed=13, runup_days=60)
-        for engine in ("batch", "reference"):
-            service = HitlistService(small_internet, assembly, seed=13, engine=engine)
+        for policy in (ExecutionPolicy(), ExecutionPolicy(reference=True)):
+            service = HitlistService(small_internet, assembly, seed=13, policy=policy)
             early = service.run_day(10)
             full = len(Hitlist.from_assembly(assembly))
             assert early.input_addresses == len(Hitlist.from_assembly(assembly, day=10))

@@ -1,103 +1,38 @@
-"""Error paths of every ``engine=`` entry point.
+"""The old ``engine`` keyword is gone from every engine-paired entry point.
 
-Each engine-paired layer must reject an unknown engine string with a clear
-``ValueError`` listing every accepted synonym, before doing any work -- a
-typo'd engine name must never silently fall back to either implementation.
+Each entry point takes one keyword-only ``policy=ExecutionPolicy(...)``; the
+old spelling, a bare engine-name string, must fail at the call with a
+``TypeError`` -- never fall back silently to either implementation.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.apd import AliasedPrefixDetector
+from repro.addr.address import IPv6Address
+from repro.core.apd import AliasedPrefixDetector, APDResult
 from repro.core.clustering import EntropyClustering, kmeans, sse_curve
-from repro.core.engines import FAST_ENGINE_NAMES, REFERENCE_ENGINE_NAMES, canonical_engine
 from repro.core.hitlist import HitlistService
 from repro.core.sliding_window import SlidingWindowMerger
-from repro.genaddr import GenerationPipeline
+from repro.experiments.context import ExperimentContext
+from repro.genaddr import GenerationPipeline, SixGenGenerator
 
-ALL_SYNONYMS = sorted(FAST_ENGINE_NAMES | REFERENCE_ENGINE_NAMES)
-
-
-def assert_lists_synonyms(excinfo):
-    """The error message must name every accepted engine synonym."""
-    message = str(excinfo.value)
-    for synonym in ALL_SYNONYMS:
-        assert synonym in message, f"{synonym!r} missing from: {message}"
-
-
-class TestCanonicalEngine:
-    def test_all_synonyms_accepted(self):
-        for name in FAST_ENGINE_NAMES:
-            assert canonical_engine(name, "fast", "slow") == "fast"
-        for name in REFERENCE_ENGINE_NAMES:
-            assert canonical_engine(name, "fast", "slow") == "slow"
-
-    def test_unknown_engine_lists_synonyms(self):
-        with pytest.raises(ValueError) as excinfo:
-            canonical_engine("turbo", "fast", "slow")
-        assert_lists_synonyms(excinfo)
-        assert "turbo" in str(excinfo.value)
+#: One call per entry point, each forwarding ``**kwargs`` to the constructor.
+ENTRY_POINTS = {
+    "AliasedPrefixDetector": lambda internet, **kw: AliasedPrefixDetector(internet, **kw),
+    "SlidingWindowMerger": lambda _, **kw: SlidingWindowMerger({0: APDResult(day=0)}, **kw),
+    "EntropyClustering": lambda _, **kw: EntropyClustering(**kw),
+    "kmeans": lambda _, **kw: kmeans(np.zeros((4, 2)), 2, **kw),
+    "sse_curve": lambda _, **kw: sse_curve(np.zeros((4, 2)), [1, 2], **kw),
+    "HitlistService": lambda internet, **kw: HitlistService(internet, assembly=None, **kw),
+    "SixGenGenerator": lambda _, **kw: SixGenGenerator([IPv6Address.parse("2001:db8::1")], **kw),
+    "GenerationPipeline": lambda internet, **kw: GenerationPipeline(internet, **kw),
+    "ExperimentContext": lambda _, **kw: ExperimentContext(**kw),
+}
 
 
-class TestEntryPoints:
-    def test_apd_detector(self, tiny_internet):
-        with pytest.raises(ValueError) as excinfo:
-            AliasedPrefixDetector(tiny_internet, engine="quantum")
-        assert_lists_synonyms(excinfo)
-
-    def test_entropy_clustering(self):
-        with pytest.raises(ValueError) as excinfo:
-            EntropyClustering(engine="quantum")
-        assert_lists_synonyms(excinfo)
-
-    def test_hitlist_service(self, tiny_internet):
-        with pytest.raises(ValueError) as excinfo:
-            HitlistService(tiny_internet, assembly=None, engine="quantum")
-        assert_lists_synonyms(excinfo)
-
-    def test_generation_pipeline(self, tiny_internet):
-        with pytest.raises(ValueError) as excinfo:
-            GenerationPipeline(tiny_internet, engine="quantum")
-        assert_lists_synonyms(excinfo)
-
-    def test_kmeans_and_sse_curve(self):
-        data = np.zeros((4, 2))
-        with pytest.raises(ValueError) as excinfo:
-            kmeans(data, 2, engine="quantum")
-        assert_lists_synonyms(excinfo)
-        with pytest.raises(ValueError) as excinfo:
-            sse_curve(data, [1, 2], engine="quantum")
-        assert_lists_synonyms(excinfo)
-
-    def test_sliding_window_merger(self):
-        from repro.core.apd import APDResult
-
-        with pytest.raises(ValueError) as excinfo:
-            SlidingWindowMerger({0: APDResult(day=0)}, engine="quantum")
-        assert_lists_synonyms(excinfo)
-
-
-class TestServingEntryPoints:
-    """The server's constructors reject bad engines/scenarios up front --
-    before building any substrate, and before anything is published."""
-
-    def test_server_from_scenario_unknown_engine(self):
-        from repro.serving import HitlistServer
-
-        with pytest.raises(ValueError) as excinfo:
-            HitlistServer.from_scenario("baseline", scale="tiny", engine="quantum")
-        assert_lists_synonyms(excinfo)
-
-    def test_server_from_scenario_unknown_scenario(self):
-        from repro.serving import HitlistServer
-
-        with pytest.raises(ValueError) as excinfo:
-            HitlistServer.from_scenario("atlantis", scale="tiny")
-        assert "atlantis" in str(excinfo.value)
-
-    def test_server_from_scenario_unknown_scale(self):
-        from repro.serving import HitlistServer
-
-        with pytest.raises(ValueError) as excinfo:
-            HitlistServer.from_scenario("baseline", scale="galactic")
-        assert "galactic" in str(excinfo.value)
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+def test_engine_keyword_is_rejected(tiny_internet, entry_point):
+    call = ENTRY_POINTS[entry_point]
+    call(tiny_internet)  # the default policy constructs fine
+    with pytest.raises(TypeError, match="engine"):
+        call(tiny_internet, **{"engine": "batch"})

@@ -307,7 +307,7 @@ class TestRecoveryAcrossPublishedSnapshot:
             assembly = assemble_all_sources(
                 internet, total_target=1500, seed=13, runup_days=1
             )
-            service = HitlistService(internet, assembly, seed=13, engine="batch")
+            service = HitlistService(internet, assembly, seed=13)
             published = []
             service.add_publish_hook(lambda daily: published.append(daily.day))
             days = service.run_days([0, 1])

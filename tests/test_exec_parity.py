@@ -8,8 +8,7 @@ deterministic anomaly mix every streamed/sharded configuration must
 reproduce the single-core in-RAM batch result *bit for bit*, across multiple
 scenario presets including the megascale preset at a CI-feasible tier.
 
-Also covered here: the :class:`ExecutionPolicy` / :func:`resolve_policy`
-API surface (defaults, synonym canonicalisation, bare-string deprecation,
+Also covered here: the :class:`ExecutionPolicy` API surface (defaults,
 validation), the memmap round-trip on :class:`AddressBatch`, and the
 tentpole's peak-memory bound -- a streamed APD run must never materialise
 the full fan-out in RAM.
@@ -32,7 +31,6 @@ from repro.exec import (
     chunked_probe_batch,
     plan_chunk_spans,
     plan_worker_spans,
-    resolve_policy,
     scratch_memmap,
     snap_spans_to_boundaries,
 )
@@ -41,11 +39,11 @@ from repro.scenarios import build
 #: Every streaming configuration under test: chunked in-RAM, chunked into
 #: memmap scratch, and sharded over 2 workers under both shard keys.
 STREAMING_POLICIES = [
-    ExecutionPolicy(engine="batch", chunk_rows=64),
-    ExecutionPolicy(engine="batch", chunk_rows=64, storage="memmap"),
-    ExecutionPolicy(engine="batch", chunk_rows=64, workers=2, shard_by="prefix"),
-    ExecutionPolicy(engine="batch", chunk_rows=64, workers=2, shard_by="rows"),
-    ExecutionPolicy(engine="batch", workers=2, storage="memmap"),  # implied chunking
+    ExecutionPolicy(chunk_rows=64),
+    ExecutionPolicy(chunk_rows=64, storage="memmap"),
+    ExecutionPolicy(chunk_rows=64, workers=2, shard_by="prefix"),
+    ExecutionPolicy(chunk_rows=64, workers=2, shard_by="rows"),
+    ExecutionPolicy(workers=2, storage="memmap"),  # implied chunking
 ]
 
 #: Parity presets: the two densest anomaly shapes plus the megascale preset
@@ -53,47 +51,14 @@ STREAMING_POLICIES = [
 PARITY_SCENARIOS = ["aliasing-storm", "cdn-heavy", "megascale"]
 
 
-# -- ExecutionPolicy / resolve_policy API ------------------------------------
+# -- ExecutionPolicy API ----------------------------------------------------
 
 
-def test_resolve_policy_default_is_plain_fast_engine():
-    policy = resolve_policy()
-    assert policy == ExecutionPolicy(engine="batch")
+def test_default_policy_is_plain_fast_engine():
+    policy = ExecutionPolicy()
+    assert not policy.reference
     assert not policy.is_streaming
     assert policy.effective_chunk_rows is None
-
-
-def test_resolve_policy_passes_canonical_policy_through():
-    policy = ExecutionPolicy(engine="batch", chunk_rows=512)
-    assert resolve_policy(engine=policy) is policy
-
-
-def test_resolve_policy_canonicalises_engine_synonyms():
-    policy = resolve_policy(engine=ExecutionPolicy(engine="vectorized"))
-    assert policy.engine == "batch"
-    scalar = resolve_policy(engine=ExecutionPolicy(engine="scalar"))
-    assert scalar.engine == "reference"
-
-
-def test_resolve_policy_preserves_knobs_across_canonicalisation():
-    policy = resolve_policy(
-        engine=ExecutionPolicy(engine="vectorized", chunk_rows=8, workers=3)
-    )
-    assert (policy.chunk_rows, policy.workers) == (8, 3)
-
-
-def test_resolve_policy_bare_string_is_deprecated_but_works():
-    with pytest.warns(DeprecationWarning, match="bare engine strings"):
-        policy = resolve_policy(engine="batch")
-    assert policy == ExecutionPolicy(engine="batch")
-
-
-def test_resolve_policy_unknown_engine_lists_every_synonym():
-    with pytest.raises(ValueError) as excinfo:
-        resolve_policy(engine=ExecutionPolicy(engine="turbo"))
-    message = str(excinfo.value)
-    for synonym in ("batch", "vectorized", "reference", "scalar"):
-        assert synonym in message
 
 
 @pytest.mark.parametrize(
@@ -207,7 +172,7 @@ def run_apd(internet, config, candidates, policy, days=(0, 1)):
         internet,
         APDConfig(min_targets_per_prefix=config.apd_min_targets),
         seed=123,
-        engine=policy,
+        policy=policy,
     )
     return [detector.probe_prefixes(candidates, day) for day in days]
 
@@ -257,9 +222,9 @@ def test_apd_chunk_grid_makes_worker_count_irrelevant(apd_corpus):
 @pytest.mark.parametrize(
     "policy",
     [
-        ExecutionPolicy(engine="vectorized", chunk_rows=17),
-        ExecutionPolicy(engine="vectorized", chunk_rows=50, workers=2),
-        ExecutionPolicy(engine="vectorized", workers=2),
+        ExecutionPolicy(chunk_rows=17),
+        ExecutionPolicy(chunk_rows=50, workers=2),
+        ExecutionPolicy(workers=2),
     ],
     ids=str,
 )
@@ -269,7 +234,7 @@ def test_kmeans_streaming_bit_identical(policy):
         [rng.normal(loc=c, scale=0.6, size=(120, 5)) for c in (-4.0, 0.0, 4.0)]
     )
     plain = kmeans(data, k=3, seed=3)
-    streamed = kmeans(data, k=3, seed=3, engine=policy)
+    streamed = kmeans(data, k=3, seed=3, policy=policy)
     np.testing.assert_array_equal(streamed.labels, plain.labels)
     np.testing.assert_array_equal(streamed.centroids, plain.centroids)
     assert streamed.sse == plain.sse
@@ -289,10 +254,10 @@ def test_window_sweep_streaming_bit_identical(apd_corpus):
     daily = {day: detector.run(prefixes=candidates, day=day) for day in range(4)}
     plain = SlidingWindowMerger(daily)
     for policy in (
-        ExecutionPolicy(engine="vectorized", chunk_rows=7),
-        ExecutionPolicy(engine="vectorized", chunk_rows=7, workers=2),
+        ExecutionPolicy(chunk_rows=7),
+        ExecutionPolicy(chunk_rows=7, workers=2),
     ):
-        streamed = SlidingWindowMerger(daily, engine=policy)
+        streamed = SlidingWindowMerger(daily, policy=policy)
         for window in (0, 1, 2):
             np.testing.assert_array_equal(
                 streamed._windowed_verdicts(window), plain._windowed_verdicts(window)

@@ -3,6 +3,7 @@ qualitative (paper-shape) claims hold."""
 
 import pytest
 
+from repro.exec import ExecutionPolicy
 from repro.experiments import runner
 from repro.experiments.context import TEST_EXPERIMENT_CONFIG, ExperimentContext
 from repro.experiments import (
@@ -235,3 +236,44 @@ class TestRunner:
             "fig7", "fig8", "fig9", "fig10", "murdock", "vantage_bias",
         }
         assert set(runner.EXPERIMENTS) == expected
+
+
+class TestContextPolicy:
+    """The context's policy reaches every engine-paired object an experiment
+    builds, not only the context's own day-0 APD."""
+
+    @pytest.fixture(scope="class")
+    def reference_ctx(self):
+        return ExperimentContext(TEST_EXPERIMENT_CONFIG, policy=ExecutionPolicy(reference=True))
+
+    def test_experiments_build_under_the_context_policy(self, reference_ctx, monkeypatch):
+        built = []
+        for module, name in (
+            (fig2, "EntropyClustering"),
+            (fig3, "EntropyClustering"),
+            (table4, "AliasedPrefixDetector"),
+            (table4, "SlidingWindowMerger"),
+            (table7, "GenerationPipeline"),
+        ):
+
+            def spy(*args, _cls=getattr(module, name), **kwargs):
+                obj = _cls(*args, **kwargs)
+                built.append((type(obj).__name__, obj.policy))
+                return obj
+
+            monkeypatch.setattr(module, name, spy)
+        fig2.run(reference_ctx)
+        fig3.run(reference_ctx)
+        table4.run(reference_ctx, days=range(3), windows=range(2))
+        table7.run(reference_ctx, generation_budget_per_as=50)
+        assert {name for name, _ in built} == {
+            "EntropyClustering",
+            "AliasedPrefixDetector",
+            "SlidingWindowMerger",
+            "GenerationPipeline",
+        }
+        assert all(policy is reference_ctx.policy for _, policy in built)
+
+    def test_fig2_matches_the_default_context(self, reference_ctx, ctx):
+        # Clustering parity between the engines is exact.
+        assert fig2.run(reference_ctx) == fig2.run(ctx)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.addr import IPv6Address, IPv6Prefix
+from repro.exec import ExecutionPolicy
 from repro.genaddr import (
     EntropyIPGenerator,
     EntropyIPModel,
@@ -14,6 +15,9 @@ from repro.genaddr import (
 from repro.genaddr.entropy_ip import segment_positions
 from repro.genaddr.sixgen import SeedCluster
 from repro.netmodel.schemes import AddressingScheme, generate_addresses
+
+#: The fast engine and its scalar reference twin.
+POLICIES = (ExecutionPolicy(), ExecutionPolicy(reference=True))
 
 
 def _seeds(scheme=AddressingScheme.LOW_COUNTER, count=200, seed=0, prefix="2001:db8::/32"):
@@ -263,8 +267,8 @@ class TestSixGen:
     def test_cluster_of_identical_seeds(self):
         """All-duplicate seed lists collapse to one singleton cluster."""
         seeds = [IPv6Address.parse("2001:db8::1")] * 10
-        for engine in ("batch", "reference"):
-            generator = SixGenGenerator(seeds, engine=engine)
+        for policy in POLICIES:
+            generator = SixGenGenerator(seeds, policy=policy)
             assert generator.cluster_count == 1
             assert generator.clusters[0].size == 1
             assert generator.clusters[0].density == 1.0
@@ -280,8 +284,8 @@ class TestSixGen:
 
     def test_engines_grow_identical_clusters(self):
         seeds = _seeds(AddressingScheme.STRUCTURED, count=180, seed=2)
-        reference = SixGenGenerator(seeds, engine="reference")
-        batch = SixGenGenerator(seeds, engine="batch")
+        reference = SixGenGenerator(seeds, policy=ExecutionPolicy(reference=True))
+        batch = SixGenGenerator(seeds)
         assert reference.clusters == batch.clusters
         for budget in (0, 1, 25, 500):
             assert [
@@ -291,21 +295,14 @@ class TestSixGen:
     def test_generate_budget_exceeding_enumerable_space(self):
         """A budget far beyond the clusters' total range must not loop/raise."""
         seeds = [IPv6Address.parse("2001:db8::1"), IPv6Address.parse("2001:db8::3")]
-        for engine in ("batch", "reference"):
-            generator = SixGenGenerator(seeds, engine=engine)
+        for policy in POLICIES:
+            generator = SixGenGenerator(seeds, policy=policy)
             total_space = sum(c.size for c in generator.clusters)
             generated = generator.generate(10_000)
             assert len(generated) <= total_space
             assert [a.value for a in generated] == generator.generate_batch(
                 10_000
             ).to_ints()
-
-    def test_engine_synonyms(self):
-        seeds = [IPv6Address.parse("2001:db8::1")]
-        assert SixGenGenerator(seeds, engine="vectorized").engine == "batch"
-        assert SixGenGenerator(seeds, engine="scalar").engine == "reference"
-        with pytest.raises(ValueError):
-            SixGenGenerator(seeds, engine="warp")
 
 
 class TestGenerationPipeline:

@@ -18,6 +18,7 @@ import pytest
 from repro.addr.address import IPv6Address
 from repro.addr.prefix import IPv6Prefix
 from repro.core.apd import AliasedPrefixDetector
+from repro.exec import ExecutionPolicy
 from repro.genaddr import GenerationPipeline
 from repro.netmodel import InternetConfig, SimulatedInternet
 from repro.netmodel.services import HostRole
@@ -69,16 +70,16 @@ def parity_setup():
 def _run_engines(parity_setup, seed):
     internet, seeds, apd_result, _, _ = parity_setup
     reports = {}
-    for engine in ("reference", "batch"):
+    for reference in (True, False):
         pipeline = GenerationPipeline(
             internet,
             min_seeds_per_as=MIN_SEEDS_PER_AS,
             generation_budget_per_as=BUDGET_PER_AS,
             seed=seed,
-            engine=engine,
+            policy=ExecutionPolicy(reference=reference),
         )
-        reports[engine] = pipeline.run(seeds, day=0, probe=True, apd_result=apd_result)
-    return reports["reference"], reports["batch"]
+        reports[reference] = pipeline.run(seeds, day=0, probe=True, apd_result=apd_result)
+    return reports[True], reports[False]
 
 
 @pytest.fixture(scope="module")
@@ -155,18 +156,6 @@ class TestGenerationParity:
 
 
 class TestEngineContract:
-    def test_engine_synonyms(self, parity_setup):
-        internet, *_ = parity_setup
-        for name, canonical in (
-            ("vectorized", "batch"),
-            ("scalar", "reference"),
-            ("batch", "batch"),
-            ("reference", "reference"),
-        ):
-            assert GenerationPipeline(internet, engine=name).engine == canonical
-        with pytest.raises(ValueError):
-            GenerationPipeline(internet, engine="turbo")
-
     def test_seeds_by_as_partitions_identically(self, parity_setup):
         from repro.addr.batch import AddressBatch
 

@@ -16,6 +16,7 @@ from repro.addr import IPv6Address, IPv6Prefix
 from repro.addr.batch import AddressBatch, random_batch_in_prefix
 from repro.addr.generate import random_addresses_in_prefix
 from repro.core.apd import AliasedPrefixDetector
+from repro.exec import ExecutionPolicy
 from repro.netmodel import InternetConfig, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, HostRole, Protocol
 
@@ -177,13 +178,15 @@ class TestAPDEngineParity:
 
     def test_candidates_identical(self, lossless_internet, sample):
         batch_detector = AliasedPrefixDetector(lossless_internet, seed=1)
-        scalar_detector = AliasedPrefixDetector(lossless_internet, seed=1, engine="scalar")
+        scalar_detector = AliasedPrefixDetector(
+            lossless_internet, seed=1, policy=ExecutionPolicy(reference=True)
+        )
         assert batch_detector.candidate_prefixes(sample) == scalar_detector.candidate_prefixes(sample)
 
     def test_same_aliased_prefixes_and_classification(self, lossless_internet, sample):
         batch_result = AliasedPrefixDetector(lossless_internet, seed=2).run(sample, day=0)
         scalar_result = AliasedPrefixDetector(
-            lossless_internet, seed=2, engine="scalar"
+            lossless_internet, seed=2, policy=ExecutionPolicy(reference=True)
         ).run(sample, day=0)
         assert set(batch_result.outcomes) == set(scalar_result.outcomes)
         assert set(batch_result.aliased_prefixes) == set(scalar_result.aliased_prefixes)
@@ -197,10 +200,6 @@ class TestAPDEngineParity:
         aliased, clean = result.split(sample)
         assert len(aliased) + len(clean) == len(sample)
         assert result.filter_non_aliased(sample) == clean
-
-    def test_invalid_engine_rejected(self, lossless_internet):
-        with pytest.raises(ValueError):
-            AliasedPrefixDetector(lossless_internet, engine="warp")
 
     def test_duplicate_prefixes_probed_once(self, lossless_internet):
         region = _deterministic_regions(lossless_internet)[0]

@@ -4,18 +4,23 @@ import pytest
 
 from repro.__main__ import build_parser, main, resolve_config
 from repro.core.hitlist import HitlistService
+from repro.exec import ExecutionPolicy
 from repro.experiments.context import ExperimentContext
 from repro.genaddr import GenerationPipeline
+from repro.netmodel.internet import SimulatedInternet
 from repro.scenarios import (
     ANOMALY_MIXES,
+    BUILD_TARGETS,
     SCALE_TIERS,
     Scenario,
     ScenarioLayer,
     as_scenario,
+    build,
     get_scenario,
     iter_scenarios,
     scenario_names,
 )
+from repro.serving import HitlistServer
 
 
 class TestRegistry:
@@ -191,28 +196,71 @@ class TestCLI:
         ).experiment_config()
 
 
-class TestFromScenario:
-    def test_experiment_context_from_scenario(self):
-        ctx = ExperimentContext.from_scenario("high-churn", scale="tiny")
+#: The type each :data:`BUILD_TARGETS` entry constructs.
+BUILD_TYPES = {
+    "internet": SimulatedInternet,
+    "substrate": tuple,
+    "context": ExperimentContext,
+    "service": HitlistService,
+    "server": HitlistServer,
+    "pipeline": GenerationPipeline,
+}
+
+
+class TestBuild:
+    """``scenarios.build`` is the one constructor path from a scenario."""
+
+    @pytest.mark.parametrize("target", BUILD_TARGETS)
+    def test_every_target_builds_at_tiny_scale(self, target):
+        built = build(target, "baseline", scale="tiny")
+        assert isinstance(built, BUILD_TYPES[target])
+        policy = getattr(built, "policy", None)
+        assert policy is None or policy == ExecutionPolicy()
+
+    def test_experiment_context(self):
+        ctx = build("context", "high-churn", scale="tiny")
         assert ctx.config == get_scenario("high-churn", scale="tiny").experiment_config()
         assert ctx.config.internet_config().client_daily_uptime == 0.12
 
-    def test_hitlist_service_from_scenario(self):
-        service = HitlistService.from_scenario(
-            "sparse-sources", scale="tiny", anomalies="deterministic", engine="reference"
+    def test_hitlist_service(self):
+        service = build(
+            "service",
+            "sparse-sources",
+            scale="tiny",
+            anomalies="deterministic",
+            policy=ExecutionPolicy(reference=True),
         )
-        assert service.engine == "reference"
+        assert service.policy.reference
         assert service.apd_config.min_targets_per_prefix == 60
         assert service.internet.config.packet_loss == 0.0
         assert len(service.assembly.sources) > 0
 
-    def test_generation_pipeline_from_scenario(self):
-        pipeline = GenerationPipeline.from_scenario(
-            "cdn-heavy", scale="tiny", min_seeds_per_as=50
-        )
-        assert pipeline.engine == "batch"
+    def test_server_gets_hook_and_policy(self):
+        def hook(snapshot):
+            pass
+
+        policy = ExecutionPolicy(reference=True)
+        server = build("server", "baseline", scale="tiny", validate_hook=hook, policy=policy)
+        assert server.validate_hook is hook
+        assert server.service.policy is policy
+
+    def test_generation_pipeline(self):
+        pipeline = build("pipeline", "cdn-heavy", scale="tiny", min_seeds_per_as=50)
+        assert not pipeline.policy.reference
         assert pipeline.min_seeds_per_as == 50
         assert pipeline.internet.config.aliased_region_rate == 0.95
+
+    @pytest.mark.parametrize(
+        "target, scenario, scale, bad",
+        [
+            ("warehouse", "baseline", "tiny", "warehouse"),
+            ("server", "atlantis", "tiny", "atlantis"),
+            ("server", "baseline", "galactic", "galactic"),
+        ],
+    )
+    def test_unknown_value_is_named(self, target, scenario, scale, bad):
+        with pytest.raises(ValueError, match=bad):
+            build(target, scenario, scale=scale)
 
     def test_scenario_build_internet_honours_seed(self):
         scenario = Scenario("ad-hoc", "one-off", ())

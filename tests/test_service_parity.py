@@ -15,6 +15,7 @@ import pytest
 from repro.addr.address import IPv6Address
 from repro.analysis.longitudinal import responsiveness_over_time
 from repro.core.hitlist import Hitlist, HitlistService
+from repro.exec import ExecutionPolicy
 from repro.experiments import table4
 from repro.netmodel import InternetConfig, SimulatedInternet
 from repro.sources.base import HitlistSource, SourceRecord
@@ -70,7 +71,7 @@ def scripted_assembly(deterministic_internet) -> SourceAssembly:
     """
     internet = deterministic_internet
     base = assemble_all_sources(internet, total_target=2500, seed=13, runup_days=1)
-    pilot = HitlistService(internet, base, seed=13, engine="batch")
+    pilot = HitlistService(internet, base, seed=13)
     day0 = pilot.run_day(0)
     assert day0.aliased_prefixes, "pilot day 0 must detect aliased prefixes"
     target_prefix = next(p for p in day0.aliased_prefixes if p.length <= 104)
@@ -94,9 +95,9 @@ def scripted_assembly(deterministic_internet) -> SourceAssembly:
 @pytest.fixture(scope="module")
 def both_engines(deterministic_internet, scripted_assembly):
     assembly, target_prefix = scripted_assembly
-    batch = HitlistService(deterministic_internet, assembly, seed=13, engine="batch")
+    batch = HitlistService(deterministic_internet, assembly, seed=13)
     reference = HitlistService(
-        deterministic_internet, assembly, seed=13, engine="reference"
+        deterministic_internet, assembly, seed=13, policy=ExecutionPolicy(reference=True)
     )
     return (
         batch.run_days(DAYS),
@@ -180,26 +181,11 @@ class TestServiceParity:
 
 
 class TestServiceEngineContract:
-    def test_engine_synonyms(self, deterministic_internet, scripted_assembly):
-        assembly, _ = scripted_assembly
-        for name, canonical in (
-            ("vectorized", "batch"),
-            ("scalar", "reference"),
-            ("batch", "batch"),
-            ("reference", "reference"),
-        ):
-            service = HitlistService(
-                deterministic_internet, assembly, seed=1, engine=name
-            )
-            assert service.engine == canonical
-        with pytest.raises(ValueError):
-            HitlistService(deterministic_internet, assembly, seed=1, engine="turbo")
-
     def test_batch_engine_rejects_decreasing_days(
         self, deterministic_internet, scripted_assembly
     ):
         assembly, _ = scripted_assembly
-        service = HitlistService(deterministic_internet, assembly, seed=1, engine="batch")
+        service = HitlistService(deterministic_internet, assembly, seed=1)
         service.run_day(2)
         with pytest.raises(ValueError):
             service.run_day(1)
@@ -208,7 +194,7 @@ class TestServiceEngineContract:
         self, deterministic_internet, scripted_assembly
     ):
         assembly, _ = scripted_assembly
-        service = HitlistService(deterministic_internet, assembly, seed=1, engine="batch")
+        service = HitlistService(deterministic_internet, assembly, seed=1)
         service.run_day(4)
         expected = Hitlist.from_assembly(assembly, day=4)
         standing = service.standing_hitlist

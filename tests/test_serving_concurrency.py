@@ -16,6 +16,7 @@ import pytest
 
 from repro.addr.address import IPv6Address
 from repro.addr.prefix import IPv6Prefix
+from repro.scenarios import build
 from repro.serving import HitlistServer, NoPublishedSnapshot, ServingError
 
 SCENARIO = dict(scale="tiny", seed=7)
@@ -137,7 +138,7 @@ class PublishGate:
 def published_run():
     """One server, publishes under reader load, plus the reader records."""
     gate = PublishGate()
-    server = HitlistServer.from_scenario("baseline", validate_hook=gate, **SCENARIO)
+    server = build("server", "baseline", validate_hook=gate, **SCENARIO)
     server.publish_day(FIRST_DAY)
     readers = Readers(server)
     gate.readers = readers
@@ -204,7 +205,7 @@ class TestConcurrentReads:
 
 class TestAsyncPublish:
     def test_background_publishes_in_order(self):
-        server = HitlistServer.from_scenario("baseline", **SCENARIO)
+        server = build("server", "baseline", **SCENARIO)
         with server:
             futures = [
                 server.publish_day_async(day) for day in (FIRST_DAY, FIRST_DAY + 1)
@@ -225,7 +226,7 @@ class TestAsyncPublish:
                 building.set()
                 assert release.wait(timeout=60)
 
-        server = HitlistServer.from_scenario("baseline", validate_hook=hold, **SCENARIO)
+        server = build("server", "baseline", validate_hook=hold, **SCENARIO)
         with server:
             first = server.publish_day(FIRST_DAY)
             future = server.publish_day_async(FIRST_DAY + 1)
@@ -241,7 +242,7 @@ class TestAsyncPublish:
 
 class TestServerEdges:
     def test_query_before_first_publish_raises(self):
-        server = HitlistServer.from_scenario("baseline", **SCENARIO)
+        server = build("server", "baseline", **SCENARIO)
         with pytest.raises(NoPublishedSnapshot):
             server.current
         with pytest.raises(NoPublishedSnapshot):
@@ -249,13 +250,13 @@ class TestServerEdges:
         assert server.generation == 0
 
     def test_unknown_generation_raises(self):
-        server = HitlistServer.from_scenario("baseline", **SCENARIO)
+        server = build("server", "baseline", **SCENARIO)
         server.publish_day(FIRST_DAY)
         with pytest.raises(ServingError, match="generation 9"):
             server.snapshot(9)
 
     def test_stats_count_queries(self):
-        server = HitlistServer.from_scenario("baseline", **SCENARIO)
+        server = build("server", "baseline", **SCENARIO)
         snapshot = server.publish_day(FIRST_DAY)
         server.point_query(snapshot._values[0])
         server.point_query(snapshot._values[0] ^ 1)

@@ -16,14 +16,14 @@ import pytest
 from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch, readonly_view
 from repro.addr.prefix import IPv6Prefix
-from repro.serving import HitlistServer
+from repro.scenarios import build
 
 FIRST_DAY = 25  # the tiny tier's run-up horizon
 
 
 @pytest.fixture(scope="module")
 def served():
-    server = HitlistServer.from_scenario("baseline", scale="tiny", seed=7)
+    server = build("server", "baseline", scale="tiny", seed=7)
     snapshot = server.publish_day(FIRST_DAY)
     return server, snapshot
 

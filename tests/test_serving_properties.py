@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.addr.address import FULL_MASK, IPv6Address
 from repro.addr.prefix import IPv6Prefix
-from repro.serving import HitlistServer, HitlistSnapshot
+from repro.scenarios import build
+from repro.serving import HitlistSnapshot
 
 FIRST_DAY = 25  # the tiny tier's run-up horizon
 PREFIX_LENGTHS = (8, 16, 32, 40, 44, 48, 56, 64, 96, 112, 128)
@@ -24,7 +25,7 @@ PREFIX_LENGTHS = (8, 16, 32, 40, 44, 48, 56, 64, 96, 112, 128)
 @pytest.fixture(scope="module")
 def served():
     """One published day: the snapshot plus its scalar ground truth."""
-    server = HitlistServer.from_scenario("baseline", scale="tiny", seed=7)
+    server = build("server", "baseline", scale="tiny", seed=7)
     snapshot = server.publish_day(FIRST_DAY)
     daily = server.service.history[FIRST_DAY]
     scalars = daily.hitlist.addresses

@@ -19,6 +19,7 @@ from repro.core.bias import (
     top_x_fractions,
 )
 from repro.core.sliding_window import SlidingWindowMerger
+from repro.exec import ExecutionPolicy
 from repro.netmodel.services import Protocol
 
 PREFIX = IPv6Prefix(0x2001_0DB8_0407_8000 << 64, 64)
@@ -35,12 +36,12 @@ def outcome_with(responsive: int, total: int = 16, day: int = 0) -> PrefixProbeO
     )
 
 
-def merger_for(outcomes_by_day: dict, engine: str) -> SlidingWindowMerger:
+def merger_for(outcomes_by_day: dict, reference: bool) -> SlidingWindowMerger:
     daily = {
         day: APDResult(day=day, outcomes={PREFIX: outcome})
         for day, outcome in outcomes_by_day.items()
     }
-    return SlidingWindowMerger(daily, engine=engine)
+    return SlidingWindowMerger(daily, policy=ExecutionPolicy(reference=reference))
 
 
 class TestWindowEdges:
@@ -48,9 +49,9 @@ class TestWindowEdges:
         with pytest.raises(ValueError):
             SlidingWindowMerger({})
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_single_day_window(self, engine):
-        merger = merger_for({0: outcome_with(16)}, engine)
+    @pytest.mark.parametrize("reference", [True, False], ids=["reference", "fast"])
+    def test_single_day_window(self, reference):
+        merger = merger_for({0: outcome_with(16)}, reference)
         assert merger.days == [0]
         stats = merger.window_stats(0)
         assert stats.total_prefixes == 1
@@ -58,32 +59,32 @@ class TestWindowEdges:
         assert stats.unstable_prefixes == 0  # one verdict can never flip
         assert merger.final_aliased_prefixes(0) == [PREFIX]
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_window_larger_than_history(self, engine):
+    @pytest.mark.parametrize("reference", [True, False], ids=["reference", "fast"])
+    def test_window_larger_than_history(self, reference):
         """A window longer than the history yields no verdict days at all."""
-        merger = merger_for({0: outcome_with(16)}, engine)
+        merger = merger_for({0: outcome_with(16)}, reference)
         stats = merger.window_stats(3)
         assert stats.unstable_prefixes == 0
         assert merger_for({0: outcome_with(16)}, "scalar").daily_verdicts(PREFIX, 3) == []
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_exact_fanout_boundary(self, engine):
+    @pytest.mark.parametrize("reference", [True, False], ids=["reference", "fast"])
+    def test_exact_fanout_boundary(self, reference):
         """16/16 responsive branches is aliased; 15/16 is not."""
-        at_boundary = merger_for({0: outcome_with(16)}, engine)
-        below = merger_for({0: outcome_with(15)}, engine)
+        at_boundary = merger_for({0: outcome_with(16)}, reference)
+        below = merger_for({0: outcome_with(15)}, reference)
         assert at_boundary.window_stats(0).aliased_final == 1
         assert below.window_stats(0).aliased_final == 0
         assert at_boundary.windowed_is_aliased(PREFIX, 0, 0)
         assert not below.windowed_is_aliased(PREFIX, 0, 0)
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_non_default_fanout_judged_against_its_own_size(self, engine):
+    @pytest.mark.parametrize("reference", [True, False], ids=["reference", "fast"])
+    def test_non_default_fanout_judged_against_its_own_size(self, reference):
         """A 4-target outcome with 4 responses is aliased (not judged vs 16)."""
-        merger = merger_for({0: outcome_with(4, total=4)}, engine)
+        merger = merger_for({0: outcome_with(4, total=4)}, reference)
         assert merger.window_stats(0).aliased_final == 1
 
-    @pytest.mark.parametrize("engine", ["scalar", "vectorized"])
-    def test_window_merges_partial_days_across_the_boundary(self, engine):
+    @pytest.mark.parametrize("reference", [True, False], ids=["reference", "fast"])
+    def test_window_merges_partial_days_across_the_boundary(self, reference):
         """8 + 8 disjoint branches over two days only alias once merged."""
         first = outcome_with(16, day=0)
         first.branch_responses = [
@@ -93,7 +94,7 @@ class TestWindowEdges:
         second.branch_responses = [
             set() if i < 8 else {Protocol.TCP80} for i in range(16)
         ]
-        merger = merger_for({0: first, 1: second}, engine)
+        merger = merger_for({0: first, 1: second}, reference)
         assert not merger.windowed_is_aliased(PREFIX, 1, 0)
         assert merger.windowed_is_aliased(PREFIX, 1, 1)
 
