@@ -74,7 +74,7 @@ def test_bench_probe_throughput(benchmark, ctx):
 
 def test_bench_flat_lpm_batch_lookup(benchmark, ctx):
     """Flattened LPM over the BGP table: one vectorised search for the whole
-    hitlist instead of per-address trie walks."""
+    hitlist instead of per-address trie lookups."""
     flat = FlatLPM((ann.prefix, i) for i, ann in enumerate(ctx.internet.bgp))
     batch = ctx.hitlist.address_batch
 

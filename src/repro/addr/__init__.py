@@ -7,8 +7,9 @@ library is built on:
   nybble access, interface-identifier helpers and SLAAC/EUI-64 detection.
 * :mod:`repro.addr.prefix` -- IPv6 prefixes (network + length), containment,
   subnetting and enumeration helpers.
-* :mod:`repro.addr.trie` -- a binary radix trie supporting longest-prefix
-  matching, used for aliased-prefix filtering and BGP lookups.
+* :mod:`repro.addr.trie` -- scalar longest-prefix matching over one hash
+  table per stored prefix length, used for aliased-prefix filtering and BGP
+  lookups.
 * :mod:`repro.addr.generate` -- pseudo-random address generation inside a
   prefix and the nybble fan-out target generation used by aliased prefix
   detection (Table 3 of the paper).

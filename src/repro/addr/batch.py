@@ -16,7 +16,7 @@ Three pieces live here:
   versions of the :class:`IPv6Address` accessors,
 * :class:`FlatLPM` -- a flattened longest-prefix-match table: a prefix set is
   decomposed once into disjoint 128-bit intervals so that batch lookups are a
-  single native binary search instead of per-address trie walks,
+  single native binary search instead of one scalar lookup per address,
 * :func:`batch_fanout_targets` -- vectorised generation of the paper's
   16-probe APD fan-out for many prefixes at once (Table 3).
 
@@ -64,6 +64,14 @@ def _shl64(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
     ok = (shift >= 0) & (shift < 64)
     safe = np.where(ok, shift, 0).astype(np.uint64)
     return np.where(ok, x << safe, np.uint64(0))
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``int.bit_length`` of uint64 values: smear the top bit
+    down, then count the ones."""
+    for shift in (1, 2, 4, 8, 16, 32):
+        x = x | (x >> np.uint64(shift))
+    return np.bitwise_count(x).astype(np.int64)
 
 
 def _shr64(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -257,8 +265,9 @@ class AddressBatch:
 
         The batch equivalent of ``IPv6Prefix.of(addr, length).network``.
         """
-        mask_hi, mask_lo = prefix_masks(np.int64(length))
-        return AddressBatch(self.hi & mask_hi, self.lo & mask_lo)
+        host_bits = BITS - int(length)
+        mask = FULL_MASK >> host_bits << host_bits
+        return AddressBatch(self.hi & np.uint64(mask >> 64), self.lo & np.uint64(mask & _LO_MASK))
 
     def is_slaac_eui64(self) -> np.ndarray:
         """Boolean array: does the IID carry the EUI-64 ``ff:fe`` marker?"""
@@ -280,8 +289,13 @@ class AddressBatch:
     # -- ordering ----------------------------------------------------------
 
     def argsort(self) -> np.ndarray:
-        """Indices sorting the batch in ascending 128-bit order."""
-        return np.lexsort((self.lo, self.hi))
+        """Indices sorting the batch in ascending 128-bit order (stable).
+
+        Two stable passes, ``lo`` then ``hi`` -- what ``np.lexsort`` does,
+        but through numpy's faster typed argsort.
+        """
+        order = np.argsort(self.lo, kind="stable")
+        return order[np.argsort(self.hi[order], kind="stable")]
 
     def take(self, indices: np.ndarray) -> "AddressBatch":
         return AddressBatch(self.hi[indices], self.lo[indices])
@@ -318,6 +332,19 @@ class AddressBatch:
         boundary[1:] = (self.hi[1:] != self.hi[:-1]) | (self.lo[1:] != self.lo[:-1])
         return np.flatnonzero(boundary).astype(np.int64)
 
+    def shared_prefix_lengths(self) -> np.ndarray:
+        """Leading bits each address shares with the one before it (-1 first).
+
+        In a sorted batch a row starts a new /*L* network exactly where this
+        is below *L*, so one neighbour comparison serves every prefix length.
+        """
+        shared = np.full(len(self), -1, dtype=np.int64)
+        if len(self) > 1:
+            x_hi = self.hi[1:] ^ self.hi[:-1]
+            x_lo = self.lo[1:] ^ self.lo[:-1]
+            shared[1:] = np.where(x_hi != 0, 64 - _bit_length(x_hi), 128 - _bit_length(x_lo))
+        return shared
+
     def unique(self) -> "AddressBatch":
         """Sorted batch with duplicate addresses removed."""
         if len(self) == 0:
@@ -329,7 +356,7 @@ class AddressBatch:
         """Duplicates removed, first occurrences kept in input order.
 
         The batch equivalent of :func:`repro.addr.generate.dedupe`: the
-        lexsort behind :meth:`argsort` is stable, so the first row of every
+        sort behind :meth:`argsort` is stable, so the first row of every
         equal run carries the smallest original index -- sorting those
         indices restores first-seen order.
         """
@@ -463,8 +490,8 @@ class FlatLPM:
     once into at most ``2 * len(prefixes) + 1`` disjoint address intervals,
     each annotated with the index of its most specific covering prefix.  A
     batch lookup is then one native search of the packed interval starts --
-    replacing the per-address 128-step trie walk that dominates scalar
-    de-aliasing and BGP mapping.
+    replacing the per-address :class:`~repro.addr.trie.PrefixTrie` probes of
+    scalar de-aliasing and BGP mapping.
     """
 
     __slots__ = ("objects", "_start_keys", "_values")
@@ -478,37 +505,51 @@ class FlatLPM:
         pairs = list(pairs)
         #: Value objects, indexable by the result of :meth:`lookup_indices`.
         self.objects: list[object] = [value for _, value in pairs]
-        entries = sorted(
-            (prefix.network, prefix.length, index)
-            for index, (prefix, _) in enumerate(pairs)
-        )
-        boundaries: list[tuple[int, int]] = [(0, -1)]
-        stack: list[tuple[int, int]] = []  # (last covered address, value index)
-        for network, length, value_index in entries:
-            end = network | (FULL_MASK >> length) if length else FULL_MASK
-            while stack and stack[-1][0] < network:
-                popped_end, _ = stack.pop()
-                boundaries.append((popped_end + 1, stack[-1][1] if stack else -1))
-            boundaries.append((network, value_index))
-            stack.append((end, value_index))
-        while stack:
-            popped_end, _ = stack.pop()
-            if popped_end < FULL_MASK:
-                boundaries.append((popped_end + 1, stack[-1][1] if stack else -1))
-        starts: list[int] = []
-        values: list[int] = []
-        for start, value in boundaries:
-            if starts and starts[-1] == start:
-                values[-1] = value
-            else:
-                starts.append(start)
-                values.append(value)
-        packed = AddressBatch.from_ints(starts)
-        self._start_keys = _pack128(packed.hi, packed.lo)
-        self._values = np.asarray(values, dtype=np.int64)
+        n = len(pairs)
+        nets = AddressBatch.from_ints([prefix.network for prefix, _ in pairs])
+        lengths = np.fromiter((prefix.length for prefix, _ in pairs), np.int64, n)
+        mask_hi, mask_lo = prefix_masks(lengths)
+        # Each prefix opens at its network and closes one past its last
+        # address, unless that wraps past the top of the address space.
+        close_lo = (nets.lo | ~mask_lo) + np.uint64(1)
+        close_hi = (nets.hi | ~mask_hi) + (close_lo == 0)
+        closing = np.flatnonzero((close_hi != 0) | (close_lo != 0))
+        # Events in address order; at one address the closes come first,
+        # inner to outer, then the opens, outer to inner (of two equal
+        # prefixes the later one is inner, so it wins).
+        rank = lengths * n + np.arange(n)
+        hi = np.concatenate([close_hi[closing], nets.hi])
+        lo = np.concatenate([close_lo[closing], nets.lo])
+        order = np.lexsort((np.concatenate([-1 - rank[closing], rank]), lo, hi))
+        hi, lo = hi[order], lo[order]
+        opens = order >= closing.size
+        value = np.concatenate([closing, np.arange(n)])[order]
+        # Nested prefixes pair up like brackets: after a close, the innermost
+        # prefix still open is the last one opened at the remaining depth.
+        closes = ~opens
+        depth = np.cumsum(np.where(opens, 1, -1))
+        key = depth * hi.size + np.arange(hi.size)
+        by_key = np.argsort(key[opens])
+        open_keys = key[opens][by_key]
+        found = np.searchsorted(open_keys, key[closes]) - 1
+        same_depth = np.append(open_keys // max(hi.size, 1), -1)[found] == depth[closes]
+        value[closes] = np.where(same_depth, np.append(value[opens][by_key], -1)[found], -1)
+        # An address's interval takes the value after its last event.
+        last = np.ones(hi.size, dtype=bool)
+        last[:-1] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
+        hi, lo, value = hi[last], lo[last], value[last]
+        if not (hi.size and hi[0] == 0 and lo[0] == 0):
+            hi, lo, value = np.insert(hi, 0, 0), np.insert(lo, 0, 0), np.insert(value, 0, -1)
+        self._start_keys = _pack128(hi, lo)
+        self._values = value.astype(np.int64)
 
     def __len__(self) -> int:
         return len(self.objects)
+
+    def starts(self) -> AddressBatch:
+        """First address of every interval, ascending (the first is ``::``)."""
+        limbs = self._start_keys.view(">u8")
+        return AddressBatch(limbs[0::2], limbs[1::2])
 
     def lookup_indices(self, batch: AddressBatch) -> np.ndarray:
         """Index (into :attr:`objects`) of each address's most specific

@@ -1,4 +1,4 @@
-"""Binary radix trie with longest-prefix matching.
+"""Longest-prefix matching over per-length hash tables.
 
 Two parts of the paper need fast longest-prefix matching over large prefix
 sets:
@@ -8,8 +8,11 @@ sets:
   (Section 5.1: "After the APD probing, we perform longest-prefix matching to
   determine whether a specific IPv6 address falls into an aliased prefix").
 
-The trie stores one bit per level.  Lookups walk at most 128 levels; inserts
-are O(length).  Values attached to prefixes are arbitrary Python objects.
+A :class:`PrefixTrie` keeps one dict per stored prefix length, mapping the
+prefix's network bits (``network >> (128 - length)``) to its value.  A lookup
+probes the stored lengths longest-first, so it costs one dict probe per
+distinct length -- a handful for a BGP table -- and every mutation is one
+dict operation.  Values attached to prefixes are arbitrary Python objects.
 """
 
 from __future__ import annotations
@@ -22,54 +25,43 @@ from repro.addr.prefix import IPv6Prefix
 V = TypeVar("V")
 
 
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: list[Optional["_Node[V]"]] = [None, None]
-        self.value: Optional[V] = None
-        self.has_value: bool = False
-
-
 class PrefixTrie(Generic[V]):
     """Map from IPv6 prefixes to values with longest-prefix-match lookup."""
 
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
-        self._size = 0
+        self._tables: dict[int, dict[int, V]] = {}
+        # (length, shift, table) per stored length, longest first.
+        self._probes: tuple[tuple[int, int, dict[int, V]], ...] = ()
 
     # -- mutation ----------------------------------------------------------
 
     def insert(self, prefix: "IPv6Prefix | str", value: V) -> None:
         """Insert *prefix* with *value*, replacing any existing value."""
         prefix = _coerce_prefix(prefix)
-        node = self._root
-        for bit in _bits(prefix.network, prefix.length):
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if not node.has_value:
-            self._size += 1
-        node.value = value
-        node.has_value = True
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._reindex()
+        table[prefix.network >> (BITS - prefix.length)] = value
 
     def remove(self, prefix: "IPv6Prefix | str") -> bool:
         """Remove *prefix*; returns True if it was present."""
         prefix = _coerce_prefix(prefix)
-        node = self._root
-        for bit in _bits(prefix.network, prefix.length):
-            child = node.children[bit]
-            if child is None:
-                return False
-            node = child
-        if node.has_value:
-            node.has_value = False
-            node.value = None
-            self._size -= 1
-            return True
-        return False
+        table = self._tables.get(prefix.length)
+        key = prefix.network >> (BITS - prefix.length)
+        if table is None or key not in table:
+            return False
+        del table[key]
+        if not table:
+            del self._tables[prefix.length]
+            self._reindex()
+        return True
+
+    def _reindex(self) -> None:
+        self._probes = tuple(
+            (length, BITS - length, self._tables[length])
+            for length in sorted(self._tables, reverse=True)
+        )
 
     # -- lookup ------------------------------------------------------------
 
@@ -95,67 +87,43 @@ class PrefixTrie(Generic[V]):
 
     def _deepest_match(self, value: int) -> Optional[tuple[int, V]]:
         """``(length, value)`` of the most specific prefix covering *value*."""
-        node = self._root
-        best: Optional[tuple[int, V]] = None
-        if node.has_value:
-            best = (0, node.value)  # type: ignore[arg-type]
-        for depth in range(1, BITS + 1):
-            bit = (value >> (BITS - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.has_value:
-                best = (depth, node.value)  # type: ignore[arg-type]
-        return best
+        for length, shift, table in self._probes:
+            key = value >> shift
+            if key in table:
+                return length, table[key]
+        return None
 
     def get_exact(self, prefix: "IPv6Prefix | str") -> Optional[V]:
         """Value stored for exactly this prefix (no longest-prefix semantics)."""
         prefix = _coerce_prefix(prefix)
-        node = self._root
-        for bit in _bits(prefix.network, prefix.length):
-            child = node.children[bit]
-            if child is None:
-                return None
-            node = child
-        return node.value if node.has_value else None
+        table = self._tables.get(prefix.length, {})
+        return table.get(prefix.network >> (BITS - prefix.length))
 
     def __contains__(self, prefix: "IPv6Prefix | str") -> bool:
         prefix = _coerce_prefix(prefix)
-        node = self._root
-        for bit in _bits(prefix.network, prefix.length):
-            child = node.children[bit]
-            if child is None:
-                return False
-            node = child
-        return node.has_value
+        table = self._tables.get(prefix.length, {})
+        return prefix.network >> (BITS - prefix.length) in table
 
     # -- iteration ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._size
+        return sum(len(table) for table in self._tables.values())
 
     def items(self) -> Iterator[tuple[IPv6Prefix, V]]:
         """Iterate all ``(prefix, value)`` pairs in lexicographic order."""
-        yield from self._walk(self._root, 0, 0)
+        entries = [
+            (key << shift, length, value)
+            for length, shift, table in self._probes
+            for key, value in table.items()
+        ]
+        entries.sort(key=lambda entry: (entry[0], entry[1]))
+        for network, length, value in entries:
+            yield IPv6Prefix(network, length), value
 
     def prefixes(self) -> Iterator[IPv6Prefix]:
         """Iterate all stored prefixes."""
         for prefix, _ in self.items():
             yield prefix
-
-    def _walk(self, node: _Node[V], value: int, depth: int) -> Iterator[tuple[IPv6Prefix, V]]:
-        if node.has_value:
-            yield IPv6Prefix(value << (BITS - depth) if depth else 0, depth), node.value  # type: ignore[misc]
-        for bit in (0, 1):
-            child = node.children[bit]
-            if child is not None:
-                yield from self._walk(child, (value << 1) | bit, depth + 1)
-
-
-def _bits(network: int, length: int) -> Iterator[int]:
-    for depth in range(1, length + 1):
-        yield (network >> (BITS - depth)) & 1
 
 
 def _coerce_prefix(prefix: "IPv6Prefix | str") -> IPv6Prefix:

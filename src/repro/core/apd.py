@@ -56,17 +56,18 @@ class APDConfig:
     #: Number of responsive fan-out addresses required to call a prefix aliased.
     aliased_threshold: int = FANOUT
 
-    def qualifying_runs(self, networks: AddressBatch, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Run starts of sorted /*length* *networks*, and which runs qualify.
+    def qualifying_runs(self, shared: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Run starts of a sorted batch's /*length* networks, and which qualify.
 
+        *shared* is the batch's :meth:`AddressBatch.shared_prefix_lengths`.
         The candidate rule: a network qualifies with more than
         ``min_targets_per_prefix`` rows, and every /64 does while
         ``always_probe_64`` holds.  One boundary scan counts every network.
         """
-        starts = networks.sorted_run_starts()
+        starts = np.flatnonzero(shared < length)
         if length == 64 and self.always_probe_64:
             return starts, np.ones(len(starts), dtype=bool)
-        return starts, np.diff(starts, append=len(networks)) > self.min_targets_per_prefix
+        return starts, np.diff(starts, append=len(shared)) > self.min_targets_per_prefix
 
 
 class PrefixProbeOutcome:
@@ -84,7 +85,7 @@ class PrefixProbeOutcome:
         "prefix",
         "day",
         "_targets",
-        "_targets_batch",
+        "_target_limbs",
         "_matrix",
         "_protocols",
         "_branch_responses",
@@ -101,7 +102,7 @@ class PrefixProbeOutcome:
         self.prefix = prefix
         self.day = day
         self._targets = [] if targets is None else targets
-        self._targets_batch: AddressBatch | None = None
+        self._target_limbs: tuple[np.ndarray, np.ndarray] | None = None
         self._matrix: np.ndarray | None = None
         self._protocols: tuple[Protocol, ...] = ()
         self._branch_responses = [] if branch_responses is None else branch_responses
@@ -112,19 +113,24 @@ class PrefixProbeOutcome:
         cls,
         prefix: IPv6Prefix,
         day: int,
-        targets: AddressBatch,
+        target_hi: np.ndarray,
+        target_lo: np.ndarray,
         matrix: np.ndarray,
         protocols: tuple[Protocol, ...],
         aliased: bool | None = None,
     ) -> "PrefixProbeOutcome":
         """Batch-engine constructor: a (branch x protocol) boolean matrix.
 
-        *aliased* is the verdict when the caller already reduced it from the
-        matrix; ``None`` leaves it to the first :attr:`is_aliased` read.
+        The fan-out targets come as the ``hi``/``lo`` limbs of an
+        :class:`AddressBatch`.  *aliased* is the verdict when the caller
+        already reduced it from the matrix; ``None`` leaves it to the first
+        :attr:`is_aliased` read.
         """
-        outcome = cls(prefix=prefix, day=day)
+        outcome = cls.__new__(cls)
+        outcome.prefix = prefix
+        outcome.day = day
         outcome._targets = None
-        outcome._targets_batch = targets
+        outcome._target_limbs = (target_hi, target_lo)
         outcome._matrix = matrix
         outcome._protocols = protocols
         outcome._branch_responses = None
@@ -135,13 +141,13 @@ class PrefixProbeOutcome:
     def targets(self) -> list[IPv6Address]:
         """The fan-out target addresses (materialised lazily on the batch path)."""
         if self._targets is None:
-            self._targets = self._targets_batch.to_addresses()
+            self._targets = AddressBatch(*self._target_limbs).to_addresses()
         return self._targets
 
     @targets.setter
     def targets(self, value: list[IPv6Address]) -> None:
         self._targets = value
-        self._targets_batch = None
+        self._target_limbs = None
         self._aliased = None
 
     @property
@@ -149,7 +155,7 @@ class PrefixProbeOutcome:
         """Fan-out size without materialising scalar addresses."""
         if self._targets is not None:
             return len(self._targets)
-        return len(self._targets_batch)
+        return len(self._target_limbs[0])
 
     @property
     def branch_responses(self) -> list[set[Protocol]]:
@@ -251,11 +257,8 @@ class APDResult:
         shared by :meth:`is_aliased_batch` and the day's published snapshot.
         """
         if self._flat is None:
-            lpm = FlatLPM(
-                (prefix, outcome.is_aliased)
-                for prefix, outcome in self.outcomes.items()
-            )
-            self._flat = lpm, np.array([bool(v) for v in lpm.objects], dtype=bool)
+            verdicts = [outcome.is_aliased for outcome in self.outcomes.values()]
+            self._flat = FlatLPM(zip(self.outcomes, verdicts)), np.array(verdicts, dtype=bool)
         return self._flat
 
     def is_aliased(self, address: "IPv6Address | int | str") -> bool:
@@ -272,8 +275,7 @@ class APDResult:
         """Vectorised longest-prefix-match classification of a whole batch.
 
         Same semantics as :meth:`is_aliased`, but one flattened-LPM binary
-        search for the entire array instead of a 128-step trie walk per
-        address.
+        search for the entire array instead of a scalar lookup per address.
         """
         lpm, verdicts = self.verdict_lpm()
         indices = lpm.lookup_indices(batch)
@@ -363,13 +365,11 @@ class AliasedPrefixDetector:
         candidates: set[IPv6Prefix] = set(extra_prefixes)
         if addresses:
             batch = AddressBatch.from_addresses(addresses).sort()
+            shared = batch.shared_prefix_lengths()
             for length in config.prefix_lengths:
-                # The batch is sorted and masking is monotonic, so the masked
-                # networks arrive sorted too.
-                networks = batch.masked(length)
-                starts, qualifies = config.qualifying_runs(networks, length)
-                keep = starts[qualifies]
-                for hi, lo in zip(networks.hi[keep].tolist(), networks.lo[keep].tolist()):
+                starts, qualifies = config.qualifying_runs(shared, length)
+                networks = batch.take(starts[qualifies]).masked(length)
+                for hi, lo in zip(networks.hi.tolist(), networks.lo.tolist()):
                     candidates.add(IPv6Prefix((hi << 64) | lo, length))
         return sorted(candidates)
 
@@ -420,25 +420,26 @@ class AliasedPrefixDetector:
             targets, self.config.protocols, day, rng=self._nprng
         )
         counts = np.bincount(prefix_index, minlength=len(prefix_list)).astype(np.int64)
-        starts = np.cumsum(counts) - counts
         # Every verdict in one pass over the matrix, not a few numpy calls
         # per outcome: aliased when every fan-out row answered.
         answered = np.bincount(
             prefix_index, weights=result.responsive.any(axis=1), minlength=len(prefix_list)
         )
         aliased = (answered >= counts).tolist()
-        protocols = result.protocols
+        hi, lo, matrix, protocols = targets.hi, targets.lo, result.responsive, result.protocols
         outcomes: dict[IPv6Prefix, PrefixProbeOutcome] = {}
-        for i, prefix in enumerate(prefix_list):
-            start, end = int(starts[i]), int(starts[i] + counts[i])
+        start = 0
+        for prefix, end, verdict in zip(prefix_list, np.cumsum(counts).tolist(), aliased):
             outcomes[prefix] = PrefixProbeOutcome.from_matrix(
                 prefix,
                 day,
-                AddressBatch(targets.hi[start:end], targets.lo[start:end]),
-                result.responsive[start:end],
+                hi[start:end],
+                lo[start:end],
+                matrix[start:end],
                 protocols,
-                aliased=aliased[i],
+                aliased=verdict,
             )
+            start = end
         return outcomes
 
     def _probe_prefixes_streaming(
@@ -524,7 +525,8 @@ class AliasedPrefixDetector:
             outcomes[prefix] = PrefixProbeOutcome.from_matrix(
                 prefix,
                 day,
-                AddressBatch(targets_hi[start:end], targets_lo[start:end]),
+                targets_hi[start:end],
+                targets_lo[start:end],
                 responsive[start:end],
                 protocols,
             )

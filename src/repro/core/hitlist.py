@@ -494,9 +494,11 @@ class HitlistService:
         # Incremental batch-engine state.
         self._standing: Hitlist | None = None
         self._merged_through: int | None = None
+        # Candidates and cached outcomes keyed by ``(hi, lo, length)``, which
+        # sorts like the prefixes themselves.
         self._candidates: dict[tuple[int, int, int], IPv6Prefix] = {}
-        self._candidate_sorted: list[IPv6Prefix] | None = None
-        self._outcome_cache: dict[IPv6Prefix, PrefixProbeOutcome] = {}
+        self._candidate_sorted: list[tuple[tuple[int, int, int], IPv6Prefix]] | None = None
+        self._outcome_cache: dict[tuple[int, int, int], PrefixProbeOutcome] = {}
 
     # -- daily loop -------------------------------------------------------------
 
@@ -553,11 +555,11 @@ class HitlistService:
             )
         new_batch = self._merge_new_records(day)
         changed = self._update_candidates(new_batch)
-        candidates = self._sorted_candidates()
+        cache = self._outcome_cache
         to_probe = [
-            prefix
-            for key, prefix in self._candidate_items()
-            if key in changed or prefix not in self._outcome_cache
+            (key, prefix)
+            for key, prefix in self._candidates.items()
+            if key in changed or key not in cache
         ]
         self.apd_probe_counts[day] = len(to_probe)
         if to_probe:
@@ -567,9 +569,10 @@ class HitlistService:
                 seed=self._seed ^ (day * 0x45D9F3B),
                 policy=self.policy,
             )
-            self._outcome_cache.update(detector.probe_prefixes(to_probe, day))
+            probed = detector.probe_prefixes([prefix for _, prefix in to_probe], day)
+            cache.update(zip([key for key, _ in to_probe], probed.values()))
         apd_result = APDResult(day=day)
-        apd_result.outcomes = {p: self._outcome_cache[p] for p in candidates}
+        apd_result.outcomes = {prefix: cache[key] for key, prefix in self._sorted_candidates()}
         batch = self._standing.address_batch
         aliased_mask = apd_result.is_aliased_batch(batch)
         targets = batch.take(~aliased_mask)
@@ -611,9 +614,9 @@ class HitlistService:
     def _update_candidates(self, new_batch: AddressBatch) -> set[tuple[int, int, int]]:
         """Re-evaluate candidate membership for prefixes touched by new rows.
 
-        Returns the ``(length, hi, lo)`` keys of every prefix whose candidate
+        Returns the ``(hi, lo, length)`` keys of every prefix whose candidate
         membership changed today.  The standing batch is sorted, so per
-        length one boundary scan over its masked networks
+        length one boundary scan of its shared prefix lengths
         (:meth:`APDConfig.qualifying_runs`, as in one-shot candidate
         selection) judges every network, and the new rows' positions in the
         standing batch, found once, mark the networks they touched.
@@ -623,31 +626,28 @@ class HitlistService:
             return changed
         config = self.apd_config
         standing = self._standing.address_batch
+        shared = standing.shared_prefix_lengths()
+        is_new = np.zeros(len(standing), dtype=bool)
         positions = searchsorted128(standing.hi, standing.lo, new_batch.hi, new_batch.lo, "left")
+        is_new[positions] = True
         for length in config.prefix_lengths:
-            networks = standing.masked(length)
-            starts, qualifies = config.qualifying_runs(networks, length)
-            # A new row's network is the last run starting at or before it.
-            touched = np.zeros(len(starts), dtype=bool)
-            touched[np.searchsorted(starts, positions, side="right") - 1] = True
-            keep = starts[touched & qualifies]
+            starts, qualifies = config.qualifying_runs(shared, length)
             # Only qualifying networks matter downstream: a touched candidate
             # always qualifies (counts never shrink), and touched
             # non-candidates are never consulted by the re-probe decision.
-            for hi, lo in zip(networks.hi[keep].tolist(), networks.lo[keep].tolist()):
-                key = (length, hi, lo)
+            keep = starts[qualifies & np.logical_or.reduceat(is_new, starts)]
+            networks = standing.take(keep).masked(length)
+            for hi, lo in zip(networks.hi.tolist(), networks.lo.tolist()):
+                key = (hi, lo, length)
                 changed.add(key)
                 if key not in self._candidates:
                     self._candidates[key] = IPv6Prefix((hi << 64) | lo, length)
                     self._candidate_sorted = None
         return changed
 
-    def _candidate_items(self):
-        return self._candidates.items()
-
-    def _sorted_candidates(self) -> list[IPv6Prefix]:
+    def _sorted_candidates(self) -> list[tuple[tuple[int, int, int], IPv6Prefix]]:
         if self._candidate_sorted is None:
-            self._candidate_sorted = sorted(self._candidates.values())
+            self._candidate_sorted = sorted(self._candidates.items())
         return self._candidate_sorted
 
     @property

@@ -155,25 +155,13 @@ class WaveAdmission:
 
     # -- re-homed addresses -----------------------------------------------------
 
-    def rehome_positions(self, targets: AddressBatch) -> np.ndarray:
-        """Index into the day's re-home table per target, -1 where none active."""
+    def rehome_ids(self, targets: AddressBatch) -> np.ndarray:
+        """Id of the host re-homed onto each target by now, -1 where none is
+        (defined while :attr:`has_rehomed` holds)."""
         dyn = self._dyn
         pos = find128(dyn._re_hi, dyn._re_lo, targets.hi, targets.lo)
-        return np.where((pos >= 0) & self._re_active[np.maximum(pos, 0)], pos, -1)
-
-    @property
-    def rehome_services(self) -> np.ndarray:
-        """Service bitmask per re-home table row (internet bit assignment)."""
-        return self._dyn._re_services
-
-    def rehome_online(self, day: int, rows: np.ndarray) -> np.ndarray:
-        """Online state of the re-homed hosts at *rows* on *day*."""
-        dyn = self._dyn
-        return np.fromiter(
-            (dyn._re_hosts[r].stability.is_online(day) for r in rows.tolist()),
-            dtype=bool,
-            count=int(rows.size),
-        )
+        row = np.maximum(pos, 0)
+        return np.where((pos >= 0) & self._re_active[row], dyn._re_ids[row], np.int64(-1))
 
     def rehomed_host(self, value: int) -> "Optional[Host]":
         """The host answering on a re-homed address value, if one is active."""
@@ -264,7 +252,7 @@ class NetworkDynamics:
         self._re_hi = _EMPTY_U64
         self._re_lo = _EMPTY_U64
         self._re_time = np.zeros(0, dtype=float)
-        self._re_services = np.zeros(0, dtype=np.int64)
+        self._re_ids = np.zeros(0, dtype=np.int64)
         self._re_hosts: list = []
 
     @classmethod
@@ -327,7 +315,7 @@ class NetworkDynamics:
         self._re_hi = _EMPTY_U64
         self._re_lo = _EMPTY_U64
         self._re_time = np.zeros(0, dtype=float)
-        self._re_services = np.zeros(0, dtype=np.int64)
+        self._re_ids = np.zeros(0, dtype=np.int64)
         self._re_hosts = []
         if self.rotation_rate <= 0.0 or self._eligible_ids.size == 0:
             return
@@ -336,8 +324,6 @@ class NetworkDynamics:
         if rotating.size == 0:
             return
         fracs = _hash01(self._eligible_ids[rotating], day, self.seed, _SALT_WHEN)
-        from repro.netmodel.internet import _service_mask
-
         entries: list[tuple[int, float, object]] = []
         for i, frac in zip(rotating.tolist(), fracs.tolist()):
             host = self._eligible_hosts[i]
@@ -358,9 +344,7 @@ class NetworkDynamics:
         self._re_hi = np.fromiter((v >> 64 for v, _, _ in entries), np.uint64, n)
         self._re_lo = np.fromiter((v & _LO_MASK for v, _, _ in entries), np.uint64, n)
         self._re_time = np.fromiter((t for _, t, _ in entries), float, n)
-        self._re_services = np.fromiter(
-            (_service_mask(h.services) for _, _, h in entries), np.int64, n
-        )
+        self._re_ids = np.fromiter((h.host_id for _, _, h in entries), np.int64, n)
         self._re_hosts = [h for _, _, h in entries]
 
     def _make_rotation(self, host_id: int):

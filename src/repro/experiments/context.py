@@ -195,7 +195,7 @@ class ExperimentContext:
         """Addresses per covering BGP prefix (zesplot colour values).
 
         Vectorised: one flattened-LPM lookup (shared with ``probe_batch``)
-        for the whole address list instead of a trie walk per address.
+        for the whole address list instead of a trie lookup per address.
         """
         if not addresses:
             return {}

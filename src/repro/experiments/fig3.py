@@ -73,7 +73,7 @@ def run(
 
     # Group all hitlist addresses by covering BGP prefix and cluster those
     # groups.  The prefix mapping is one flattened-LPM batch lookup instead of
-    # a trie walk per address.
+    # a trie lookup per address.
     groups: dict[str, list] = {}
     prefix_by_name: dict[str, object] = {}
     flat = ctx.internet.bgp_lpm()

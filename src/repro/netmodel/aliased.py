@@ -65,35 +65,42 @@ class AliasedRegion:
         day: int,
         rng: random.Random,
         time_of_day: float = 0.0,
-        *,
-        bucketed_icmp: bool = False,
     ) -> ProbeReply | None:
         """Reply of the aliased machine for a probe to any covered address.
 
-        ``bucketed_icmp`` marks a probe whose ICMP rate limiting was already
-        decided by a wave's token-bucket admission; the region must not
-        apply its own Bernoulli limit on top.
+        For direct callers: :meth:`SimulatedInternet.probe` makes the same
+        decision with its memoised uptime, then :meth:`admits`.
         """
-        if not self.covers(address):
+        if not self.covers(address) or not self.host.is_responsive(protocol, day):
             return None
-        if protocol not in self.host.services:
+        if not self.admits(protocol, rng):
             return None
-        if not self.host.stability.is_online(day):
-            return None
-        if self.stochastic:
-            if (
-                self.syn_proxy
-                and protocol.is_tcp
-                and rng.random() > SYN_PROXY_ANSWER_PROBABILITY
-            ):
-                return None
-            if (
-                self.icmp_rate_limit is not None
-                and protocol is Protocol.ICMP
-                and not bucketed_icmp
-            ):
-                if rng.random() > self.icmp_rate_limit:
-                    return None
-            if rng.random() > self.answer_probability:
-                return None
-        return self.host.reply(address, protocol, day, time_of_day)
+        return self.host.packet(address, protocol, day, time_of_day)
+
+    def admits(
+        self, protocol: Protocol, rng: random.Random, *, bucketed_icmp: bool = False
+    ) -> bool:
+        """Does a probe to the responsive machine survive the region's anomalies?
+
+        The SYN proxy, the ICMP rate limit and the answer probability draw
+        from *rng* in that order; a non-stochastic region draws nothing.
+        ``bucketed_icmp`` marks a probe whose ICMP rate limiting was already
+        decided by a wave's token-bucket admission, so the region's own
+        Bernoulli limit does not apply on top.
+        """
+        if not self.stochastic:
+            return True
+        if (
+            self.syn_proxy
+            and protocol.is_tcp
+            and rng.random() > SYN_PROXY_ANSWER_PROBABILITY
+        ):
+            return False
+        if (
+            self.icmp_rate_limit is not None
+            and protocol is Protocol.ICMP
+            and not bucketed_icmp
+            and rng.random() > self.icmp_rate_limit
+        ):
+            return False
+        return rng.random() <= self.answer_probability

@@ -66,16 +66,14 @@ class Host:
         """Would this host answer a probe on *protocol* on *day*?"""
         return protocol in self.services and self.stability.is_online(day)
 
-    def reply(
+    def packet(
         self,
         address: IPv6Address,
         protocol: Protocol,
         day: int,
         time_of_day: float = 0.0,
-    ) -> Optional[ProbeReply]:
-        """Build the reply this host sends for a probe to *address*, or None."""
-        if not self.is_responsive(protocol, day):
-            return None
+    ) -> ProbeReply:
+        """The reply packet for a probe this host has decided to answer."""
         now = day * 86400.0 + time_of_day
         ttl = max(1, self.personality.ittl - self.hops)
         if protocol.is_tcp:

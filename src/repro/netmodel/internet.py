@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.addr.address import IPv6Address, parse_address
-from repro.addr.batch import AddressBatch, FlatLPM, find128, readonly_view
+from repro.addr.batch import AddressBatch, FlatLPM, find128, readonly_view, searchsorted128
 from repro.addr.generate import random_address_in_prefix
 from repro.addr.prefix import IPv6Prefix
 from repro.addr.trie import PrefixTrie
@@ -160,9 +160,10 @@ class _BatchIndex:
     """Vectorised lookup structures derived once from the built Internet.
 
     Holds flattened LPM tables for routing, ICMP rate limiting and aliased
-    regions, a sorted array of bound host addresses for exact matching, and
-    per-host/per-region service masks -- everything :meth:`probe_batch` needs
-    to classify a target array without touching Python tries.
+    regions, one interval table that refines all three and isolates every
+    bound host address, the host id behind each region and a service mask
+    per host id -- everything :meth:`probe_batch` needs to classify a target
+    array without touching Python tries.
     """
 
     __slots__ = (
@@ -171,19 +172,16 @@ class _BatchIndex:
         "limits",
         "limit_values",
         "regions",
-        "bound_hi",
-        "bound_lo",
-        "bound_host",
-        "hosts",
-        "host_ids",
-        "host_services",
-        "region_hosts",
-        "region_services",
+        "cells",
+        "cell_ann",
+        "cell_limit",
+        "cell_region",
+        "cell_host",
+        "services",
+        "region_ids",
         "region_answer_p",
         "region_syn_proxy",
         "region_icmp_limit",
-        "_host_online",
-        "_region_online",
     )
 
     def __init__(self, internet: "SimulatedInternet"):
@@ -202,38 +200,36 @@ class _BatchIndex:
         self.regions = FlatLPM(
             (region.prefix, region) for region in internet.aliased_regions
         )
-        self.hosts = internet.hosts
         bound = AddressBatch.from_ints(list(internet._host_by_address))
         order = bound.argsort()
         bound = bound.take(order)
-        self.bound_hi = bound.hi
-        self.bound_lo = bound.lo
-        position_of = {id(host): i for i, host in enumerate(internet.hosts)}
         owners = np.fromiter(
-            (
-                position_of[id(host)]
-                for host in internet._host_by_address.values()
-            ),
+            (host.host_id for host in internet._host_by_address.values()),
             dtype=np.int64,
             count=len(internet._host_by_address),
-        )
-        self.bound_host = owners[order]
-        self.host_services = np.fromiter(
-            (_service_mask(h.services) for h in internet.hosts),
+        )[order]
+        # The intervals on which the BGP, rate-limit and region answers are
+        # all constant, cut so that each bound address is one interval: a
+        # single search then resolves all four lookups for a target.  The
+        # address after the last one wraps to ::, which starts every table.
+        after_lo = bound.lo + np.uint64(1)
+        after = AddressBatch(bound.hi + (after_lo == 0), after_lo)
+        self.cells = AddressBatch.concatenate(
+            [self.bgp.starts(), self.limits.starts(), self.regions.starts(), bound, after]
+        ).unique()
+        self.cell_ann = self.bgp.lookup_indices(self.cells)
+        self.cell_limit = self.limits.lookup_indices(self.cells)
+        self.cell_region = self.regions.lookup_indices(self.cells)
+        pos = find128(bound.hi, bound.lo, self.cells.hi, self.cells.lo)
+        self.cell_host = np.where(pos >= 0, owners[np.maximum(pos, 0)], np.int64(-1))
+        self.services = np.fromiter(
+            (_service_mask(m.services) for m in internet._machines),
             dtype=np.int64,
-            count=len(internet.hosts),
-        )
-        self.host_ids = np.fromiter(
-            (h.host_id for h in internet.hosts),
-            dtype=np.int64,
-            count=len(internet.hosts),
+            count=len(internet._machines),
         )
         region_list = internet.aliased_regions
-        self.region_hosts = [r.host for r in region_list]
-        self.region_services = np.fromiter(
-            (_service_mask(r.host.services) for r in region_list),
-            dtype=np.int64,
-            count=len(region_list),
+        self.region_ids = np.fromiter(
+            (r.host.host_id for r in region_list), dtype=np.int64, count=len(region_list)
         )
         # Non-stochastic regions (deterministic-anomaly gate) encode as
         # "always answers, no proxy, no limit" so the batch path mirrors the
@@ -254,45 +250,10 @@ class _BatchIndex:
             ],
             dtype=float,
         )
-        self._host_online: dict[int, np.ndarray] = {}
-        self._region_online: dict[int, np.ndarray] = {}
 
-    def host_positions(self, batch: AddressBatch) -> np.ndarray:
-        """Index into ``hosts`` for each bound address, -1 where unbound."""
-        pos = find128(self.bound_hi, self.bound_lo, batch.hi, batch.lo)
-        return np.where(pos >= 0, self.bound_host[np.maximum(pos, 0)], np.int64(-1))
-
-    def region_online(self, day: int, region_rows: np.ndarray) -> np.ndarray:
-        """Online state on *day* of the aliased-region machine behind each row."""
-        return _memo_online(self._region_online, self.region_hosts, day, region_rows)
-
-    def host_online(self, day: int, host_positions: np.ndarray) -> np.ndarray:
-        """Per-target online state for targets bound to hosts (False elsewhere)."""
-        online = np.zeros(host_positions.shape, dtype=bool)
-        bound = host_positions >= 0
-        online[bound] = _memo_online(
-            self._host_online, self.hosts, day, host_positions[bound]
-        )
-        return online
-
-
-def _memo_online(
-    cache_by_day: dict[int, np.ndarray], machines: list[Host], day: int, rows: np.ndarray
-) -> np.ndarray:
-    """``machines[row].stability.is_online(day)`` for each of *rows*.
-
-    Evaluated lazily per (machine, day) and memoised in an int8 array per day
-    (-1 = not yet evaluated), so sparse batches only pay for the machines
-    they actually hit.
-    """
-    cache = cache_by_day.get(day)
-    if cache is None:
-        cache = np.full(len(machines), -1, dtype=np.int8)
-        cache_by_day[day] = cache
-    unknown = np.unique(rows[cache[rows] < 0])
-    for row in unknown.tolist():
-        cache[row] = 1 if machines[row].stability.is_online(day) else 0
-    return cache[rows] == 1
+    def cells_of(self, batch: AddressBatch) -> np.ndarray:
+        """Index of each address's interval in :attr:`cells`."""
+        return searchsorted128(self.cells.hi, self.cells.lo, batch.hi, batch.lo) - 1
 
 
 @dataclass(slots=True)
@@ -333,9 +294,13 @@ class SimulatedInternet:
         self._aliased_trie: PrefixTrie[AliasedRegion] = PrefixTrie()
         self._icmp_rate_limited: PrefixTrie[float] = PrefixTrie()
         self._plan_by_announcement: dict[IPv6Prefix, NetworkPlan] = {}
-        self._next_host_id = 0
+        # Every machine (bound hosts and aliased-region hosts), by host id.
+        self._machines: list[Host] = []
+        # Uptime memo read by both probe engines: day -> int8 per host id
+        # (-1 = not evaluated yet), so each (machine, day) seeds one coin.
+        self._online_by_day: dict[int, np.ndarray] = {}
         # Per-address lookup cache: repeated scans hit the same addresses on
-        # several protocols and days, so trie walks are memoised.
+        # several protocols and days, so trie lookups are memoised.
         self._probe_cache: dict[
             int, tuple[bool, Optional[float], Optional[AliasedRegion], Optional[Host], int]
         ] = {}
@@ -445,7 +410,7 @@ class SimulatedInternet:
         personality = StackPersonality.sample(rng, cfg.modern_linux_share)
         stability = self._stability_for(role, rng)
         host = Host(
-            host_id=self._next_host_id,
+            host_id=len(self._machines),
             role=role,
             asn=plan.asn,
             addresses=tuple(addresses),
@@ -454,7 +419,7 @@ class SimulatedInternet:
             stability=stability,
             hops=rng.randint(5, 14),
         )
-        self._next_host_id += 1
+        self._machines.append(host)
         return host
 
     def _stability_for(self, role: HostRole, rng: random.Random) -> StabilityModel:
@@ -524,7 +489,7 @@ class SimulatedInternet:
             if rng.random() < 0.3:
                 services.add(Protocol.UDP443)
         host = Host(
-            host_id=self._next_host_id,
+            host_id=len(self._machines),
             role=HostRole.CDN_EDGE,
             asn=plan.asn,
             addresses=(prefix.first + 1,),
@@ -533,7 +498,7 @@ class SimulatedInternet:
             stability=StabilityModel(daily_uptime=0.999),
             hops=rng.randint(4, 10),
         )
-        self._next_host_id += 1
+        self._machines.append(host)
         region = AliasedRegion(
             prefix=prefix,
             host=host,
@@ -645,18 +610,47 @@ class SimulatedInternet:
             if rng.random() > icmp_limit:
                 return None
         if region is not None:
-            return region.reply(
-                addr, protocol, day, rng, time_of_day, bucketed_icmp=bucketed
-            )
-        if host is not None:
-            if wave is not None and wave.has_dark and wave.is_dark(host.host_id):
+            if not self._answers(region.host, protocol, day) or not region.admits(
+                protocol, rng, bucketed_icmp=bucketed
+            ):
                 return None
-            return host.reply(addr, protocol, day, time_of_day)
-        if wave is not None and wave.has_rehomed:
-            rehomed = wave.rehomed_host(addr.value)
-            if rehomed is not None:
-                return rehomed.reply(addr, protocol, day, time_of_day)
-        return None
+            return region.host.packet(addr, protocol, day, time_of_day)
+        if host is None:
+            host = wave.rehomed_host(addr.value) if wave is not None else None
+        elif wave is not None and wave.has_dark and wave.is_dark(host.host_id):
+            return None
+        if host is None or not self._answers(host, protocol, day):
+            return None
+        return host.packet(addr, protocol, day, time_of_day)
+
+    def _answers(self, host: Host, protocol: Protocol, day: int) -> bool:
+        """``host.is_responsive(protocol, day)``, with uptime from the memo."""
+        if protocol not in host.services:
+            return False
+        memo = self._online_memo(day)
+        state = memo[host.host_id]
+        if state < 0:
+            state = memo[host.host_id] = host.stability.is_online(day)
+        return bool(state)
+
+    def hosts_online(self, host_ids: np.ndarray, day: int) -> np.ndarray:
+        """Whether each machine in *host_ids* is up on *day*.
+
+        Reads and fills the same per-(machine, day) memo as :meth:`probe`,
+        so sparse batches only evaluate the machines they actually hit.
+        """
+        memo = self._online_memo(day)
+        for host_id in np.unique(host_ids[memo[host_ids] < 0]).tolist():
+            memo[host_id] = self._machines[host_id].stability.is_online(day)
+        return memo[host_ids] == 1
+
+    def _online_memo(self, day: int) -> np.ndarray:
+        memo = self._online_by_day.get(day)
+        if memo is None:
+            memo = self._online_by_day[day] = np.full(
+                len(self._machines), -1, dtype=np.int8
+            )
+        return memo
 
     def _ensure_batch_index(self) -> _BatchIndex:
         if self._batch_index is None:
@@ -714,7 +708,8 @@ class SimulatedInternet:
         if n == 0:
             return result
         index = self._ensure_batch_index()
-        ann_index = index.bgp.lookup_indices(targets)
+        cell = index.cells_of(targets)
+        ann_index = index.cell_ann[cell]
         routed = ann_index >= 0
         route_delivery: Optional[np.ndarray] = None
         route_allowance: Optional[np.ndarray] = None
@@ -739,33 +734,30 @@ class SimulatedInternet:
                 route_delivery = np.where(routed, view.delivery[rows], 0.0)
             if routing.has_rate_limit and not bucketed:
                 route_allowance = np.where(routed, view.icmp_allowance[rows], 0.0)
-        limit_index = index.limits.lookup_indices(targets)
-        region_index = index.regions.lookup_indices(targets)
-        # Aliased regions answer before bound hosts, as in the scalar path.
-        host_positions = np.where(
-            region_index >= 0, np.int64(-1), index.host_positions(targets)
-        )
+        limit_index = index.cell_limit[cell]
+        region_index = index.cell_region[cell]
         in_region = region_index >= 0
         region_rows = region_index[in_region]
-        bound = host_positions >= 0
-        region_online = index.region_online(day, region_rows)
-        host_online = index.host_online(day, host_positions)
-        # Sub-day rotation: hosts dark on their old addresses by wave time,
-        # and the day's re-homed addresses answering in their place.
-        dark_hosts: Optional[np.ndarray] = None
-        if wave is not None and wave.has_dark and bound.any():
-            dark_hosts = wave.dark_of(index.host_ids[host_positions[bound]])
-        rehome_cand: Optional[np.ndarray] = None
-        rehome_rows: Optional[np.ndarray] = None
-        rehome_online: Optional[np.ndarray] = None
-        if wave is not None and wave.has_rehomed:
-            positions = wave.rehome_positions(targets)
-            rehome_cand = (positions >= 0) & ~in_region & ~bound & routed
-            if rehome_cand.any():
-                rehome_rows = positions[rehome_cand]
-                rehome_online = wave.rehome_online(day, rehome_rows)
-            else:
-                rehome_cand = None
+        region_ids = index.region_ids[region_rows]
+        region_online = self.hosts_online(region_ids, day)
+        # The machine behind each target outside a region (aliased regions
+        # answer first, as in the scalar path): its bound host unless that
+        # host has rotated away by wave time; on an unbound address, the
+        # host re-homed onto it this wave.
+        host_id = np.where(in_region, np.int64(-1), index.cell_host[cell])
+        if wave is not None and (wave.has_dark or wave.has_rehomed):
+            bound = host_id >= 0
+            if wave.has_dark:
+                host_id[bound] = np.where(
+                    wave.dark_of(host_id[bound]), np.int64(-1), host_id[bound]
+                )
+            if wave.has_rehomed:
+                rehomed = wave.rehome_ids(targets)
+                taken = (rehomed >= 0) & ~in_region & ~bound & routed
+                host_id[taken] = rehomed[taken]
+        answering = host_id >= 0
+        host_ids = host_id[answering]
+        host_online = self.hosts_online(host_ids, day)
         loss = self.config.packet_loss
         for j, protocol in enumerate(protocols):
             bit = _PROTOCOL_BIT[protocol]
@@ -786,7 +778,7 @@ class SimulatedInternet:
                     delivered &= ~limited | (rng.random(n) <= allowance)
             answered = np.zeros(n, dtype=bool)
             if region_rows.size:
-                ok = (index.region_services[region_rows] & bit) != 0
+                ok = (index.services[region_ids] & bit) != 0
                 ok &= region_online
                 if protocol.is_tcp and index.region_syn_proxy.any():
                     syn = index.region_syn_proxy[region_rows]
@@ -804,17 +796,10 @@ class SimulatedInternet:
                 if (answer_p < 1.0).any():
                     ok &= rng.random(region_rows.size) <= answer_p
                 answered[in_region] = ok
-            if bound.any():
-                positions = host_positions[bound]
-                ok = (index.host_services[positions] & bit) != 0
-                ok &= host_online[bound]
-                if dark_hosts is not None:
-                    ok &= ~dark_hosts
-                answered[bound] = ok
-            if rehome_cand is not None:
-                ok = (wave.rehome_services[rehome_rows] & bit) != 0
-                ok &= rehome_online
-                answered[rehome_cand] = ok
+            if host_ids.size:
+                ok = (index.services[host_ids] & bit) != 0
+                ok &= host_online
+                answered[answering] = ok
             responsive[:, j] = delivered & answered
         return result
 
@@ -975,4 +960,4 @@ class SimulatedInternet:
     @property
     def host_id_count(self) -> int:
         """Size of the host-id space (ids are dense, ``0 .. count-1``)."""
-        return self._next_host_id
+        return len(self._machines)

@@ -79,7 +79,7 @@ class SourceAssembly:
         """Addresses per origin AS and the set of covering announced prefixes.
 
         One flattened-LPM batch lookup (shared with ``probe_batch``) for the
-        whole address list instead of a per-address trie walk.
+        whole address list instead of a per-address trie lookup.
         """
         asns: dict[int, int] = {}
         prefixes: set = set()

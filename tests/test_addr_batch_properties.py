@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the columnar address substrate.
 
 The scalar primitives are the oracles: ``union_sorted`` against Python set
-algebra, ``FlatLPM`` against the bit-walking :class:`PrefixTrie`,
+algebra, ``FlatLPM`` against the per-length hash tables of :class:`PrefixTrie`,
 ``searchsorted128`` against :mod:`bisect`, and the hi/lo packing against
 plain 128-bit integer arithmetic.  Randomised inputs cover the corners the
 hand-written parity tests cannot enumerate (empty sides, duplicate-heavy
@@ -66,6 +66,13 @@ class TestPackUnpack:
         batch = AddressBatch.from_ints(values).masked(length)
         expected = [IPv6Prefix.of(v, length).network for v in values]
         assert batch.to_ints() == expected
+
+    @settings(deadline=None)
+    @given(address_lists)
+    def test_shared_prefix_lengths_match_int_arithmetic(self, values):
+        shared = AddressBatch.from_ints(values).shared_prefix_lengths()
+        expected = [128 - (a ^ b).bit_length() for a, b in zip(values, values[1:])]
+        assert shared.tolist() == ([-1] + expected)[: len(values)]
 
     @settings(deadline=None)
     @given(address_lists)

@@ -94,34 +94,49 @@ class TestIteration:
         assert len(list(trie.prefixes())) == 2
 
 
+#: Addresses for the model test: random ones, plus shared anchors so that
+#: stored prefixes nest and queries fall inside them.
+_ADDRESSES = st.one_of(
+    st.integers(min_value=0, max_value=2**128 - 1),
+    st.sampled_from((0, 1 << 127, 0x20010DB8 << 96, (0x20010DB8 << 96) | 0xFFFF)),
+)
+
+
 class TestAgainstReferenceModel:
     @given(
         st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=2**128 - 1),
-                st.integers(min_value=0, max_value=128),
-            ),
+            st.builds(IPv6Prefix.of, _ADDRESSES, st.integers(min_value=0, max_value=128)),
             min_size=1,
             max_size=30,
         ),
-        st.lists(st.integers(min_value=0, max_value=2**128 - 1), min_size=1, max_size=20),
+        st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=29)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.lists(_ADDRESSES, min_size=1, max_size=20),
     )
-    def test_matches_bruteforce(self, raw_prefixes, queries):
+    def test_matches_bruteforce(self, pool, operations, queries):
+        """Interleaved inserts, value replacements and removals track a dict."""
         trie = PrefixTrie()
-        prefixes = []
-        for value, length in raw_prefixes:
-            prefix = IPv6Prefix.of(value, length)
-            prefixes.append(prefix)
-            trie.insert(prefix, str(prefix))
+        model = {}
+        for step, (insert, i) in enumerate(operations):
+            prefix = pool[i % len(pool)]
+            if insert:
+                trie.insert(prefix, step)
+                model[prefix] = step
+            else:
+                assert trie.remove(prefix) == (prefix in model)
+                model.pop(prefix, None)
+            assert len(trie) == len(model)
+            assert (prefix in trie) == (prefix in model)
+            assert trie.get_exact(prefix) == model.get(prefix)
+        assert list(trie.items()) == sorted(model.items())
         for q in queries:
-            covering = [p for p in prefixes if q in p]
+            covering = [p for p in model if q in p]
             expected = max(covering, key=lambda p: p.length) if covering else None
             got = trie.longest_match(q)
-            if expected is None:
-                assert got is None
-            else:
-                assert got[0].length == expected.length
-                assert q in got[0]
+            assert got == (None if expected is None else (expected, model[expected]))
             assert trie.lookup(q) == (None if got is None else got[1])
             assert trie.covers(q) == (got is not None)
 

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.addr import IPv6Prefix
+from repro.addr import AddressBatch, IPv6Prefix
 from repro.addr.generate import random_addresses_in_prefix
 from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult
 from repro.core.apd_murdock import MurdockDetector
@@ -114,6 +114,32 @@ class TestCandidateSelection:
         detector = AliasedPrefixDetector(tiny_internet, config, seed=1)
         got = detector.candidate_prefixes(addresses, extra_prefixes=extras)
         assert got == sorted(qualifying | set(extras))
+
+    @settings(deadline=None)
+    @given(
+        # One nybble away from a shared base: sorted neighbours often first
+        # differ at a nybble's top bit, sharing exactly a multiple of 4 bits.
+        values=st.lists(
+            st.builds(
+                lambda k, x: (0x20010DB8 << 96) | (x << (4 * k)),
+                st.integers(0, 31),
+                st.sampled_from((1, 8, 15)),
+            ),
+            max_size=60,
+        ),
+        length=st.one_of(st.sampled_from(range(0, 129, 4)), st.integers(0, 128)),
+        threshold=st.sampled_from((0, 1, 2)),
+    )
+    def test_qualifying_runs_match_masked_networks(self, values, length, threshold):
+        values = sorted(values)
+        config = APDConfig(min_targets_per_prefix=threshold, always_probe_64=False)
+        shared = AddressBatch.from_ints(values).shared_prefix_lengths()
+        starts, qualifies = config.qualifying_runs(shared, length)
+        networks = [IPv6Prefix.of(v, length) for v in values]
+        expected = [i for i, p in enumerate(networks) if i == 0 or p != networks[i - 1]]
+        counts = Counter(networks)
+        assert starts.tolist() == expected
+        assert qualifies.tolist() == [counts[networks[i]] > threshold for i in expected]
 
 
 class TestProbing:

@@ -2,17 +2,21 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+from repro import scenarios
 from repro.addr import IPv6Prefix
+from repro.addr.batch import AddressBatch
 from repro.addr.generate import random_address_in_prefix
+from repro.events import NetworkDynamics
 from repro.netmodel import Protocol, SimulatedInternet
 from repro.netmodel.asregistry import ASCategory, ASRegistry
 from repro.netmodel.bgp import BGPAnnouncement, BGPTable
 from repro.netmodel.host import StabilityModel
 from repro.netmodel.packets import ProbeReply, initial_ttl
-from repro.netmodel.services import HostRole
+from repro.netmodel.services import ALL_PROTOCOLS, HostRole
 
 
 class TestASRegistry:
@@ -293,3 +297,78 @@ class TestProbing:
         assert len(sample) == 50
         assert all(tiny_internet.is_aliased_truth(a) for a in sample)
         assert tiny_internet.sample_aliased_addresses(0, rng) == []
+
+
+class TestUptimeMemo:
+    """Each (machine, day) seeds one uptime coin, whichever path asks."""
+
+    DAY = 2
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        counts = Counter()
+        is_online = StabilityModel.is_online
+
+        def spy(stability, day):
+            counts[id(stability), day] += 1
+            return is_online(stability, day)
+
+        monkeypatch.setattr(StabilityModel, "is_online", spy)
+        return counts
+
+    def test_one_evaluation_per_machine_and_day_on_every_path(self, evaluations):
+        day = self.DAY
+        net = scenarios.build(
+            "internet", "subday-churn", scale="tiny", anomalies="deterministic"
+        )
+        dynamics = NetworkDynamics.from_config(net, seed=3)
+        dynamics.begin_day(day)
+        rehomed, new_address, _ = dynamics.rehomed()[0]
+        rotating = {h.host_id for h, _, _ in dynamics.rehomed()}
+        host = next(
+            h
+            for h in net.hosts
+            if h.stability.daily_uptime < 1.0
+            and h.services
+            and h.host_id not in rotating
+            and not net.is_aliased_truth(h.primary_address)
+        )
+        region = net.aliased_regions[0]
+        answers = []
+        for machine, address in (
+            (host, host.primary_address),
+            (region.host, region.prefix.first),
+        ):
+            for protocol in ALL_PROTOCOLS:
+                for _ in range(2):
+                    reply = net.probe(address, protocol, day)
+                    answers.append((machine, protocol, reply is not None))
+            batch = net.probe_batch([address], day=day)
+            answers += [(machine, p, bool(batch.column(p)[0])) for p in ALL_PROTOCOLS]
+        targets = AddressBatch.from_addresses([new_address])
+        wave = dynamics.begin_wave(day, day + 0.999, targets)
+        online = net.hosts_online(wave.rehome_ids(targets), day)
+        batch = net.probe_batch(targets, day=day, wave=wave)
+        for protocol in ALL_PROTOCOLS:
+            reply = net.probe(new_address, protocol, day, wave=wave)
+            answers.append((rehomed, protocol, reply is not None))
+            answers.append((rehomed, protocol, bool(batch.column(protocol)[0])))
+        calls = dict(evaluations)
+        assert calls == {
+            (id(m.stability), day): 1 for m in (host, region.host, rehomed)
+        }
+        assert bool(online[0]) == rehomed.stability.is_online(day)
+        for machine, protocol, answered in answers:
+            assert answered == machine.is_responsive(protocol, day)
+
+    def test_region_reply_decides_uptime_once(self, tiny_internet, evaluations):
+        region = next(
+            r
+            for r in tiny_internet.aliased_regions
+            if not r.syn_proxy and r.icmp_rate_limit is None
+        )
+        reply = region.reply(
+            region.prefix.first, Protocol.ICMP, self.DAY, random.Random(0)
+        )
+        assert reply is not None
+        assert sum(evaluations.values()) == 1
