@@ -51,7 +51,7 @@ def test_bench_ablation_fanout_vs_random(benchmark, ctx):
 
         prefix = IPv6Prefix.parse("2001:db8:1::/96")
         fanout_false_positives = sum(
-            classify(fanout_targets(prefix, rng), prefix) for _ in range(trials)
+            classify(fanout_targets(prefix, seed=trial), prefix) for trial in range(trials)
         )
         random_false_positives = sum(
             classify(random_addresses_in_prefix(prefix, 16, rng), prefix) for _ in range(trials)

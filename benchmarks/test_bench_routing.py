@@ -45,10 +45,10 @@ MAX_OVERHEAD = 2.0
 def _sweep_seconds(internet, targets) -> float:
     """Best-of-three full-protocol sweeps over all study days."""
     best = float("inf")
-    for round_index in range(3):
+    for _ in range(3):
         start = time.perf_counter()
         for day in DAYS:
-            internet.probe_batch(targets, day=day, rng=round_index + 1)
+            internet.probe_batch(targets, day=day)
         best = min(best, time.perf_counter() - start)
     return best
 

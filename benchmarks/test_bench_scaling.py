@@ -92,9 +92,7 @@ def test_bench_probe_batch_throughput(benchmark, ctx):
     batch = random_batch_in_prefix(region.prefix, 100_000, np.random.default_rng(5))
 
     def probe():
-        result = internet.probe_batch(
-            batch, (Protocol.ICMP, Protocol.TCP80), day=0, rng=6
-        )
+        result = internet.probe_batch(batch, (Protocol.ICMP, Protocol.TCP80), day=0)
         return result.count(Protocol.ICMP)
 
     responded = benchmark(probe)
@@ -111,9 +109,9 @@ def test_bench_probe_batch_vs_scalar(benchmark, ctx):
         # the probe loop being compared.
         full = ctx.hitlist.address_batch
         batch = AddressBatch(full.hi[: len(addresses)], full.lo[: len(addresses)])
-        # Warm the per-day stability memo (a one-time cost the daily
+        # Warm the lazy batch index (a one-time cost the daily
         # multi-protocol pipeline amortises over every subsequent sweep).
-        internet.probe_batch(batch, (Protocol.ICMP,), day=0, rng=7)
+        internet.probe_batch(batch, (Protocol.ICMP,), day=0)
         start = time.perf_counter()
         scalar_hits = sum(
             1 for a in addresses if internet.probe(a, Protocol.ICMP, day=0) is not None
@@ -124,7 +122,7 @@ def test_bench_probe_batch_vs_scalar(benchmark, ctx):
         batch_elapsed = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            result = internet.probe_batch(batch, (Protocol.ICMP,), day=0, rng=7)
+            result = internet.probe_batch(batch, (Protocol.ICMP,), day=0)
             batch_elapsed = min(batch_elapsed, time.perf_counter() - start)
         return len(addresses), scalar_hits, result.count(Protocol.ICMP), scalar_elapsed, batch_elapsed
 

@@ -11,7 +11,6 @@ Reproduces the Section 5 workflow on a small simulated Internet:
 Run with:  python examples/dealias_and_fingerprint.py
 """
 
-import random
 
 from repro.addr import IPv6Prefix
 from repro.addr.generate import fanout_targets
@@ -39,7 +38,6 @@ def main() -> None:
           f"{len(aliased_addrs):,} addresses filtered ({len(aliased_addrs) / len(hitlist):.1%})")
 
     # 2. Fingerprint validation of detected aliased /64s (Table 5 / Table 6 style).
-    rng = random.Random(8)
     probe = FingerprintProbe(internet, seed=8)
     checker = ConsistencyChecker()
     records = {}
@@ -47,7 +45,7 @@ def main() -> None:
         base = IPv6Prefix.of(prefix.network, 64) if prefix.length >= 64 else prefix
         if base in records or len(records) >= 60:
             continue
-        targets = fanout_targets(base, rng)
+        targets = fanout_targets(base, seed=8)
         fingerprints = [probe.probe(t) for t in targets]
         if all(r.responded for r in fingerprints):
             records[base] = fingerprints

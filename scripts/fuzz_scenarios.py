@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Drive the cross-engine differential oracle over randomized scenarios.
 
-Samples perturbations of the registered scenario presets (the same shared
-knob bounds the hypothesis harness in ``tests/fuzz/test_differential.py``
-explores -- see ``repro.scenarios.FUZZ_KNOB_RANGES``), builds a deterministic
-Internet per sample, and checks exact batch-vs-reference parity for all four
-engine pairs.  Prints one line per sample and a final summary; exits non-zero
-when any sample fails, printing the failing configuration and a runnable
-reproduction snippet.
+Samples an anomaly mix and perturbations of the registered scenario presets
+(the same shared knob bounds the hypothesis harness in
+``tests/fuzz/test_differential.py`` explores -- see
+``repro.scenarios.FUZZ_KNOB_RANGES``), builds an Internet per sample, and
+checks exact batch-vs-reference parity for all four engine pairs.  Prints
+one line per sample and a final summary; exits non-zero when any sample
+fails, printing the failing configuration and a runnable reproduction
+snippet.
 
 Run with::
 
@@ -24,6 +25,7 @@ import sys
 import time
 
 from repro.scenarios import (
+    ANOMALY_MIXES,
     ENGINE_PAIRS,
     FUZZ_KNOB_RANGES,
     get_scenario,
@@ -33,10 +35,13 @@ from repro.scenarios import (
 
 
 def sample_overrides(rng: random.Random) -> dict:
-    """One random draw of every fuzzable knob (shared bounds; ints stay ints)."""
+    """One random draw of every fuzzable knob (shared bounds; bools stay
+    bools, ints stay ints)."""
     overrides = {}
     for name, (low, high) in FUZZ_KNOB_RANGES.items():
-        if isinstance(low, int) and isinstance(high, int):
+        if isinstance(low, bool):
+            overrides[name] = rng.random() < 0.5
+        elif isinstance(low, int) and isinstance(high, int):
             overrides[name] = rng.randint(low, high)
         else:
             overrides[name] = rng.uniform(low, high)
@@ -96,11 +101,12 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     for preset in presets:
         for example in range(args.examples):
+            mix = rng.choice(sorted(ANOMALY_MIXES))
             overrides = sample_overrides(rng)
             seed = rng.randrange(2**16)
-            scenario = get_scenario(preset, scale=args.scale).with_overrides(
-                "fuzz", overrides
-            )
+            scenario = get_scenario(
+                preset, scale=args.scale, anomalies=mix
+            ).with_overrides("fuzz", overrides)
             t0 = time.time()
             report = run_differential(
                 scenario, seed=seed, days=args.days, pairs=args.pairs
@@ -108,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
             total += 1
             status = "ok  " if report.ok else "FAIL"
             print(
-                f"[{status}] {preset} example {example} seed={seed} "
+                f"[{status}] {preset} ({mix}) example {example} seed={seed} "
                 f"({time.time() - t0:.1f}s)"
             )
             if not report.ok:

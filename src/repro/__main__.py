@@ -153,8 +153,6 @@ def _build_server(args: argparse.Namespace):
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Traceroute one address over the scenario's (possibly routed) topology."""
-    import random
-
     from repro.netmodel.asgraph import REGIONS
     from repro.netmodel.internet import SimulatedInternet
 
@@ -177,9 +175,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(f"AS path (day {args.day}): {rendered}")
     else:
         print("flat topology (num_transit_ases = 0): synthetic backbone path")
-    hops = internet.traceroute(
-        args.address, day=args.day, rng=random.Random(config.seed), vantage=args.vantage
-    )
+    hops = internet.traceroute(args.address, day=args.day, vantage=args.vantage)
     if not hops:
         print("no responding hops")
         return 0

@@ -32,6 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro import keyed
 from repro.addr.address import (
     BITS,
     FULL_MASK,
@@ -565,29 +566,67 @@ class FlatLPM:
         ]
 
 
+def _host_masks(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) masks of the low *shift* host bits of each address."""
+    mask_hi = np.where(
+        shift > 64, _shl64(np.uint64(1), shift - 64) - np.uint64(1), np.uint64(0)
+    )
+    mask_lo = np.where(shift >= 64, U64_MAX, _shl64(np.uint64(1), shift) - np.uint64(1))
+    return mask_hi, mask_lo
+
+
 def _random_host_bits(
     shift: np.ndarray, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random (hi, lo) fills for the low *shift* host bits of each address."""
     rand_hi = rng.integers(0, U64_MAX, size=count, dtype=np.uint64, endpoint=True)
     rand_lo = rng.integers(0, U64_MAX, size=count, dtype=np.uint64, endpoint=True)
-    mask_hi = np.where(
-        shift > 64, _shl64(np.uint64(1), shift - 64) - np.uint64(1), np.uint64(0)
-    )
-    mask_lo = np.where(shift >= 64, U64_MAX, _shl64(np.uint64(1), shift) - np.uint64(1))
+    mask_hi, mask_lo = _host_masks(shift)
     return rand_hi & mask_hi, rand_lo & mask_lo
 
 
+def fanout_rows(
+    net_hi: np.ndarray,
+    net_lo: np.ndarray,
+    lengths: np.ndarray,
+    branch: np.ndarray,
+    seed: int,
+    day: int,
+) -> AddressBatch:
+    """The fan-out target of each row: prefix ``(net_hi, net_lo, lengths)``,
+    fan-out branch *branch* (all arrays per row).
+
+    The branch number sits just below the prefix; the host bits below it are
+    keyed on (prefix, day, branch, *seed*) (:mod:`repro.keyed`), so a row's
+    target never depends on which other rows are built with it.
+    """
+    sub_lengths = np.minimum(lengths + 4, BITS)
+    # ``shift`` is the bit position of the branch field and simultaneously
+    # the number of host bits below it.
+    shift = BITS - sub_lengths
+    b = branch.astype(np.uint64)
+    hi_part = np.where(shift >= 64, _shl64(b, shift - 64), _shr64(b, 64 - shift))
+    lo_part = np.where(shift >= 64, np.uint64(0), _shl64(b, shift))
+    prefix_key = keyed.key_array(net_hi, net_lo, lengths)
+    hi_stream = np.uint64(keyed.stream(keyed.FANOUT_HI, seed, day))
+    lo_stream = np.uint64(keyed.stream(keyed.FANOUT_LO, seed, day))
+    mask_hi, mask_lo = _host_masks(shift)
+    return AddressBatch(
+        net_hi | hi_part | (keyed.key_array(prefix_key ^ hi_stream, b) & mask_hi),
+        net_lo | lo_part | (keyed.key_array(prefix_key ^ lo_stream, b) & mask_lo),
+    )
+
+
 def batch_fanout_targets(
-    prefixes: Sequence["IPv6Prefix"], rng: np.random.Generator
+    prefixes: Sequence["IPv6Prefix"], seed: int = 0, day: int = 0
 ) -> tuple[AddressBatch, np.ndarray, np.ndarray]:
     """Vectorised APD fan-out generation for many prefixes at once.
 
-    For every prefix of length ``L`` this draws one pseudo-random address in
-    each of its 16 length-``L+4`` subprefixes (fewer for L > 124, where the
-    remaining host bits are enumerated), exactly like the scalar
+    For every prefix of length ``L`` this picks one address in each of its
+    16 length-``L+4`` subprefixes (fewer for L > 124, where the remaining
+    host bits are enumerated), exactly like the scalar
     :func:`repro.addr.generate.fanout_targets`, but in one pass over numpy
-    arrays for the whole prefix list.
+    arrays for the whole prefix list (see :func:`fanout_rows`).
 
     Returns ``(targets, prefix_index, branch)`` where ``prefix_index[i]`` is
     the position of target *i*'s prefix in *prefixes* and ``branch[i]`` is its
@@ -601,23 +640,14 @@ def batch_fanout_targets(
     net_hi = np.fromiter((p.network >> 64 for p in prefixes), np.uint64, num_prefixes)
     net_lo = np.fromiter((p.network & _LO_MASK for p in prefixes), np.uint64, num_prefixes)
     lengths = np.fromiter((p.length for p in prefixes), np.int64, num_prefixes)
-    sub_lengths = np.minimum(lengths + 4, BITS)
-    counts = (1 << (sub_lengths - lengths)).astype(np.int64)
+    counts = (1 << (np.minimum(lengths + 4, BITS) - lengths)).astype(np.int64)
     total = int(counts.sum())
     prefix_index = np.repeat(np.arange(num_prefixes, dtype=np.int64), counts)
-    first_of_prefix = np.repeat(np.cumsum(counts) - counts, counts)
-    branch = np.arange(total, dtype=np.int64) - first_of_prefix
-    # Place the branch number just below the prefix, then fill the remaining
-    # host bits with random values.  ``shift`` is the bit position of the
-    # branch field and simultaneously the number of random host bits.
-    shift = (BITS - sub_lengths)[prefix_index]
-    b = branch.astype(np.uint64)
-    hi_part = np.where(shift >= 64, _shl64(b, shift - 64), _shr64(b, 64 - shift))
-    lo_part = np.where(shift >= 64, np.uint64(0), _shl64(b, shift))
-    rand_hi, rand_lo = _random_host_bits(shift, total, rng)
-    target_hi = net_hi[prefix_index] | hi_part | rand_hi
-    target_lo = net_lo[prefix_index] | lo_part | rand_lo
-    return AddressBatch(target_hi, target_lo), prefix_index, branch
+    branch = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+    targets = fanout_rows(
+        net_hi[prefix_index], net_lo[prefix_index], lengths[prefix_index], branch, seed, day
+    )
+    return targets, prefix_index, branch
 
 
 def random_batch_in_prefix(

@@ -2,9 +2,9 @@
 
 The aliased-prefix detection of Section 5.1 probes 16 pseudo-random addresses
 per prefix, one inside each 4-bit *fan-out* subprefix (Table 3).  This module
-implements that fan-out generation plus plain pseudo-random address sampling
-inside a prefix, both driven by an explicit :class:`random.Random` so that
-daily scans are reproducible.
+implements that fan-out generation, keyed on (prefix, day, branch, seed), plus
+plain pseudo-random address sampling inside a prefix, driven by an explicit
+:class:`random.Random`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.addr.address import BITS, IPv6Address
+from repro import keyed
+from repro.addr.address import BITS, LO_MASK, IPv6Address
 from repro.addr.batch import AddressBatch
 from repro.addr.prefix import IPv6Prefix, parse_prefix
 
@@ -59,15 +60,17 @@ def random_addresses_in_prefix(
 
 
 def fanout_targets(
-    prefix: "IPv6Prefix | str", rng: random.Random, fanout: int = FANOUT
+    prefix: "IPv6Prefix | str", seed: int = 0, day: int = 0, fanout: int = FANOUT
 ) -> list[IPv6Address]:
-    """Pseudo-random APD targets, one per 4-bit subprefix of *prefix*.
+    """APD targets, one per 4-bit subprefix of *prefix*.
 
     For a prefix of length ``L`` this enumerates the 16 subprefixes of length
-    ``L+4`` (``prefix:[0-f]...``) and draws one pseudo-random address in each,
-    exactly as illustrated in Table 3 of the paper.  Enforcing one probe per
-    subprefix guarantees that probes are spread evenly over the more specific
-    space, so partially aliased prefixes are not misclassified.
+    ``L+4`` (``prefix:[0-f]...``) and picks one address in each, exactly as
+    illustrated in Table 3 of the paper.  Enforcing one probe per subprefix
+    guarantees that probes are spread evenly over the more specific space,
+    so partially aliased prefixes are not misclassified.  The host bits are
+    keyed on (prefix, *day*, branch, *seed*) (:mod:`repro.keyed`): the
+    scalar twin of :func:`repro.addr.batch.batch_fanout_targets`.
 
     Prefixes longer than 124 bits cannot fan out by a full nybble; for those
     the remaining host bits are enumerated instead (at most 16 values anyway).
@@ -77,10 +80,16 @@ def fanout_targets(
         raise ValueError("the paper's APD uses a fixed fan-out of 16 probes")
     sub_length = min(prefix.length + 4, BITS)
     count = 1 << (sub_length - prefix.length)
+    host_mask = (1 << (BITS - sub_length)) - 1
+    prefix_key = keyed.key(prefix.network >> 64, prefix.network & LO_MASK, prefix.length)
+    hi_stream = keyed.stream(keyed.FANOUT_HI, seed, day)
+    lo_stream = keyed.stream(keyed.FANOUT_LO, seed, day)
     targets: list[IPv6Address] = []
-    for index in range(count):
-        sub = prefix.nth_subnet(sub_length, index)
-        targets.append(random_address_in_prefix(sub, rng))
+    for branch in range(count):
+        sub = prefix.nth_subnet(sub_length, branch)
+        host = keyed.key(prefix_key ^ hi_stream, branch) << 64
+        host |= keyed.key(prefix_key ^ lo_stream, branch)
+        targets.append(IPv6Address(sub.network | (host & host_mask)))
     return targets
 
 

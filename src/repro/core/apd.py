@@ -13,7 +13,6 @@ probed prefixes.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -27,7 +26,6 @@ from repro.addr.trie import PrefixTrie
 from repro.exec import (
     ExecutionPolicy,
     FanoutPlan,
-    fanout_rand_chunk,
     map_shards,
     plan_chunk_spans,
     plan_chunk_spans_within,
@@ -325,9 +323,10 @@ class AliasedPrefixDetector:
       :meth:`SimulatedInternet.probe`, kept for parity testing, ablations and
       benchmarks.
 
-    Both engines are deterministic per seed; they draw from independent
-    random streams, so their stochastic effects (loss, rate limits) are
-    identically distributed but not probe-for-probe identical.
+    Fan-out host bits are keyed on (prefix, day, branch, *seed*) and every
+    probe outcome on its own coordinates (:mod:`repro.keyed`), so the two
+    engines -- and any chunking of the fast one -- return identical
+    outcomes, loss and rate limiting included.
     """
 
     def __init__(
@@ -344,8 +343,6 @@ class AliasedPrefixDetector:
         self.config = config
         self.policy = policy
         self._seed = seed
-        self._rng = random.Random(seed)
-        self._nprng = np.random.default_rng(seed)
 
     # -- candidate selection ----------------------------------------------------
 
@@ -388,12 +385,12 @@ class AliasedPrefixDetector:
     def _probe_prefix_scalar(self, prefix: IPv6Prefix, day: int = 0) -> PrefixProbeOutcome:
         """Reference implementation: one :meth:`SimulatedInternet.probe` call
         per target and protocol."""
-        targets = fanout_targets(prefix, self._rng, self.config.fanout)
+        targets = fanout_targets(prefix, self._seed, day, self.config.fanout)
         outcome = PrefixProbeOutcome(prefix=prefix, day=day, targets=targets)
         for target in targets:
             answered: set[Protocol] = set()
             for protocol in self.config.protocols:
-                reply = self.internet.probe(target, protocol, day, rng=self._rng)
+                reply = self.internet.probe(target, protocol, day)
                 if reply is not None:
                     answered.add(protocol)
             outcome.branch_responses.append(answered)
@@ -415,10 +412,8 @@ class AliasedPrefixDetector:
             return {p: self._probe_prefix_scalar(p, day) for p in prefix_list}
         if self.policy.is_streaming and prefix_list:
             return self._probe_prefixes_streaming(prefix_list, day)
-        targets, prefix_index, _branch = batch_fanout_targets(prefix_list, self._nprng)
-        result = self.internet.probe_batch(
-            targets, self.config.protocols, day, rng=self._nprng
-        )
+        targets, prefix_index, _branch = batch_fanout_targets(prefix_list, self._seed, day)
+        result = self.internet.probe_batch(targets, self.config.protocols, day)
         counts = np.bincount(prefix_index, minlength=len(prefix_list)).astype(np.int64)
         # Every verdict in one pass over the matrix, not a few numpy calls
         # per outcome: aliased when every fan-out row answered.
@@ -449,18 +444,12 @@ class AliasedPrefixDetector:
 
         Fan-out targets are generated and probed ``chunk_rows`` rows at a
         time (optionally sharded over forked workers and stored in unlinked
-        memmap scratch), yet bit-identical to the one-shot batch path: the
-        random host bits of any row span are recovered from the pre-draw
-        generator state via :func:`fanout_rand_chunk`, and the generator is
-        advanced past the whole conceptual draw afterwards so later calls
-        stay stream-aligned with the plain engine.  Probe-side randomness is
-        per-chunk (``default_rng((seed, day, chunk_start))``): with
-        stochastic anomalies disabled ``probe_batch`` draws nothing and
-        verdicts match the plain engine exactly; with them enabled, results
-        are reproducible for a fixed ``chunk_rows`` and shard plan.
+        memmap scratch), yet identical to the one-shot batch path for every
+        chunking: targets and probe outcomes are keyed draws on their own
+        coordinates.
         """
         policy = self.policy
-        plan = FanoutPlan(prefix_list)
+        plan = FanoutPlan(prefix_list, self._seed, day)
         total = plan.total
         protocols = self.config.protocols
         chunk_rows = policy.effective_chunk_rows or max(total, 1)
@@ -472,18 +461,11 @@ class AliasedPrefixDetector:
             targets_hi = np.empty(total, dtype=np.uint64)
             targets_lo = np.empty(total, dtype=np.uint64)
             responsive = np.zeros((total, len(protocols)), dtype=bool)
-        state = self._nprng.bit_generator.state
         internet = self.internet
-        seed = self._seed
 
         def probe_chunk(span: tuple[int, int]):
-            s, e = span
-            rand_hi, rand_lo = fanout_rand_chunk(state, s, e, total)
-            chunk, _, _ = plan.chunk(s, e, rand_hi, rand_lo)
-            result = internet.probe_batch(
-                chunk, protocols, day, rng=np.random.default_rng((seed, day, s))
-            )
-            return chunk, result.responsive
+            chunk, _, _ = plan.chunk(*span)
+            return chunk, internet.probe_batch(chunk, protocols, day).responsive
 
         if policy.workers > 1:
             if policy.shard_by == "prefix":
@@ -515,9 +497,6 @@ class AliasedPrefixDetector:
                 targets_hi[s:e] = chunk.hi
                 targets_lo[s:e] = chunk.lo
                 responsive[s:e] = resp
-        # Consume the conceptual single-pass draw (one step per target and
-        # limb) so subsequent fan-outs match the plain engine's stream.
-        self._nprng.bit_generator.advance(2 * total)
         outcomes: dict[IPv6Prefix, PrefixProbeOutcome] = {}
         for i, prefix in enumerate(prefix_list):
             start = int(plan.starts[i])

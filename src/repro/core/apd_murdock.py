@@ -98,13 +98,13 @@ class MurdockDetector:
         return sorted(prefixes)
 
     def probe_prefix(self, prefix: IPv6Prefix, day: int = 0) -> MurdockPrefixOutcome:
-        """Probe three random addresses, three probes each."""
+        """Probe three random addresses, three probes (attempts) each."""
         targets = random_addresses_in_prefix(prefix, self.ADDRESSES_PER_PREFIX, self._rng)
         responsive: list[bool] = []
         for target in targets:
             answered = False
-            for _ in range(self.PROBES_PER_ADDRESS):
-                if self.internet.probe(target, self.protocol, day, rng=self._rng) is not None:
+            for attempt in range(self.PROBES_PER_ADDRESS):
+                if self.internet.probe(target, self.protocol, day, attempt=attempt) is not None:
                     answered = True
                     break
             responsive.append(answered)

@@ -19,6 +19,10 @@ day's new source records into the standing batch, reuses APD verdicts for
 prefixes whose candidate membership is unchanged, and scans targets with one
 ``probe_batch`` call; ``ExecutionPolicy(reference=True)`` keeps the original
 rebuild-everything scalar loop for parity testing.
+
+Both engines probe a candidate prefix on its *membership epoch*: the latest
+first-seen day among its rows.  A verdict is therefore a function of the
+prefix's rows, which is what makes the fast engine's reuse exact.
 """
 
 from __future__ import annotations
@@ -371,6 +375,34 @@ class Hitlist:
         return coverage_stats(self.addresses, internet)
 
 
+def _membership_epochs(hitlist: Hitlist, prefixes: Sequence[IPv6Prefix]) -> list[int]:
+    """The latest first-seen day among each prefix's hitlist rows.
+
+    Every prefix must cover at least one row (APD candidates do).
+    """
+    batch = hitlist.address_batch
+    first = hitlist.first_seen_days
+    networks = AddressBatch.from_ints([p.network for p in prefixes])
+    lasts = AddressBatch.from_ints([p.last.value for p in prefixes])
+    starts = searchsorted128(batch.hi, batch.lo, networks.hi, networks.lo, "left")
+    ends = searchsorted128(batch.hi, batch.lo, lasts.hi, lasts.lo, "right")
+    return [int(first[s:e].max()) for s, e in zip(starts.tolist(), ends.tolist())]
+
+
+def _probe_on_epochs(
+    detector: AliasedPrefixDetector, prefixes: Sequence[IPv6Prefix], epochs: Sequence[int]
+) -> list[PrefixProbeOutcome]:
+    """Probe each prefix on its membership epoch (one detector call per epoch)."""
+    rows_by_epoch: dict[int, list[int]] = {}
+    for row, epoch in enumerate(epochs):
+        rows_by_epoch.setdefault(epoch, []).append(row)
+    outcomes: dict[int, PrefixProbeOutcome] = {}
+    for epoch, rows in rows_by_epoch.items():
+        probed = detector.probe_prefixes([prefixes[row] for row in rows], epoch)
+        outcomes.update(zip(rows, probed.values()))
+    return [outcomes[row] for row in range(len(prefixes))]
+
+
 class DailyHitlist:
     """The published artefacts of one day of the hitlist service.
 
@@ -457,7 +489,8 @@ class HitlistService:
       into the standing batch (vectorised dedup via sorted hi/lo binary
       search), updates per-length candidate-prefix counts incrementally,
       re-probes only candidate prefixes whose membership changed (all other
-      APD verdicts are reused from the last probe), and resolves the daily
+      APD verdicts are reused: an unchanged prefix keeps its membership
+      epoch, the day it is probed on), and resolves the daily
       five-protocol scan with one ``probe_batch`` call, keeping per-day
       responsiveness as (target x protocol) boolean matrices.  Days must be
       run in increasing order.
@@ -528,10 +561,13 @@ class HitlistService:
         """The original scalar loop: rebuild, full APD, per-protocol sweeps."""
         hitlist = Hitlist.from_assembly(self.assembly, day=day)
         addresses = hitlist.addresses
-        detector = AliasedPrefixDetector(
-            self.internet, self.apd_config, seed=self._seed ^ (day * 0x45D9F3B)
+        detector = AliasedPrefixDetector(self.internet, self.apd_config, seed=self._seed)
+        candidates = detector.candidate_prefixes(addresses)
+        epochs = _membership_epochs(hitlist, candidates)
+        apd_result = APDResult(day=day)
+        apd_result.outcomes = dict(
+            zip(candidates, _probe_on_epochs(detector, candidates, epochs))
         )
-        apd_result = detector.run(addresses, day=day)
         self.apd_probe_counts[day] = len(apd_result.outcomes)
         targets = apd_result.filter_non_aliased(addresses)
         scheduler = ScanScheduler(self.internet, self.protocols, seed=self._seed ^ day)
@@ -556,21 +592,14 @@ class HitlistService:
         new_batch = self._merge_new_records(day)
         changed = self._update_candidates(new_batch)
         cache = self._outcome_cache
-        to_probe = [
-            (key, prefix)
-            for key, prefix in self._candidates.items()
-            if key in changed or key not in cache
-        ]
-        self.apd_probe_counts[day] = len(to_probe)
-        if to_probe:
+        self.apd_probe_counts[day] = len(changed)
+        if changed:
             detector = AliasedPrefixDetector(
-                self.internet,
-                self.apd_config,
-                seed=self._seed ^ (day * 0x45D9F3B),
-                policy=self.policy,
+                self.internet, self.apd_config, seed=self._seed, policy=self.policy
             )
-            probed = detector.probe_prefixes([prefix for _, prefix in to_probe], day)
-            cache.update(zip([key for key, _ in to_probe], probed.values()))
+            keys = list(changed)
+            prefixes = [self._candidates[key] for key in keys]
+            cache.update(zip(keys, _probe_on_epochs(detector, prefixes, list(changed.values()))))
         apd_result = APDResult(day=day)
         apd_result.outcomes = {prefix: cache[key] for key, prefix in self._sorted_candidates()}
         batch = self._standing.address_batch
@@ -611,21 +640,23 @@ class HitlistService:
             return AddressBatch.empty()
         return AddressBatch.concatenate(fresh).unique()
 
-    def _update_candidates(self, new_batch: AddressBatch) -> set[tuple[int, int, int]]:
+    def _update_candidates(self, new_batch: AddressBatch) -> dict[tuple[int, int, int], int]:
         """Re-evaluate candidate membership for prefixes touched by new rows.
 
-        Returns the ``(hi, lo, length)`` keys of every prefix whose candidate
-        membership changed today.  The standing batch is sorted, so per
-        length one boundary scan of its shared prefix lengths
-        (:meth:`APDConfig.qualifying_runs`, as in one-shot candidate
-        selection) judges every network, and the new rows' positions in the
-        standing batch, found once, mark the networks they touched.
+        Returns the ``(hi, lo, length)`` key of every candidate whose
+        membership changed today, mapped to its new membership epoch.  The
+        standing batch is sorted, so per length one boundary scan of its
+        shared prefix lengths (:meth:`APDConfig.qualifying_runs`, as in
+        one-shot candidate selection) judges every network, and the new
+        rows' positions in the standing batch, found once, mark the networks
+        they touched.
         """
-        changed: set[tuple[int, int, int]] = set()
+        changed: dict[tuple[int, int, int], int] = {}
         if len(new_batch) == 0:
             return changed
         config = self.apd_config
         standing = self._standing.address_batch
+        first_seen = self._standing.first_seen_days
         shared = standing.shared_prefix_lengths()
         is_new = np.zeros(len(standing), dtype=bool)
         positions = searchsorted128(standing.hi, standing.lo, new_batch.hi, new_batch.lo, "left")
@@ -635,11 +666,12 @@ class HitlistService:
             # Only qualifying networks matter downstream: a touched candidate
             # always qualifies (counts never shrink), and touched
             # non-candidates are never consulted by the re-probe decision.
-            keep = starts[qualifies & np.logical_or.reduceat(is_new, starts)]
-            networks = standing.take(keep).masked(length)
-            for hi, lo in zip(networks.hi.tolist(), networks.lo.tolist()):
+            touched = qualifies & np.logical_or.reduceat(is_new, starts)
+            epochs = np.maximum.reduceat(first_seen, starts)[touched]
+            networks = standing.take(starts[touched]).masked(length)
+            for hi, lo, epoch in zip(networks.hi.tolist(), networks.lo.tolist(), epochs.tolist()):
                 key = (hi, lo, length)
-                changed.add(key)
+                changed[key] = epoch
                 if key not in self._candidates:
                     self._candidates[key] = IPv6Prefix((hi << 64) | lo, length)
                     self._candidate_sorted = None

@@ -27,59 +27,37 @@ bucket is pre-charged with the synthetic rivals' arrivals ahead of ours.
 Prefix rotation
 ---------------
 
-Rotation is a pure per-(host, day) hash: an eligible eyeball CPE/client
-host rotates on a given day with probability ``prefix_rotation_rate``, at a
-deterministic fractional time.  From that moment its old bound addresses go
-dark for the rest of the day (sources are assumed to re-learn current
-addresses overnight, so darkness resets at the next ``begin_day``) and a
-fresh address inside the same announced prefix answers instead -- the
-mid-scan churn the residential-broadband literature documents.
+Rotation is keyed per (host, day) (:mod:`repro.keyed`): an eligible eyeball
+CPE/client host rotates on a given day with probability
+``prefix_rotation_rate``, at a keyed fractional time.  From that moment its
+old bound addresses go dark for the rest of the day (sources are assumed to
+re-learn current addresses overnight, so darkness resets at the next
+``begin_day``) and a keyed fresh address inside the same announced prefix
+answers instead -- the mid-scan churn the residential-broadband literature
+documents.
 """
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
+from repro import keyed
+from repro.addr.address import BITS, IPv6Address
 from repro.addr.batch import AddressBatch, find128
-from repro.addr.generate import random_address_in_prefix
 from repro.events.scheduler import EventScheduler
 from repro.events.tokenbucket import TokenBucket
 from repro.netmodel.asregistry import ASCategory
 from repro.netmodel.services import HostRole
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.addr.address import IPv6Address
     from repro.netmodel.host import Host
     from repro.netmodel.internet import SimulatedInternet
 
 _LO_MASK = (1 << 64) - 1
-_MASK64 = (1 << 64) - 1
-_MIX1 = 0x9E3779B97F4A7C15
-_MIX2 = 0xBF58476D1CE4E5B9
-_MIX3 = 0x94D049BB133111EB
-
-#: Salts separating the independent per-(host, day) hash streams.
-_SALT_ROTATES = 0x0A
-_SALT_WHEN = 0x0B
 
 _EMPTY_U64 = np.zeros(0, dtype=np.uint64)
-
-
-def _hash01(ids: np.ndarray, day: int, seed: int, salt: int) -> np.ndarray:
-    """Uniform [0, 1) draws, a pure function of (id, day, seed, salt).
-
-    Same splitmix-style mixer as the routing layer's churn hash, so both
-    engines -- and any chunked re-evaluation -- agree bit for bit.
-    """
-    mix = ((day + 1) * _MIX2 + (seed & 0xFFFFFFFF) + salt * _MIX3) & _MASK64
-    h = ids.astype(np.uint64) * np.uint64(_MIX1)
-    h += np.uint64(mix)
-    h ^= h >> np.uint64(31)
-    h *= np.uint64(_MIX3)
-    return (h >> np.uint64(40)).astype(np.float64) / float(1 << 24)
 
 
 class WaveAdmission:
@@ -94,6 +72,7 @@ class WaveAdmission:
     __slots__ = (
         "day",
         "time",
+        "key",
         "buckets_active",
         "has_dark",
         "has_rehomed",
@@ -107,6 +86,8 @@ class WaveAdmission:
     def __init__(self, dynamics: "NetworkDynamics", day: int, time: float):
         self.day = day
         self.time = float(time)
+        #: The wave's coordinate in keyed probe draws: the bits of its time.
+        self.key = int(np.float64(self.time).view(np.uint64))
         self._dyn = dynamics
         self.buckets_active = False
         self._hi = _EMPTY_U64
@@ -319,11 +300,13 @@ class NetworkDynamics:
         self._re_hosts = []
         if self.rotation_rate <= 0.0 or self._eligible_ids.size == 0:
             return
-        draws = _hash01(self._eligible_ids, day, self.seed, _SALT_ROTATES)
+        draws = keyed.hash01_array(keyed.ROTATES, self.seed, day, self._eligible_ids)
         rotating = np.nonzero(draws < self.rotation_rate)[0]
         if rotating.size == 0:
             return
-        fracs = _hash01(self._eligible_ids[rotating], day, self.seed, _SALT_WHEN)
+        fracs = keyed.hash01_array(
+            keyed.ROTATE_TIME, self.seed, day, self._eligible_ids[rotating]
+        )
         entries: list[tuple[int, float, object]] = []
         for i, frac in zip(rotating.tolist(), fracs.tolist()):
             host = self._eligible_hosts[i]
@@ -332,11 +315,11 @@ class NetworkDynamics:
             announcement = self.internet.bgp.lookup(host.primary_address)
             if announcement is None:
                 continue  # unrouted host: it goes dark but nothing re-homes
-            rng = random.Random(
-                (self.seed & _MASK64) ^ (host.host_id * _MIX1) ^ ((day + 1) * _MIX2)
-            )
-            new_address = random_address_in_prefix(announcement.prefix, rng)
-            entries.append((new_address.value, when, host))
+            prefix = announcement.prefix
+            bits = keyed.key(keyed.ROTATE_HI, self.seed, day, host.host_id) << 64
+            bits |= keyed.key(keyed.ROTATE_LO, self.seed, day, host.host_id)
+            host_mask = (1 << (BITS - prefix.length)) - 1
+            entries.append((prefix.network | (bits & host_mask), when, host))
         if not entries:
             return
         entries.sort(key=lambda e: e[0])
@@ -355,8 +338,6 @@ class NetworkDynamics:
 
     def rehomed(self) -> "list[tuple[Host, IPv6Address, float]]":
         """Ground truth: the current day's (host, new address, time) rotations."""
-        from repro.addr.address import IPv6Address
-
         values = (self._re_hi.astype(object) << 64) | self._re_lo.astype(object)
         return [
             (host, IPv6Address(int(value)), float(when))

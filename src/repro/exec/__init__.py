@@ -12,7 +12,6 @@ contract and measured scaling curves).
 from repro.exec.chunked import (
     FanoutPlan,
     chunked_probe_batch,
-    fanout_rand_chunk,
     kmeans_assign,
     kmeans_assign_block,
     lloyd_chunked,
@@ -40,7 +39,6 @@ __all__ = [
     "ExecutionPolicy",
     "FanoutPlan",
     "chunked_probe_batch",
-    "fanout_rand_chunk",
     "fork_available",
     "kmeans_assign",
     "kmeans_assign_block",

@@ -6,14 +6,11 @@ materialise more than ``chunk_rows`` rows of working set at once, over
 either RAM or memory-mapped (:func:`scratch_memmap`,
 :meth:`~repro.addr.batch.AddressBatch.from_memmap`) columns.
 
-The load-bearing piece is :class:`FanoutPlan` + :func:`fanout_rand_chunk`:
-:func:`repro.addr.batch.batch_fanout_targets` draws one full-range uint64
-per target for the high limb and then one per target for the low limb, and a
-full-range draw consumes exactly one PCG64 step -- so the random host bits of
-target rows ``[start, end)`` can be regenerated for *any* chunking by
-advancing a copy of the generator state ``start`` (hi) and ``total + start``
-(lo) steps.  Chunked fan-out is therefore bit-identical to the one-shot
-batch path, not merely "statistically equivalent".
+Chunking never changes a result.  Every fan-out target and every probe
+outcome is a keyed draw on its own coordinates (:mod:`repro.keyed`), so
+:class:`FanoutPlan` builds any row span of the fan-out independently, and a
+chunked probe pass equals the one-shot ``probe_batch`` call for every
+``chunk_rows``.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import tempfile
 import numpy as np
 
 from repro.addr.address import BITS, LO_MASK
-from repro.addr.batch import U64_MAX, AddressBatch, _shl64, _shr64
+from repro.addr.batch import AddressBatch, fanout_rows
 from repro.exec.shard import (
     map_shards,
     plan_chunk_spans,
@@ -52,94 +49,58 @@ def scratch_memmap(shape: "tuple[int, ...]", dtype: "np.dtype | type") -> np.nda
     return out
 
 
-def fanout_rand_chunk(
-    state: dict, start: int, end: int, total: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw random host-bit draws for fan-out target rows ``[start, end)``.
-
-    *state* is the ``bit_generator.state`` of the detector's generator as it
-    stood before the (conceptual) single-pass draw of *total* targets.
-    Returns the exact uint64 values rows ``[start, end)`` would have received
-    from that pass: the hi stream occupies PCG64 steps ``[0, total)`` and the
-    lo stream steps ``[total, 2 * total)``, each full-range draw consuming
-    exactly one step.
-    """
-    if state.get("bit_generator") != "PCG64":
-        raise TypeError(
-            "chunked fan-out requires a PCG64 bit generator (numpy's "
-            f"default_rng), got {state.get('bit_generator')!r}"
-        )
-    count = end - start
-    hi_bits = np.random.PCG64(0)
-    hi_bits.state = state
-    hi_bits.advance(start)
-    rand_hi = np.random.Generator(hi_bits).integers(
-        0, U64_MAX, size=count, dtype=np.uint64, endpoint=True
-    )
-    lo_bits = np.random.PCG64(0)
-    lo_bits.state = state
-    lo_bits.advance(total + start)
-    rand_lo = np.random.Generator(lo_bits).integers(
-        0, U64_MAX, size=count, dtype=np.uint64, endpoint=True
-    )
-    return rand_hi, rand_lo
-
-
 class FanoutPlan:
     """Row layout of an APD fan-out, materialisable one row span at a time.
 
     Precomputes the per-prefix geometry of
     :func:`repro.addr.batch.batch_fanout_targets` (network limbs, fan-out
     counts, first-row offsets) without generating any targets; :meth:`chunk`
-    then reproduces exactly the target rows ``[start, end)`` of the one-shot
-    batch -- same integer math, same masks, with the random host bits handed
-    in from :func:`fanout_rand_chunk`.
+    then builds exactly the target rows ``[start, end)`` of the one-shot
+    batch for the plan's *seed* and *day*.
     """
 
     __slots__ = (
         "prefixes",
+        "seed",
+        "day",
         "net_hi",
         "net_lo",
-        "sub_lengths",
+        "lengths",
         "counts",
         "starts",
         "total",
     )
 
-    def __init__(self, prefixes):
+    def __init__(self, prefixes, seed: int = 0, day: int = 0):
         prefixes = list(prefixes)
         num = len(prefixes)
         self.prefixes = prefixes
+        self.seed = seed
+        self.day = day
         self.net_hi = np.fromiter((p.network >> 64 for p in prefixes), np.uint64, num)
         self.net_lo = np.fromiter(
             (p.network & LO_MASK for p in prefixes), np.uint64, num
         )
-        lengths = np.fromiter((p.length for p in prefixes), np.int64, num)
-        self.sub_lengths = np.minimum(lengths + 4, BITS)
-        self.counts = (1 << (self.sub_lengths - lengths)).astype(np.int64)
+        self.lengths = np.fromiter((p.length for p in prefixes), np.int64, num)
+        sub_lengths = np.minimum(self.lengths + 4, BITS)
+        self.counts = (1 << (sub_lengths - self.lengths)).astype(np.int64)
         self.starts = np.cumsum(self.counts) - self.counts
         self.total = int(self.counts.sum())
 
-    def chunk(
-        self, start: int, end: int, rand_hi: np.ndarray, rand_lo: np.ndarray
-    ) -> tuple[AddressBatch, np.ndarray, np.ndarray]:
+    def chunk(self, start: int, end: int) -> tuple[AddressBatch, np.ndarray, np.ndarray]:
         """Target rows ``[start, end)``: ``(targets, prefix_index, branch)``."""
         rows = np.arange(start, end, dtype=np.int64)
         prefix_index = np.searchsorted(self.starts, rows, side="right") - 1
         branch = rows - self.starts[prefix_index]
-        shift = (BITS - self.sub_lengths)[prefix_index]
-        b = branch.astype(np.uint64)
-        hi_part = np.where(shift >= 64, _shl64(b, shift - 64), _shr64(b, 64 - shift))
-        lo_part = np.where(shift >= 64, np.uint64(0), _shl64(b, shift))
-        mask_hi = np.where(
-            shift > 64, _shl64(np.uint64(1), shift - 64) - np.uint64(1), np.uint64(0)
+        targets = fanout_rows(
+            self.net_hi[prefix_index],
+            self.net_lo[prefix_index],
+            self.lengths[prefix_index],
+            branch,
+            self.seed,
+            self.day,
         )
-        mask_lo = np.where(
-            shift >= 64, U64_MAX, _shl64(np.uint64(1), shift) - np.uint64(1)
-        )
-        target_hi = self.net_hi[prefix_index] | hi_part | (rand_hi & mask_hi)
-        target_lo = self.net_lo[prefix_index] | lo_part | (rand_lo & mask_lo)
-        return AddressBatch(target_hi, target_lo), prefix_index, branch
+        return targets, prefix_index, branch
 
     def worker_spans(self, workers: int) -> list[tuple[int, int]]:
         """Per-worker row spans cut only on prefix fan-out boundaries.
@@ -159,8 +120,6 @@ def chunked_probe_batch(
     *,
     chunk_rows: int,
     workers: int = 1,
-    seed: int = 0,
-    wave_index: int = 0,
     out: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Streaming :meth:`SimulatedInternet.probe_batch` over an address batch.
@@ -168,36 +127,21 @@ def chunked_probe_batch(
     Probes ``chunk_rows`` targets at a time (sharded over *workers* forked
     processes when asked) and fills a ``(len(targets), len(protocols))``
     responsiveness matrix -- pass a memmap as *out* to keep the result
-    off-heap too.  Each chunk draws from ``default_rng((seed, day, start))``
-    with *start* the chunk's global row offset, so results are reproducible
-    for a fixed ``chunk_rows`` independent of the worker count; with
-    stochastic anomalies disabled ``probe_batch`` consumes no randomness and
-    the matrix is bit-identical to the unchunked call.
-
-    Under sub-day probe waves pass the wave's index as *wave_index*: it
-    extends the chunk key to ``(seed, day, wave_index, start)`` so two waves
-    of the same day never share a stream.  The default 0 keeps the historical
-    ``(seed, day, start)`` key -- whole-day runs are bit-identical.
+    off-heap too.  Probe outcomes are keyed draws, so the matrix equals the
+    unchunked call for every ``chunk_rows`` and worker count.
     """
     n = len(targets)
     protocols = tuple(protocols)
     if out is None:
         out = np.zeros((n, len(protocols)), dtype=bool)
 
-    def chunk_key(s: int) -> tuple:
-        if wave_index:
-            return (seed, day, wave_index, s)
-        return (seed, day, s)
+    def probe_span(s: int, e: int) -> np.ndarray:
+        chunk = AddressBatch(targets.hi[s:e], targets.lo[s:e])
+        return internet.probe_batch(chunk, protocols, day).responsive
 
     def run_span(span):
-        partials = []
-        for s, e in plan_chunk_spans_within(span[0], span[1], chunk_rows):
-            chunk = AddressBatch(targets.hi[s:e], targets.lo[s:e])
-            result = internet.probe_batch(
-                chunk, protocols, day, rng=np.random.default_rng(chunk_key(s))
-            )
-            partials.append((s, result.responsive))
-        return partials
+        spans = plan_chunk_spans_within(span[0], span[1], chunk_rows)
+        return [(s, probe_span(s, e)) for s, e in spans]
 
     if workers > 1 and n:
         spans = plan_worker_spans(n, workers, chunk_rows)
@@ -206,11 +150,7 @@ def chunked_probe_batch(
                 out[s : s + responsive.shape[0]] = responsive
     else:
         for s, e in plan_chunk_spans(n, chunk_rows):
-            chunk = AddressBatch(targets.hi[s:e], targets.lo[s:e])
-            result = internet.probe_batch(
-                chunk, protocols, day, rng=np.random.default_rng(chunk_key(s))
-            )
-            out[s:e] = result.responsive
+            out[s:e] = probe_span(s, e)
     return out
 
 

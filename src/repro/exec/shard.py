@@ -5,8 +5,7 @@ The multi-core tier keeps its determinism contract by construction:
 * work is cut into **globally positioned spans** -- chunk boundaries are
   multiples of ``chunk_rows`` in corpus row coordinates (optionally snapped
   to prefix-interval starts), never "whatever this worker happened to get" --
-  so the set of chunks, and therefore any per-chunk seeded RNG streams, does
-  not depend on the worker count;
+  so the set of chunks does not depend on the worker count;
 * shards are mapped with :func:`map_shards`, which preserves task order and
   merges results in that fixed order, so floating-point and concatenation
   order match the single-process run exactly.
@@ -75,8 +74,7 @@ def plan_chunk_spans_within(start: int, end: int, chunk_rows: int) -> list[Span]
     Boundaries are multiples of ``chunk_rows`` in absolute row coordinates
     (the first chunk is shortened to realign when *start* sits mid-grid), so
     a span's chunks are a contiguous subsequence of the whole corpus's chunk
-    list -- per-chunk RNG streams keyed by chunk start stay stable however
-    the corpus is sharded.
+    list, however the corpus is sharded.
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")

@@ -9,7 +9,6 @@ per nybble branch, all inside the prefix).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.addr.address import IPv6Address
@@ -43,8 +42,7 @@ class Table3Result:
 
 def run(ctx: ExperimentContext, prefix: IPv6Prefix = EXAMPLE_PREFIX) -> Table3Result:
     """Generate the fan-out targets for the example prefix."""
-    rng = random.Random(ctx.config.seed)
-    return Table3Result(prefix=prefix, targets=fanout_targets(prefix, rng))
+    return Table3Result(prefix=prefix, targets=fanout_targets(prefix, ctx.config.seed))
 
 
 def format_table(result: Table3Result) -> str:

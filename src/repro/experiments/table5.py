@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.addr.batch import AddressBatch, batch_fanout_targets
 from repro.addr.prefix import IPv6Prefix
 from repro.core.consistency import ConsistencyChecker, ConsistencyReport
@@ -70,9 +68,8 @@ def run(ctx: ExperimentContext, max_prefixes: int = 150) -> Table5Result:
     # header probes below; admission sees exactly one round of stochastic
     # loss, like the scalar per-prefix loop it replaces.
     fan_prefixes = [p for p in aliased_64s[:max_prefixes] if p.length <= 124]
-    fan_rng = np.random.default_rng(ctx.config.seed ^ 0x7E5)
-    targets, prefix_index, _ = batch_fanout_targets(fan_prefixes, fan_rng)
-    admission = ctx.internet.probe_batch(targets, (Protocol.TCP80,), day=0, rng=fan_rng)
+    targets, prefix_index, _ = batch_fanout_targets(fan_prefixes, ctx.config.seed ^ 0x7E5)
+    admission = ctx.internet.probe_batch(targets, (Protocol.TCP80,), day=0)
     answered = admission.responsive[:, 0]
     aliased_records = {}
     for i, prefix in enumerate(fan_prefixes):

@@ -94,7 +94,7 @@ def run(ctx: ExperimentContext) -> VantageBiasResult:
     config = replace(
         ctx.config.internet_config(),
         # Deterministic substrate: the remaining per-probe randomness is the
-        # routed path effects themselves, drawn from per-vantage seeds.
+        # routed path effects themselves, keyed on the vantage.
         packet_loss=0.0,
         icmp_rate_limited_share=0.0,
         stochastic_anomalies=False,
@@ -127,9 +127,7 @@ def run(ctx: ExperimentContext) -> VantageBiasResult:
     num_vantages = len(routing.vantage_asns)
     responsive: list[np.ndarray] = []
     for vantage in range(num_vantages):
-        result = internet.probe_batch(
-            targets, day=0, rng=config.seed ^ (0xBA5 + vantage), vantage=vantage
-        )
+        result = internet.probe_batch(targets, day=0, vantage=vantage)
         responsive.append(result.responsive_any)
     jaccard = [
         [

@@ -28,8 +28,8 @@ Two engines run the same methodology, selected by ``policy.reference``:
   protocol) matrix backs the report.
 * the reference engine is the original scalar loop, kept for seeded
   parity: both engines consume the pipeline's random stream identically, so
-  they emit bit-identical candidate sets and per-AS reports (and, on a
-  deterministic Internet, identical responsive sets).
+  they emit bit-identical candidate sets and per-AS reports, and (the probes
+  being keyed draws) identical responsive sets.
 """
 
 from __future__ import annotations

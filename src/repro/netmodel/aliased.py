@@ -16,13 +16,13 @@ are modelled as well, because they stress-test APD:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from typing import Callable
 
+from repro import keyed
 from repro.addr.address import IPv6Address
 from repro.addr.prefix import IPv6Prefix
 from repro.netmodel.host import Host
-from repro.netmodel.packets import ProbeReply
 from repro.netmodel.services import Protocol
 
 #: Probability that a SYN-proxy region answers any individual TCP probe
@@ -45,62 +45,47 @@ class AliasedRegion:
     #: If set, ICMP probes are rate limited to this acceptance probability.
     icmp_rate_limit: float | None = None
     #: Deterministic-anomaly gate: when False (the Internet was built with
-    #: ``stochastic_anomalies=False``) the region consumes *no* random draws
-    #: -- SYN-proxy, rate-limit and answer-probability behaviour are all
-    #: disabled, leaving only the deterministic service/stability checks.
-    #: Historically the ICMP rate-limit Bernoulli fired regardless of the
-    #: gate, which both broke determinism and modelled no recovery; the
-    #: token buckets of :mod:`repro.events` are the deterministic
-    #: replacement.
+    #: ``stochastic_anomalies=False``) SYN-proxy, rate-limit and
+    #: answer-probability behaviour are all disabled, leaving only the
+    #: service/stability checks.  The token buckets of :mod:`repro.events`
+    #: are the deterministic model of rate limiting with recovery.
     stochastic: bool = True
 
     def covers(self, address: IPv6Address) -> bool:
         """True if *address* falls inside the aliased prefix."""
         return address in self.prefix
 
-    def reply(
-        self,
-        address: IPv6Address,
-        protocol: Protocol,
-        day: int,
-        rng: random.Random,
-        time_of_day: float = 0.0,
-    ) -> ProbeReply | None:
-        """Reply of the aliased machine for a probe to any covered address.
-
-        For direct callers: :meth:`SimulatedInternet.probe` makes the same
-        decision with its memoised uptime, then :meth:`admits`.
-        """
-        if not self.covers(address) or not self.host.is_responsive(protocol, day):
-            return None
-        if not self.admits(protocol, rng):
-            return None
-        return self.host.packet(address, protocol, day, time_of_day)
-
     def admits(
-        self, protocol: Protocol, rng: random.Random, *, bucketed_icmp: bool = False
+        self,
+        protocol: Protocol,
+        draw: Callable[[int], float],
+        *,
+        bucketed_icmp: bool = False,
     ) -> bool:
         """Does a probe to the responsive machine survive the region's anomalies?
 
-        The SYN proxy, the ICMP rate limit and the answer probability draw
-        from *rng* in that order; a non-stochastic region draws nothing.
-        ``bucketed_icmp`` marks a probe whose ICMP rate limiting was already
-        decided by a wave's token-bucket admission, so the region's own
-        Bernoulli limit does not apply on top.
+        ``draw(salt)`` is the probe's keyed uniform draw for one named
+        decision (:mod:`repro.keyed`): the SYN proxy, the ICMP rate limit and
+        the answer probability each read their own, so the order of the
+        checks carries no meaning.  ``bucketed_icmp`` marks a probe whose
+        ICMP rate limiting was already decided by a wave's token-bucket
+        admission, so the region's own limit does not apply on top.
         """
         if not self.stochastic:
             return True
         if (
             self.syn_proxy
             and protocol.is_tcp
-            and rng.random() > SYN_PROXY_ANSWER_PROBABILITY
+            and draw(keyed.SYN_PROXY) > SYN_PROXY_ANSWER_PROBABILITY
         ):
             return False
         if (
             self.icmp_rate_limit is not None
             and protocol is Protocol.ICMP
             and not bucketed_icmp
-            and rng.random() > self.icmp_rate_limit
+            and draw(keyed.REGION_ICMP) > self.icmp_rate_limit
         ):
             return False
-        return rng.random() <= self.answer_probability
+        return self.answer_probability >= 1.0 or (
+            draw(keyed.REGION_ANSWER) <= self.answer_probability
+        )

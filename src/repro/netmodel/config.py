@@ -56,8 +56,7 @@ class InternetConfig:
         Whether to register the Section 5.1 anomaly regions (SYN proxy /80,
         ICMP rate-limited /120s) whose replies are random per probe.  Turn
         off -- together with ``packet_loss`` and ``icmp_rate_limited_share``
-        -- to build a fully deterministic Internet for exact batch/scalar
-        parity runs.
+        -- to build an Internet without per-probe randomness.
     num_transit_ases:
         Number of tier-1 transit ASes in the routed AS-level topology
         (:mod:`repro.netmodel.asgraph`).  0 -- the default -- builds the
@@ -79,7 +78,7 @@ class InternetConfig:
         Scale of per-edge congestion loss on inter-AS links.  A probe's
         delivery probability is the product of ``1 - congestion * weight``
         over the edges of its route; 0 disables congestion entirely (no
-        random draws).  Stochastic: zeroed by the deterministic anomaly mix.
+        draws).  Stochastic: zeroed by the deterministic anomaly mix.
     upstream_rate_limit:
         Scale of per-AS upstream ICMP rate limiting.  Each transit AS holds
         a token pool sized against the share of destinations it serves from
@@ -92,10 +91,10 @@ class InternetConfig:
         not filtered -- the Section 5 vantage-point dependence.
     bgp_churn_rate:
         Per-day probability that a destination's route flips to its
-        alternate path (a pure function of seed, day and destination, so
-        churn is deterministic per day).  Churn never flips a destination's
+        alternate path (a keyed draw on seed, day and destination, so churn
+        is deterministic per day).  Churn never flips a destination's
         filtered status -- an AS does not switch onto a blackholed route --
-        so probe outcomes stay day-stable under the deterministic mix.
+        so reachability stays day-stable.
     waves_per_day:
         Number of timestamped probe waves a daily scan is split into by the
         discrete-event layer (:mod:`repro.events`).  1 -- the default --

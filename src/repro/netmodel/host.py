@@ -8,10 +8,10 @@ bound to an entire prefix (see :mod:`repro.netmodel.aliased`).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional
 
+from repro import keyed
 from repro.addr.address import IPv6Address
 from repro.netmodel.fingerprints import StackPersonality
 from repro.netmodel.packets import ProbeReply
@@ -27,12 +27,32 @@ class StabilityModel:
     ``daily_uptime`` is the probability the host is reachable on any given day
     of its lifetime, modelling diurnal clients and flaky CPE.  Servers have
     uptime close to 1, clients far below (Sections 6.3 and 9.3).
+
+    The daily coin is a keyed draw on (``flap_seed``, ``host_id``, day), so
+    two machines never share a coin, repeated probes within a day agree and
+    consecutive days are independent.
     """
 
     birth_day: int = 0
     death_day: Optional[int] = None
     daily_uptime: float = 1.0
     flap_seed: int = 0
+    #: The machine this model belongs to (:attr:`Host.host_id`).
+    host_id: int = 0
+
+    #: Cache of :attr:`coin_key` (-1 until first used).
+    _coin_key: int = field(default=-1, init=False, repr=False, compare=False)
+
+    @property
+    def coin_key(self) -> int:
+        """Per-machine base key of the daily coin, ``key(flap_seed, host_id)``."""
+        if self._coin_key < 0:
+            object.__setattr__(self, "_coin_key", keyed.key(self.flap_seed, self.host_id))
+        return self._coin_key
+
+    def coin(self, day: int) -> float:
+        """The machine's uniform uptime draw for *day*."""
+        return keyed.draw(self.coin_key, keyed.stream(keyed.UPTIME, day))
 
     def is_online(self, day: int) -> bool:
         """Deterministically decide whether the host is up on *day*."""
@@ -42,10 +62,7 @@ class StabilityModel:
             return False
         if self.daily_uptime >= 1.0:
             return True
-        # Deterministic per-(host, day) coin flip so repeated probes within a
-        # day agree and consecutive days are independent.
-        rng = random.Random((self.flap_seed << 20) ^ day)
-        return rng.random() < self.daily_uptime
+        return self.coin(day) < self.daily_uptime
 
 
 @dataclass(slots=True)

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.addr.address import IPv6Address, parse_address
+from repro import keyed
+from repro.addr.address import LO_MASK, IPv6Address, parse_address
 from repro.addr.batch import AddressBatch, FlatLPM, find128, readonly_view, searchsorted128
 from repro.addr.generate import random_address_in_prefix
 from repro.addr.prefix import IPv6Prefix
@@ -111,6 +113,38 @@ def _service_mask(services: Iterable[Protocol]) -> int:
     return mask
 
 
+#: Keyed probe decisions made at the target, and the path effects that also
+#: key on the vantage.
+_TARGET_SALTS = (
+    keyed.LOSS,
+    keyed.PREFIX_ICMP,
+    keyed.SYN_PROXY,
+    keyed.REGION_ICMP,
+    keyed.REGION_ANSWER,
+)
+_PATH_SALTS = (keyed.CONGESTION, keyed.ROUTE_ICMP)
+
+#: Death day of a machine that never dies (vectorised uptime).
+_NEVER = np.iinfo(np.int64).max
+
+
+@lru_cache(maxsize=4096)
+def _probe_streams(
+    protocol: Protocol, day: int, wave: int, attempt: int, vantage: int
+) -> dict[int, int]:
+    """Stream key of every probe decision in one (protocol, day, wave,
+    attempt, vantage) context, by salt.
+
+    A decision's draw for a target is ``keyed.draw(address key, stream)``,
+    the same in :meth:`SimulatedInternet.probe` and
+    :meth:`SimulatedInternet.probe_batch`.
+    """
+    coords = (ALL_PROTOCOLS.index(protocol), day, wave, attempt)
+    streams = {salt: keyed.key(salt, *coords) for salt in _TARGET_SALTS}
+    streams.update({salt: keyed.key(salt, *coords, vantage) for salt in _PATH_SALTS})
+    return streams
+
+
 @dataclass(slots=True)
 class BatchProbeResult:
     """Responsiveness of a whole target batch on several protocols.
@@ -178,6 +212,10 @@ class _BatchIndex:
         "cell_region",
         "cell_host",
         "services",
+        "birth",
+        "death",
+        "uptime",
+        "coin_keys",
         "region_ids",
         "region_answer_p",
         "region_syn_proxy",
@@ -222,18 +260,33 @@ class _BatchIndex:
         self.cell_region = self.regions.lookup_indices(self.cells)
         pos = find128(bound.hi, bound.lo, self.cells.hi, self.cells.lo)
         self.cell_host = np.where(pos >= 0, owners[np.maximum(pos, 0)], np.int64(-1))
+        machines = internet._machines
         self.services = np.fromiter(
-            (_service_mask(m.services) for m in internet._machines),
+            (_service_mask(m.services) for m in machines), dtype=np.int64, count=len(machines)
+        )
+        # Each machine's uptime model as arrays, for the vectorised coin.
+        stabilities = [m.stability for m in machines]
+        self.birth = np.fromiter(
+            (s.birth_day for s in stabilities), dtype=np.int64, count=len(machines)
+        )
+        self.death = np.fromiter(
+            (_NEVER if s.death_day is None else s.death_day for s in stabilities),
             dtype=np.int64,
-            count=len(internet._machines),
+            count=len(machines),
+        )
+        self.uptime = np.fromiter(
+            (s.daily_uptime for s in stabilities), dtype=float, count=len(machines)
+        )
+        self.coin_keys = keyed.key_array(
+            np.fromiter((s.flap_seed for s in stabilities), np.uint64, len(machines)),
+            np.fromiter((s.host_id for s in stabilities), np.uint64, len(machines)),
         )
         region_list = internet.aliased_regions
         self.region_ids = np.fromiter(
             (r.host.host_id for r in region_list), dtype=np.int64, count=len(region_list)
         )
         # Non-stochastic regions (deterministic-anomaly gate) encode as
-        # "always answers, no proxy, no limit" so the batch path mirrors the
-        # scalar reply exactly and draws nothing for them.
+        # "always answers, no proxy, no limit", mirroring the scalar admits.
         self.region_answer_p = np.array(
             [r.answer_probability if r.stochastic else 1.0 for r in region_list],
             dtype=float,
@@ -275,7 +328,6 @@ class SimulatedInternet:
     def __init__(self, config: InternetConfig = DEFAULT_CONFIG):
         self.config = config
         self._rng = random.Random(config.seed)
-        self._probe_rng = random.Random(config.seed ^ 0x5EED)
         self.registry = ASRegistry.build(
             config.num_ases, self._rng, eyeball_boost=config.eyeball_tail_boost
         )
@@ -296,13 +348,12 @@ class SimulatedInternet:
         self._plan_by_announcement: dict[IPv6Prefix, NetworkPlan] = {}
         # Every machine (bound hosts and aliased-region hosts), by host id.
         self._machines: list[Host] = []
-        # Uptime memo read by both probe engines: day -> int8 per host id
-        # (-1 = not evaluated yet), so each (machine, day) seeds one coin.
-        self._online_by_day: dict[int, np.ndarray] = {}
         # Per-address lookup cache: repeated scans hit the same addresses on
-        # several protocols and days, so trie lookups are memoised.
+        # several protocols and days, so trie lookups -- and the address's
+        # base key for keyed draws -- are memoised.
         self._probe_cache: dict[
-            int, tuple[bool, Optional[float], Optional[AliasedRegion], Optional[Host], int]
+            int,
+            tuple[bool, Optional[float], Optional[AliasedRegion], Optional[Host], int, int],
         ] = {}
         # Popular /64 pods per aliased region, grown lazily by
         # sample_aliased_addresses (keyed by region identity).
@@ -408,9 +459,10 @@ class SimulatedInternet:
         addresses = list(dict.fromkeys(addresses))
         services = profile_for(role).sample_services(rng)
         personality = StackPersonality.sample(rng, cfg.modern_linux_share)
-        stability = self._stability_for(role, rng)
+        host_id = len(self._machines)
+        stability = self._stability_for(role, rng, host_id)
         host = Host(
-            host_id=len(self._machines),
+            host_id=host_id,
             role=role,
             asn=plan.asn,
             addresses=tuple(addresses),
@@ -422,7 +474,9 @@ class SimulatedInternet:
         self._machines.append(host)
         return host
 
-    def _stability_for(self, role: HostRole, rng: random.Random) -> StabilityModel:
+    def _stability_for(
+        self, role: HostRole, rng: random.Random, host_id: int
+    ) -> StabilityModel:
         cfg = self.config
         seed = rng.getrandbits(32)
         if role in (HostRole.CLIENT,):
@@ -433,17 +487,18 @@ class SimulatedInternet:
                 death_day=birth + lifetime,
                 daily_uptime=cfg.client_daily_uptime,
                 flap_seed=seed,
+                host_id=host_id,
             )
         if role is HostRole.CPE:
             death = None if rng.random() < 0.75 else rng.randint(5, cfg.study_days + 20)
-            return StabilityModel(
-                birth_day=0, death_day=death, daily_uptime=cfg.cpe_daily_uptime, flap_seed=seed
-            )
-        if role is HostRole.ROUTER:
-            return StabilityModel(birth_day=0, death_day=None, daily_uptime=0.97, flap_seed=seed)
-        death = None if rng.random() < 0.97 else rng.randint(10, cfg.study_days + 40)
+            uptime = cfg.cpe_daily_uptime
+        elif role is HostRole.ROUTER:
+            death, uptime = None, 0.97
+        else:
+            death = None if rng.random() < 0.97 else rng.randint(10, cfg.study_days + 40)
+            uptime = cfg.server_daily_uptime
         return StabilityModel(
-            birth_day=0, death_day=death, daily_uptime=cfg.server_daily_uptime, flap_seed=seed
+            death_day=death, daily_uptime=uptime, flap_seed=seed, host_id=host_id
         )
 
     def _add_aliased_regions(
@@ -488,14 +543,16 @@ class SimulatedInternet:
             services = {Protocol.ICMP, Protocol.TCP80, Protocol.TCP443}
             if rng.random() < 0.3:
                 services.add(Protocol.UDP443)
+        host_id = len(self._machines)
         host = Host(
-            host_id=len(self._machines),
+            host_id=host_id,
             role=HostRole.CDN_EDGE,
             asn=plan.asn,
             addresses=(prefix.first + 1,),
             services=frozenset(services),
             personality=StackPersonality.sample(rng, self.config.modern_linux_share),
-            stability=StabilityModel(daily_uptime=0.999),
+            # Keyed on the host id: every region machine flips its own coin.
+            stability=StabilityModel(daily_uptime=0.999, host_id=host_id),
             hops=rng.randint(4, 10),
         )
         self._machines.append(host)
@@ -545,26 +602,27 @@ class SimulatedInternet:
         protocol: Protocol,
         day: int = 0,
         time_of_day: float = 43200.0,
-        rng: Optional[random.Random] = None,
         *,
         vantage: Optional[int] = None,
         wave: "Optional[WaveAdmission]" = None,
+        attempt: int = 0,
     ) -> Optional[ProbeReply]:
         """Send one probe; return the reply or ``None`` for silence.
 
         This is the only interface the measurement pipeline uses.  Loss, ICMP
         rate limiting, aliased behaviour and -- with a routed AS graph -- the
         path effects of the day's route from *vantage* are applied here.
+        Every stochastic decision is a keyed draw on (target, protocol, day,
+        wave, *attempt*), path effects also on the vantage, so a probe's
+        outcome is a pure function of its coordinates: a retry or a second
+        probe of the same target passes the next *attempt*.
 
         With a *wave* (sub-day dynamics on, :mod:`repro.events`) three things
         change: token-bucket admission replaces every stochastic ICMP
         rate-limit draw, hosts that rotated their prefix earlier in the day
         are dark on their old addresses, and their fresh addresses answer.
         """
-        rng = rng or self._probe_rng
         addr = address if isinstance(address, IPv6Address) else parse_address(address)
-        if rng.random() < self.config.packet_loss:
-            return None
         cached = self._probe_cache.get(addr.value)
         if cached is None:
             announcement = self.bgp.lookup(addr)
@@ -579,39 +637,54 @@ class SimulatedInternet:
                 self._aliased_trie.lookup(addr),
                 self._host_by_address.get(addr.value),
                 dest_row,
+                keyed.key(addr.value >> 64, addr.value & LO_MASK),
             )
             self._probe_cache[addr.value] = cached
-        routed, icmp_limit, region, host, dest_row = cached
+        routed, icmp_limit, region, host, dest_row, base = cached
+        routing = self.routing
+        streams = _probe_streams(
+            protocol,
+            day,
+            0 if wave is None else wave.key,
+            attempt,
+            routing.resolve_vantage(vantage) if routing.active else 0,
+        )
+        loss = self.config.packet_loss
+        if loss > 0.0 and keyed.draw(base, streams[keyed.LOSS]) < loss:
+            return None
         if not routed:
             return None
         bucketed = wave is not None and wave.buckets_active
         if bucketed and protocol is Protocol.ICMP and not wave.admitted_value(addr.value):
             return None
-        routing = self.routing
         if routing.active:
             # Walk the day's route: deterministic effects first (filtering,
-            # reachability), stochastic path effects after -- the degenerate
-            # graph skips this block entirely, drawing nothing.
+            # reachability), then the keyed path effects.
             view = routing.day_view(day, vantage)
             if dest_row < 0 or view.hops[dest_row] == 0:
                 return None
             if routing.has_filtering and view.filtered[dest_row]:
                 return None
-            if routing.has_congestion and rng.random() >= view.delivery[dest_row]:
+            if (
+                routing.has_congestion
+                and keyed.draw(base, streams[keyed.CONGESTION]) >= view.delivery[dest_row]
+            ):
                 return None
             if (
                 protocol is Protocol.ICMP
                 and routing.has_rate_limit
                 and not bucketed
-                and rng.random() >= view.icmp_allowance[dest_row]
+                and keyed.draw(base, streams[keyed.ROUTE_ICMP]) >= view.icmp_allowance[dest_row]
             ):
                 return None
         if protocol is Protocol.ICMP and icmp_limit is not None and not bucketed:
-            if rng.random() > icmp_limit:
+            if keyed.draw(base, streams[keyed.PREFIX_ICMP]) > icmp_limit:
                 return None
         if region is not None:
-            if not self._answers(region.host, protocol, day) or not region.admits(
-                protocol, rng, bucketed_icmp=bucketed
+            if not region.host.is_responsive(protocol, day) or not region.admits(
+                protocol,
+                lambda salt: keyed.draw(base, streams[salt]),
+                bucketed_icmp=bucketed,
             ):
                 return None
             return region.host.packet(addr, protocol, day, time_of_day)
@@ -619,38 +692,21 @@ class SimulatedInternet:
             host = wave.rehomed_host(addr.value) if wave is not None else None
         elif wave is not None and wave.has_dark and wave.is_dark(host.host_id):
             return None
-        if host is None or not self._answers(host, protocol, day):
+        if host is None or not host.is_responsive(protocol, day):
             return None
         return host.packet(addr, protocol, day, time_of_day)
-
-    def _answers(self, host: Host, protocol: Protocol, day: int) -> bool:
-        """``host.is_responsive(protocol, day)``, with uptime from the memo."""
-        if protocol not in host.services:
-            return False
-        memo = self._online_memo(day)
-        state = memo[host.host_id]
-        if state < 0:
-            state = memo[host.host_id] = host.stability.is_online(day)
-        return bool(state)
 
     def hosts_online(self, host_ids: np.ndarray, day: int) -> np.ndarray:
         """Whether each machine in *host_ids* is up on *day*.
 
-        Reads and fills the same per-(machine, day) memo as :meth:`probe`,
-        so sparse batches only evaluate the machines they actually hit.
+        The vectorised :meth:`StabilityModel.is_online`: one keyed coin per
+        machine over arrays built once with the batch index.
         """
-        memo = self._online_memo(day)
-        for host_id in np.unique(host_ids[memo[host_ids] < 0]).tolist():
-            memo[host_id] = self._machines[host_id].stability.is_online(day)
-        return memo[host_ids] == 1
-
-    def _online_memo(self, day: int) -> np.ndarray:
-        memo = self._online_by_day.get(day)
-        if memo is None:
-            memo = self._online_by_day[day] = np.full(
-                len(self._machines), -1, dtype=np.int8
-            )
-        return memo
+        index = self._ensure_batch_index()
+        uptime = index.uptime[host_ids]
+        coin = keyed.draw_array(index.coin_keys[host_ids], keyed.stream(keyed.UPTIME, day))
+        alive = (index.birth[host_ids] <= day) & (day < index.death[host_ids])
+        return alive & ((uptime >= 1.0) | (coin < uptime))
 
     def _ensure_batch_index(self) -> _BatchIndex:
         if self._batch_index is None:
@@ -672,9 +728,9 @@ class SimulatedInternet:
         protocols: Optional[Sequence[Protocol]] = None,
         day: int = 0,
         *,
-        rng: "np.random.Generator | int | None" = None,
         vantage: Optional[int] = None,
         wave: "Optional[WaveAdmission]" = None,
+        attempt: int = 0,
     ) -> BatchProbeResult:
         """Resolve responsiveness for a whole target array in one pass.
 
@@ -685,21 +741,14 @@ class SimulatedInternet:
         stochastic effects (loss, rate limits, SYN proxies) are applied as
         array operations.
 
-        Stochastic draws come from a dedicated numpy generator (pass ``rng``
-        for reproducibility; by default one is derived from the master probe
-        stream), so batch results are identically distributed -- but not
-        probe-for-probe identical -- to a sequence of scalar :meth:`probe`
-        calls.  With loss, rate limiting and SYN proxies out of the picture
-        the two paths agree exactly; ``tests/test_probe_batch.py`` pins that
-        parity down.
+        Every stochastic effect is the same keyed draw :meth:`probe` makes
+        for the same (target, protocol, day, wave, attempt, vantage), so the
+        matrix equals a loop of scalar probes row for row -- whatever the
+        batch's order, size or chunking.
         """
         protocols = ALL_PROTOCOLS if protocols is None else tuple(protocols)
         if not isinstance(targets, AddressBatch):
             targets = AddressBatch.from_addresses(targets)
-        if rng is None:
-            rng = np.random.default_rng(self._probe_rng.getrandbits(63))
-        elif isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
         n = len(targets)
         responsive = np.zeros((n, len(protocols)), dtype=bool)
         result = BatchProbeResult(
@@ -758,24 +807,35 @@ class SimulatedInternet:
         answering = host_id >= 0
         host_ids = host_id[answering]
         host_online = self.hosts_online(host_ids, day)
+        # Keyed draws: each target's base key, then one mixer round per
+        # decision against that decision's stream key.
+        base = keyed.key_array(targets.hi, targets.lo)
+        region_base = base[in_region]
+        wave_key = 0 if wave is None else wave.key
+        path_vantage = routing.resolve_vantage(vantage) if routing.active else 0
         loss = self.config.packet_loss
         for j, protocol in enumerate(protocols):
             bit = _PROTOCOL_BIT[protocol]
+            streams = _probe_streams(protocol, day, wave_key, attempt, path_vantage)
+
+            def draws(salt: int, keys: np.ndarray = base) -> np.ndarray:
+                return keyed.draw_array(keys, streams[salt])
+
             # Fresh array per protocol: the rate-limit branch below mutates
             # `delivered` in place and must never alias the shared `routed`.
-            delivered = routed.copy() if loss <= 0.0 else routed & (rng.random(n) >= loss)
+            delivered = routed.copy() if loss <= 0.0 else routed & (draws(keyed.LOSS) >= loss)
             if route_delivery is not None:
-                delivered &= rng.random(n) < route_delivery
+                delivered &= draws(keyed.CONGESTION) < route_delivery
             if protocol is Protocol.ICMP and admitted is not None:
                 delivered &= admitted
             if protocol is Protocol.ICMP and route_allowance is not None:
-                delivered &= rng.random(n) < route_allowance
+                delivered &= draws(keyed.ROUTE_ICMP) < route_allowance
             if protocol is Protocol.ICMP and len(index.limits) and not bucketed:
                 limited = limit_index >= 0
                 if limited.any():
                     allowance = np.ones(n)
                     allowance[limited] = index.limit_values[limit_index[limited]]
-                    delivered &= ~limited | (rng.random(n) <= allowance)
+                    delivered &= ~limited | (draws(keyed.PREFIX_ICMP) <= allowance)
             answered = np.zeros(n, dtype=bool)
             if region_rows.size:
                 ok = (index.services[region_ids] & bit) != 0
@@ -783,18 +843,19 @@ class SimulatedInternet:
                 if protocol.is_tcp and index.region_syn_proxy.any():
                     syn = index.region_syn_proxy[region_rows]
                     ok &= ~syn | (
-                        rng.random(region_rows.size) <= SYN_PROXY_ANSWER_PROBABILITY
+                        draws(keyed.SYN_PROXY, region_base) <= SYN_PROXY_ANSWER_PROBABILITY
                     )
                 if protocol is Protocol.ICMP and not bucketed:
                     limit = index.region_icmp_limit[region_rows]
                     has_limit = ~np.isnan(limit)
                     if has_limit.any():
                         ok &= ~has_limit | (
-                            rng.random(region_rows.size) <= np.nan_to_num(limit, nan=1.0)
+                            draws(keyed.REGION_ICMP, region_base)
+                            <= np.nan_to_num(limit, nan=1.0)
                         )
                 answer_p = index.region_answer_p[region_rows]
                 if (answer_p < 1.0).any():
-                    ok &= rng.random(region_rows.size) <= answer_p
+                    ok &= draws(keyed.REGION_ANSWER, region_base) <= answer_p
                 answered[in_region] = ok
             if host_ids.size:
                 ok = (index.services[host_ids] & bit) != 0
@@ -816,7 +877,8 @@ class SimulatedInternet:
         """Router hops observed on the path towards *address*.
 
         Per-hop loss is applied, mirroring real traceroutes with missing
-        hops.  With a routed AS graph the hop sequence follows the day's
+        hops, drawn in hop order from *rng* (by default a fresh stream seeded
+        by the world seed).  With a routed AS graph the hop sequence follows the day's
         valley-free route from *vantage*: transit routers appear per AS hop,
         regional filtering truncates the path at the region border, and
         rate-limited upstreams shed their TTL-exceeded replies.
@@ -826,7 +888,7 @@ class SimulatedInternet:
         from its transit pool at simulated *time* (default noon of *day*)
         instead of drawing against the static allowance.
         """
-        rng = rng or self._probe_rng
+        rng = rng or random.Random(self.config.seed)
         addr = address if isinstance(address, IPv6Address) else parse_address(address)
         announcement = self.bgp.lookup(addr)
         if announcement is None:

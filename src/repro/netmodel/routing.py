@@ -19,13 +19,11 @@ export phase at arrival (down-only beats peered beats climbing), then the
 lexicographically smallest ASN sequence.  For each destination a primary and
 an alternate path are kept (the best routes through two different vantage
 providers); ``bgp_churn_rate`` flips destinations between them day by day
-via a pure (seed, day, destination) hash, so churn is deterministic per day.
+via a keyed (seed, day, destination) draw, so churn is deterministic per day.
 
 Churn never flips a destination's *filtered* status: when the alternate path
 differs from the primary in filtering, the alternate is discarded (an AS
-does not switch onto a blackholed route).  Probe outcomes therefore stay
-day-stable under the deterministic anomaly mix, which the incremental
-service's APD-verdict reuse relies on.
+does not switch onto a blackholed route), so reachability stays day-stable.
 
 Path effects
 ------------
@@ -49,34 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import keyed
 from repro.addr.batch import readonly_view
 from repro.netmodel.asgraph import ASGraph
 from repro.netmodel.config import InternetConfig
 
-_MASK64 = (1 << 64) - 1
-_MIX1 = 0x9E3779B97F4A7C15
-_MIX2 = 0xBF58476D1CE4E5B9
-_MIX3 = 0x94D049BB133111EB
-
 #: Phases of the valley-free state machine.
 _UP, _PEERED, _DOWN = 0, 1, 2
-
-
-def _churn_hash_scalar(row: int, day: int, seed: int) -> float:
-    """Uniform [0, 1) churn draw for one destination row on one day."""
-    h = (row * _MIX1 + (day + 1) * _MIX2 + (seed & 0xFFFFFFFF)) & _MASK64
-    h ^= h >> 31
-    h = (h * _MIX3) & _MASK64
-    return (h >> 40) / float(1 << 24)
-
-
-def _churn_hash_batch(rows: np.ndarray, day: int, seed: int) -> np.ndarray:
-    """Vectorized counterpart of :func:`_churn_hash_scalar` (bit-identical)."""
-    h = rows.astype(np.uint64) * np.uint64(_MIX1)
-    h += np.uint64(((day + 1) * _MIX2 + (seed & 0xFFFFFFFF)) & _MASK64)
-    h ^= h >> np.uint64(31)
-    h *= np.uint64(_MIX3)
-    return (h >> np.uint64(40)).astype(np.float64) / float(1 << 24)
 
 
 def is_valley_free(graph: ASGraph, path: tuple[int, ...]) -> bool:
@@ -292,7 +269,17 @@ class RoutingModel:
         rate = self.config.bgp_churn_rate
         if rate <= 0.0:
             return False
-        return _churn_hash_scalar(row, day, self.config.seed) < rate
+        return keyed.hash01(keyed.CHURN, self.config.seed, day, row) < rate
+
+    def _day_planes(self, day: int) -> np.ndarray:
+        """Path plane per destination row on *day* (1 = alternate)."""
+        n = len(self.dest_asns)
+        rate = self.config.bgp_churn_rate
+        if rate <= 0.0:
+            return np.zeros(n, dtype=np.intp)
+        rows = np.arange(n, dtype=np.uint64)
+        draws = keyed.hash01_array(keyed.CHURN, self.config.seed, day, rows)
+        return (draws < rate).astype(np.intp)
 
     def day_view(self, day: int, vantage: "int | None" = None) -> RouteDayView:
         """The flattened route effects of one (vantage, day), memoised."""
@@ -302,12 +289,7 @@ class RoutingModel:
         if cached is not None:
             return cached
         n = len(self.dest_asns)
-        rate = self.config.bgp_churn_rate
-        if rate <= 0.0:
-            plane = np.zeros(n, dtype=np.intp)
-        else:
-            draws = _churn_hash_batch(np.arange(n, dtype=np.uint64), day, self.config.seed)
-            plane = (draws < rate).astype(np.intp)
+        plane = self._day_planes(day)
         columns = np.arange(n)
         view = RouteDayView(
             day=day,
@@ -363,13 +345,7 @@ class RoutingModel:
     def day_upstreams(self, day: int, vantage: "int | None" = None) -> np.ndarray:
         """Per-destination-row transit pool key on *day* (churn-aware)."""
         matrix = self.upstream_matrix(vantage)
-        n = matrix.shape[1]
-        rate = self.config.bgp_churn_rate
-        if rate <= 0.0:
-            return matrix[0]
-        draws = _churn_hash_batch(np.arange(n, dtype=np.uint64), day, self.config.seed)
-        plane = (draws < rate).astype(np.intp)
-        return matrix[plane, np.arange(n)]
+        return matrix[self._day_planes(day), np.arange(matrix.shape[1])]
 
     def filter_cut(self, path: tuple[int, ...]) -> "int | None":
         """Index of the first AS inside the filtered region entered from

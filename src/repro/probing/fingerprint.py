@@ -72,7 +72,11 @@ class FingerprintProbe:
         self._rng = random.Random(seed)
 
     def probe(self, address: IPv6Address, day: int = 0) -> FingerprintRecord:
-        """Fingerprint one address with consecutive TCP/80 probes."""
+        """Fingerprint one address with consecutive TCP/80 probes.
+
+        Probe *i* is probe attempt *i*, so each one draws its loss and
+        anomalies afresh.
+        """
         record = FingerprintRecord(address=address)
         base_time = self._rng.uniform(0, 80000)
         for i in range(self.probes_per_target):
@@ -81,7 +85,7 @@ class FingerprintProbe:
                 Protocol.TCP80,
                 day=day,
                 time_of_day=base_time + i * self.PROBE_SPACING,
-                rng=self._rng,
+                attempt=i,
             )
             if reply is not None:
                 record.replies.append(reply)

@@ -2,8 +2,8 @@
 
 The paper probes every hitlist target daily on ICMPv6, TCP/80, TCP/443,
 UDP/53 and UDP/443 with ZMapv6.  This module provides the equivalent for the
-simulated Internet: deterministic target shuffling, per-protocol sweeps, and
-result objects the analysis code can consume.
+simulated Internet: deterministic target shuffling, per-protocol sweeps with
+retries, and result objects the analysis code can consume.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch
@@ -65,27 +63,25 @@ class ZMapScanner:
     ) -> ScanResult:
         """Probe all *targets* once (plus retries) on one protocol.
 
-        With a *wave* (sub-day dynamics) probes carry the wave's timestamp
-        and its token-bucket/rotation state; shuffling still spreads load,
-        but admission was decided per wave in address order, so the shuffle
-        cannot perturb rate-limit outcomes.
+        Retry *k* of a silent target is probe attempt *k*: a fresh keyed
+        draw.  With a *wave* (sub-day dynamics) probes carry the wave's
+        timestamp and its token-bucket/rotation state.  Probe outcomes are
+        keyed draws and wave admission is decided in address order, so the
+        shuffle spreads load without changing any outcome.
         """
         target_list = list(targets)
-        # ZMap shuffles targets to spread load; irrelevant for correctness but
-        # kept for fidelity and to decorrelate loss.
+        # ZMap shuffles targets to spread load; kept for fidelity.
         self._rng.shuffle(target_list)
         result = ScanResult(protocol=protocol, day=day, targets=len(target_list))
         time_of_day = 43200.0 if wave is None else (wave.time - day) * 86400.0
         for address in target_list:
-            reply = self.internet.probe(
-                address, protocol, day, time_of_day, rng=self._rng, wave=wave
-            )
+            reply = self.internet.probe(address, protocol, day, time_of_day, wave=wave)
             attempt = 0
             while reply is None and attempt < self.retries:
-                reply = self.internet.probe(
-                    address, protocol, day, time_of_day, rng=self._rng, wave=wave
-                )
                 attempt += 1
+                reply = self.internet.probe(
+                    address, protocol, day, time_of_day, wave=wave, attempt=attempt
+                )
             if reply is not None:
                 result.replies[address] = reply
         return result
@@ -118,19 +114,20 @@ class ZMapScanner:
         The vectorised counterpart of :meth:`sweep`: the whole daily
         measurement -- all targets x all protocols -- is one resolver pass,
         returning a boolean responsiveness matrix instead of per-packet
-        :class:`ProbeReply` objects.  Retries are additional full passes
-        OR-ed into the matrix, which is distributionally equivalent to
-        re-probing only the non-responders.
+        :class:`ProbeReply` objects.  Retry *k* is a full pass at probe
+        attempt *k* OR-ed into the matrix: the same keyed draws the scalar
+        loop makes for its non-responders, so both return the same sets.
         """
         if not isinstance(targets, AddressBatch):
             targets = AddressBatch.from_addresses(targets)
         protocols = tuple(protocols)
-        rng = np.random.default_rng(self._rng.getrandbits(63))
-        result = self.internet.probe_batch(targets, protocols, day, rng=rng, wave=wave)
-        for _ in range(self.retries):
+        result = self.internet.probe_batch(targets, protocols, day, wave=wave)
+        for attempt in range(1, self.retries + 1):
             if result.responsive.all():
                 break
-            again = self.internet.probe_batch(targets, protocols, day, rng=rng, wave=wave)
+            again = self.internet.probe_batch(
+                targets, protocols, day, wave=wave, attempt=attempt
+            )
             result.responsive |= again.responsive
         return result
 

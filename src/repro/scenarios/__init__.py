@@ -4,8 +4,8 @@
 EUI-64 CPE floods, sparse sources, churn-heavy eyeball networks -- as
 composable presets (base preset x scale tier x anomaly mix) and turns engine
 parity into a scenario-randomized differential oracle: any preset, at any
-scale, must yield exact batch-vs-reference agreement for all four engine
-pairs on a deterministic Internet.
+scale and under any anomaly mix, must yield exact batch-vs-reference
+agreement for all four engine pairs.
 
 Importing this package registers the built-in presets.
 """

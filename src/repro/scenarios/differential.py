@@ -11,11 +11,12 @@ scalar reference implementation it must agree with:
 Each pair is the same entry point under ``ExecutionPolicy()`` and
 ``ExecutionPolicy(reference=True)``.
 
-:func:`run_differential` builds ONE deterministic Internet from a scenario
-(the scenario's anomaly mix is forced to ``deterministic``: zero loss, zero
-ICMP rate limiting, no stochastic anomaly regions, so probe outcomes are pure
-functions of (target, protocol, day)) and asserts exact batch-vs-reference
-parity for all four pairs on it.  The hypothesis harness in
+:func:`run_differential` builds ONE Internet from a scenario, under the
+scenario's own anomaly mix, and asserts exact batch-vs-reference parity for
+all four pairs on it.  Loss, ICMP rate limiting, SYN proxies and congestion
+included: every probe outcome is a keyed draw on its own coordinates
+(:mod:`repro.keyed`), so both engines see the same one.  The hypothesis
+harness in
 ``tests/fuzz/test_differential.py`` samples scenario knobs and feeds them
 through this oracle; ``scripts/fuzz_scenarios.py`` drives the same oracle
 from the command line.
@@ -40,8 +41,9 @@ ENGINE_PAIRS = ("apd", "clustering", "service", "generation")
 
 #: Knob -> (low, high) bounds the fuzz drivers sample, the single source of
 #: truth shared by the hypothesis harness (tests/fuzz) and the CLI driver
-#: (scripts/fuzz_scenarios.py).  Integer bounds sample integers, float bounds
-#: floats.  Scale knobs stay tiny so one sampled Internet builds in about a
+#: (scripts/fuzz_scenarios.py).  Boolean bounds sample booleans, integer
+#: bounds integers, float bounds floats.  Scale knobs stay tiny so one sampled
+#: Internet builds in about a
 #: second; structure knobs span their full range, including the degenerate
 #: ends (no aliasing at all, every allocation deaggregated, near-dead
 #: clients).  num_ases must clear the notable-operator floor (31).
@@ -57,22 +59,23 @@ FUZZ_KNOB_RANGES: dict[str, tuple] = {
     "eyeball_tail_boost": (0.25, 6.0),
     "client_daily_uptime": (0.05, 0.95),
     "apd_min_targets": (40, 120),
-    # Routed-topology knobs.  Only the deterministic ones are sampled here:
-    # congestion and upstream rate limiting are stochastic by design and get
-    # zeroed by the deterministic anomaly mix anyway.  num_transit_ases spans
-    # down to 0, the degenerate single-homed graph.
+    # Stochastic anomaly knobs, each range down to the loss-free end.
+    "packet_loss": (0.0, 0.3),
+    "icmp_rate_limited_share": (0.0, 0.6),
+    "stochastic_anomalies": (False, True),
+    # Routed-topology knobs.  num_transit_ases spans down to 0, the
+    # degenerate single-homed graph.
     "num_transit_ases": (0, 4),
     "num_vantages": (1, 3),
     "vantage_index": (0, 2),
     "filtered_region": (-1, 4),
     "bgp_churn_rate": (0.0, 0.6),
+    "transit_congestion": (0.0, 1.0),
+    "upstream_rate_limit": (0.0, 1.0),
     # Sub-day dynamics knobs (repro.events).  Every range includes the
     # degenerate-zero end -- waves_per_day 1, capacity 0, rotation 0, no
-    # rivals -- so the fuzzer keeps exercising the bit-identical whole-day
-    # path alongside the event-driven one.  All four are deterministic by
-    # construction (token buckets and hash-driven rotation draw nothing), so
-    # the deterministic anomaly mix leaves them alone and the differential
-    # oracle parity-tests the wave machinery itself.
+    # rivals -- so the fuzzer keeps exercising the whole-day path alongside
+    # the event-driven one.
     "waves_per_day": (1, 6),
     "icmp_bucket_capacity": (0.0, 80.0),
     "icmp_bucket_refill_per_day": (0.0, 320.0),
@@ -331,8 +334,8 @@ def run_differential(
 ) -> DifferentialReport:
     """Run all requested engine-pair parity checks on one scenario.
 
-    The scenario is forced deterministic (see the module docstring) and a
-    single Internet + source assembly substrate is shared by every check.
+    A single Internet + source assembly substrate, built under the
+    scenario's own anomaly mix, is shared by every check.
     """
     pairs = tuple(pairs)
     unknown = sorted(set(pairs) - set(ENGINE_PAIRS))
@@ -340,7 +343,7 @@ def run_differential(
         raise ValueError(f"unknown engine pair(s) {unknown}: expected {ENGINE_PAIRS}")
     if days < 1:
         raise ValueError(f"days must be >= 1, got {days}")
-    scenario = as_scenario(scenario).deterministic()
+    scenario = as_scenario(scenario)
     context = scenario.build_context(seed=seed)
     config = context.config
     internet, assembly = context.internet, context.assembly

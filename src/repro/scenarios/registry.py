@@ -110,15 +110,6 @@ class Scenario:
                 f"unknown anomaly mix: {mix!r} (expected one of {sorted(ANOMALY_MIXES)})"
             ) from None
 
-    def deterministic(self) -> "Scenario":
-        """This scenario under the deterministic anomaly mix.
-
-        Zero packet loss, zero ICMP rate limiting, no stochastic anomaly
-        regions: every probe outcome is a pure function of (target, protocol,
-        day), the substrate of exact cross-engine parity.
-        """
-        return self.with_anomalies("deterministic")
-
     # -- resolution -------------------------------------------------------------
 
     def resolved_overrides(self) -> dict[str, object]:
@@ -227,8 +218,7 @@ ANOMALY_MIXES: dict[str, ScenarioLayer] = {
             "icmp_rate_limited_share": 0.0,
             "stochastic_anomalies": False,
             # Stochastic routed-path effects; the deterministic routed knobs
-            # (filtering, churn, vantage) stay, as pure functions of
-            # (target, protocol, day) they keep exact cross-engine parity.
+            # (filtering, churn, vantage) stay.
             "transit_congestion": 0.0,
             "upstream_rate_limit": 0.0,
         },

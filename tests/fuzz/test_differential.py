@@ -1,17 +1,19 @@
 """Scenario-randomized differential fuzzing of the four engine pairs.
 
-Hypothesis samples a scenario preset plus perturbations of its structural
-knobs, builds a deterministic tiny Internet from the composed scenario, and
-asserts exact batch-vs-reference parity for all four engine pairs (APD
+Hypothesis samples a scenario preset, an anomaly mix and perturbations of
+its structural and stochastic knobs, builds a tiny Internet from the
+composed scenario, and asserts exact batch-vs-reference parity for all four
+engine pairs (APD
 verdicts, cluster fingerprints/labels/SSE, per-day service state, generation
 candidate and responsive sets) via the shared oracle in
 :mod:`repro.scenarios.differential`.  On failure hypothesis shrinks towards a
 minimal failing configuration, which the assertion message prints in full.
 
 A non-hypothesis sweep additionally pins every registered preset at test
-runtime -- preset knobs composed OVER the tiny tier, with only a min() clamp
-on the scale knobs -- so "registered" always implies "differentially
-verified" on the preset's own structure, not on a tier that erased it.
+runtime, under both the deterministic and the realistic anomaly mix --
+preset knobs composed OVER the tiny tier, with only a min() clamp on the
+scale knobs -- so "registered" always implies "differentially verified" on
+the preset's own structure, not on a tier that erased it.
 """
 
 import os
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.scenarios import (
+    ANOMALY_MIXES,
     ENGINE_PAIRS,
     FUZZ_KNOB_RANGES,
     SCALE_TIERS,
@@ -31,14 +34,15 @@ from repro.scenarios import (
 
 #: One strategy per fuzzable knob, derived from the shared bounds (see
 #: FUZZ_KNOB_RANGES for the rationale of each range).
-_KNOBS = {
-    name: (
-        st.integers(low, high)
-        if isinstance(low, int) and isinstance(high, int)
-        else st.floats(low, high, allow_nan=False)
-    )
-    for name, (low, high) in FUZZ_KNOB_RANGES.items()
-}
+def _knob_strategy(low, high):
+    if isinstance(low, bool):
+        return st.booleans()
+    if isinstance(low, int) and isinstance(high, int):
+        return st.integers(low, high)
+    return st.floats(low, high, allow_nan=False)
+
+
+_KNOBS = {name: _knob_strategy(low, high) for name, (low, high) in FUZZ_KNOB_RANGES.items()}
 
 
 @st.composite
@@ -46,17 +50,21 @@ def scenario_cases(draw):
     """(composed scenario, master seed) pairs for the oracle.
 
     Each knob is perturbed only when drawn, so the preset's own defining
-    overrides survive composition on the unperturbed knobs -- the search
-    explores preset structure *and* perturbations, not just perturbations.
+    overrides and the drawn anomaly mix survive composition on the
+    unperturbed knobs -- the search explores preset structure *and*
+    perturbations, not just perturbations.
     """
     preset = draw(st.sampled_from(scenario_names()))
+    mix = draw(st.sampled_from(sorted(ANOMALY_MIXES)))
     seed = draw(st.integers(0, 2**16 - 1))
     overrides = {
         name: draw(strategy)
         for name, strategy in _KNOBS.items()
         if draw(st.booleans())
     }
-    scenario = get_scenario(preset, scale="tiny").with_overrides("fuzz", overrides)
+    scenario = get_scenario(preset, scale="tiny", anomalies=mix).with_overrides(
+        "fuzz", overrides
+    )
     return scenario, seed
 
 
@@ -122,9 +130,11 @@ def test_sweep_preserves_preset_structure():
     assert mega["num_ases"] > baseline["num_ases"]
 
 
+@pytest.mark.parametrize("mix", ["deterministic", "realistic"])
 @pytest.mark.parametrize("name", scenario_names())
-def test_every_registered_preset_is_parity_clean(name):
-    """Each preset, bounded to test runtime, passes all four pairs."""
-    report = run_differential(sweep_scenario(name), seed=2018, days=2)
+def test_every_registered_preset_is_parity_clean(name, mix):
+    """Each preset, bounded to test runtime, passes all four pairs under
+    both anomaly mixes: loss and rate limiting included, parity is exact."""
+    report = run_differential(sweep_scenario(name).with_anomalies(mix), seed=2018, days=2)
     assert set(c.pair for c in report.checks) == set(ENGINE_PAIRS)
     assert report.ok, "\n" + report.summary()

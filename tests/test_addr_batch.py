@@ -214,9 +214,7 @@ class TestBatchFanout:
             IPv6Prefix.of(rng.getrandbits(128), length)
             for length in (64, 68, 72, 100, 124, 126, 61)
         ]
-        targets, prefix_index, branch = batch_fanout_targets(
-            prefixes, np.random.default_rng(7)
-        )
+        targets, prefix_index, branch = batch_fanout_targets(prefixes, seed=7)
         offset = 0
         for i, prefix in enumerate(prefixes):
             sub_length = min(prefix.length + 4, 128)
@@ -229,18 +227,37 @@ class TestBatchFanout:
             offset += count
         assert offset == len(targets)
 
-    def test_same_branch_structure_as_scalar_fanout(self):
+    def test_same_targets_as_scalar_fanout(self):
         prefix = IPv6Prefix.parse("2001:db8:407:8000::/64")
-        scalar = fanout_targets(prefix, random.Random(3))
-        targets, _, branch = batch_fanout_targets([prefix], np.random.default_rng(3))
+        scalar = fanout_targets(prefix, seed=3, day=2)
+        targets, _, branch = batch_fanout_targets([prefix], seed=3, day=2)
         assert len(targets) == len(scalar) == 16
         assert branch.tolist() == list(range(16))
         # Same fan-out shape: nybble 17 enumerates 0..f in both engines.
         assert sorted(t.nybble(17) for t in targets) == list(range(16))
-        assert sorted(t.nybble(17) for t in scalar) == list(range(16))
+        # Keyed host bits: the two engines build the very same addresses,
+        # in both limbs (short prefixes) and at the enumerated tail.
+        prefixes = [prefix] + [
+            IPv6Prefix.parse(p) for p in ("2001:db8::/32", "2001:db8:1::/48", "2001:db8::/126")
+        ]
+        batch, _, _ = batch_fanout_targets(prefixes, seed=3, day=2)
+        assert batch.to_addresses() == [
+            target for p in prefixes for target in fanout_targets(p, seed=3, day=2)
+        ]
+
+    def test_fanout_is_keyed_on_prefix_not_batch(self):
+        """A prefix's targets do not depend on the other prefixes built with
+        it, and change with the seed and the day."""
+        prefixes = [IPv6Prefix.of(0x20010DB8 << 96 | i << 64, 64) for i in range(5)]
+        together, _, _ = batch_fanout_targets(prefixes, seed=1, day=4)
+        alone, _, _ = batch_fanout_targets(prefixes[3:4], seed=1, day=4)
+        assert together.to_ints()[48:64] == alone.to_ints()
+        for other in ({"seed": 2, "day": 4}, {"seed": 1, "day": 5}):
+            moved, _, _ = batch_fanout_targets(prefixes[3:4], **other)
+            assert not set(moved.to_ints()) & set(alone.to_ints())
 
     def test_empty_prefix_list(self):
-        targets, prefix_index, branch = batch_fanout_targets([], np.random.default_rng(0))
+        targets, prefix_index, branch = batch_fanout_targets([])
         assert len(targets) == 0 and len(prefix_index) == 0 and len(branch) == 0
 
     def test_random_batch_in_prefix_stays_inside(self):

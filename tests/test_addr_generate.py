@@ -50,34 +50,31 @@ class TestRandomAddresses:
 
 class TestFanout:
     def test_sixteen_targets(self):
-        rng = random.Random(0)
-        targets = fanout_targets("2001:db8:407:8000::/64", rng)
+        targets = fanout_targets("2001:db8:407:8000::/64", seed=0)
         assert len(targets) == 16
 
     def test_each_target_in_distinct_nybble_subprefix(self):
-        rng = random.Random(0)
         prefix = IPv6Prefix.parse("2001:db8:407:8000::/64")
-        targets = fanout_targets(prefix, rng)
+        targets = fanout_targets(prefix, seed=0)
         # nybble 17 (first IID nybble) must run 0..f exactly once
         nybble17 = sorted(t.nybbles[16] for t in targets)
         assert nybble17 == sorted("0123456789abcdef")
         assert all(t in prefix for t in targets)
 
     def test_long_prefix_fanout_clamped(self):
-        rng = random.Random(0)
-        targets = fanout_targets("2001:db8::/126", rng)
+        targets = fanout_targets("2001:db8::/126", seed=0)
         assert len(targets) == 4
         assert len(set(targets)) == 4
 
     def test_rejects_other_fanout(self):
         with pytest.raises(ValueError):
-            fanout_targets("2001:db8::/64", random.Random(0), fanout=8)
+            fanout_targets("2001:db8::/64", seed=0, fanout=8)
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=32, max_value=96))
     @settings(max_examples=30)
     def test_fanout_always_inside_prefix(self, net_bits, length):
         prefix = IPv6Prefix.of(net_bits << 32, length)
-        targets = fanout_targets(prefix, random.Random(1))
+        targets = fanout_targets(prefix, seed=1)
         assert all(t in prefix for t in targets)
 
 

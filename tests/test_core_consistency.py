@@ -170,7 +170,6 @@ class TestReportAggregation:
 class TestEndToEndWithSimulator:
     def test_aliased_prefixes_more_consistent_than_non_aliased(self, tiny_internet):
         """Reproduce the Table 6 contrast on the simulated Internet."""
-        rng = random.Random(4)
         probe = FingerprintProbe(tiny_internet, seed=4)
         checker = ConsistencyChecker()
 
@@ -179,7 +178,7 @@ class TestEndToEndWithSimulator:
             if region.syn_proxy or Protocol.TCP80 not in region.host.services:
                 continue
             prefix = IPv6Prefix.of(region.prefix.network, max(64, region.prefix.length))
-            targets = fanout_targets(prefix, rng)
+            targets = fanout_targets(prefix, seed=4)
             aliased_records[prefix] = [probe.probe(t) for t in targets]
 
         from repro.netmodel.services import HostRole

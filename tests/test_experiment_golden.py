@@ -42,8 +42,8 @@ class TestFig6Golden:
         return fig6.run(golden_ctx)
 
     def test_response_counts(self, result):
-        assert result.responsive_addresses == 617
-        assert result.covered_prefixes == 63
+        assert result.responsive_addresses == 621
+        assert result.covered_prefixes == 61
         assert result.covered_ases == 29
 
     def test_coverage_denominators(self, result):
@@ -51,8 +51,8 @@ class TestFig6Golden:
         assert result.input_covered_prefixes == 106
 
     def test_derived_shares(self, result):
-        assert result.response_prefix_share == pytest.approx(63 / 186)
-        assert result.responses_track_input == pytest.approx(63 / 106)
+        assert result.response_prefix_share == pytest.approx(61 / 186)
+        assert result.responses_track_input == pytest.approx(61 / 106)
 
 
 class TestTable5Golden:

@@ -1,10 +1,11 @@
 """Batch/scalar parity for the probing engine.
 
-``SimulatedInternet.probe_batch`` and the scalar ``probe`` draw their
-stochastic effects (loss, rate limits, SYN proxies) from different random
-streams, so exact parity is asserted on a loss-free Internet restricted to
-deterministic behaviours; distribution-level properties cover the rest.  The
-same applies to the two APD engines.
+``SimulatedInternet.probe_batch`` and the scalar ``probe`` make the same keyed
+draw for every stochastic effect (loss, rate limits, SYN proxies, congestion),
+so they agree row for row on every Internet: exact parity is asserted on a
+loss-free Internet and on the realistic and hostile anomaly mixes with probe
+waves, token buckets and prefix rotation.  The same holds for the two APD
+engines.
 """
 
 import random
@@ -62,7 +63,7 @@ def deterministic_targets(lossless_internet):
 class TestProbeBatchParity:
     def test_exact_parity_with_scalar_probe(self, lossless_internet, deterministic_targets):
         batch = AddressBatch.from_ints(deterministic_targets)
-        result = lossless_internet.probe_batch(batch, ALL_PROTOCOLS, day=0, rng=0)
+        result = lossless_internet.probe_batch(batch, ALL_PROTOCOLS, day=0)
         for j, protocol in enumerate(ALL_PROTOCOLS):
             expected = [
                 lossless_internet.probe(IPv6Address(v), protocol, day=0) is not None
@@ -74,7 +75,7 @@ class TestProbeBatchParity:
         batch = AddressBatch.from_ints(deterministic_targets[:300])
         for day in (0, 3, 11):
             result = lossless_internet.probe_batch(
-                batch, (Protocol.ICMP, Protocol.TCP80), day=day, rng=day
+                batch, (Protocol.ICMP, Protocol.TCP80), day=day
             )
             for j, protocol in enumerate((Protocol.ICMP, Protocol.TCP80)):
                 expected = [
@@ -85,9 +86,7 @@ class TestProbeBatchParity:
 
     def test_accepts_address_iterables(self, lossless_internet):
         host = lossless_internet.hosts_by_role(HostRole.WEB_SERVER)[0]
-        result = lossless_internet.probe_batch(
-            [host.primary_address], ALL_PROTOCOLS, day=0, rng=1
-        )
+        result = lossless_internet.probe_batch([host.primary_address], ALL_PROTOCOLS, day=0)
         expected = {
             p for p in ALL_PROTOCOLS
             if lossless_internet.probe(host.primary_address, p, day=0) is not None
@@ -98,9 +97,7 @@ class TestProbeBatchParity:
     def test_result_accessors(self, lossless_internet):
         region = _deterministic_regions(lossless_internet)[0]
         batch = random_batch_in_prefix(region.prefix, 50, np.random.default_rng(3))
-        result = lossless_internet.probe_batch(
-            batch, (Protocol.ICMP, Protocol.TCP80), day=0, rng=2
-        )
+        result = lossless_internet.probe_batch(batch, (Protocol.ICMP, Protocol.TCP80), day=0)
         assert result.count() == int(result.responsive_any.sum())
         assert result.count(Protocol.ICMP) == 50  # region serves ICMP, no loss
         assert len(result.responsive_addresses(Protocol.ICMP)) == 50
@@ -126,14 +123,17 @@ class TestProbeBatchParity:
         )
         region = _deterministic_regions(net)[0]
         batch = random_batch_in_prefix(region.prefix, 500, np.random.default_rng(8))
-        result = net.probe_batch(batch, (Protocol.ICMP, Protocol.TCP80), day=0, rng=9)
-        # Non-ICMP columns are deterministic at zero loss: exact scalar parity,
-        # regardless of how many ICMP draws were rate-limited away.
+        result = net.probe_batch(batch, (Protocol.ICMP, Protocol.TCP80), day=0)
+        # Exact scalar parity on both columns, regardless of how many ICMP
+        # probes were rate-limited away.
         expected_tcp = [net.probe(a, Protocol.TCP80, day=0) is not None for a in batch]
         assert result.column(Protocol.TCP80).tolist() == expected_tcp
-        # And protocol order must not matter for the non-ICMP column.
-        reordered = net.probe_batch(batch, (Protocol.TCP80, Protocol.ICMP), day=0, rng=9)
+        expected_icmp = [net.probe(a, Protocol.ICMP, day=0) is not None for a in batch]
+        assert result.column(Protocol.ICMP).tolist() == expected_icmp
+        # And protocol order must not matter for either column.
+        reordered = net.probe_batch(batch, (Protocol.TCP80, Protocol.ICMP), day=0)
         assert reordered.column(Protocol.TCP80).tolist() == expected_tcp
+        assert reordered.column(Protocol.ICMP).tolist() == expected_icmp
 
     def test_loss_thins_responses_statistically(self):
         lossy = SimulatedInternet(
@@ -147,15 +147,110 @@ class TestProbeBatchParity:
         )
         region = _deterministic_regions(lossy)[0]
         batch = random_batch_in_prefix(region.prefix, 4000, np.random.default_rng(4))
-        result = lossy.probe_batch(batch, (Protocol.ICMP,), day=0, rng=5)
+        result = lossy.probe_batch(batch, (Protocol.ICMP,), day=0)
         rate = result.count(Protocol.ICMP) / len(batch)
         assert 0.6 < rate < 0.8  # ~1 - packet_loss
 
-    def test_rng_seed_reproducible(self, lossless_internet, deterministic_targets):
-        batch = AddressBatch.from_ints(deterministic_targets[:200])
-        first = lossless_internet.probe_batch(batch, ALL_PROTOCOLS, day=0, rng=42)
-        second = lossless_internet.probe_batch(batch, ALL_PROTOCOLS, day=0, rng=42)
-        assert (first.responsive == second.responsive).all()
+    def test_rows_independent_of_batch_order_and_size(self):
+        """A target's row is keyed on the target alone: repeating, reversing
+        or splitting the batch changes no row, loss included."""
+        lossy = SimulatedInternet(
+            InternetConfig(
+                seed=7,
+                num_ases=40,
+                base_hosts_per_allocation=8,
+                max_hosts_per_allocation=120,
+                packet_loss=0.3,
+            )
+        )
+        batch = AddressBatch.from_addresses(lossy.all_bound_addresses()[:400])
+        whole = lossy.probe_batch(batch, ALL_PROTOCOLS, day=1).responsive
+        assert np.array_equal(lossy.probe_batch(batch, ALL_PROTOCOLS, day=1).responsive, whole)
+        reverse = np.arange(len(batch))[::-1]
+        reversed_rows = lossy.probe_batch(batch.take(reverse), ALL_PROTOCOLS, day=1)
+        assert np.array_equal(reversed_rows.responsive[reverse], whole)
+        halves = [
+            lossy.probe_batch(batch.take(np.arange(s, e)), ALL_PROTOCOLS, day=1).responsive
+            for s, e in ((0, 150), (150, len(batch)))
+        ]
+        assert np.array_equal(np.concatenate(halves), whole)
+        # ... while another day or attempt draws afresh.
+        assert not np.array_equal(lossy.probe_batch(batch, ALL_PROTOCOLS, day=2).responsive, whole)
+        again = lossy.probe_batch(batch, ALL_PROTOCOLS, day=1, attempt=1).responsive
+        assert not np.array_equal(again, whole)
+
+
+#: Sub-day dynamics composed over the routed multi-vantage preset: probe
+#: waves with token buckets, prefix rotation and rate-limited prefixes, on
+#: top of congested transits and upstream ICMP rate limiting.
+_DYNAMICS = {
+    "waves_per_day": 3,
+    "icmp_bucket_capacity": 6.0,
+    "icmp_bucket_refill_per_day": 24.0,
+    "prefix_rotation_rate": 0.5,
+    "icmp_rate_limited_share": 0.4,
+}
+
+
+class TestStochasticParity:
+    """Row-for-row parity of ``probe`` and ``probe_batch`` with every
+    stochastic effect on: loss, prefix and region ICMP limits, SYN proxies,
+    congestion, upstream rate limits, waves with token buckets, rotation."""
+
+    @pytest.fixture(scope="class", params=["realistic", "hostile"])
+    def world(self, request):
+        from repro.events import NetworkDynamics
+        from repro.scenarios import get_scenario
+
+        scenario = get_scenario(
+            "multi-vantage", scale="tiny", anomalies=request.param
+        ).with_overrides("dynamics", _DYNAMICS)
+        net = scenario.build_internet()
+        rng = random.Random(5)
+        values = [a.value for a in net.all_bound_addresses()[:400]]
+        for region in net.aliased_regions:
+            host_bits = 128 - region.prefix.length
+            values += [region.prefix.network | rng.getrandbits(host_bits) for _ in range(6)]
+        values += [rng.getrandbits(128) for _ in range(50)]
+        return net, values, NetworkDynamics.from_config(net, seed=3)
+
+    @staticmethod
+    def _assert_rows_match(net, batch, day, **kwargs):
+        result = net.probe_batch(batch, ALL_PROTOCOLS, day, **kwargs)
+        for j, protocol in enumerate(ALL_PROTOCOLS):
+            scalar = [net.probe(a, protocol, day, **kwargs) is not None for a in batch]
+            assert result.responsive[:, j].tolist() == scalar, (protocol, kwargs)
+        return result
+
+    def test_world_exercises_every_effect(self, world):
+        net, _, dynamics = world
+        assert net.config.packet_loss > 0 and net.routing.has_congestion
+        assert net.routing.has_rate_limit and len(net._icmp_rate_limited)
+        assert any(r.syn_proxy for r in net.aliased_regions)
+        assert any(r.icmp_rate_limit for r in net.aliased_regions)
+        assert dynamics.buckets_active and dynamics.rotation_rate > 0
+
+    @pytest.mark.parametrize("vantage", [None, 1, 2])
+    def test_parity_without_waves(self, world, vantage):
+        net, values, _ = world
+        batch = AddressBatch.from_ints(values)
+        for day in (0, 4):
+            self._assert_rows_match(net, batch, day, vantage=vantage)
+        self._assert_rows_match(net, batch, 1, vantage=vantage, attempt=2)
+
+    def test_parity_in_every_wave_of_a_dynamic_day(self, world):
+        net, values, dynamics = world
+        day = 2
+        dynamics.begin_day(day)
+        rehomed = [address.value for _, address, _ in dynamics.rehomed()]
+        assert rehomed
+        batch = AddressBatch.from_ints(values + rehomed)
+        rows = []
+        for w in range(dynamics.waves_per_day):
+            wave = dynamics.begin_wave(day, dynamics.wave_time(day, w), batch)
+            rows.append(self._assert_rows_match(net, batch, day, wave=wave).responsive)
+        # Buckets and rotation make the waves differ from one another.
+        assert any(not np.array_equal(rows[0], other) for other in rows[1:])
 
 
 class TestAPDEngineParity:

@@ -60,6 +60,58 @@ class TestZMapScanner:
         assert result.response_rate == 0.0
 
 
+class TestRetriesDrawAfresh:
+    """A retry, and the second probe of a fingerprint pair, are new probe
+    attempts: their loss is drawn afresh, not repeated from attempt 0."""
+
+    LOSS = 0.5
+
+    @pytest.fixture(scope="class")
+    def worlds(self):
+        base = InternetConfig(
+            seed=7,
+            num_ases=40,
+            base_hosts_per_allocation=8,
+            max_hosts_per_allocation=120,
+            icmp_rate_limited_share=0.0,
+            stochastic_anomalies=False,
+        )
+        lossy = SimulatedInternet(replace(base, packet_loss=self.LOSS))
+        clean = SimulatedInternet(replace(base, packet_loss=0.0))
+        return lossy, clean, clean.all_bound_addresses()
+
+    @pytest.mark.parametrize("retries", [0, 2])
+    def test_retries_recover_lost_probes(self, worlds, retries):
+        lossy, clean, targets = worlds
+        loss_free = ZMapScanner(clean).scan(targets, Protocol.ICMP, day=0).responsive
+        got = ZMapScanner(lossy, retries=retries).scan(targets, Protocol.ICMP, day=0)
+        assert got.responsive <= loss_free
+        n = len(loss_free)
+        share = 1 - self.LOSS ** (retries + 1)
+        tolerance = 4 * (n * share * (1 - share)) ** 0.5
+        assert abs(len(got) - n * share) < tolerance, (len(got), n, share)
+
+    def test_sweep_and_sweep_batch_agree_with_retries(self, worlds):
+        lossy, _, targets = worlds
+        scalar = ZMapScanner(lossy, seed=1, retries=2).sweep(targets, day=1)
+        batch = ZMapScanner(lossy, seed=1, retries=2).sweep_batch(targets, day=1)
+        for protocol in ALL_PROTOCOLS:
+            assert {a.value for a in batch.responsive_addresses(protocol)} == {
+                a.value for a in scalar[protocol].responsive
+            }, protocol
+
+    def test_fingerprint_pairs_draw_each_probe_afresh(self, worlds):
+        lossy, clean, targets = worlds
+        answering = [t for t in targets if clean.probe(t, Protocol.TCP80) is not None]
+        records = FingerprintProbe(lossy, seed=3).probe_all(answering)
+        replies = [len(record.replies) for record in records.values()]
+        n = len(replies)
+        singles = replies.count(1)
+        # Each of the two probes survives independently with probability 1/2.
+        assert singles > 0
+        assert abs(singles - n / 2) < 4 * (n / 4) ** 0.5, (singles, n)
+
+
 class TestTraceroute:
     def test_trace_returns_hops(self, tiny_internet, server_targets):
         engine = TracerouteEngine(tiny_internet, seed=1)

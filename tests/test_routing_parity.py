@@ -4,7 +4,9 @@ The routed AS graph must be a strict superset of the historical flat probe
 resolution: with ``num_transit_ases = 0`` (the degenerate single-homed star)
 probe resolution takes the exact pre-routing code path, and with a routed
 graph whose effect knobs are all zero the outcomes are still bit-identical
--- same responses, same random draws.  This suite pins both properties on
+-- same responses, and, since every draw is keyed on the probe's own
+coordinates, the same loss even on a lossy world.  This suite pins both
+properties on
 every registered scenario preset (reusing the cross-engine differential
 oracle) and at the raw ``probe``/``probe_batch`` level, so the golden
 tables and figures survive the routed-topology migration unchanged.
@@ -70,30 +72,31 @@ class TestBitIdentity:
     def test_probe_batch_is_bit_identical(
         self, flat_internet, routed_internet, shared_targets, day
     ):
-        """Zero-effect routed resolution consumes no draws and flips nothing."""
-        flat = flat_internet.probe_batch(shared_targets, day=day, rng=day + 1)
-        routed = routed_internet.probe_batch(shared_targets, day=day, rng=day + 1)
+        """Zero-effect routed resolution flips nothing."""
+        flat = flat_internet.probe_batch(shared_targets, day=day)
+        routed = routed_internet.probe_batch(shared_targets, day=day)
         assert np.array_equal(flat.responsive, routed.responsive)
 
     def test_scalar_probe_is_bit_identical(
         self, flat_internet, routed_internet, shared_targets
     ):
-        import random
-
         addresses = shared_targets.to_addresses()[:300]
         for protocol in ALL_PROTOCOLS:
-            flat_rng, routed_rng = random.Random(7), random.Random(7)
-            flat = [
-                flat_internet.probe(a, protocol, day=1, rng=flat_rng) is not None
-                for a in addresses
-            ]
+            flat = [flat_internet.probe(a, protocol, day=1) is not None for a in addresses]
             routed = [
-                routed_internet.probe(a, protocol, day=1, rng=routed_rng) is not None
-                for a in addresses
+                routed_internet.probe(a, protocol, day=1) is not None for a in addresses
             ]
             assert flat == routed
-            # No extra draws either: the streams must end in the same state.
-            assert flat_rng.random() == routed_rng.random()
+
+    def test_loss_is_unshifted_by_zero_effect_routing(self, shared_targets):
+        """Keyed loss: the routed graph cannot move a single lost probe."""
+        flat = SimulatedInternet(replace(_FLAT, packet_loss=0.2))
+        routed = SimulatedInternet(replace(_ROUTED_NO_EFFECTS, packet_loss=0.2))
+        a = flat.probe_batch(shared_targets, day=1).responsive
+        b = routed.probe_batch(shared_targets, day=1).responsive
+        assert np.array_equal(a, b)
+        lossless = SimulatedInternet(_FLAT).probe_batch(shared_targets, day=1).responsive
+        assert (lossless & ~a).any()  # the loss did drop probes
 
     def test_traceroute_is_bit_identical_in_degenerate_mode(self, flat_internet):
         """The flat path keeps its draw order (scamper goldens depend on it)."""
@@ -108,10 +111,8 @@ class TestBitIdentity:
     def test_vantage_is_irrelevant_without_path_effects(
         self, routed_internet, shared_targets, vantage
     ):
-        base = routed_internet.probe_batch(shared_targets, day=0, rng=11)
-        other = routed_internet.probe_batch(
-            shared_targets, day=0, rng=11, vantage=vantage
-        )
+        base = routed_internet.probe_batch(shared_targets, day=0)
+        other = routed_internet.probe_batch(shared_targets, day=0, vantage=vantage)
         assert np.array_equal(base.responsive, other.responsive)
 
 
@@ -129,7 +130,7 @@ class TestScalarBatchRoutedParity:
     def test_probe_matches_batch_column(self, filtered_internet, day, vantage):
         internet = filtered_internet
         targets = AddressBatch.from_addresses(internet.all_bound_addresses()[::5])
-        batch = internet.probe_batch(targets, day=day, rng=1, vantage=vantage)
+        batch = internet.probe_batch(targets, day=day, vantage=vantage)
         for j, protocol in enumerate(batch.protocols):
             scalar = np.array(
                 [

@@ -119,7 +119,7 @@ class TestComposition:
             get_scenario("baseline").with_anomalies("weird")
 
     def test_deterministic_zeroes_stochastic_knobs(self):
-        config = get_scenario("rate-limited").deterministic().experiment_config()
+        config = get_scenario("rate-limited", anomalies="deterministic").experiment_config()
         assert config.packet_loss == 0.0
         assert config.icmp_rate_limited_share == 0.0
         assert config.stochastic_anomalies is False

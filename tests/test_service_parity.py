@@ -1,13 +1,15 @@
 """Seeded parity of the incremental batch hitlist service vs the reference loop.
 
-The two :class:`HitlistService` engines draw their stochastic effects from
-different random streams, so exact parity is asserted on a fully
-deterministic Internet (no loss, no ICMP rate limiting, no stochastic
-anomaly regions).  On that substrate the incremental engine -- day-window
-merges, APD verdict reuse, one ``probe_batch`` scan -- must publish exactly
-the same responsive sets, aliased prefix lists and provenance as rebuilding
-everything from scratch each day.
+Both :class:`HitlistService` engines make the same keyed draw for every
+stochastic effect and probe each APD candidate on its membership epoch, so
+the incremental engine -- day-window merges, APD verdict reuse, one
+``probe_batch`` scan -- must publish exactly the same responsive sets,
+aliased prefix lists and provenance as rebuilding everything from scratch
+each day: on a deterministic Internet, and on a lossy one with stochastic
+anomaly regions (:class:`TestStochasticServiceParity`).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -180,6 +182,83 @@ class TestServiceParity:
         assert all(s.total_prefixes > 0 for s in result.stats)
 
 
+#: The same small Internet with loss, ICMP rate limiting and the stochastic
+#: anomaly regions (SYN proxy, rate-limited /120s) switched on.
+STOCHASTIC_CONFIG = dataclasses.replace(
+    DETERMINISTIC_CONFIG,
+    packet_loss=0.05,
+    icmp_rate_limited_share=0.3,
+    stochastic_anomalies=True,
+)
+
+
+@pytest.fixture(scope="module")
+def stochastic_engines():
+    """Both engines over a lossy world whose sources run up over days 0-2;
+    a scripted source adds rows on day 4, so days 3 and 5 add none."""
+    internet = SimulatedInternet(STOCHASTIC_CONFIG)
+    base = assemble_all_sources(internet, total_target=2500, seed=13, runup_days=3)
+    late = ScriptedSource("late", {4: internet.all_bound_addresses()[:150]})
+    assembly = SourceAssembly(internet=internet, sources=list(base.sources) + [late])
+    batch = HitlistService(internet, assembly, seed=13)
+    reference = HitlistService(
+        internet, assembly, seed=13, policy=ExecutionPolicy(reference=True)
+    )
+    return batch.run_days(DAYS), reference.run_days(DAYS), batch, internet
+
+
+class TestStochasticServiceParity:
+    def test_published_state_identical(self, stochastic_engines):
+        batch_days, reference_days, *_ = stochastic_engines
+        for db, dr in zip(batch_days, reference_days):
+            assert db.aliased_prefixes == dr.aliased_prefixes, db.day
+            assert db.responsive_addresses == dr.responsive_addresses, db.day
+            assert db.hitlist.provenance() == dr.hitlist.provenance(), db.day
+
+    def test_days_without_new_rows_reuse_every_verdict(self, stochastic_engines):
+        """On a day that adds no rows the fast engine probes nothing, and the
+        reference engine -- which probes everything -- lands on the very same
+        outcomes, because each prefix is probed on its membership epoch."""
+        batch_days, reference_days, batch, _ = stochastic_engines
+        for day in (3, 5):
+            assert batch.apd_probe_counts[day] == 0
+            reference = reference_days[day].apd_result.outcomes
+            reused = batch_days[day].apd_result.outcomes
+            assert list(reference) == list(reused)
+            for prefix, outcome in reference.items():
+                assert outcome.day == reused[prefix].day < day
+                assert outcome.targets == reused[prefix].targets
+                assert outcome.branch_responses == reused[prefix].branch_responses
+
+    def test_skipped_days_probe_on_membership_epochs(self, stochastic_engines):
+        """A first day that merges a whole run-up, and a day after a gap,
+        re-probe prefixes whose rows arrived on earlier days: both engines
+        probe each on its membership epoch, not on the day that merged it."""
+        *_, internet = stochastic_engines
+        base = assemble_all_sources(internet, total_target=2500, seed=13, runup_days=3)
+        late = ScriptedSource("late", {4: internet.all_bound_addresses()[:150]})
+        assembly = SourceAssembly(internet=internet, sources=list(base.sources) + [late])
+        days = [2, 5]
+        batch = HitlistService(internet, assembly, seed=13).run_days(days)
+        reference = HitlistService(
+            internet, assembly, seed=13, policy=ExecutionPolicy(reference=True)
+        ).run_days(days)
+        for db, dr in zip(batch, reference):
+            assert db.aliased_prefixes == dr.aliased_prefixes, db.day
+            assert db.responsive_addresses == dr.responsive_addresses, db.day
+            for prefix, outcome in dr.apd_result.outcomes.items():
+                assert outcome.targets == db.apd_result.outcomes[prefix].targets
+        epochs = {o.day for o in batch[-1].apd_result.outcomes.values()}
+        assert {0, 4} <= epochs and 5 not in epochs
+
+    def test_the_world_is_stochastic(self, stochastic_engines):
+        batch_days, _, _, internet = stochastic_engines
+        assert any(r.syn_proxy and r.stochastic for r in internet.aliased_regions)
+        assert any(r.icmp_rate_limit and r.stochastic for r in internet.aliased_regions)
+        assert len(internet._icmp_rate_limited) > 0
+        assert batch_days[4].hitlist.source_names[-1] == "late"
+
+
 class TestServiceEngineContract:
     def test_batch_engine_rejects_decreasing_days(
         self, deterministic_internet, scripted_assembly
@@ -203,11 +282,10 @@ class TestServiceEngineContract:
 
 
 class TestDeterministicAnomalyGate:
-    """Satellite regression: with ``stochastic_anomalies=False`` an aliased
-    region must consume no randomness at all.  Historically the ICMP
-    rate-limit Bernoulli fired regardless of the gate, so two probes of the
-    same (address, protocol, day) could disagree on a "deterministic"
-    Internet."""
+    """Regression: with ``stochastic_anomalies=False`` an aliased region must
+    read no draw at all.  Historically the ICMP rate-limit Bernoulli fired
+    regardless of the gate, so two probes of the same (address, protocol,
+    day) could disagree on a "deterministic" Internet."""
 
     @pytest.fixture(scope="class")
     def rate_limited_region(self):
@@ -230,34 +308,27 @@ class TestDeterministicAnomalyGate:
         assert region.stochastic is False
         assert region.icmp_rate_limit == 0.7
 
-    def test_region_reply_consumes_no_randomness(self, rate_limited_region):
-        import random
-
+    def test_region_admits_reads_no_draw(self, rate_limited_region):
         from repro.netmodel.services import Protocol
 
-        _, region = rate_limited_region
+        internet, region = rate_limited_region
 
-        class PoisonedRandom(random.Random):
-            def random(self):
-                raise AssertionError(
-                    "deterministic region drew from the rng"
-                )
+        def poisoned(salt):
+            raise AssertionError("deterministic region read a draw")
 
-        reply = region.reply(
-            region.prefix.first, Protocol.ICMP, day=0, rng=PoisonedRandom()
-        )
-        assert reply is not None  # rate limit disabled, not "always shed"
+        for protocol in (Protocol.ICMP, Protocol.TCP80):
+            assert region.admits(protocol, poisoned)
+        # Rate limit disabled, not "always shed": the probe is answered.
+        assert internet.probe(region.prefix.first, Protocol.ICMP, day=0) is not None
 
-    def test_scalar_probe_is_rng_independent(self, rate_limited_region):
-        import random
-
+    def test_scalar_probe_is_attempt_independent(self, rate_limited_region):
         from repro.netmodel.services import Protocol
 
         internet, region = rate_limited_region
         address = region.prefix.first
         replies = [
-            internet.probe(address, Protocol.ICMP, day=1, rng=random.Random(s))
-            for s in (1, 2, 3)
+            internet.probe(address, Protocol.ICMP, day=1, attempt=attempt)
+            for attempt in (0, 1, 2)
         ]
         assert all(r is not None for r in replies)
         assert len({r.protocol for r in replies}) == 1
