@@ -69,7 +69,7 @@ def ctx(request) -> ExperimentContext:
     # Materialise the shared artefacts once, outside any benchmark timing.
     _ = context.hitlist
     _ = context.apd_result
-    _ = context.day0_sweep
+    _ = context.day0_scan
     return context
 
 

@@ -40,7 +40,7 @@ def measure(preset: str) -> dict:
         "probed": len(ctx.apd_result.outcomes),
         "aliased": len(ctx.apd_result.aliased_prefixes),
         "aliased_share": len(aliased) / total if total else 0.0,
-        "responsive": len(ctx.day0_responsive),
+        "responsive": ctx.day0_scan.count_responsive(),
     }
 
 

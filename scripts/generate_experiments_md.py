@@ -168,7 +168,7 @@ def main() -> None:
     lines.append("")
     lines.append(f"Hitlist input: {len(ctx.hitlist):,} addresses; "
                  f"{len(ctx.apd_result.aliased_prefixes):,} aliased prefixes detected; "
-                 f"{len(ctx.day0_responsive):,} addresses responsive on day 0.")
+                 f"{ctx.day0_scan.count_responsive():,} addresses responsive on day 0.")
     lines.append("")
 
     for experiment_id, (title, paper, expectation) in PAPER_EXPECTATIONS.items():

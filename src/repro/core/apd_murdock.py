@@ -14,7 +14,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.addr.address import IPv6Address
+from repro.addr.batch import AddressBatch
 from repro.addr.generate import random_addresses_in_prefix
 from repro.addr.prefix import IPv6Prefix
 from repro.addr.trie import PrefixTrie
@@ -99,20 +102,40 @@ class MurdockDetector:
 
     def probe_prefix(self, prefix: IPv6Prefix, day: int = 0) -> MurdockPrefixOutcome:
         """Probe three random addresses, three probes (attempts) each."""
-        targets = random_addresses_in_prefix(prefix, self.ADDRESSES_PER_PREFIX, self._rng)
-        responsive: list[bool] = []
-        for target in targets:
-            answered = False
-            for attempt in range(self.PROBES_PER_ADDRESS):
-                if self.internet.probe(target, self.protocol, day, attempt=attempt) is not None:
-                    answered = True
-                    break
-            responsive.append(answered)
-        return MurdockPrefixOutcome(prefix=prefix, targets=targets, responsive=responsive)
+        return self._probe_prefixes([prefix], day)[0]
 
     def run(self, addresses: Sequence[IPv6Address], day: int = 0) -> MurdockResult:
         """Run the baseline detection over a hitlist."""
-        result = MurdockResult()
-        for prefix in self.candidate_prefixes(addresses):
-            result.outcomes[prefix] = self.probe_prefix(prefix, day)
-        return result
+        candidates = self.candidate_prefixes(addresses)
+        outcomes = self._probe_prefixes(candidates, day)
+        return MurdockResult(outcomes=dict(zip(candidates, outcomes)))
+
+    def _probe_prefixes(
+        self, prefixes: Sequence[IPv6Prefix], day: int
+    ) -> list[MurdockPrefixOutcome]:
+        """Every prefix's targets, probed together: one ``probe_batch`` call
+        per attempt over the targets still silent.
+
+        Targets are drawn prefix by prefix from the detector's rng, and each
+        attempt is a keyed draw, so the verdicts equal a per-target loop of
+        scalar probes that stops at the first reply.
+        """
+        per_prefix = [
+            random_addresses_in_prefix(prefix, self.ADDRESSES_PER_PREFIX, self._rng)
+            for prefix in prefixes
+        ]
+        targets = AddressBatch.from_addresses([t for group in per_prefix for t in group])
+        answered = np.zeros(len(targets), dtype=bool)
+        for attempt in range(self.PROBES_PER_ADDRESS):
+            silent = np.flatnonzero(~answered)
+            if not silent.size:
+                break
+            result = self.internet.probe_batch(
+                targets.take(silent), (self.protocol,), day, attempt=attempt
+            )
+            answered[silent] = result.responsive[:, 0]
+        rows = answered.reshape(len(prefixes), self.ADDRESSES_PER_PREFIX).tolist()
+        return [
+            MurdockPrefixOutcome(prefix=prefix, targets=group, responsive=row)
+            for prefix, group, row in zip(prefixes, per_prefix, rows)
+        ]

@@ -5,6 +5,10 @@ ASes and announced prefixes (Figures 1b, 4, 9, 10): a source is biased when a
 handful of ASes contribute most of its addresses.  This module provides the
 top-X cumulative fraction curves used by those figures plus scalar
 concentration summaries.
+
+The per-prefix and per-AS counts behind them come from one flattened-LPM
+lookup of the whole address set rather than a trie walk per address.  Every
+summary here depends only on the multiset of counts, never on their order.
 """
 
 from __future__ import annotations
@@ -13,7 +17,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
 
+import numpy as np
+
 from repro.addr.address import IPv6Address
+from repro.addr.batch import AddressBatch
+from repro.addr.prefix import IPv6Prefix
+from repro.netmodel.bgp import BGPAnnouncement
 from repro.netmodel.internet import SimulatedInternet
 
 
@@ -28,6 +37,41 @@ def group_counts(
         if group is not None:
             counts[group] += 1
     return counts
+
+
+def _announcement_counts(
+    addresses: "Iterable[IPv6Address] | AddressBatch", internet: SimulatedInternet
+) -> list[tuple[BGPAnnouncement, int]]:
+    """Addresses per covering BGP announcement, unrouted ones skipped.
+
+    One flattened-LPM lookup (shared with ``probe_batch``) for the whole
+    address set instead of a trie walk per address; announcements come in
+    table order.
+    """
+    batch = (
+        addresses if isinstance(addresses, AddressBatch) else AddressBatch.from_addresses(addresses)
+    )
+    if not len(batch):
+        return []
+    flat = internet.bgp_lpm()
+    indices = flat.lookup_indices(batch)
+    covered, counts = np.unique(indices[indices >= 0], return_counts=True)
+    return [(flat.objects[i], c) for i, c in zip(covered.tolist(), counts.tolist())]
+
+
+def _origin_counts(by_announcement: list[tuple[BGPAnnouncement, int]]) -> Counter:
+    """Addresses per origin AS, summed over its announcements."""
+    counts: Counter = Counter()
+    for ann, count in by_announcement:
+        counts[ann.origin_asn] += count
+    return counts
+
+
+def bgp_prefix_counts(
+    addresses: "Iterable[IPv6Address] | AddressBatch", internet: SimulatedInternet
+) -> dict[IPv6Prefix, int]:
+    """Addresses per covering announced prefix (zesplot colour values)."""
+    return {ann.prefix: count for ann, count in _announcement_counts(addresses, internet)}
 
 
 def top_x_fractions(counts: Counter) -> list[float]:
@@ -86,11 +130,12 @@ class CoverageStats:
 
 
 def coverage_stats(
-    addresses: Sequence[IPv6Address], internet: SimulatedInternet
+    addresses: "Sequence[IPv6Address] | AddressBatch", internet: SimulatedInternet
 ) -> CoverageStats:
     """AS/prefix coverage and concentration of an address set."""
-    as_counts = group_counts(addresses, internet.asn_of)
-    prefix_counts = group_counts(addresses, internet.bgp.covering_prefix)
+    by_announcement = _announcement_counts(addresses, internet)
+    as_counts = _origin_counts(by_announcement)
+    prefix_counts = Counter({ann.prefix: count for ann, count in by_announcement})
     return CoverageStats(
         num_addresses=len(addresses),
         num_ases=len(as_counts),
@@ -103,14 +148,14 @@ def coverage_stats(
 
 
 def as_distribution(
-    addresses: Iterable[IPv6Address], internet: SimulatedInternet
+    addresses: "Iterable[IPv6Address] | AddressBatch", internet: SimulatedInternet
 ) -> list[float]:
     """Top-X AS fraction curve for an address set (Figure 1b / 4 / 9 / 10)."""
-    return top_x_fractions(group_counts(addresses, internet.asn_of))
+    return top_x_fractions(_origin_counts(_announcement_counts(addresses, internet)))
 
 
 def prefix_distribution(
-    addresses: Iterable[IPv6Address], internet: SimulatedInternet
+    addresses: "Iterable[IPv6Address] | AddressBatch", internet: SimulatedInternet
 ) -> list[float]:
     """Top-X announced-prefix fraction curve for an address set."""
-    return top_x_fractions(group_counts(addresses, internet.bgp.covering_prefix))
+    return top_x_fractions(Counter(bgp_prefix_counts(addresses, internet)))

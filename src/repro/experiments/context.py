@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch
@@ -23,8 +21,7 @@ from repro.exec import ExecutionPolicy
 from repro.netmodel.config import InternetConfig
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
-from repro.probing.scheduler import DailyScanResult, ScanScheduler
-from repro.probing.zmap import ScanResult
+from repro.probing.scheduler import BatchDailyScanResult, DailyScanResult, ScanScheduler
 from repro.sources.registry import SourceAssembly, assemble_all_sources
 
 
@@ -96,8 +93,9 @@ class ExperimentContext:
     """Lazily built, cached pipeline artefacts shared by all experiments.
 
     ``policy`` reaches every engine-paired step an experiment runs: the
-    context's own day-0 APD and the detectors, clusterings, window mergers
-    and generation pipelines the experiments build over it.
+    context's own day-0 APD, every responsiveness scan (:meth:`scan`), and
+    the detectors, clusterings, window mergers and generation pipelines the
+    experiments build over it.
     """
 
     def __init__(
@@ -163,57 +161,45 @@ class ExperimentContext:
 
     # -- scans ---------------------------------------------------------------------------
 
-    @cached_property
-    def day0_sweep(self) -> Mapping[Protocol, ScanResult]:
-        """Five-protocol day-0 sweep over the non-aliased scan targets."""
-        scheduler = ScanScheduler(self.internet, ALL_PROTOCOLS, seed=self.config.seed ^ 0x5CA)
-        return scheduler.run_day(self.non_aliased_addresses, day=0).results
+    def scan(
+        self,
+        targets: AddressBatch,
+        day: int,
+        *,
+        seed: int,
+        protocols: Sequence[Protocol] = ALL_PROTOCOLS,
+    ) -> DailyScanResult | BatchDailyScanResult:
+        """One day's scan of *targets* on *protocols*, on the policy's engine.
+
+        The only place an experiment scan picks its engine: one
+        ``probe_batch`` pass by default, the scalar scheduler under
+        ``reference=True``.  Probe outcomes are keyed draws, so both engines
+        give the same ``responsive_on`` / ``responsive_any`` /
+        ``count_responsive`` answers.
+        """
+        scheduler = ScanScheduler(self.internet, protocols, seed=seed)
+        if self.policy.reference:
+            return scheduler.run_day(targets.to_addresses(), day)
+        return scheduler.run_day_batch(targets, day)
 
     @cached_property
-    def day0_responsive(self) -> set[IPv6Address]:
-        """Addresses responsive on at least one protocol on day 0."""
-        responsive: set[IPv6Address] = set()
-        for result in self.day0_sweep.values():
-            responsive |= result.responsive
-        return responsive
+    def day0_scan(self) -> DailyScanResult | BatchDailyScanResult:
+        """Five-protocol day-0 scan over the non-aliased scan targets."""
+        targets = AddressBatch.from_addresses(self.non_aliased_addresses)
+        return self.scan(targets, 0, seed=self.config.seed ^ 0x5CA)
 
     @cached_property
-    def longitudinal_campaign(self) -> Sequence[DailyScanResult]:
+    def longitudinal_campaign(self) -> Sequence[DailyScanResult | BatchDailyScanResult]:
         """Multi-day campaign over the day-0 responsive addresses (Figure 8)."""
-        scheduler = ScanScheduler(self.internet, ALL_PROTOCOLS, seed=self.config.seed ^ 0x10E)
-        targets = sorted(self.day0_responsive, key=lambda a: a.value)
-        return scheduler.run_fixed_campaign(targets, days=range(self.config.longitudinal_days))
+        targets = AddressBatch.from_addresses(self.day0_scan.responsive_any).sort()
+        seed = self.config.seed ^ 0x10E
+        return [self.scan(targets, day, seed=seed) for day in range(self.config.longitudinal_days)]
 
     # -- convenience ------------------------------------------------------------------------
 
     def responsive_on(self, protocol: Protocol) -> set[IPv6Address]:
         """Day-0 responsive addresses for one protocol."""
-        result = self.day0_sweep.get(protocol)
-        return result.responsive if result else set()
-
-    def bgp_prefix_counts(self, addresses: Sequence[IPv6Address]) -> dict:
-        """Addresses per covering BGP prefix (zesplot colour values).
-
-        Vectorised: one flattened-LPM lookup (shared with ``probe_batch``)
-        for the whole address list instead of a trie lookup per address.
-        """
-        if not addresses:
-            return {}
-        batch = (
-            addresses
-            if isinstance(addresses, AddressBatch)
-            else AddressBatch.from_addresses(addresses)
-        )
-        flat = self.internet.bgp_lpm()
-        indices = flat.lookup_indices(batch)
-        covered = indices[indices >= 0]
-        if not covered.size:
-            return {}
-        unique, unique_counts = np.unique(covered, return_counts=True)
-        return {
-            flat.objects[i].prefix: int(c)
-            for i, c in zip(unique.tolist(), unique_counts.tolist())
-        }
+        return self.day0_scan.responsive_on(protocol)
 
     def bgp_origin_map(self) -> dict:
         """Announced prefix -> origin ASN for zesplot ordering."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.bias import as_distribution
+from repro.core.bias import as_distribution, bgp_prefix_counts
 from repro.experiments.context import ExperimentContext
 from repro.plotting.zesplot import ZesplotLayout, zesplot_layout
 
@@ -54,7 +54,7 @@ def run(ctx: ExperimentContext) -> Fig1Result:
         source.name: as_distribution(list(source.snapshot()), ctx.internet)
         for source in ctx.assembly.sources
     }
-    counts = ctx.bgp_prefix_counts(ctx.hitlist.addresses)
+    counts = bgp_prefix_counts(ctx.hitlist.address_batch, ctx.internet)
     layout = zesplot_layout(
         ctx.internet.bgp.prefixes,
         values={p: float(c) for p, c in counts.items()},

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.addr.batch import AddressBatch
 from repro.analysis.comparison import OverlapStats, overlap_stats
 from repro.core.bias import as_distribution, group_counts, prefix_distribution
 from repro.experiments.context import ExperimentContext
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
-from repro.probing.zmap import ZMapScanner
 from repro.sources.rdns import RDNSSource
 
 
@@ -65,17 +65,17 @@ def run(ctx: ExperimentContext, rdns_scale: float = 0.4) -> Fig10Result:
     rdns = RDNSSource(ctx.internet, target_size=target_size, seed=ctx.config.seed ^ 0xD45, runup_days=ctx.config.runup_days)
     rdns_all = list(rdns.snapshot())
     rdns_routed = rdns.routed_snapshot()
+    routed_batch = AddressBatch.from_addresses(rdns_routed)
     # Filter addresses in aliased prefixes, as the paper does before probing.
-    rdns_targets = [a for a in rdns_routed if not ctx.apd_result.is_aliased(a)]
+    targets = routed_batch.take(~ctx.apd_result.is_aliased_batch(routed_batch))
 
-    scanner = ZMapScanner(ctx.internet, seed=ctx.config.seed ^ 0xD46)
-    sweep = scanner.sweep(rdns_targets, ALL_PROTOCOLS, day=0)
-    rdns_rates = {p: r.response_rate for p, r in sweep.items()}
-    hitlist_targets = ctx.non_aliased_addresses
-    hitlist_rates = {
-        p: (len(result.responsive) / len(hitlist_targets) if hitlist_targets else 0.0)
-        for p, result in ctx.day0_sweep.items()
-    }
+    scan = ctx.scan(targets, 0, seed=ctx.config.seed ^ 0xD46)
+
+    def response_rates(day_scan):
+        return {
+            p: (day_scan.count_responsive(p) / day_scan.targets if day_scan.targets else 0.0)
+            for p in ALL_PROTOCOLS
+        }
 
     def top_ases(addresses, limit=5):
         counts = group_counts(addresses, ctx.internet.asn_of)
@@ -85,11 +85,9 @@ def run(ctx: ExperimentContext, rdns_scale: float = 0.4) -> Fig10Result:
             for asn, count in counts.most_common(limit)
         ]
 
-    icmp_responders = sorted(sweep[Protocol.ICMP].responsive, key=lambda a: a.value)
-    tcp80_responders = sorted(sweep[Protocol.TCP80].responsive, key=lambda a: a.value)
-    responders_any = set()
-    for result in sweep.values():
-        responders_any |= result.responsive
+    icmp_responders = sorted(scan.responsive_on(Protocol.ICMP), key=lambda a: a.value)
+    tcp80_responders = sorted(scan.responsive_on(Protocol.TCP80), key=lambda a: a.value)
+    responders_any = scan.responsive_any
     slaac_share = (
         sum(1 for a in responders_any if a.is_slaac_eui64) / len(responders_any)
         if responders_any
@@ -103,12 +101,12 @@ def run(ctx: ExperimentContext, rdns_scale: float = 0.4) -> Fig10Result:
 
     return Fig10Result(
         overlap=overlap_stats(ctx.hitlist.addresses, rdns_all),
-        hitlist_as_curve=as_distribution(ctx.hitlist.addresses, ctx.internet),
-        hitlist_prefix_curve=prefix_distribution(ctx.hitlist.addresses, ctx.internet),
-        rdns_as_curve=as_distribution(rdns_routed, ctx.internet),
-        rdns_prefix_curve=prefix_distribution(rdns_routed, ctx.internet),
-        rdns_response_rates=rdns_rates,
-        hitlist_response_rates=hitlist_rates,
+        hitlist_as_curve=as_distribution(ctx.hitlist.address_batch, ctx.internet),
+        hitlist_prefix_curve=prefix_distribution(ctx.hitlist.address_batch, ctx.internet),
+        rdns_as_curve=as_distribution(routed_batch, ctx.internet),
+        rdns_prefix_curve=prefix_distribution(routed_batch, ctx.internet),
+        rdns_response_rates=response_rates(scan),
+        hitlist_response_rates=response_rates(ctx.day0_scan),
         top_input_ases=top_ases(rdns_routed),
         top_icmp_ases=top_ases(icmp_responders),
         top_tcp80_ases=top_ases(tcp80_responders),

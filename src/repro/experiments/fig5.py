@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.addr.batch import AddressBatch
+from repro.core.bias import bgp_prefix_counts
 from repro.experiments.context import ExperimentContext
 from repro.netmodel.services import Protocol
 from repro.plotting.zesplot import ZesplotLayout, zesplot_layout
-from repro.probing.zmap import ZMapScanner
 
 
 @dataclass(slots=True)
@@ -45,23 +46,16 @@ class Fig5Result:
 
 def run(ctx: ExperimentContext) -> Fig5Result:
     """Scan the unfiltered hitlist on ICMP and lay out both panels."""
-    scanner = ZMapScanner(ctx.internet, seed=ctx.config.seed ^ 0xF15)
     # Probe the raw hitlist (no APD filtering) on ICMP only; the hitlist of a
     # paper-scale run would be too large, which is exactly the point of APD.
-    result = scanner.scan(ctx.hitlist.addresses, Protocol.ICMP, day=0)
-    responses = result.responsive
-
-    counts: dict = {}
-    aliased_counts: dict = {}
-    aliased_total = 0
-    for address in responses:
-        prefix = ctx.internet.bgp.covering_prefix(address)
-        if prefix is None:
-            continue
-        counts[prefix] = counts.get(prefix, 0) + 1
-        if ctx.apd_result.is_aliased(address):
-            aliased_counts[prefix] = aliased_counts.get(prefix, 0) + 1
-            aliased_total += 1
+    scan = ctx.scan(
+        ctx.hitlist.address_batch, 0, seed=ctx.config.seed ^ 0xF15, protocols=(Protocol.ICMP,)
+    )
+    responses = AddressBatch.from_addresses(scan.responsive_on(Protocol.ICMP))
+    counts = bgp_prefix_counts(responses, ctx.internet)
+    aliased = responses.take(ctx.apd_result.is_aliased_batch(responses))
+    aliased_counts = bgp_prefix_counts(aliased, ctx.internet)
+    aliased_total = sum(aliased_counts.values())
 
     origin = ctx.bgp_origin_map()
     prefixes = list(counts)

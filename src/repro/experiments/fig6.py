@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.addr.batch import AddressBatch
-from repro.core.bias import coverage_stats
+from repro.core.bias import bgp_prefix_counts, coverage_stats
 from repro.experiments.context import ExperimentContext
 from repro.netmodel.services import Protocol
 from repro.plotting.zesplot import ZesplotLayout, zesplot_layout
@@ -47,10 +47,9 @@ class Fig6Result:
 
 def run(ctx: ExperimentContext) -> Fig6Result:
     """Lay out ICMP responders (non-aliased targets) over BGP prefixes."""
-    responder_batch = AddressBatch.from_addresses(ctx.responsive_on(Protocol.ICMP)).sort()
-    responders = responder_batch.to_addresses()
-    counts = ctx.bgp_prefix_counts(responder_batch)
-    input_counts = ctx.bgp_prefix_counts(ctx.hitlist.address_batch)
+    responders = AddressBatch.from_addresses(ctx.responsive_on(Protocol.ICMP))
+    counts = bgp_prefix_counts(responders, ctx.internet)
+    input_counts = bgp_prefix_counts(ctx.hitlist.address_batch, ctx.internet)
     stats = coverage_stats(responders, ctx.internet)
     layout = zesplot_layout(
         ctx.internet.bgp.prefixes,

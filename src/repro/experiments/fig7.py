@@ -54,8 +54,8 @@ class Fig7Result:
 
 
 def run(ctx: ExperimentContext) -> Fig7Result:
-    """Compute the matrix from the day-0 five-protocol sweep."""
-    sweep = ctx.day0_sweep
+    """Compute the matrix from the day-0 five-protocol scan."""
+    sweep = {protocol: ctx.responsive_on(protocol) for protocol in ALL_PROTOCOLS}
     return Fig7Result(
         matrix=conditional_probability_matrix(sweep),
         counts=protocol_counts(sweep),

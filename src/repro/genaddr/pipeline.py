@@ -252,11 +252,16 @@ class GenerationReport:
             for address in addresses:
                 by_address.setdefault(address, set()).add(protocol)
         total = len(by_address)
-        combos: dict[tuple[Protocol, ...], int] = {}
+        # Keyed by protocol bitmask and emitted in ascending mask order, the
+        # order of the matrix branch above, so tied shares rank the same.
+        combos: dict[int, int] = {}
         for protocols in by_address.values():
-            key = tuple(p for p in ALL_PROTOCOLS if p in protocols)
-            combos[key] = combos.get(key, 0) + 1
-        return {combo: count / total for combo, count in combos.items()} if total else {}
+            mask = sum(1 << j for j, p in enumerate(ALL_PROTOCOLS) if p in protocols)
+            combos[mask] = combos.get(mask, 0) + 1
+        return {
+            tuple(p for j, p in enumerate(ALL_PROTOCOLS) if mask >> j & 1): count / total
+            for mask, count in sorted(combos.items())
+        }
 
 
 class GenerationPipeline:

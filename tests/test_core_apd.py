@@ -249,6 +249,53 @@ class TestMurdockBaseline:
         assert result.addresses_probed == 3 * len(result.outcomes)
         assert result.probes_sent == 9 * len(result.outcomes)
 
+    def test_batched_attempts_equal_the_scalar_definition(self):
+        """Under heavy loss, ``run`` equals drawing each /96's targets from the
+        same rng and probing each target until its first reply; ``probe_prefix``
+        replays ``run`` from the same rng state."""
+        from repro.netmodel import InternetConfig, SimulatedInternet
+        from repro.netmodel.services import HostRole, Protocol
+
+        lossy = SimulatedInternet(
+            InternetConfig(
+                seed=7,
+                num_ases=40,
+                base_hosts_per_allocation=8,
+                max_hosts_per_allocation=120,
+                packet_loss=0.5,
+            )
+        )
+        rng = random.Random(5)
+        addresses = [h.primary_address for h in lossy.hosts_by_role(HostRole.WEB_SERVER)][:60]
+        for region in lossy.aliased_regions[:12]:
+            addresses += random_addresses_in_prefix(region.prefix, 4, rng)
+        result = MurdockDetector(lossy, seed=4).run(addresses)
+
+        candidates = MurdockDetector(lossy).candidate_prefixes(addresses)
+        assert list(result.outcomes) == candidates
+        scalar_rng = random.Random(4)
+        deciding_attempts = Counter()
+        for prefix in candidates:
+            targets = random_addresses_in_prefix(prefix, 3, scalar_rng)
+            responsive = []
+            for target in targets:
+                first = next(
+                    (
+                        attempt
+                        for attempt in range(3)
+                        if lossy.probe(target, Protocol.TCP80, 0, attempt=attempt) is not None
+                    ),
+                    None,
+                )
+                deciding_attempts[first] += 1
+                responsive.append(first is not None)
+            assert result.outcomes[prefix].targets == targets
+            assert result.outcomes[prefix].responsive == responsive
+        assert deciding_attempts[1] and deciding_attempts[2]
+
+        replay = MurdockDetector(lossy, seed=4)
+        assert [replay.probe_prefix(p) for p in candidates] == list(result.outcomes.values())
+
 
 class TestSlidingWindow:
     @pytest.fixture(scope="class")

@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
-from repro.addr import IPv6Address
+from repro.addr import AddressBatch, IPv6Address
 from repro.core.bias import (
+    CoverageStats,
     as_distribution,
     concentration_index,
     coverage_stats,
@@ -70,6 +71,29 @@ class TestDistributionsOnSimulator:
         assert 0 < stats.num_ases <= stats.num_prefixes * 10
         assert 0 < stats.top_as_share <= 1.0
         assert 0 <= stats.as_gini <= 1.0
+
+    @pytest.mark.parametrize("form", ["list", "batch", "empty"])
+    def test_curves_equal_their_per_address_definitions(self, tiny_internet, form):
+        """One LPM lookup per address set gives the per-address trie walk's
+        curves and stats: unrouted addresses skipped, duplicates counted."""
+        unrouted = [IPv6Address.parse("fc00::1"), IPv6Address.parse("3fff::2")]
+        assert all(tiny_internet.asn_of(a) is None for a in unrouted)
+        servers = tiny_internet.addresses_by_role(HostRole.WEB_SERVER, HostRole.DNS_SERVER)
+        addresses = [] if form == "empty" else servers[:200] + unrouted + servers[:3]
+        given = AddressBatch.from_addresses(addresses) if form == "batch" else addresses
+        as_counts = group_counts(addresses, tiny_internet.asn_of)
+        prefix_counts = group_counts(addresses, tiny_internet.bgp.covering_prefix)
+        assert as_distribution(given, tiny_internet) == top_x_fractions(as_counts)
+        assert prefix_distribution(given, tiny_internet) == top_x_fractions(prefix_counts)
+        assert coverage_stats(given, tiny_internet) == CoverageStats(
+            num_addresses=len(addresses),
+            num_ases=len(as_counts),
+            num_prefixes=len(prefix_counts),
+            top_as_share=concentration_index(as_counts, 1),
+            top_prefix_share=concentration_index(prefix_counts, 1),
+            as_gini=gini_coefficient(as_counts),
+            prefix_gini=gini_coefficient(prefix_counts),
+        )
 
 
 class TestHitlist:

@@ -25,7 +25,9 @@ from repro.experiments import (
     table7,
     table9,
 )
+from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import Protocol
+from repro.probing.scheduler import BatchDailyScanResult, DailyScanResult, ScanScheduler
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +46,9 @@ class TestContext:
         assert 0.2 < share < 0.85
         assert len(aliased) + len(clean) == len(ctx.hitlist)
 
-    def test_day0_sweep_has_all_protocols(self, ctx):
-        assert set(ctx.day0_sweep) == set(Protocol)
-        assert ctx.day0_responsive
+    def test_day0_scan_has_all_protocols(self, ctx):
+        assert set(ctx.day0_scan.protocols) == set(Protocol)
+        assert ctx.day0_scan.count_responsive()
 
 
 class TestTable1:
@@ -277,3 +279,39 @@ class TestContextPolicy:
     def test_fig2_matches_the_default_context(self, reference_ctx, ctx):
         # Clustering parity between the engines is exact.
         assert fig2.run(reference_ctx) == fig2.run(ctx)
+
+    def test_every_report_matches_the_default_context(self, reference_ctx, ctx):
+        reference = runner.run_all(reference_ctx)
+        default = runner.run_all(ctx)
+        assert set(reference) == set(default) == set(runner.EXPERIMENTS)
+        for experiment_id, outcome in default.items():
+            assert reference[experiment_id].report == outcome.report, experiment_id
+
+    def test_default_policy_scans_are_columnar(self, ctx, monkeypatch):
+        fresh = ExperimentContext(TEST_EXPERIMENT_CONFIG)
+        fresh.internet = ctx.internet
+        fresh.assembly = ctx.assembly
+
+        def scalar(*args, **kwargs):
+            raise AssertionError("scalar probe under the default policy")
+
+        monkeypatch.setattr(ScanScheduler, "run_day", scalar)
+        monkeypatch.setattr(SimulatedInternet, "probe", scalar)
+        for module in (fig3, fig5, fig7, fig8, fig10, murdock):
+            module.run(fresh)
+        assert isinstance(fresh.day0_scan, BatchDailyScanResult)
+
+    def test_reference_policy_scans_are_scalar(self, ctx, monkeypatch):
+        fresh = ExperimentContext(TEST_EXPERIMENT_CONFIG, policy=ExecutionPolicy(reference=True))
+        fresh.internet = ctx.internet
+        fresh.assembly = ctx.assembly
+
+        def batch(*args, **kwargs):
+            raise AssertionError("batch scan under the reference policy")
+
+        monkeypatch.setattr(ScanScheduler, "run_day_batch", batch)
+        fig5.run(fresh)
+        fig10.run(fresh, rdns_scale=0.3)
+        assert len(fresh.longitudinal_campaign) == TEST_EXPERIMENT_CONFIG.longitudinal_days
+        assert all(isinstance(day, DailyScanResult) for day in fresh.longitudinal_campaign)
+        assert isinstance(fresh.day0_scan, DailyScanResult)
