@@ -6,7 +6,6 @@ matching (trie and flattened batch LPM), entropy fingerprinting, k-means and
 the probe path in both its scalar and vectorised (``probe_batch``) forms.
 """
 
-import multiprocessing
 import random
 import time
 
@@ -137,14 +136,14 @@ def test_bench_probe_batch_vs_scalar(benchmark, ctx):
     assert abs(scalar_hits - batch_hits) <= max(50, int(n * 0.02))
 
 
-# -- out-of-core / multi-core scaling curve ----------------------------------
+# -- out-of-core scaling curve ----------------------------------------------
 
 #: Probe-sweep tiers: 1x / 10x / 100x fan-out rows.
 SCALING_TIERS = {"1x": 1_024, "10x": 10_240, "100x": 102_400}
 SCALING_CHUNK_ROWS = 2_048
 
 
-def _scaling_run(internet, targets, protocols, *, storage, workers):
+def _scaling_run(internet, targets, protocols, *, storage):
     """One timed streamed probe sweep; returns (elapsed, responses)."""
     n = len(targets)
     out = (
@@ -159,7 +158,6 @@ def _scaling_run(internet, targets, protocols, *, storage, workers):
         protocols,
         0,
         chunk_rows=SCALING_CHUNK_ROWS,
-        workers=workers,
         out=out,
     )
     elapsed = time.perf_counter() - start
@@ -167,20 +165,17 @@ def _scaling_run(internet, targets, protocols, *, storage, workers):
 
 
 def test_bench_scaling_curve(benchmark, tmp_path):
-    """Throughput of the streamed probe sweep across tiers, storage, workers.
+    """Throughput of the streamed probe sweep across tiers and storage.
 
     Measures the execution tier's scaling curve -- 1x/10x/100x fan-out rows,
-    RAM vs memmap scratch, single vs multi worker -- and appends the results
-    to ``BENCH_scaling.json``.  The gated metric is the 10x single-core RAM
-    throughput (``targets_per_sec``); the multi-core speedup is recorded but
-    only asserted on machines that actually have more than one core.
+    RAM vs memmap scratch -- and appends the results to
+    ``BENCH_scaling.json``.  The gated metric is the 10x RAM throughput
+    (``targets_per_sec``).
     """
     internet = build("internet", "megascale", scale="tiny", anomalies="deterministic")
     protocols = (Protocol.ICMP, Protocol.TCP80)
     region = internet.aliased_regions[0]
     rng = np.random.default_rng(9)
-    cpu_count = multiprocessing.cpu_count()
-    workers = min(4, max(2, cpu_count))
 
     def sweep():
         curve = {}
@@ -195,36 +190,24 @@ def test_bench_scaling_curve(benchmark, tmp_path):
                 )
             curve[tier] = {}
             for storage in ("ram", "memmap"):
-                for nworkers in (1, workers):
-                    elapsed, responded = _scaling_run(
-                        internet, batch, protocols, storage=storage, workers=nworkers
-                    )
-                    key = f"{storage}-w{nworkers}"
-                    curve[tier][key] = {
-                        "elapsed_sec": round(elapsed, 6),
-                        "targets_per_sec": round(n / elapsed) if elapsed else None,
-                    }
-                    responses.setdefault(tier, set()).add(responded)
+                elapsed, responded = _scaling_run(internet, batch, protocols, storage=storage)
+                curve[tier][storage] = {
+                    "elapsed_sec": round(elapsed, 6),
+                    "targets_per_sec": round(n / elapsed) if elapsed else None,
+                }
+                responses.setdefault(tier, set()).add(responded)
         return curve, responses
 
     curve, responses = run_once(benchmark, sweep)
-    # Every configuration of a tier probes the identical target rows on a
+    # Both storages of a tier probe the identical target rows on a
     # deterministic internet: response counts must agree exactly.
     for tier, counts in responses.items():
         assert len(counts) == 1, (tier, counts)
 
-    base = curve["10x"]["ram-w1"]["targets_per_sec"]
-    multi = curve["10x"][f"ram-w{workers}"]["targets_per_sec"]
-    multicore_speedup = multi / base if base else 0.0
     payload = {
-        "targets_per_sec": base,
-        "multicore_speedup_10x": round(multicore_speedup, 3),
-        "workers": workers,
-        "cpu_count": cpu_count,
+        "targets_per_sec": curve["10x"]["ram"]["targets_per_sec"],
         "chunk_rows": SCALING_CHUNK_ROWS,
         "curve": curve,
     }
     write_bench_json("scaling", payload)
-    print(f"\nscaling curve ({cpu_count} cores, {workers} workers): {curve}")
-    if cpu_count >= 2:
-        assert multicore_speedup >= 2.0, curve["10x"]
+    print(f"\nscaling curve: {curve}")

@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.exec import SHARD_KEYS, STORAGE_KINDS, ExecutionPolicy
+from repro.exec import STORAGE_KINDS, ExecutionPolicy
 from repro.experiments import EXPERIMENTS, run_all, run_experiment
 from repro.experiments.context import (
     DEFAULT_EXPERIMENT_CONFIG,
@@ -48,22 +48,10 @@ def _add_policy_options(parser: argparse.ArgumentParser) -> None:
         help="stream hot paths in chunks of this many rows (out-of-core tier)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="fan shards over this many worker processes (default: 1)",
-    )
-    parser.add_argument(
         "--storage",
         choices=sorted(STORAGE_KINDS),
         default="ram",
         help="chunk scratch storage: ram or memmap (default: ram)",
-    )
-    parser.add_argument(
-        "--shard-by",
-        choices=sorted(SHARD_KEYS),
-        default="prefix",
-        help="worker shard key: prefix-interval boundaries or raw rows",
     )
 
 
@@ -134,9 +122,7 @@ def _build_policy(args: argparse.Namespace) -> ExecutionPolicy:
     return ExecutionPolicy(
         reference=args.reference,
         chunk_rows=args.chunk_rows,
-        workers=args.workers,
         storage=args.storage,
-        shard_by=args.shard_by,
     )
 
 

@@ -17,8 +17,9 @@ Three pieces live here:
 * :class:`FlatLPM` -- a flattened longest-prefix-match table: a prefix set is
   decomposed once into disjoint 128-bit intervals so that batch lookups are a
   single native binary search instead of one scalar lookup per address,
-* :func:`batch_fanout_targets` -- vectorised generation of the paper's
-  16-probe APD fan-out for many prefixes at once (Table 3).
+* :class:`FanoutPlan` -- vectorised generation of the paper's 16-probe APD
+  fan-out for many prefixes at once (Table 3), whole or one row span at a
+  time.
 
 128-bit values do not fit numpy's integer dtypes, so every search packs each
 ``(hi, lo)`` pair into one 16-byte big-endian ``V16`` key, whose byte order
@@ -617,37 +618,63 @@ def fanout_rows(
     )
 
 
+class FanoutPlan:
+    """Row layout of an APD fan-out, materialisable one row span at a time.
+
+    For every prefix of length ``L`` the fan-out picks one address in each of
+    its 16 length-``L+4`` subprefixes (fewer for L > 124, where the remaining
+    host bits are enumerated), exactly like the scalar
+    :func:`repro.addr.generate.fanout_targets`.  The plan holds only the
+    per-prefix geometry (network limbs, fan-out counts, first-row offsets);
+    :meth:`chunk` builds target rows ``[start, end)`` for the plan's *seed*
+    and *day*.  Targets of one prefix are contiguous and ordered by branch,
+    and every row is keyed on its own coordinates (:func:`fanout_rows`), so
+    any span equals the same rows of the whole fan-out.
+    """
+
+    __slots__ = ("seed", "day", "net_hi", "net_lo", "lengths", "counts", "starts", "total")
+
+    def __init__(self, prefixes: Sequence["IPv6Prefix"], seed: int = 0, day: int = 0) -> None:
+        num = len(prefixes)
+        self.seed = seed
+        self.day = day
+        self.net_hi = np.fromiter((p.network >> 64 for p in prefixes), np.uint64, num)
+        self.net_lo = np.fromiter((p.network & _LO_MASK for p in prefixes), np.uint64, num)
+        self.lengths = np.fromiter((p.length for p in prefixes), np.int64, num)
+        self.counts = (1 << (np.minimum(self.lengths + 4, BITS) - self.lengths)).astype(np.int64)
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.total = int(self.counts.sum())
+
+    def chunk(self, start: int, end: int) -> tuple[AddressBatch, np.ndarray, np.ndarray]:
+        """Target rows ``[start, end)``: ``(targets, prefix_index, branch)``.
+
+        ``prefix_index[i]`` is the position of row *i*'s prefix in the plan's
+        prefix list and ``branch[i]`` its fan-out branch number.
+        """
+        rows = np.arange(start, end, dtype=np.int64)
+        prefix_index = np.searchsorted(self.starts, rows, side="right") - 1
+        branch = rows - self.starts[prefix_index]
+        targets = fanout_rows(
+            self.net_hi[prefix_index],
+            self.net_lo[prefix_index],
+            self.lengths[prefix_index],
+            branch,
+            self.seed,
+            self.day,
+        )
+        return targets, prefix_index, branch
+
+
 def batch_fanout_targets(
     prefixes: Sequence["IPv6Prefix"], seed: int = 0, day: int = 0
 ) -> tuple[AddressBatch, np.ndarray, np.ndarray]:
     """Vectorised APD fan-out generation for many prefixes at once.
 
-    For every prefix of length ``L`` this picks one address in each of its
-    16 length-``L+4`` subprefixes (fewer for L > 124, where the remaining
-    host bits are enumerated), exactly like the scalar
-    :func:`repro.addr.generate.fanout_targets`, but in one pass over numpy
-    arrays for the whole prefix list (see :func:`fanout_rows`).
-
-    Returns ``(targets, prefix_index, branch)`` where ``prefix_index[i]`` is
-    the position of target *i*'s prefix in *prefixes* and ``branch[i]`` is its
-    fan-out branch number.  Targets of one prefix are contiguous and ordered
-    by branch.
+    The whole :class:`FanoutPlan` as one chunk: ``(targets, prefix_index,
+    branch)`` for every fan-out row, in one pass over numpy arrays.
     """
-    num_prefixes = len(prefixes)
-    if num_prefixes == 0:
-        empty_idx = np.zeros(0, dtype=np.int64)
-        return AddressBatch.empty(), empty_idx, empty_idx
-    net_hi = np.fromiter((p.network >> 64 for p in prefixes), np.uint64, num_prefixes)
-    net_lo = np.fromiter((p.network & _LO_MASK for p in prefixes), np.uint64, num_prefixes)
-    lengths = np.fromiter((p.length for p in prefixes), np.int64, num_prefixes)
-    counts = (1 << (np.minimum(lengths + 4, BITS) - lengths)).astype(np.int64)
-    total = int(counts.sum())
-    prefix_index = np.repeat(np.arange(num_prefixes, dtype=np.int64), counts)
-    branch = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    targets = fanout_rows(
-        net_hi[prefix_index], net_lo[prefix_index], lengths[prefix_index], branch, seed, day
-    )
-    return targets, prefix_index, branch
+    plan = FanoutPlan(prefixes, seed, day)
+    return plan.chunk(0, plan.total)
 
 
 def random_batch_in_prefix(

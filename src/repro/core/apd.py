@@ -19,21 +19,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.addr.address import IPv6Address
-from repro.addr.batch import AddressBatch, FlatLPM, batch_fanout_targets
-from repro.addr.generate import FANOUT, fanout_targets
+from repro.addr.batch import AddressBatch, FanoutPlan, FlatLPM
+from repro.addr.generate import fanout_targets
 from repro.addr.prefix import IPv6Prefix
 from repro.addr.trie import PrefixTrie
-from repro.exec import (
-    ExecutionPolicy,
-    FanoutPlan,
-    map_shards,
-    plan_chunk_spans,
-    plan_chunk_spans_within,
-    plan_worker_spans,
-    scratch_memmap,
-)
+from repro.exec import ExecutionPolicy, plan_chunk_spans, scratch_memmap
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import Protocol
+
+#: The protocols whose answers APD merges by default (Section 5.2).
+APD_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80)
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,11 +43,7 @@ class APDConfig:
     #: known /64 prefixes").
     always_probe_64: bool = True
     #: Protocols whose responses are merged (Section 5.2).
-    protocols: tuple[Protocol, ...] = (Protocol.ICMP, Protocol.TCP80)
-    #: Number of fan-out probes per prefix and protocol.
-    fanout: int = FANOUT
-    #: Number of responsive fan-out addresses required to call a prefix aliased.
-    aliased_threshold: int = FANOUT
+    protocols: tuple[Protocol, ...] = APD_PROTOCOLS
 
     def qualifying_runs(self, shared: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Run starts of a sorted batch's /*length* networks, and which qualify.
@@ -96,13 +87,14 @@ class PrefixProbeOutcome:
         day: int,
         targets: list[IPv6Address] | None = None,
         branch_responses: list[set[Protocol]] | None = None,
+        protocols: tuple[Protocol, ...] = APD_PROTOCOLS,
     ):
         self.prefix = prefix
         self.day = day
         self._targets = [] if targets is None else targets
         self._target_limbs: tuple[np.ndarray, np.ndarray] | None = None
         self._matrix: np.ndarray | None = None
-        self._protocols: tuple[Protocol, ...] = ()
+        self._protocols = protocols
         self._branch_responses = [] if branch_responses is None else branch_responses
         self._aliased: bool | None = None
 
@@ -115,14 +107,13 @@ class PrefixProbeOutcome:
         target_lo: np.ndarray,
         matrix: np.ndarray,
         protocols: tuple[Protocol, ...],
-        aliased: bool | None = None,
+        aliased: bool,
     ) -> "PrefixProbeOutcome":
         """Batch-engine constructor: a (branch x protocol) boolean matrix.
 
         The fan-out targets come as the ``hi``/``lo`` limbs of an
-        :class:`AddressBatch`.  *aliased* is the verdict when the caller
-        already reduced it from the matrix; ``None`` leaves it to the first
-        :attr:`is_aliased` read.
+        :class:`AddressBatch`; *aliased* is the verdict the caller already
+        reduced from the matrix.
         """
         outcome = cls.__new__(cls)
         outcome.prefix = prefix
@@ -195,8 +186,8 @@ class PrefixProbeOutcome:
 
     @property
     def probes_sent(self) -> int:
-        """Number of probe packets sent for this prefix (16 per protocol)."""
-        return self.num_targets * 2  # ICMPv6 + TCP/80
+        """Number of probe packets sent for this prefix (one per target and protocol)."""
+        return self.num_targets * len(self._protocols)
 
     def __repr__(self) -> str:
         return (
@@ -337,8 +328,6 @@ class AliasedPrefixDetector:
         *,
         policy: ExecutionPolicy = ExecutionPolicy(),
     ):
-        if config.fanout != FANOUT:
-            raise ValueError("the paper's APD uses a fixed fan-out of 16 probes")
         self.internet = internet
         self.config = config
         self.policy = policy
@@ -373,7 +362,7 @@ class AliasedPrefixDetector:
     # -- probing -----------------------------------------------------------------
 
     def probe_prefix(self, prefix: IPv6Prefix, day: int = 0) -> PrefixProbeOutcome:
-        """Probe one prefix with the 16-branch fan-out on ICMPv6 and TCP/80.
+        """Probe one prefix with the 16-branch fan-out on the configured protocols.
 
         Thin wrapper kept for backward compatibility: dispatches to the
         detector's engine (a one-prefix batch, or the scalar reference loop).
@@ -385,8 +374,10 @@ class AliasedPrefixDetector:
     def _probe_prefix_scalar(self, prefix: IPv6Prefix, day: int = 0) -> PrefixProbeOutcome:
         """Reference implementation: one :meth:`SimulatedInternet.probe` call
         per target and protocol."""
-        targets = fanout_targets(prefix, self._seed, day, self.config.fanout)
-        outcome = PrefixProbeOutcome(prefix=prefix, day=day, targets=targets)
+        targets = fanout_targets(prefix, self._seed, day)
+        outcome = PrefixProbeOutcome(
+            prefix=prefix, day=day, targets=targets, protocols=self.config.protocols
+        )
         for target in targets:
             answered: set[Protocol] = set()
             for protocol in self.config.protocols:
@@ -401,30 +392,44 @@ class AliasedPrefixDetector:
     ) -> dict[IPv6Prefix, PrefixProbeOutcome]:
         """Probe many candidate prefixes in one vectorised pass (the hot path).
 
-        Fan-out targets for every prefix are generated with
-        :func:`batch_fanout_targets` and resolved by one
-        :meth:`SimulatedInternet.probe_batch` call; the per-prefix outcomes
-        are then reassembled from the responsiveness matrix.  Duplicate
-        prefixes collapse onto one outcome (probed once).
+        The fan-out rows of every prefix (a :class:`FanoutPlan`) are built
+        and resolved by :meth:`SimulatedInternet.probe_batch` one span of
+        ``policy.effective_chunk_rows`` rows at a time -- one span over every
+        row by default -- into RAM or memmap stores (``policy.storage``).
+        Verdicts are reduced per span, so the working set never exceeds one
+        chunk.  Duplicate prefixes collapse onto one outcome (probed once).
         """
         prefix_list = list(dict.fromkeys(prefixes))
         if self.policy.reference:
             return {p: self._probe_prefix_scalar(p, day) for p in prefix_list}
-        if self.policy.is_streaming and prefix_list:
-            return self._probe_prefixes_streaming(prefix_list, day)
-        targets, prefix_index, _branch = batch_fanout_targets(prefix_list, self._seed, day)
-        result = self.internet.probe_batch(targets, self.config.protocols, day)
-        counts = np.bincount(prefix_index, minlength=len(prefix_list)).astype(np.int64)
-        # Every verdict in one pass over the matrix, not a few numpy calls
-        # per outcome: aliased when every fan-out row answered.
-        answered = np.bincount(
-            prefix_index, weights=result.responsive.any(axis=1), minlength=len(prefix_list)
-        )
-        aliased = (answered >= counts).tolist()
-        hi, lo, matrix, protocols = targets.hi, targets.lo, result.responsive, result.protocols
+        plan = FanoutPlan(prefix_list, self._seed, day)
+        protocols = self.config.protocols
+        total = plan.total
+        if self.policy.storage == "memmap" and total:
+            hi = scratch_memmap((total,), np.uint64)
+            lo = scratch_memmap((total,), np.uint64)
+            matrix = scratch_memmap((total, len(protocols)), np.bool_)
+        else:
+            hi = np.empty(total, dtype=np.uint64)
+            lo = np.empty(total, dtype=np.uint64)
+            matrix = np.empty((total, len(protocols)), dtype=bool)
+        # Fan-out rows that answered on any protocol, per prefix: aliased
+        # when every row answered.
+        answered = np.zeros(len(prefix_list))
+        for s, e in plan_chunk_spans(total, self.policy.effective_chunk_rows):
+            targets, prefix_index, _ = plan.chunk(s, e)
+            responsive = self.internet.probe_batch(targets, protocols, day).responsive
+            hi[s:e] = targets.hi
+            lo[s:e] = targets.lo
+            matrix[s:e] = responsive
+            answered += np.bincount(
+                prefix_index, weights=responsive.any(axis=1), minlength=len(prefix_list)
+            )
+        aliased = (answered >= plan.counts).tolist()
         outcomes: dict[IPv6Prefix, PrefixProbeOutcome] = {}
-        start = 0
-        for prefix, end, verdict in zip(prefix_list, np.cumsum(counts).tolist(), aliased):
+        for prefix, start, end, verdict in zip(
+            prefix_list, plan.starts.tolist(), (plan.starts + plan.counts).tolist(), aliased
+        ):
             outcomes[prefix] = PrefixProbeOutcome.from_matrix(
                 prefix,
                 day,
@@ -433,81 +438,6 @@ class AliasedPrefixDetector:
                 matrix[start:end],
                 protocols,
                 aliased=verdict,
-            )
-            start = end
-        return outcomes
-
-    def _probe_prefixes_streaming(
-        self, prefix_list: list[IPv6Prefix], day: int
-    ) -> dict[IPv6Prefix, PrefixProbeOutcome]:
-        """Out-of-core / multi-core twin of the batch probing path.
-
-        Fan-out targets are generated and probed ``chunk_rows`` rows at a
-        time (optionally sharded over forked workers and stored in unlinked
-        memmap scratch), yet identical to the one-shot batch path for every
-        chunking: targets and probe outcomes are keyed draws on their own
-        coordinates.
-        """
-        policy = self.policy
-        plan = FanoutPlan(prefix_list, self._seed, day)
-        total = plan.total
-        protocols = self.config.protocols
-        chunk_rows = policy.effective_chunk_rows or max(total, 1)
-        if policy.storage == "memmap" and total:
-            targets_hi = scratch_memmap((total,), np.uint64)
-            targets_lo = scratch_memmap((total,), np.uint64)
-            responsive = scratch_memmap((total, len(protocols)), np.bool_)
-        else:
-            targets_hi = np.empty(total, dtype=np.uint64)
-            targets_lo = np.empty(total, dtype=np.uint64)
-            responsive = np.zeros((total, len(protocols)), dtype=bool)
-        internet = self.internet
-
-        def probe_chunk(span: tuple[int, int]):
-            chunk, _, _ = plan.chunk(*span)
-            return chunk, internet.probe_batch(chunk, protocols, day).responsive
-
-        if policy.workers > 1:
-            if policy.shard_by == "prefix":
-                spans = plan.worker_spans(policy.workers)
-            else:
-                spans = plan_worker_spans(total, policy.workers, chunk_rows)
-
-            def run_span(span: tuple[int, int]):
-                partials = []
-                for bounds in plan_chunk_spans_within(span[0], span[1], chunk_rows):
-                    chunk, resp = probe_chunk(bounds)
-                    partials.append((bounds[0], chunk.hi, chunk.lo, resp))
-                return partials
-
-            # Fixed span order; the parent writes each partial back at its
-            # global offset, so assembly is order-independent of worker
-            # scheduling.
-            for partials in map_shards(run_span, spans, policy.workers):
-                for s, hi, lo, resp in partials:
-                    e = s + hi.shape[0]
-                    targets_hi[s:e] = hi
-                    targets_lo[s:e] = lo
-                    responsive[s:e] = resp
-        else:
-            # Single worker: stream chunk by chunk straight into the stores;
-            # with memmap storage the resident set stays O(chunk_rows).
-            for s, e in plan_chunk_spans(total, chunk_rows):
-                chunk, resp = probe_chunk((s, e))
-                targets_hi[s:e] = chunk.hi
-                targets_lo[s:e] = chunk.lo
-                responsive[s:e] = resp
-        outcomes: dict[IPv6Prefix, PrefixProbeOutcome] = {}
-        for i, prefix in enumerate(prefix_list):
-            start = int(plan.starts[i])
-            end = start + int(plan.counts[i])
-            outcomes[prefix] = PrefixProbeOutcome.from_matrix(
-                prefix,
-                day,
-                targets_hi[start:end],
-                targets_lo[start:end],
-                responsive[start:end],
-                protocols,
             )
         return outcomes
 

@@ -29,12 +29,7 @@ import numpy as np
 from repro.addr.generate import FANOUT
 from repro.addr.prefix import IPv6Prefix
 from repro.core.apd import APDResult
-from repro.exec import (
-    ExecutionPolicy,
-    map_shards,
-    plan_chunk_spans,
-    plan_worker_spans,
-)
+from repro.exec import ExecutionPolicy, plan_chunk_spans
 
 
 def window_verdict_block(
@@ -48,7 +43,7 @@ def window_verdict_block(
 
     The row-independent core of the vectorized sweep: every prefix row is
     classified from its own ``(day)`` columns only, so computing the matrix
-    in row blocks (or shards) yields exactly the whole-matrix result --
+    in row blocks yields exactly the whole-matrix result --
     integer bit-ORs and counts, no floating point to reassociate.
     """
     column_of = {d: j for j, d in enumerate(days)}
@@ -204,6 +199,8 @@ class SlidingWindowMerger:
     def _windowed_verdicts(self, window: int) -> np.ndarray:
         """Boolean (prefix, day) matrix of windowed aliased verdicts.
 
+        :func:`window_verdict_block` over row spans of
+        ``policy.effective_chunk_rows`` prefixes (one span by default).
         Cached per window size: ``window_stats`` and
         ``final_aliased_prefixes`` on the same window share one computation.
         """
@@ -211,47 +208,13 @@ class SlidingWindowMerger:
         if cached is not None:
             return cached
         masks, expected, present = self._ensure_matrices()
-        if self.policy.is_streaming and masks.shape[0]:
-            verdicts = self._windowed_verdicts_streaming(
-                masks, expected, present, window
-            )
-        else:
-            verdicts = window_verdict_block(
-                masks, expected, present, self._days, window
+        verdicts = np.empty(masks.shape, dtype=bool)
+        for s, e in plan_chunk_spans(masks.shape[0], self.policy.effective_chunk_rows):
+            verdicts[s:e] = window_verdict_block(
+                masks[s:e], expected[s:e], present[s:e], self._days, window
             )
         self._verdict_cache[window] = verdicts
         return verdicts
-
-    def _windowed_verdicts_streaming(
-        self,
-        masks: np.ndarray,
-        expected: np.ndarray,
-        present: np.ndarray,
-        window: int,
-    ) -> np.ndarray:
-        """Chunked/sharded sweep: :func:`window_verdict_block` over row spans.
-
-        The block kernel is row-independent integer work, so any chunking or
-        sharding reproduces the whole-matrix verdicts bit for bit; spans are
-        merged back in fixed order.
-        """
-        days = self._days
-        chunk_rows = self.policy.effective_chunk_rows or masks.shape[0]
-
-        def run_span(span: tuple[int, int]) -> np.ndarray:
-            s, e = span
-            return window_verdict_block(
-                masks[s:e], expected[s:e], present[s:e], days, window
-            )
-
-        if self.policy.workers > 1:
-            spans = plan_worker_spans(masks.shape[0], self.policy.workers, chunk_rows)
-            parts = map_shards(run_span, spans, self.policy.workers)
-        else:
-            parts = [
-                run_span(span) for span in plan_chunk_spans(masks.shape[0], chunk_rows)
-            ]
-        return np.concatenate(parts)
 
     # -- Table 4 ------------------------------------------------------------------
 

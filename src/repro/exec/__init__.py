@@ -1,52 +1,32 @@
-"""Out-of-core + multi-core execution tier.
+"""Execution policy and out-of-core building blocks.
 
 One frozen :class:`ExecutionPolicy` value -- the keyword-only ``policy=`` of
 every engine-paired entry point -- selects the implementation (fast, or the
-scalar reference twin) *and* how it runs: streaming chunk size, worker count,
-RAM vs memmap column storage, and the shard key.  The kernels here are the
-chunked and sharded twins of the three hottest paths, each bit-identical to
-its single-core, in-RAM engine (see ``docs/SCALING.md`` for the determinism
-contract and measured scaling curves).
+scalar reference twin) and how the fast one bounds its memory: the row
+count per streaming step and RAM vs memmap column storage.  The helpers here
+are what the three hottest paths loop with; every chunking is bit-identical
+to the whole-batch run (see ``docs/SCALING.md`` for the determinism contract
+and the measured curve).
 """
 
 from repro.exec.chunked import (
-    FanoutPlan,
     chunked_probe_batch,
-    kmeans_assign,
     kmeans_assign_block,
-    lloyd_chunked,
+    plan_chunk_spans,
     scratch_memmap,
 )
 from repro.exec.policy import (
     DEFAULT_CHUNK_ROWS,
-    SHARD_KEYS,
     STORAGE_KINDS,
     ExecutionPolicy,
-)
-from repro.exec.shard import (
-    fork_available,
-    map_shards,
-    plan_chunk_spans,
-    plan_chunk_spans_within,
-    plan_worker_spans,
-    snap_spans_to_boundaries,
 )
 
 __all__ = [
     "DEFAULT_CHUNK_ROWS",
-    "SHARD_KEYS",
     "STORAGE_KINDS",
     "ExecutionPolicy",
-    "FanoutPlan",
     "chunked_probe_batch",
-    "fork_available",
-    "kmeans_assign",
     "kmeans_assign_block",
-    "lloyd_chunked",
-    "map_shards",
     "plan_chunk_spans",
-    "plan_chunk_spans_within",
-    "plan_worker_spans",
     "scratch_memmap",
-    "snap_spans_to_boundaries",
 ]

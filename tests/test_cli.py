@@ -50,6 +50,14 @@ class TestParser:
         assert args.asn == 64500
         assert args.scale == "tiny"
 
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--shard-by", "rows"]])
+    def test_removed_policy_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig1", "--scale", "test", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 
 class TestExecution:
     def test_list_prints_all_ids(self, capsys):

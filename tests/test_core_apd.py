@@ -193,6 +193,20 @@ class TestProbing:
         assert result.probes_sent == 32 * len(result.outcomes)
         assert result.addresses_probed == 16 * len(result.outcomes)
 
+    @pytest.mark.parametrize("policy", [ExecutionPolicy(), REFERENCE], ids=["fast", "reference"])
+    def test_probes_sent_counts_configured_protocols(
+        self, tiny_internet, clean_aliased_region, policy
+    ):
+        """A one-protocol detector sends one probe per fan-out target."""
+        from repro.netmodel.services import Protocol
+
+        prefix = IPv6Prefix.of(clean_aliased_region.prefix.network, 96)
+        detector = AliasedPrefixDetector(
+            tiny_internet, APDConfig(protocols=(Protocol.TCP80,)), seed=2, policy=policy
+        )
+        assert detector.probe_prefix(prefix).probes_sent == 16
+        assert detector.run(prefixes=[prefix]).probes_sent == 16
+
     def test_longest_prefix_match_resolves_conflicts(self, tiny_internet):
         """A non-aliased more-specific inside an aliased less-specific wins."""
         result = APDResult(day=0)

@@ -1,19 +1,19 @@
-"""Bit-identity of the out-of-core / multi-core execution tier.
+"""Bit-identity of the out-of-core execution tier.
 
-The :mod:`repro.exec` tier streams the three hottest paths -- APD fan-out
-probing, k-means label assignment, the sliding-window verdict sweep -- in
-``chunk_rows`` blocks, optionally sharded over forked workers and backed by
-unlinked memmap scratch.  The contract is exactness, not approximation: on
-the realistic anomaly mix (loss, rate limiting, SYN proxies) every
-streamed/sharded configuration must reproduce the single-core in-RAM batch
-result *bit for bit*, across multiple scenario presets including the
-megascale preset at a CI-feasible tier -- every fan-out target and probe
-outcome is a keyed draw, so no chunking can shift one.
+The three hottest paths -- APD fan-out probing, k-means label assignment,
+the sliding-window verdict sweep -- each loop over ``chunk_rows`` blocks
+(one block by default), optionally backed by unlinked memmap scratch.  The
+contract is exactness, not approximation: on the realistic anomaly mix
+(loss, rate limiting, SYN proxies) every chunked or memmap configuration
+must reproduce the default in-RAM result *bit for bit*, across multiple
+scenario presets including the megascale preset at a CI-feasible tier --
+every fan-out target and probe outcome is a keyed draw, so no chunking can
+shift one.
 
 Also covered here: the :class:`ExecutionPolicy` API surface (defaults,
-validation), the memmap round-trip on :class:`AddressBatch`, and the
-tentpole's peak-memory bound -- a streamed APD run must never materialise
-the full fan-out in RAM.
+validation, removed knobs), the memmap round-trip on :class:`AddressBatch`,
+and the peak-memory bound -- a streamed probe sweep must never materialise
+the full target set in RAM.
 """
 
 from __future__ import annotations
@@ -32,20 +32,16 @@ from repro.exec import (
     ExecutionPolicy,
     chunked_probe_batch,
     plan_chunk_spans,
-    plan_worker_spans,
     scratch_memmap,
-    snap_spans_to_boundaries,
 )
 from repro.scenarios import build
 
 #: Every streaming configuration under test: chunked in-RAM, chunked into
-#: memmap scratch, and sharded over 2 workers under both shard keys.
+#: memmap scratch, and memmap scratch at the default chunk size.
 STREAMING_POLICIES = [
     ExecutionPolicy(chunk_rows=64),
     ExecutionPolicy(chunk_rows=64, storage="memmap"),
-    ExecutionPolicy(chunk_rows=64, workers=2, shard_by="prefix"),
-    ExecutionPolicy(chunk_rows=64, workers=2, shard_by="rows"),
-    ExecutionPolicy(workers=2, storage="memmap"),  # implied chunking
+    ExecutionPolicy(storage="memmap"),  # implied chunking
 ]
 
 #: Parity presets: the two densest anomaly shapes plus the megascale preset
@@ -59,7 +55,6 @@ PARITY_SCENARIOS = ["aliasing-storm", "cdn-heavy", "megascale"]
 def test_default_policy_is_plain_fast_engine():
     policy = ExecutionPolicy()
     assert not policy.reference
-    assert not policy.is_streaming
     assert policy.effective_chunk_rows is None
 
 
@@ -68,9 +63,7 @@ def test_default_policy_is_plain_fast_engine():
     [
         {"chunk_rows": 0},
         {"chunk_rows": -4},
-        {"workers": 0},
         {"storage": "disk"},
-        {"shard_by": "hash"},
     ],
 )
 def test_execution_policy_validates_knobs(kwargs):
@@ -78,24 +71,28 @@ def test_execution_policy_validates_knobs(kwargs):
         ExecutionPolicy(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"workers": 2}, {"shard_by": "rows"}])
+def test_execution_policy_rejects_removed_knobs(kwargs):
+    # Fork sharding was slower than one core at every workload size, and
+    # its knobs are gone rather than silently ignored.
+    with pytest.raises(TypeError):
+        ExecutionPolicy(**kwargs)
+
+
 def test_execution_policy_streaming_flags():
-    assert not ExecutionPolicy().is_streaming
-    assert ExecutionPolicy(chunk_rows=8).is_streaming
-    assert ExecutionPolicy(workers=2).is_streaming
-    assert ExecutionPolicy(storage="memmap").is_streaming
-    # Implied streaming falls back to the default chunk size.
-    assert ExecutionPolicy(workers=2).effective_chunk_rows == DEFAULT_CHUNK_ROWS
+    # Memmap storage without a pinned chunk size falls back to the default.
+    assert ExecutionPolicy(storage="memmap").effective_chunk_rows == DEFAULT_CHUNK_ROWS
     assert ExecutionPolicy(chunk_rows=8).effective_chunk_rows == 8
 
 
 def test_execution_policy_is_frozen_and_hashable():
     policy = ExecutionPolicy(chunk_rows=8)
     with pytest.raises(AttributeError):
-        policy.workers = 4
+        policy.chunk_rows = 4
     assert hash(policy) == hash(ExecutionPolicy(chunk_rows=8))
 
 
-# -- shard planning ----------------------------------------------------------
+# -- chunk planning ----------------------------------------------------------
 
 
 def test_chunk_spans_cover_every_row_once():
@@ -103,23 +100,6 @@ def test_chunk_spans_cover_every_row_once():
     assert spans[0][0] == 0 and spans[-1][1] == 1000
     for (_, e), (s, _) in zip(spans, spans[1:]):
         assert e == s
-
-
-def test_worker_spans_are_chunk_grid_aligned():
-    # Sharded runs must produce the identical chunk set as a single worker:
-    # every worker boundary lands on a chunk-grid multiple.
-    spans = plan_worker_spans(1000, 3, 64)
-    assert spans[0][0] == 0 and spans[-1][1] == 1000
-    for s, _ in spans[1:]:
-        assert s % 64 == 0
-
-
-def test_snap_spans_respects_interval_boundaries():
-    boundaries = [0, 10, 30, 60, 100]
-    spans = snap_spans_to_boundaries(100, 3, boundaries)
-    assert spans[0][0] == 0 and spans[-1][1] == 100
-    for s, _ in spans[1:]:
-        assert s in boundaries
 
 
 # -- AddressBatch memmap round-trip ------------------------------------------
@@ -150,7 +130,7 @@ def test_address_batch_from_memmap_rejects_foreign_files(tmp_path):
         AddressBatch.from_memmap(path)
 
 
-# -- APD parity: streamed/sharded vs single-core batch -----------------------
+# -- APD parity: chunked/memmap vs one-shot batch ---------------------------
 
 
 @pytest.fixture(scope="module", params=PARITY_SCENARIOS)
@@ -197,36 +177,10 @@ def test_apd_streaming_bit_identical_to_batch(apd_corpus, policy):
         assert_outcomes_identical(plain, streamed)
 
 
-def test_apd_chunk_grid_makes_worker_count_irrelevant(apd_corpus):
-    internet, config, candidates = apd_corpus
-    one = run_apd(
-        internet,
-        config,
-        candidates,
-        ExecutionPolicy(chunk_rows=32, workers=1, shard_by="rows"),
-    )
-    many = run_apd(
-        internet,
-        config,
-        candidates,
-        ExecutionPolicy(chunk_rows=32, workers=3, shard_by="rows"),
-    )
-    for plain, sharded in zip(one, many):
-        assert_outcomes_identical(plain, sharded)
-
-
 # -- k-means parity ----------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "policy",
-    [
-        ExecutionPolicy(chunk_rows=17),
-        ExecutionPolicy(chunk_rows=50, workers=2),
-        ExecutionPolicy(workers=2),
-    ],
-    ids=str,
-)
+@pytest.mark.parametrize("policy", [ExecutionPolicy(chunk_rows=17)], ids=str)
 def test_kmeans_streaming_bit_identical(policy):
     rng = np.random.default_rng(11)
     data = np.concatenate(
@@ -252,16 +206,12 @@ def test_window_sweep_streaming_bit_identical(apd_corpus):
     )
     daily = {day: detector.run(prefixes=candidates, day=day) for day in range(4)}
     plain = SlidingWindowMerger(daily)
-    for policy in (
-        ExecutionPolicy(chunk_rows=7),
-        ExecutionPolicy(chunk_rows=7, workers=2),
-    ):
-        streamed = SlidingWindowMerger(daily, policy=policy)
-        for window in (0, 1, 2):
-            np.testing.assert_array_equal(
-                streamed._windowed_verdicts(window), plain._windowed_verdicts(window)
-            )
-            assert streamed.window_stats(window) == plain.window_stats(window)
+    streamed = SlidingWindowMerger(daily, policy=ExecutionPolicy(chunk_rows=7))
+    for window in (0, 1, 2):
+        np.testing.assert_array_equal(
+            streamed._windowed_verdicts(window), plain._windowed_verdicts(window)
+        )
+        assert streamed.window_stats(window) == plain.window_stats(window)
 
 
 # -- tentpole acceptance: peak memory bounded by chunk_rows ------------------
@@ -327,12 +277,3 @@ def test_chunked_probe_batch_equals_one_shot_under_loss(stochastic_probe_corpus,
     chunked = chunked_probe_batch(internet, targets, protocols, 1, chunk_rows=chunk_rows)
     np.testing.assert_array_equal(chunked, one_shot)
     assert not one_shot.all() and one_shot.any()
-
-
-def test_sharded_probe_batch_equals_one_shot_under_loss(stochastic_probe_corpus):
-    internet, targets, protocols = stochastic_probe_corpus
-    one_shot = internet.probe_batch(targets, protocols, 1).responsive
-    sharded = chunked_probe_batch(
-        internet, targets, protocols, 1, chunk_rows=128, workers=3
-    )
-    np.testing.assert_array_equal(sharded, one_shot)
