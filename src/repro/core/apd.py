@@ -250,6 +250,14 @@ class APDResult:
             self._flat = FlatLPM(zip(self.outcomes, verdicts)), np.array(verdicts, dtype=bool)
         return self._flat
 
+    def for_day(self, day: int) -> "APDResult":
+        """These verdicts published again on *day*.
+
+        The new result shares this one's outcome map and verdict LPM instead
+        of rebuilding them; neither may be mutated afterwards.
+        """
+        return APDResult(day=day, outcomes=self.outcomes, _flat=self.verdict_lpm())
+
     def is_aliased(self, address: "IPv6Address | int | str") -> bool:
         """Longest-prefix-match classification of one address.
 

@@ -27,6 +27,7 @@ prefix's rows, which is what makes the fast engine's reuse exact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -87,6 +88,10 @@ class Hitlist:
     :class:`HitlistEntry` / :class:`IPv6Address` views are materialised
     lazily at the publish boundary; all curation steps -- merging, APD
     candidate aggregation, de-aliasing -- run on the arrays.
+
+    Merges are copy-on-write: they replace the four arrays and never write
+    them in place, which is what keeps a :meth:`frozen` view valid after
+    later merges.
     """
 
     def __init__(self, entries: Iterable[HitlistEntry] = ()):
@@ -98,15 +103,22 @@ class Hitlist:
         self._source_bits: dict[str, int] = {}
         self._pending: list[tuple[int, tuple[str, ...], int]] = []
         self._addresses: list[IPv6Address] | None = None
+        self._view: Hitlist | None = None
+        self._read_only = False
         for entry in entries:
             self.add(entry.address, entry.sources, entry.first_seen_day)
 
     # -- construction -----------------------------------------------------------
 
+    def _check_writable(self) -> None:
+        if self._read_only:
+            raise ValueError("a frozen hitlist view is read-only")
+
     def source_bit(self, name: str) -> int:
         """Bit index of *name* in the membership masks (registered on demand)."""
         bit = self._source_bits.get(name)
         if bit is None:
+            self._check_writable()
             bit = len(self._source_names)
             if bit >= 64:
                 raise ValueError("a hitlist supports at most 64 distinct sources")
@@ -123,6 +135,7 @@ class Hitlist:
         self, address: IPv6Address, sources: Iterable[str] = (), first_seen_day: int = 0
     ) -> None:
         """Add an address (merging provenance if already present)."""
+        self._check_writable()
         self._pending.append((address.value, tuple(sources), first_seen_day))
         self._addresses = None
 
@@ -146,6 +159,7 @@ class Hitlist:
         ``first_seen_day`` column is integral by contract, and a float day
         must never leak into it.
         """
+        self._check_writable()
         self._flush()
         first_seen = np.asarray(first_seen)
         if first_seen.dtype.kind == "f":
@@ -192,6 +206,7 @@ class Hitlist:
         self._hi, self._lo = merged.hi, merged.lo
         self._masks, self._first = out_masks, out_first
         self._addresses = None
+        self._view = None
         return s.take(is_new)
 
     def _flush(self) -> None:
@@ -230,17 +245,27 @@ class Hitlist:
             hitlist.merge_records(batch, first_seen, source.name, max_day=day)
         return hitlist
 
-    def copy(self) -> "Hitlist":
-        """An independent snapshot (the per-day provenance artefact)."""
+    def frozen(self) -> "Hitlist":
+        """A read-only view of the current rows (the per-day provenance artefact).
+
+        Zero copy: the view shares this hitlist's arrays, and merges replace
+        those rather than write them, so the view keeps today's rows after
+        later merges.  Until the next merge every call returns the same view
+        object, so view identity tells whether anything merged since.  The
+        view's mutators raise ``ValueError``.
+        """
+        if self._read_only:
+            return self
         self._flush()
-        snapshot = Hitlist()
-        snapshot._hi = self._hi.copy()
-        snapshot._lo = self._lo.copy()
-        snapshot._masks = self._masks.copy()
-        snapshot._first = self._first.copy()
-        snapshot._source_names = list(self._source_names)
-        snapshot._source_bits = dict(self._source_bits)
-        return snapshot
+        if self._view is None:
+            view = Hitlist()
+            view._hi, view._lo = readonly_view(self._hi), readonly_view(self._lo)
+            view._masks, view._first = readonly_view(self._masks), readonly_view(self._first)
+            view._source_names = list(self._source_names)
+            view._source_bits = dict(self._source_bits)
+            view._read_only = True
+            self._view = view
+        return self._view
 
     # -- access -------------------------------------------------------------------
 
@@ -429,7 +454,11 @@ class DailyHitlist:
         self.aliased_prefixes = aliased_prefixes
         self.scan_result = scan_result
         self.apd_result = apd_result
-        #: Day's hitlist snapshot with provenance (arrays, not entry objects).
+        #: The day's hitlist with provenance (arrays, not entry objects).  On
+        #: the batch engine this is a :meth:`Hitlist.frozen` view of the
+        #: standing rows, and every day up to the next merge holds the same
+        #: view (and the same target batch and outcome map); treat them as
+        #: read-only.
         self.hitlist = hitlist
         self._scan_targets = scan_targets
         self._targets_batch = targets_batch
@@ -476,6 +505,24 @@ class DailyHitlist:
         return 1.0 - self.num_scan_targets / self.input_addresses
 
 
+@dataclass(frozen=True)
+class _PublishedState:
+    """What the batch engine publishes besides the day's scan.
+
+    All of it is a function of the standing rows and the outcome cache, so
+    it is rebuilt only on a day that merges a source record; every other day
+    wraps the same objects in its own :class:`DailyHitlist`.
+    """
+
+    #: The standing rows as of the build (a :meth:`Hitlist.frozen` view).
+    hitlist: Hitlist
+    #: The candidate outcomes in prefix order, with their verdict LPM built.
+    apd: APDResult
+    #: The rows outside aliased prefixes (read-only).
+    targets: AddressBatch
+    aliased_prefixes: list[IPv6Prefix]
+
+
 class HitlistService:
     """The daily IPv6 hitlist service (Section 11).
 
@@ -492,8 +539,11 @@ class HitlistService:
       APD verdicts are reused: an unchanged prefix keeps its membership
       epoch, the day it is probed on), and resolves the daily
       five-protocol scan with one ``probe_batch`` call, keeping per-day
-      responsiveness as (target x protocol) boolean matrices.  Days must be
-      run in increasing order.
+      responsiveness as (target x protocol) boolean matrices.  A day whose
+      window holds no source record reuses the previous day's published
+      state (hitlist view, outcome map and verdict LPM, target batch,
+      aliased prefixes) and only scans.  Days must be run in increasing
+      order.
     * the reference engine -- the original scalar loop: rebuild the hitlist
       from scratch, run APD over everything, sweep per protocol with the
       scalar ZMap scanner.  Kept for seeded parity tests and benchmarks.
@@ -532,6 +582,7 @@ class HitlistService:
         self._candidates: dict[tuple[int, int, int], IPv6Prefix] = {}
         self._candidate_sorted: list[tuple[tuple[int, int, int], IPv6Prefix]] | None = None
         self._outcome_cache: dict[tuple[int, int, int], PrefixProbeOutcome] = {}
+        self._published: _PublishedState | None = None
 
     # -- daily loop -------------------------------------------------------------
 
@@ -591,7 +642,6 @@ class HitlistService:
             )
         new_batch = self._merge_new_records(day)
         changed = self._update_candidates(new_batch)
-        cache = self._outcome_cache
         self.apd_probe_counts[day] = len(changed)
         if changed:
             detector = AliasedPrefixDetector(
@@ -599,23 +649,36 @@ class HitlistService:
             )
             keys = list(changed)
             prefixes = [self._candidates[key] for key in keys]
-            cache.update(zip(keys, _probe_on_epochs(detector, prefixes, list(changed.values()))))
-        apd_result = APDResult(day=day)
-        apd_result.outcomes = {prefix: cache[key] for key, prefix in self._sorted_candidates()}
-        batch = self._standing.address_batch
-        aliased_mask = apd_result.is_aliased_batch(batch)
-        targets = batch.take(~aliased_mask)
+            self._outcome_cache.update(
+                zip(keys, _probe_on_epochs(detector, prefixes, list(changed.values())))
+            )
+        # Any merged record replaces the standing arrays and with them the
+        # frozen view, even one that only adds a source to a known row.
+        hitlist = self._standing.frozen()
+        state = self._published
+        if state is None or state.hitlist is not hitlist:
+            state = self._published = self._build_published_state(hitlist, day)
         scheduler = ScanScheduler(self.internet, self.protocols, seed=self._seed ^ day)
-        scan_result = scheduler.run_day_batch(targets, day, dynamics=self._dynamics)
+        scan_result = scheduler.run_day_batch(state.targets, day, dynamics=self._dynamics)
         return DailyHitlist(
             day=day,
-            input_addresses=len(batch),
-            aliased_prefixes=apd_result.aliased_prefixes,
-            targets_batch=targets,
+            input_addresses=len(hitlist),
+            aliased_prefixes=state.aliased_prefixes,
+            targets_batch=state.targets,
             scan_result=scan_result,
-            apd_result=apd_result,
-            hitlist=self._standing.copy(),
+            apd_result=state.apd.for_day(day),
+            hitlist=hitlist,
         )
+
+    def _build_published_state(self, hitlist: Hitlist, day: int) -> _PublishedState:
+        """Outcome map, verdict LPM, scan targets and aliased list of *hitlist*."""
+        cache = self._outcome_cache
+        apd = APDResult(
+            day=day, outcomes={prefix: cache[key] for key, prefix in self._sorted_candidates()}
+        )
+        batch = hitlist.address_batch
+        targets = batch.take(~apd.is_aliased_batch(batch)).readonly()
+        return _PublishedState(hitlist, apd, targets, apd.aliased_prefixes)
 
     def _merge_new_records(self, day: int) -> AddressBatch:
         """Merge the not-yet-seen first-seen-day window into the standing batch.

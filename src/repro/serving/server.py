@@ -108,10 +108,17 @@ class HitlistServer:
     # -- publish side (serialised) ----------------------------------------
 
     def _on_publish(self, daily: "DailyHitlist") -> None:
-        """Freeze a finished day and swap it in (the service's publish hook)."""
+        """Freeze a finished day and swap it in (the service's publish hook).
+
+        The current snapshot is offered to the build, which shares its row
+        columns when the day carries the very objects they came from.
+        """
         with self._publish_lock:
             snapshot = HitlistSnapshot.from_daily(
-                daily, generation=self._generation + 1, internet=self.internet
+                daily,
+                generation=self._generation + 1,
+                internet=self.internet,
+                previous=self._current,
             )
             if self.validate_hook is not None:
                 self.validate_hook(snapshot)

@@ -9,6 +9,9 @@ origin-AS index.  Every array is a read-only view (``writeable=False``), all
 lazy state is materialised at build time, and nothing on the query path
 mutates the snapshot -- which is what makes it safe to share between any
 number of reader threads while the next day's snapshot builds elsewhere.
+Snapshots of one published state share its row columns
+(:class:`SnapshotRows`): a day that merged no source record builds only its
+responsiveness matrix.
 
 Query surface (mirroring what the measurement community asks of the real
 service, Section 11 and "IPv6 Hitlists at Scale"):
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.addr.address import IPv6Address, _to_int
-from repro.addr.batch import AddressBatch, FlatLPM, readonly_view
+from repro.addr.batch import AddressBatch, find128, readonly_view
 from repro.addr.prefix import IPv6Prefix, parse_prefix
 from repro.netmodel.services import Protocol
 
@@ -140,8 +143,110 @@ class SnapshotDownload:
         return len(self.addresses)
 
 
+class SnapshotRows:
+    """The row columns of one published state, shared by all its snapshots.
+
+    Everything a snapshot holds besides the day's responsiveness matrix is
+    a function of three objects: the day's hitlist, its verdict LPM (the
+    scan targets are the hitlist rows it does not label aliased) and the
+    internet that maps rows to origin ASes.  The batch service hands every
+    day up to its next merge the very same hitlist view and verdict LPM, so
+    the snapshots of those days share one instance (:meth:`built_from`):
+    the point index, the target row positions and the AS index are built
+    once per published state.
+    """
+
+    __slots__ = (
+        "hitlist",
+        "internet",
+        "source_names",
+        "batch",
+        "values",
+        "masks",
+        "first",
+        "positions",
+        "unaliased",
+        "apd_lpm",
+        "apd_verdicts",
+        "asn",
+        "asn_sorted",
+        "asn_order",
+    )
+
+    #: Immutability contract, enforced statically by reprolint rule R2: the
+    #: columns are bound once in ``__init__`` and only read afterwards --
+    #: any number of snapshots and their readers share them lock-free.
+    __frozen_arrays__ = (
+        "values",
+        "masks",
+        "first",
+        "positions",
+        "unaliased",
+        "apd_verdicts",
+        "asn",
+        "asn_sorted",
+        "asn_order",
+    )
+
+    def __init__(self, daily: "DailyHitlist", internet: "SimulatedInternet | None") -> None:
+        if daily.hitlist is None:
+            raise ValueError("DailyHitlist carries no hitlist; cannot snapshot")
+        # Sorted unique rows with aligned provenance, all read-only already.
+        batch, masks, first, source_names = daily.hitlist.snapshot_arrays()
+        targets = daily.targets_batch
+        positions = find128(batch.hi, batch.lo, targets.hi, targets.lo)
+        if len(targets) and bool((positions < 0).any()):
+            raise ValueError("scan targets are not a subset of the day's hitlist")
+        unaliased = np.zeros(len(batch), dtype=bool)
+        unaliased[positions] = True
+        self.hitlist = daily.hitlist
+        self.internet = internet
+        self.source_names = source_names
+        self.batch = batch
+        #: Plain-int bisect index: point queries in ~1 us instead of a
+        #: vectorised one-element binary search.
+        self.values = batch.to_ints()
+        self.masks = masks
+        self.first = first
+        self.positions = readonly_view(positions)
+        self.unaliased = readonly_view(unaliased)
+        # The day's own verdict LPM, with every lazy ``is_aliased`` forced by
+        # now, so no reader ever races a lazy cache.
+        self.apd_lpm, apd_verdicts = daily.apd_result.verdict_lpm()
+        self.apd_verdicts = readonly_view(apd_verdicts)
+        self.asn: np.ndarray | None = None
+        self.asn_sorted: np.ndarray | None = None
+        self.asn_order: np.ndarray | None = None
+        if internet is not None:
+            bgp = internet.bgp_lpm()
+            indices = bgp.lookup_indices(batch)
+            origins = np.fromiter(
+                (a.origin_asn for a in bgp.objects), dtype=np.int64, count=len(bgp.objects)
+            )
+            asn = np.where(indices >= 0, origins[np.maximum(indices, 0)], np.int64(-1))
+            order = np.argsort(asn, kind="stable")
+            self.asn = readonly_view(asn)
+            self.asn_order = readonly_view(order)
+            self.asn_sorted = readonly_view(asn[order])
+
+    def built_from(self, daily: "DailyHitlist", internet: "SimulatedInternet | None") -> bool:
+        """Are *daily*'s hitlist and verdict LPM, and *internet*, the very
+        objects these rows were built from?"""
+        return (
+            daily.hitlist is self.hitlist
+            and internet is self.internet
+            and daily.apd_result.verdict_lpm()[0] is self.apd_lpm
+        )
+
+
 class HitlistSnapshot:
-    """One published day of the hitlist, frozen for concurrent readers."""
+    """One published day of the hitlist, frozen for concurrent readers.
+
+    The row columns come from a :class:`SnapshotRows` that snapshots of one
+    published state share; ``__init__`` binds them to the snapshot's own
+    slots, so the query path reads them directly.  Only the responsiveness
+    matrix belongs to the day.
+    """
 
     __slots__ = (
         "generation",
@@ -149,6 +254,7 @@ class HitlistSnapshot:
         "source_names",
         "protocols",
         "aliased_prefixes",
+        "_rows",
         "_batch",
         "_values",
         "_masks",
@@ -182,49 +288,30 @@ class HitlistSnapshot:
         *,
         generation: int,
         day: int,
-        batch: AddressBatch,
-        source_masks: np.ndarray,
-        first_seen_days: np.ndarray,
-        source_names: Sequence[str],
+        rows: SnapshotRows,
         protocols: Sequence[Protocol],
         responsive: np.ndarray,
-        unaliased: np.ndarray,
         aliased_prefixes: Sequence[IPv6Prefix] = (),
-        apd_lpm: FlatLPM | None = None,
-        apd_verdicts: np.ndarray | None = None,
-        asn: np.ndarray | None = None,
     ):
-        n = len(batch)
-        if not batch.is_sorted():
-            raise ValueError("snapshot addresses must be sorted")
-        if source_masks.shape != (n,) or first_seen_days.shape != (n,):
-            raise ValueError("provenance columns must align with the address rows")
-        if responsive.shape != (n, len(protocols)) or unaliased.shape != (n,):
+        if responsive.shape != (len(rows.batch), len(protocols)):
             raise ValueError("responsiveness columns must align with the address rows")
         self.generation = generation
         self.day = day
-        self.source_names = tuple(source_names)
+        self.source_names = rows.source_names
         self.protocols = tuple(protocols)
         self.aliased_prefixes = tuple(aliased_prefixes)
-        self._batch = batch.readonly()
-        #: Plain-int bisect index: point queries in ~1 us instead of a
-        #: vectorised one-element binary search.
-        self._values = batch.to_ints()
-        self._masks = readonly_view(np.asarray(source_masks, dtype=np.uint64))
-        self._first = readonly_view(np.asarray(first_seen_days, dtype=np.int64))
+        self._rows = rows
+        self._batch = rows.batch
+        self._values = rows.values
+        self._masks = rows.masks
+        self._first = rows.first
         self._responsive = readonly_view(np.asarray(responsive, dtype=bool))
-        self._unaliased = readonly_view(np.asarray(unaliased, dtype=bool))
-        self._apd_lpm = apd_lpm
-        self._apd_verdicts = None if apd_verdicts is None else readonly_view(apd_verdicts)
-        if asn is None:
-            self._asn = None
-            self._asn_sorted = None
-            self._asn_order = None
-        else:
-            self._asn = readonly_view(np.asarray(asn, dtype=np.int64))
-            order = np.argsort(self._asn, kind="stable")
-            self._asn_order = readonly_view(order)
-            self._asn_sorted = readonly_view(self._asn[order])
+        self._unaliased = rows.unaliased
+        self._apd_lpm = rows.apd_lpm
+        self._apd_verdicts = rows.apd_verdicts
+        self._asn = rows.asn
+        self._asn_sorted = rows.asn_sorted
+        self._asn_order = rows.asn_order
 
     # -- construction ------------------------------------------------------
 
@@ -235,6 +322,7 @@ class HitlistSnapshot:
         *,
         generation: int,
         internet: "SimulatedInternet | None" = None,
+        previous: "HitlistSnapshot | None" = None,
     ) -> "HitlistSnapshot":
         """Freeze one day of the service into a query-ready snapshot.
 
@@ -243,30 +331,27 @@ class HitlistSnapshot:
         scattered back onto the full rows (matrix assignment on the batch
         engine, per-protocol membership search on the reference engine), and
         the APD verdicts are the day's own LPM from
-        :meth:`~repro.core.apd.APDResult.verdict_lpm`, with every lazy
-        ``is_aliased`` forced by *now*, so no reader ever races a lazy cache.
+        :meth:`~repro.core.apd.APDResult.verdict_lpm`.
+
+        *previous* is the snapshot published before this one.  When its
+        rows were built from the very objects this day carries
+        (:meth:`SnapshotRows.built_from`), the new snapshot shares them and
+        builds only its own responsiveness matrix.
         """
-        from repro.addr.batch import find128
         from repro.probing.scheduler import BatchDailyScanResult
 
-        if daily.hitlist is None:
-            raise ValueError("DailyHitlist carries no hitlist; cannot snapshot")
-        batch, masks, first, source_names = daily.hitlist.snapshot_arrays()
-        n = len(batch)
-        targets = daily.targets_batch
-        positions = find128(batch.hi, batch.lo, targets.hi, targets.lo)
-        if len(targets) and bool((positions < 0).any()):
-            raise ValueError("scan targets are not a subset of the day's hitlist")
-        unaliased = np.zeros(n, dtype=bool)
-        unaliased[positions] = True
+        rows = None if previous is None else previous._rows
+        if rows is None or not rows.built_from(daily, internet):
+            rows = SnapshotRows(daily, internet)
+        batch = rows.batch
         scan = daily.scan_result
         if isinstance(scan, BatchDailyScanResult):
             protocols = scan.protocols
-            responsive = np.zeros((n, len(protocols)), dtype=bool)
-            responsive[positions, :] = scan.responsive_matrix
+            responsive = np.zeros((len(batch), len(protocols)), dtype=bool)
+            responsive[rows.positions, :] = scan.responsive_matrix
         else:
             protocols = tuple(scan.results)
-            responsive = np.zeros((n, len(protocols)), dtype=bool)
+            responsive = np.zeros((len(batch), len(protocols)), dtype=bool)
             for j, protocol in enumerate(protocols):
                 members = scan.responsive_on(protocol)
                 if not members:
@@ -274,29 +359,13 @@ class HitlistSnapshot:
                 member_batch = AddressBatch.from_addresses(members).unique()
                 member_pos = find128(batch.hi, batch.lo, member_batch.hi, member_batch.lo)
                 responsive[member_pos[member_pos >= 0], j] = True
-        apd_lpm, apd_verdicts = daily.apd_result.verdict_lpm()
-        asn = None
-        if internet is not None:
-            bgp = internet.bgp_lpm()
-            indices = bgp.lookup_indices(batch)
-            origins = np.fromiter(
-                (a.origin_asn for a in bgp.objects), dtype=np.int64, count=len(bgp.objects)
-            )
-            asn = np.where(indices >= 0, origins[np.maximum(indices, 0)], np.int64(-1))
         return cls(
             generation=generation,
             day=daily.day,
-            batch=batch,
-            source_masks=masks,
-            first_seen_days=first,
-            source_names=source_names,
+            rows=rows,
             protocols=protocols,
             responsive=responsive,
-            unaliased=unaliased,
             aliased_prefixes=daily.aliased_prefixes,
-            apd_lpm=apd_lpm,
-            apd_verdicts=apd_verdicts,
-            asn=asn,
         )
 
     # -- introspection -----------------------------------------------------

@@ -157,10 +157,22 @@ def test_gated_metrics_selection():
     assert metrics == {"speedup": 3.5, "addresses_per_sec": 100.0}
 
 
-def test_checked_in_histories_are_well_formed():
-    """Every committed BENCH_*.json must parse into the gated shape."""
-    paths = sorted(REPO_ROOT.glob("BENCH_*.json"))
-    assert paths, "expected committed benchmark histories"
+def test_checked_in_histories_are_well_formed(tmp_path, monkeypatch):
+    """A history the benchmark writer produces parses into the gated shape.
+
+    ``.gitignore`` keeps ``BENCH_*.json`` out of the repository, so the test
+    writes its own history with ``write_bench_json`` instead of reading
+    whatever stray histories a working tree holds.
+    """
+    monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
+    spec = importlib.util.spec_from_file_location(
+        "repro_bench_conftest", REPO_ROOT / "benchmarks" / "conftest.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.write_bench_json("demo", {"speedup": 5.0, "addresses_per_sec": 1000.0})
+    paths = sorted(tmp_path.glob("BENCH_*.json"))
+    assert paths, "expected the written benchmark history"
     for path in paths:
         name, history = gate.load_history(path)
         assert name and history

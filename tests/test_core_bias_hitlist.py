@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.addr import AddressBatch, IPv6Address
@@ -133,6 +134,33 @@ class TestHitlist:
         stats = hitlist.coverage(small_internet)
         assert stats.num_ases > 10
         assert stats.num_addresses == len(hitlist)
+
+    def test_frozen_view_survives_later_merges(self):
+        """The view shares the rows without copying, stays the same object
+        until the next merge, keeps its rows after that merge (merges are
+        copy-on-write) and refuses every mutation."""
+        hitlist = Hitlist()
+        known = AddressBatch.from_ints([1, 2, 3])
+        hitlist.merge_records(known, np.zeros(3, dtype=np.int64), "a")
+        view = hitlist.frozen()
+        assert hitlist.frozen() is view and view.frozen() is view
+        assert np.shares_memory(view.source_masks, hitlist.source_masks)
+        before = view.provenance()
+        # A known address reported by another source adds no row, but it is
+        # a merge: the standing hitlist gets a new view and the old one keeps
+        # the old provenance.
+        hitlist.merge_records(AddressBatch.from_ints([2]), np.ones(1, dtype=np.int64), "b")
+        hitlist.merge_records(AddressBatch.from_ints([9]), np.ones(1, dtype=np.int64), "a")
+        assert hitlist.frozen() is not view
+        assert view.provenance() == before
+        assert hitlist.provenance()[2] == (frozenset({"a", "b"}), 0)
+        with pytest.raises(ValueError, match="read-only"):
+            view.add(IPv6Address(5), {"a"})
+        with pytest.raises(ValueError, match="read-only"):
+            view.merge_records(known, np.zeros(3, dtype=np.int64), "a")
+        with pytest.raises(ValueError, match="read-only"):
+            view.source_bit("c")
+        assert view.provenance() == before
 
 
 class TestHitlistService:

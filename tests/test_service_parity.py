@@ -95,6 +95,23 @@ def scripted_assembly(deterministic_internet) -> SourceAssembly:
 
 
 @pytest.fixture(scope="module")
+def echo_engines(deterministic_internet):
+    """Both engines over sources that run up over days 0-2, plus an ``echo``
+    source that re-reports 50 addresses of the day-1 hitlist on day 4: a day
+    that merges records but adds no row, so only provenance changes."""
+    internet = deterministic_internet
+    base = assemble_all_sources(internet, total_target=2500, seed=13, runup_days=3)
+    known = Hitlist.from_assembly(base, day=1).addresses
+    echo = ScriptedSource("echo", {4: known[:: len(known) // 50][:50]})
+    assembly = SourceAssembly(internet=internet, sources=list(base.sources) + [echo])
+    batch = HitlistService(internet, assembly, seed=13)
+    reference = HitlistService(
+        internet, assembly, seed=13, policy=ExecutionPolicy(reference=True)
+    )
+    return batch.run_days(DAYS), reference.run_days(DAYS)
+
+
+@pytest.fixture(scope="module")
 def both_engines(deterministic_internet, scripted_assembly):
     assembly, target_prefix = scripted_assembly
     batch = HitlistService(deterministic_internet, assembly, seed=13)
@@ -180,6 +197,17 @@ class TestServiceParity:
         result = table4.run_from_service(batch, windows=range(3))
         assert [s.window for s in result.stats] == [0, 1, 2]
         assert all(s.total_prefixes > 0 for s in result.stats)
+
+    def test_known_address_day_publishes_new_provenance(self, echo_engines):
+        """A day whose only records re-report known addresses adds no row
+        but changes their source sets: the batch engine must not publish
+        the previous day's provenance on it or after it."""
+        batch_days, reference_days = echo_engines
+        for db, dr in zip(batch_days, reference_days):
+            assert db.hitlist.provenance() == dr.hitlist.provenance(), db.day
+        assert batch_days[4].input_addresses == batch_days[3].input_addresses
+        provenance = batch_days[4].hitlist.provenance()
+        assert sum("echo" in sources for sources, _ in provenance.values()) == 50
 
 
 #: The same small Internet with loss, ICMP rate limiting and the stochastic
