@@ -3,6 +3,9 @@
 Figure 8 tracks, per source (and per protocol for the flaky QUIC cases), the
 fraction of day-0-responsive addresses that still respond on each subsequent
 day.  Section 9.3 reports uptime statistics of crowdsourced client addresses.
+
+Retention is computed on the days' (target x protocol) scan matrices, which
+both scan engines publish, so there is one code path for every campaign.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch, find128
 from repro.netmodel.services import Protocol
-from repro.probing.scheduler import BatchDailyScanResult, DailyScanResult
+from repro.probing.scheduler import BatchDailyScanResult
 
 
 @dataclass(slots=True)
@@ -40,7 +43,7 @@ class ResponsivenessTimeline:
 
 
 def responsiveness_over_time(
-    campaign: "Sequence[DailyScanResult | BatchDailyScanResult]",
+    campaign: "Sequence[BatchDailyScanResult]",
     groups: "Mapping[str, Sequence[IPv6Address] | AddressBatch]",
     protocol: Protocol | None = None,
 ) -> list[ResponsivenessTimeline]:
@@ -48,59 +51,20 @@ def responsiveness_over_time(
 
     ``groups`` maps a label (source name, optionally suffixed by protocol) to
     the addresses attributed to it.  The baseline for each group is the subset
-    of its addresses responsive on the campaign's first day.
+    of its addresses responsive on the campaign's first day (on *protocol*,
+    or on any protocol).
 
-    A campaign of :class:`BatchDailyScanResult` days (e.g.
-    ``HitlistService.campaign()`` on the batch engine) is evaluated entirely
-    on the responsiveness matrices -- baseline membership and per-day
-    retention are binary searches over the sorted target batches, with no
-    address-set materialisation.
+    Evaluated on the days' (target x protocol) matrices: baseline membership
+    and per-day retention are binary searches over each day's target batch,
+    with no address-set materialisation.  A day whose targets are not sorted
+    (a custom campaign) is sorted first; the scan engines' own campaigns
+    (the batch service, the experiment context) are sorted already.
     """
     if not campaign:
         raise ValueError("campaign must contain at least one daily result")
-    if all(isinstance(result, BatchDailyScanResult) for result in campaign):
-        return _batch_responsiveness_over_time(campaign, groups, protocol)
-    timelines: list[ResponsivenessTimeline] = []
+    days_sorted = [_sorted_day(result, protocol) for result in campaign]
     days = [result.day for result in campaign]
-
-    def responsive_set(result: DailyScanResult) -> set[IPv6Address]:
-        return result.responsive_on(protocol) if protocol else result.responsive_any
-
-    first = responsive_set(campaign[0])
-    for label, addresses in groups.items():
-        baseline = {a for a in addresses if a in first}
-        timeline = ResponsivenessTimeline(group=label, days=days, baseline_size=len(baseline))
-        for result in campaign:
-            responsive = responsive_set(result)
-            if baseline:
-                timeline.retention.append(len(baseline & responsive) / len(baseline))
-            else:
-                timeline.retention.append(0.0)
-        timelines.append(timeline)
-    return timelines
-
-
-def _batch_responsiveness_over_time(
-    campaign: "Sequence[BatchDailyScanResult]",
-    groups: "Mapping[str, Sequence[IPv6Address] | AddressBatch]",
-    protocol: Protocol | None = None,
-) -> list[ResponsivenessTimeline]:
-    """Vectorised Figure 8 over (target x protocol) matrices.
-
-    Each day's target batch must be sorted ascending (the batch service
-    guarantees this: targets are a mask-take of the sorted standing batch).
-    """
-    for result in campaign:
-        if not result.targets_batch.is_sorted():
-            raise ValueError(
-                f"day {result.day} targets are not sorted; the batch retention "
-                "path binary-searches them (the batch service emits sorted "
-                "targets -- sort custom campaigns before querying)"
-            )
-    days = [result.day for result in campaign]
-    first = campaign[0]
-    first_targets = first.targets_batch
-    first_mask = first.responsive_mask(protocol)
+    first_targets, first_mask = days_sorted[0]
     timelines: list[ResponsivenessTimeline] = []
     for label, addresses in groups.items():
         batch = (
@@ -114,16 +78,27 @@ def _batch_responsiveness_over_time(
         timeline = ResponsivenessTimeline(
             group=label, days=days, baseline_size=len(baseline)
         )
-        for result in campaign:
+        for targets, mask in days_sorted:
             if not len(baseline):
                 timeline.retention.append(0.0)
                 continue
-            targets = result.targets_batch
             pos = find128(targets.hi, targets.lo, baseline.hi, baseline.lo)
-            responsive = (pos >= 0) & result.responsive_mask(protocol)[np.maximum(pos, 0)]
+            responsive = (pos >= 0) & mask[np.maximum(pos, 0)]
             timeline.retention.append(float(responsive.sum()) / len(baseline))
         timelines.append(timeline)
     return timelines
+
+
+def _sorted_day(
+    result: BatchDailyScanResult, protocol: Protocol | None
+) -> tuple[AddressBatch, np.ndarray]:
+    """One day's targets in ascending order with their responsiveness mask."""
+    targets = result.targets_batch
+    mask = result.responsive_mask(protocol)
+    if targets.is_sorted():
+        return targets, mask
+    order = targets.argsort()
+    return targets.take(order), mask[order]
 
 
 @dataclass(frozen=True, slots=True)

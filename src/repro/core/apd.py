@@ -9,6 +9,10 @@ prefix lengths -- every length from /64 to /124 in 4-bit steps that covers
 more than ``min_targets_per_prefix`` hitlist addresses, plus all /64s -- and
 the final per-address classification uses longest-prefix matching over the
 probed prefixes.
+
+Both probing engines publish one outcome form, a (branch x protocol)
+matrix per prefix (:class:`PrefixProbeOutcome`), so the sliding window, the
+verdict LPM and the daily service read every outcome the same way.
 """
 
 from __future__ import annotations
@@ -62,22 +66,22 @@ class APDConfig:
 class PrefixProbeOutcome:
     """Probe outcome for one candidate prefix on one day.
 
-    Two storage forms share one read API: the scalar engine fills
-    ``branch_responses`` (one set of answering protocols per fan-out branch)
-    probe by probe, while the batch engine stores a slice of the
-    ``probe_batch`` responsiveness matrix and materialises targets/sets only
-    when a consumer asks for them -- on the hot path (`is_aliased`,
-    `responsive_branches`) everything stays an array reduction.
+    One storage form on both engines: the fan-out targets as ``hi``/``lo``
+    limbs and a (branch x protocol) boolean matrix of who answered.  The
+    fast engine stores slices of its one ``probe_batch`` matrix; the scalar
+    engine fills its own matrix one ``probe`` at a time.  The hot path
+    (`is_aliased`, `responsive_branches`) is an array reduction, and scalar
+    targets/sets are materialised only when a consumer asks for them.  The
+    matrix is never written in place -- fast-engine outcomes share one probe
+    matrix -- so :attr:`branch_responses` assignment replaces it.
     """
 
     __slots__ = (
         "prefix",
         "day",
-        "_targets",
         "_target_limbs",
         "_matrix",
         "_protocols",
-        "_branch_responses",
         "_aliased",
     )
 
@@ -89,14 +93,12 @@ class PrefixProbeOutcome:
         branch_responses: list[set[Protocol]] | None = None,
         protocols: tuple[Protocol, ...] = APD_PROTOCOLS,
     ):
+        batch = AddressBatch.from_addresses(targets or ())
         self.prefix = prefix
         self.day = day
-        self._targets = [] if targets is None else targets
-        self._target_limbs: tuple[np.ndarray, np.ndarray] | None = None
-        self._matrix: np.ndarray | None = None
+        self._target_limbs = (batch.hi, batch.lo)
         self._protocols = protocols
-        self._branch_responses = [] if branch_responses is None else branch_responses
-        self._aliased: bool | None = None
+        self.branch_responses = branch_responses or []
 
     @classmethod
     def from_matrix(
@@ -109,7 +111,7 @@ class PrefixProbeOutcome:
         protocols: tuple[Protocol, ...],
         aliased: bool,
     ) -> "PrefixProbeOutcome":
-        """Batch-engine constructor: a (branch x protocol) boolean matrix.
+        """An outcome over a (branch x protocol) boolean matrix.
 
         The fan-out targets come as the ``hi``/``lo`` limbs of an
         :class:`AddressBatch`; *aliased* is the verdict the caller already
@@ -118,62 +120,43 @@ class PrefixProbeOutcome:
         outcome = cls.__new__(cls)
         outcome.prefix = prefix
         outcome.day = day
-        outcome._targets = None
         outcome._target_limbs = (target_hi, target_lo)
         outcome._matrix = matrix
         outcome._protocols = protocols
-        outcome._branch_responses = None
         outcome._aliased = aliased
         return outcome
 
     @property
     def targets(self) -> list[IPv6Address]:
-        """The fan-out target addresses (materialised lazily on the batch path)."""
-        if self._targets is None:
-            self._targets = AddressBatch(*self._target_limbs).to_addresses()
-        return self._targets
-
-    @targets.setter
-    def targets(self, value: list[IPv6Address]) -> None:
-        self._targets = value
-        self._target_limbs = None
-        self._aliased = None
+        """The fan-out target addresses (materialised on demand)."""
+        return AddressBatch(*self._target_limbs).to_addresses()
 
     @property
     def num_targets(self) -> int:
         """Fan-out size without materialising scalar addresses."""
-        if self._targets is not None:
-            return len(self._targets)
         return len(self._target_limbs[0])
 
     @property
     def branch_responses(self) -> list[set[Protocol]]:
         """Per-branch (0..15) set of protocols that answered."""
-        if self._branch_responses is None:
-            self._branch_responses = [
-                {self._protocols[j] for j in row.nonzero()[0].tolist()}
-                for row in self._matrix
-            ]
-        return self._branch_responses
+        return [{self._protocols[j] for j in row.nonzero()[0].tolist()} for row in self._matrix]
 
     @branch_responses.setter
     def branch_responses(self, value: list[set[Protocol]]) -> None:
-        self._branch_responses = value
-        self._matrix = None
+        matrix = np.zeros((len(value), len(self._protocols)), dtype=bool)
+        for i, protocols in enumerate(value):
+            matrix[i, [self._protocols.index(p) for p in protocols]] = True
+        self._matrix = matrix
         self._aliased = None
 
     @property
     def responsive_branches(self) -> set[int]:
         """Branch indices whose target answered on at least one protocol."""
-        if self._branch_responses is None:
-            return set(np.flatnonzero(self._matrix.any(axis=1)).tolist())
-        return {i for i, protocols in enumerate(self._branch_responses) if protocols}
+        return set(np.flatnonzero(self._matrix.any(axis=1)).tolist())
 
     @property
     def num_responsive(self) -> int:
-        if self._branch_responses is None:
-            return int(self._matrix.any(axis=1).sum())
-        return len(self.responsive_branches)
+        return int(self._matrix.any(axis=1).sum())
 
     @property
     def is_aliased(self) -> bool:
@@ -320,7 +303,8 @@ class AliasedPrefixDetector:
       into a handful of array operations.
     * the reference engine: the original per-probe scalar loop over
       :meth:`SimulatedInternet.probe`, kept for parity testing, ablations and
-      benchmarks.
+      benchmarks.  It records each answer into its outcome's matrix, the
+      form the fast engine publishes.
 
     Fan-out host bits are keyed on (prefix, day, branch, *seed*) and every
     probe outcome on its own coordinates (:mod:`repro.keyed`), so the two
@@ -381,19 +365,26 @@ class AliasedPrefixDetector:
 
     def _probe_prefix_scalar(self, prefix: IPv6Prefix, day: int = 0) -> PrefixProbeOutcome:
         """Reference implementation: one :meth:`SimulatedInternet.probe` call
-        per target and protocol."""
+        per target and protocol, recorded into the outcome's matrix."""
         targets = fanout_targets(prefix, self._seed, day)
-        outcome = PrefixProbeOutcome(
-            prefix=prefix, day=day, targets=targets, protocols=self.config.protocols
+        protocols = self.config.protocols
+        matrix = np.array(
+            [
+                [self.internet.probe(target, protocol, day) is not None for protocol in protocols]
+                for target in targets
+            ],
+            dtype=bool,
+        ).reshape(len(targets), len(protocols))
+        batch = AddressBatch.from_addresses(targets)
+        return PrefixProbeOutcome.from_matrix(
+            prefix,
+            day,
+            batch.hi,
+            batch.lo,
+            matrix,
+            protocols,
+            aliased=bool(len(targets)) and bool(matrix.any(axis=1).all()),
         )
-        for target in targets:
-            answered: set[Protocol] = set()
-            for protocol in self.config.protocols:
-                reply = self.internet.probe(target, protocol, day)
-                if reply is not None:
-                    answered.add(protocol)
-            outcome.branch_responses.append(answered)
-        return outcome
 
     def probe_prefixes(
         self, prefixes: Iterable[IPv6Prefix], day: int = 0

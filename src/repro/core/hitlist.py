@@ -18,7 +18,9 @@ one of two engines: the incremental fast engine (default) merges only the
 day's new source records into the standing batch, reuses APD verdicts for
 prefixes whose candidate membership is unchanged, and scans targets with one
 ``probe_batch`` call; ``ExecutionPolicy(reference=True)`` keeps the original
-rebuild-everything scalar loop for parity testing.
+rebuild-everything scalar loop for parity testing.  Both publish the same
+:class:`DailyHitlist`, whose scan is a (target x protocol) matrix on either
+engine.
 
 Both engines probe a candidate prefix on its *membership epoch*: the latest
 first-seen day among its rows.  A verdict is therefore a function of the
@@ -47,7 +49,7 @@ from repro.events.dynamics import NetworkDynamics
 from repro.exec import ExecutionPolicy
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
-from repro.probing.scheduler import BatchDailyScanResult, DailyScanResult, ScanScheduler
+from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
 from repro.sources.base import HitlistSource
 from repro.sources.registry import SourceAssembly
 
@@ -431,9 +433,10 @@ def _probe_on_epochs(
 class DailyHitlist:
     """The published artefacts of one day of the hitlist service.
 
-    Batch-engine days carry the columnar target batch and responsiveness
-    matrix; scalar address/set views are materialised lazily, only when a
-    consumer actually asks for the published lists.
+    Both engines publish the same containers: the scan targets are the rows
+    of the day's (target x protocol) scan matrix, and scalar address/set
+    views are materialised lazily, only when a consumer actually asks for
+    the published lists.
     """
 
     def __init__(
@@ -441,14 +444,10 @@ class DailyHitlist:
         day: int,
         input_addresses: int,
         aliased_prefixes: list[IPv6Prefix],
-        scan_result: "DailyScanResult | BatchDailyScanResult",
+        scan_result: BatchDailyScanResult,
         apd_result: APDResult,
-        scan_targets: list[IPv6Address] | None = None,
-        targets_batch: AddressBatch | None = None,
         hitlist: Hitlist | None = None,
     ):
-        if scan_targets is None and targets_batch is None:
-            raise ValueError("either scan_targets or targets_batch is required")
         self.day = day
         self.input_addresses = input_addresses
         self.aliased_prefixes = aliased_prefixes
@@ -460,29 +459,28 @@ class DailyHitlist:
         #: view (and the same target batch and outcome map); treat them as
         #: read-only.
         self.hitlist = hitlist
-        self._scan_targets = scan_targets
-        self._targets_batch = targets_batch
+        self._scan_targets: list[IPv6Address] | None = None
 
     @property
     def num_scan_targets(self) -> int:
         """Number of scan targets (no scalar materialisation)."""
-        if self._targets_batch is not None:
-            return len(self._targets_batch)
-        return len(self._scan_targets)
+        return self.scan_result.targets
 
     @property
     def scan_targets(self) -> list[IPv6Address]:
         """The de-aliased scan targets (materialised at the publish boundary)."""
         if self._scan_targets is None:
-            self._scan_targets = self._targets_batch.to_addresses()
+            self._scan_targets = self.scan_result.targets_batch.to_addresses()
         return self._scan_targets
 
     @property
     def targets_batch(self) -> AddressBatch:
-        """The scan targets as a columnar batch (read-only: a published artefact)."""
-        if self._targets_batch is None:
-            self._targets_batch = AddressBatch.from_addresses(self._scan_targets)
-        return self._targets_batch.readonly()
+        """The scan targets as a columnar batch (read-only: a published artefact).
+
+        The scan result's own target batch, so its rows align with the
+        responsiveness matrix.
+        """
+        return self.scan_result.targets_batch.readonly()
 
     @property
     def responsive_addresses(self) -> set[IPv6Address]:
@@ -546,7 +544,8 @@ class HitlistService:
       order.
     * the reference engine -- the original scalar loop: rebuild the hitlist
       from scratch, run APD over everything, sweep per protocol with the
-      scalar ZMap scanner.  Kept for seeded parity tests and benchmarks.
+      scalar ZMap scanner, recording the replies into the same scan matrix.
+      Kept for seeded parity tests and benchmarks.
     """
 
     def __init__(
@@ -627,7 +626,6 @@ class HitlistService:
             day=day,
             input_addresses=len(addresses),
             aliased_prefixes=apd_result.aliased_prefixes,
-            scan_targets=targets,
             scan_result=scan_result,
             apd_result=apd_result,
             hitlist=hitlist,
@@ -664,7 +662,6 @@ class HitlistService:
             day=day,
             input_addresses=len(hitlist),
             aliased_prefixes=state.aliased_prefixes,
-            targets_batch=state.targets,
             scan_result=scan_result,
             apd_result=state.apd.for_day(day),
             hitlist=hitlist,
@@ -689,13 +686,23 @@ class HitlistService:
         """
         if self._standing is None:
             self._standing = Hitlist()
-        min_day = None if self._merged_through is None else self._merged_through + 1
+        # The window's day-grid bounds, floored as merge_records floors them
+        # (Python ints: a float bound would make each search convert the column).
+        first_day = (
+            np.iinfo(np.int64).min
+            if self._merged_through is None
+            else int(np.floor(self._merged_through)) + 1
+        )
+        last_day = int(np.floor(day))
         fresh: list[AddressBatch] = []
         for source in self.assembly.sources:
+            # Records are sorted by first-seen day, so the window is one slice.
             batch, first_seen = source.record_arrays()
-            new = self._standing.merge_records(
-                batch, first_seen, source.name, min_day=min_day, max_day=day
+            window = slice(
+                int(np.searchsorted(first_seen, first_day, "left")),
+                int(np.searchsorted(first_seen, last_day, "right")),
             )
+            new = self._standing.merge_records(batch.take(window), first_seen[window], source.name)
             if len(new):
                 fresh.append(new)
         self._merged_through = day
@@ -754,7 +761,7 @@ class HitlistService:
         """Run the daily pipeline for several days."""
         return [self.run_day(day) for day in days]
 
-    def campaign(self) -> list["DailyScanResult | BatchDailyScanResult"]:
+    def campaign(self) -> list[BatchDailyScanResult]:
         """All recorded scan results, ordered by day (longitudinal input)."""
         return [daily.scan_result for _, daily in sorted(self.history.items())]
 

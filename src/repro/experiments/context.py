@@ -21,7 +21,7 @@ from repro.exec import ExecutionPolicy
 from repro.netmodel.config import InternetConfig
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
-from repro.probing.scheduler import BatchDailyScanResult, DailyScanResult, ScanScheduler
+from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
 from repro.sources.registry import SourceAssembly, assemble_all_sources
 
 
@@ -168,14 +168,14 @@ class ExperimentContext:
         *,
         seed: int,
         protocols: Sequence[Protocol] = ALL_PROTOCOLS,
-    ) -> DailyScanResult | BatchDailyScanResult:
+    ) -> BatchDailyScanResult:
         """One day's scan of *targets* on *protocols*, on the policy's engine.
 
         The only place an experiment scan picks its engine: one
         ``probe_batch`` pass by default, the scalar scheduler under
-        ``reference=True``.  Probe outcomes are keyed draws, so both engines
-        give the same ``responsive_on`` / ``responsive_any`` /
-        ``count_responsive`` answers.
+        ``reference=True``.  Both fill the same (target x protocol) matrix,
+        with rows in *targets* order, and probe outcomes are keyed draws, so
+        both engines give the same answers.
         """
         scheduler = ScanScheduler(self.internet, protocols, seed=seed)
         if self.policy.reference:
@@ -183,13 +183,13 @@ class ExperimentContext:
         return scheduler.run_day_batch(targets, day)
 
     @cached_property
-    def day0_scan(self) -> DailyScanResult | BatchDailyScanResult:
+    def day0_scan(self) -> BatchDailyScanResult:
         """Five-protocol day-0 scan over the non-aliased scan targets."""
         targets = AddressBatch.from_addresses(self.non_aliased_addresses)
         return self.scan(targets, 0, seed=self.config.seed ^ 0x5CA)
 
     @cached_property
-    def longitudinal_campaign(self) -> Sequence[DailyScanResult | BatchDailyScanResult]:
+    def longitudinal_campaign(self) -> Sequence[BatchDailyScanResult]:
         """Multi-day campaign over the day-0 responsive addresses (Figure 8)."""
         targets = AddressBatch.from_addresses(self.day0_scan.responsive_any).sort()
         seed = self.config.seed ^ 0x10E

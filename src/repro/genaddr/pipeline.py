@@ -29,7 +29,10 @@ Two engines run the same methodology, selected by ``policy.reference``:
 * the reference engine is the original scalar loop, kept for seeded
   parity: both engines consume the pipeline's random stream identically, so
   they emit bit-identical candidate sets and per-AS reports, and (the probes
-  being keyed draws) identical responsive sets.
+  being keyed draws) identical responsive sets.  It probes one address at a
+  time through :meth:`ScanScheduler.run_day` and records the replies into
+  the same containers: a :class:`GenerationReport` holds candidate batches
+  and sweep matrices on both engines.
 """
 
 from __future__ import annotations
@@ -57,51 +60,31 @@ TOOLS = ("entropy_ip", "6gen")
 
 
 class PerASGeneration:
-    """Generated addresses of one tool for one AS (scalar- or batch-backed).
+    """Generated addresses of one tool for one AS.
 
-    The batch engine stores the per-AS output as an :class:`AddressBatch`;
-    the scalar :attr:`generated` list view is materialised lazily, only when
-    a consumer asks for addresses.
+    Stored as an :class:`AddressBatch` in the tool's output order; the
+    scalar :attr:`generated` list view is materialised only when a consumer
+    asks for addresses.
     """
 
-    __slots__ = ("asn", "tool", "seeds", "_generated", "_batch")
+    __slots__ = ("asn", "tool", "seeds", "generated_batch")
 
-    def __init__(
-        self,
-        asn: int,
-        tool: str,
-        seeds: int,
-        generated: list[IPv6Address] | None = None,
-        batch: AddressBatch | None = None,
-    ):
-        if generated is None and batch is None:
-            generated = []
+    def __init__(self, asn: int, tool: str, seeds: int, batch: AddressBatch):
         self.asn = asn
         self.tool = tool
         self.seeds = seeds
-        self._generated = generated
-        self._batch = batch
+        #: The generated addresses as a columnar batch.
+        self.generated_batch = batch
 
     @property
     def generated(self) -> list[IPv6Address]:
-        """The generated addresses (scalar view, lazy on the batch engine)."""
-        if self._generated is None:
-            self._generated = self._batch.to_addresses()
-        return self._generated
-
-    @property
-    def generated_batch(self) -> AddressBatch:
-        """The generated addresses as a columnar batch."""
-        if self._batch is None:
-            self._batch = AddressBatch.from_addresses(self._generated)
-        return self._batch
+        """The generated addresses (scalar view, materialised on demand)."""
+        return self.generated_batch.to_addresses()
 
     @property
     def generated_count(self) -> int:
         """Number of generated addresses (no scalar materialisation)."""
-        if self._batch is not None:
-            return len(self._batch)
-        return len(self._generated)
+        return len(self.generated_batch)
 
     def __repr__(self) -> str:
         return (
@@ -113,12 +96,11 @@ class PerASGeneration:
 class GenerationReport:
     """Outcome of the full generation + probing pipeline.
 
-    Backed either by scalar containers (the reference engine: candidate
-    lists and per-protocol responsive sets) or by columnar storage (sorted
-    candidate batches plus one (candidate x protocol) boolean responsiveness
-    matrix per tool).  All scalar views are materialised lazily at the read
-    boundary; counts, rates and protocol combinations come straight off the
-    matrices when they are available.
+    Both engines store the same containers: per tool, a candidate batch and
+    the (candidate x protocol) boolean responsiveness matrix of its sweep,
+    with the sweep's rows aligned to the batch's.  Counts, rates and
+    protocol combinations come straight off the matrices; the scalar views
+    are materialised lazily at the read boundary.
     """
 
     def __init__(self):
@@ -131,22 +113,12 @@ class GenerationReport:
 
     # -- storage (filled by the pipeline engines) ---------------------------------
 
-    def set_candidates(self, tool: str, candidates: list[IPv6Address]) -> None:
-        """Store one tool's candidates as a scalar list (reference engine)."""
-        self._candidates[tool] = candidates
-
     def set_candidate_batch(self, tool: str, batch: AddressBatch) -> None:
-        """Store one tool's candidates as a sorted batch (batch engine)."""
+        """Store one tool's candidates (the rows of its sweep, if probed)."""
         self._candidate_batches[tool] = batch
 
-    def set_responsive_sets(
-        self, tool: str, by_protocol: dict[Protocol, set[IPv6Address]]
-    ) -> None:
-        """Store one tool's probe outcome as per-protocol sets (reference)."""
-        self._responsive[tool] = by_protocol
-
     def set_sweep(self, tool: str, sweep: BatchProbeResult) -> None:
-        """Store one tool's probe outcome as a responsiveness matrix (batch)."""
+        """Store one tool's probe outcome as a responsiveness matrix."""
         self._sweeps[tool] = sweep
 
     # -- candidate views ----------------------------------------------------------
@@ -161,18 +133,11 @@ class GenerationReport:
 
     def candidate_batch(self, tool: str) -> AddressBatch:
         """One tool's candidates as a columnar batch."""
-        batch = self._candidate_batches.get(tool)
-        if batch is None:
-            batch = AddressBatch.from_addresses(self._candidates.get(tool, []))
-            self._candidate_batches[tool] = batch
-        return batch
+        return self._candidate_batches.get(tool, AddressBatch.empty())
 
     def generated_count(self, tool: str) -> int:
         """Total candidate addresses produced by one tool."""
-        batch = self._candidate_batches.get(tool)
-        if batch is not None:
-            return len(batch)
-        return len(self._candidates.get(tool, []))
+        return len(self.candidate_batch(tool))
 
     # -- responsiveness views -----------------------------------------------------
 
@@ -188,7 +153,7 @@ class GenerationReport:
         return self._responsive
 
     def responsive_matrix(self, tool: str) -> np.ndarray | None:
-        """The (candidate x protocol) boolean matrix (batch engine only)."""
+        """The (candidate x protocol) boolean matrix (None when not probed)."""
         sweep = self._sweeps.get(tool)
         return None if sweep is None else sweep.responsive
 
@@ -197,21 +162,14 @@ class GenerationReport:
         cached = self._responsive_any.get(tool)
         if cached is None:
             sweep = self._sweeps.get(tool)
-            if sweep is not None:
-                cached = set(sweep.responsive_addresses())
-            else:
-                cached = set()
-                for addresses in self._responsive.get(tool, {}).values():
-                    cached |= addresses
+            cached = set() if sweep is None else set(sweep.responsive_addresses())
             self._responsive_any[tool] = cached
         return cached
 
     def responsive_any_count(self, tool: str) -> int:
-        """Responsive-candidate count (matrix sum on the batch engine)."""
+        """Responsive-candidate count (a matrix sum)."""
         sweep = self._sweeps.get(tool)
-        if sweep is not None:
-            return sweep.count()
-        return len(self.responsive_any(tool))
+        return 0 if sweep is None else sweep.count()
 
     def response_rate(self, tool: str) -> float:
         """Responsive share of one tool's candidates."""
@@ -231,36 +189,24 @@ class GenerationReport:
         return self.responsive_any(tool_a) & self.responsive_any(tool_b)
 
     def protocol_combination_shares(self, tool: str) -> dict[tuple[Protocol, ...], float]:
-        """Share of responsive addresses per exact protocol combination (Table 7)."""
+        """Share of responsive addresses per exact protocol combination (Table 7).
+
+        Combinations are keyed by protocol bitmask and emitted in ascending
+        mask order, so tied shares always rank the same.
+        """
         sweep = self._sweeps.get(tool)
-        if sweep is not None:
-            matrix = sweep.responsive
-            any_mask = matrix.any(axis=1)
-            total = int(any_mask.sum())
-            if not total:
-                return {}
-            bits = matrix[any_mask] @ (1 << np.arange(len(sweep.protocols)))
-            combos, combo_counts = np.unique(bits, return_counts=True)
-            return {
-                tuple(
-                    p for j, p in enumerate(sweep.protocols) if combo >> j & 1
-                ): int(count) / total
-                for combo, count in zip(combos.tolist(), combo_counts.tolist())
-            }
-        by_address: dict[IPv6Address, set[Protocol]] = {}
-        for protocol, addresses in self._responsive.get(tool, {}).items():
-            for address in addresses:
-                by_address.setdefault(address, set()).add(protocol)
-        total = len(by_address)
-        # Keyed by protocol bitmask and emitted in ascending mask order, the
-        # order of the matrix branch above, so tied shares rank the same.
-        combos: dict[int, int] = {}
-        for protocols in by_address.values():
-            mask = sum(1 << j for j, p in enumerate(ALL_PROTOCOLS) if p in protocols)
-            combos[mask] = combos.get(mask, 0) + 1
+        if sweep is None:
+            return {}
+        matrix = sweep.responsive
+        any_mask = matrix.any(axis=1)
+        total = int(any_mask.sum())
+        if not total:
+            return {}
+        bits = matrix[any_mask] @ (1 << np.arange(len(sweep.protocols)))
+        combos, combo_counts = np.unique(bits, return_counts=True)
         return {
-            tuple(p for j, p in enumerate(ALL_PROTOCOLS) if mask >> j & 1): count / total
-            for mask, count in sorted(combos.items())
+            tuple(p for j, p in enumerate(sweep.protocols) if combo >> j & 1): int(count) / total
+            for combo, count in zip(combos.tolist(), combo_counts.tolist())
         }
 
 
@@ -394,7 +340,12 @@ class GenerationPipeline:
                 capped = sample_capped(addresses, self.generated_cap_per_as, self._rng)
                 raw_by_tool[tool].extend(capped)
                 report.per_as.append(
-                    PerASGeneration(asn=asn, tool=tool, seeds=len(seeds), generated=capped)
+                    PerASGeneration(
+                        asn=asn,
+                        tool=tool,
+                        seeds=len(seeds),
+                        batch=AddressBatch.from_addresses(capped),
+                    )
                 )
         for tool, addresses in raw_by_tool.items():
             candidates = [
@@ -404,17 +355,14 @@ class GenerationPipeline:
                 and self.internet.bgp.is_routed(a)
                 and not (apd_result is not None and apd_result.is_aliased(a))
             ]
-            report.set_candidates(tool, candidates)
+            # Kept in dedupe order; the sweep's rows follow the same order.
+            report.set_candidate_batch(tool, AddressBatch.from_addresses(candidates))
         if probe:
             scheduler = ScanScheduler(
                 self.internet, ALL_PROTOCOLS, seed=self._rng.getrandbits(32)
             )
             for tool in TOOLS:
-                daily = scheduler.run_day(report.candidates.get(tool, []), day)
-                report.set_responsive_sets(
-                    tool,
-                    {protocol: result.responsive for protocol, result in daily.results.items()},
-                )
+                report.set_sweep(tool, scheduler.run_day(report.candidates[tool], day).result)
         return report
 
     def _run_batch(

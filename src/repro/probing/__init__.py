@@ -12,7 +12,7 @@
 from repro.probing.zmap import ScanResult, ZMapScanner
 from repro.probing.traceroute import TracerouteEngine
 from repro.probing.fingerprint import FingerprintProbe, FingerprintRecord
-from repro.probing.scheduler import BatchDailyScanResult, DailyScanResult, ScanScheduler
+from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
 
 __all__ = [
     "ZMapScanner",
@@ -21,6 +21,5 @@ __all__ = [
     "FingerprintProbe",
     "FingerprintRecord",
     "ScanScheduler",
-    "DailyScanResult",
     "BatchDailyScanResult",
 ]

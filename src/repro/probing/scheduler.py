@@ -6,11 +6,15 @@ with scamper, then run ZMapv6 responsiveness scans on all five protocols.
 :class:`ScanScheduler` provides that loop for the simulated Internet; the
 full curation pipeline (including APD filtering) lives in
 :mod:`repro.core.hitlist`, which composes this scheduler.
+
+A day's scan is one :class:`BatchDailyScanResult` on either engine: the
+vectorised :meth:`ScanScheduler.run_day_batch` and the scalar
+:meth:`ScanScheduler.run_day`, kept as its parity oracle, fill the same
+(target x protocol) matrix, so every consumer reads one container.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -19,10 +23,10 @@ from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch, readonly_view
 from repro.netmodel.internet import BatchProbeResult, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
-from repro.probing.zmap import ScanResult, ZMapScanner
+from repro.probing.zmap import ZMapScanner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.events.dynamics import NetworkDynamics
+    from repro.events.dynamics import NetworkDynamics, WaveAdmission
 
 
 def wave_spans(n: int, waves: int) -> list[tuple[int, int]]:
@@ -36,41 +40,15 @@ def wave_spans(n: int, waves: int) -> list[tuple[int, int]]:
     return [(bounds[i], bounds[i + 1]) for i in range(waves)]
 
 
-@dataclass(slots=True)
-class DailyScanResult:
-    """All per-protocol scan results of one day."""
-
-    day: int
-    targets: int
-    results: dict[Protocol, ScanResult] = field(default_factory=dict)
-
-    @property
-    def responsive_any(self) -> set[IPv6Address]:
-        """Addresses responsive on at least one protocol."""
-        responsive: set[IPv6Address] = set()
-        for result in self.results.values():
-            responsive |= result.responsive
-        return responsive
-
-    def responsive_on(self, protocol: Protocol) -> set[IPv6Address]:
-        """Addresses responsive on one protocol."""
-        result = self.results.get(protocol)
-        return result.responsive if result else set()
-
-    def count_responsive(self, protocol: Protocol | None = None) -> int:
-        """Responsive-address count (any protocol, or one)."""
-        if protocol is None:
-            return len(self.responsive_any)
-        return len(self.responsive_on(protocol))
-
-
 class BatchDailyScanResult:
-    """One day's five-protocol scan as a (target x protocol) boolean matrix.
+    """One day's multi-protocol scan as a (target x protocol) boolean matrix.
 
-    The batch-engine counterpart of :class:`DailyScanResult`: responsiveness
-    lives in one :class:`BatchProbeResult` matrix, and the set-of-address
-    views every scalar consumer expects are materialised lazily (and cached)
-    only when asked for -- the publish boundary of the daily service.
+    Both scan engines publish this container: :meth:`ScanScheduler.run_day_batch`
+    fills it from ``probe_batch`` and the scalar :meth:`ScanScheduler.run_day`
+    records each reply of its per-probe sweep into it.  Its rows follow the
+    caller's target order.  The set-of-address views are materialised lazily
+    (and cached) only when asked for -- the publish boundary of the daily
+    service.
     """
 
     def __init__(self, day: int, result: BatchProbeResult):
@@ -164,40 +142,48 @@ class ScanScheduler:
         day: int,
         *,
         dynamics: "Optional[NetworkDynamics]" = None,
-    ) -> DailyScanResult:
-        """One daily measurement: sweep all protocols over the targets.
+    ) -> BatchDailyScanResult:
+        """One daily measurement: a scalar sweep of all protocols over the targets.
 
-        With active sub-day *dynamics* the day is split into timestamped
-        probe waves on the dynamics' event scheduler; without it (the
-        degenerate whole-day configuration) the historical single sweep runs
-        unchanged.
+        The reference engine of :meth:`run_day_batch`: every probe is one
+        packet of :meth:`ZMapScanner.sweep`, and the replies are recorded
+        into the same (target x protocol) matrix, with rows in *targets*
+        order.  With active sub-day *dynamics* the day is split into
+        timestamped probe waves on the dynamics' event scheduler; without it
+        (the degenerate whole-day configuration) one sweep covers the day.
         """
         target_list = list(targets)
         scanner = ZMapScanner(self.internet, seed=self._seed ^ (day * 0x9E3779B1))
-        if dynamics is None or not dynamics.active:
-            results = scanner.sweep(target_list, self.protocols, day)
-            return DailyScanResult(day=day, targets=len(target_list), results=results)
-        results = {
-            protocol: ScanResult(protocol=protocol, day=day, targets=len(target_list))
-            for protocol in self.protocols
-        }
-        dynamics.begin_day(day)
-        for w, (start, stop) in enumerate(
-            wave_spans(len(target_list), dynamics.waves_per_day)
-        ):
+        responsive = np.zeros((len(target_list), len(self.protocols)), dtype=bool)
+
+        def record(start: int, stop: int, wave: "Optional[WaveAdmission]" = None) -> None:
             span = target_list[start:stop]
-            when = dynamics.wave_time(day, w)
+            sweep = scanner.sweep(span, self.protocols, day, wave=wave)
+            for j, protocol in enumerate(self.protocols):
+                replies = sweep[protocol].replies
+                responsive[start:stop, j] = [address in replies for address in span]
 
-            def fire(span=span, when=when):
-                wave = dynamics.begin_wave(day, when, span)
-                for protocol, result in scanner.sweep(
-                    span, self.protocols, day, wave=wave
-                ).items():
-                    results[protocol].replies.update(result.replies)
+        if dynamics is None or not dynamics.active:
+            record(0, len(target_list))
+        else:
+            dynamics.begin_day(day)
+            for w, (start, stop) in enumerate(
+                wave_spans(len(target_list), dynamics.waves_per_day)
+            ):
+                when = dynamics.wave_time(day, w)
 
-            dynamics.scheduler.schedule(when, fire)
-        dynamics.scheduler.run_until(day + 1.0)
-        return DailyScanResult(day=day, targets=len(target_list), results=results)
+                def fire(start=start, stop=stop, when=when):
+                    record(start, stop, dynamics.begin_wave(day, when, target_list[start:stop]))
+
+                dynamics.scheduler.schedule(when, fire)
+            dynamics.scheduler.run_until(day + 1.0)
+        result = BatchProbeResult(
+            day=day,
+            protocols=self.protocols,
+            targets=AddressBatch.from_addresses(target_list),
+            responsive=responsive,
+        )
+        return BatchDailyScanResult(day=day, result=result)
 
     def run_day_batch(
         self,
@@ -264,13 +250,13 @@ class ScanScheduler:
         self,
         targets_for_day: Callable[[int], Iterable[IPv6Address]],
         days: Sequence[int],
-    ) -> list[DailyScanResult]:
+    ) -> list[BatchDailyScanResult]:
         """Run a scan every day, with possibly day-dependent target lists."""
         return [self.run_day(targets_for_day(day), day) for day in days]
 
     def run_fixed_campaign(
         self, targets: Iterable[IPv6Address], days: Sequence[int]
-    ) -> list[DailyScanResult]:
+    ) -> list[BatchDailyScanResult]:
         """Run a scan every day over the same fixed target list.
 
         The paper keeps probing addresses even when they disappear from the

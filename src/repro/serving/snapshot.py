@@ -11,7 +11,8 @@ mutates the snapshot -- which is what makes it safe to share between any
 number of reader threads while the next day's snapshot builds elsewhere.
 Snapshots of one published state share its row columns
 (:class:`SnapshotRows`): a day that merged no source record builds only its
-responsiveness matrix.
+responsiveness matrix.  Both service engines publish the same day
+containers, so one build path serves both.
 
 Query surface (mirroring what the measurement community asks of the real
 service, Section 11 and "IPv6 Hitlists at Scale"):
@@ -326,11 +327,12 @@ class HitlistSnapshot:
     ) -> "HitlistSnapshot":
         """Freeze one day of the service into a query-ready snapshot.
 
-        Works for both engines: the hitlist columns come straight from
-        :meth:`Hitlist.snapshot_arrays` (zero copy), the day's scan result is
-        scattered back onto the full rows (matrix assignment on the batch
-        engine, per-protocol membership search on the reference engine), and
-        the APD verdicts are the day's own LPM from
+        Works for both engines, which publish the same containers: the
+        hitlist columns come straight from :meth:`Hitlist.snapshot_arrays`
+        (zero copy), the day's (target x protocol) scan matrix is scattered
+        back onto the full rows with one assignment (its rows are the day's
+        :attr:`~repro.core.hitlist.DailyHitlist.targets_batch`), and the APD
+        verdicts are the day's own LPM from
         :meth:`~repro.core.apd.APDResult.verdict_lpm`.
 
         *previous* is the snapshot published before this one.  When its
@@ -338,27 +340,13 @@ class HitlistSnapshot:
         (:meth:`SnapshotRows.built_from`), the new snapshot shares them and
         builds only its own responsiveness matrix.
         """
-        from repro.probing.scheduler import BatchDailyScanResult
-
         rows = None if previous is None else previous._rows
         if rows is None or not rows.built_from(daily, internet):
             rows = SnapshotRows(daily, internet)
-        batch = rows.batch
         scan = daily.scan_result
-        if isinstance(scan, BatchDailyScanResult):
-            protocols = scan.protocols
-            responsive = np.zeros((len(batch), len(protocols)), dtype=bool)
-            responsive[rows.positions, :] = scan.responsive_matrix
-        else:
-            protocols = tuple(scan.results)
-            responsive = np.zeros((len(batch), len(protocols)), dtype=bool)
-            for j, protocol in enumerate(protocols):
-                members = scan.responsive_on(protocol)
-                if not members:
-                    continue
-                member_batch = AddressBatch.from_addresses(members).unique()
-                member_pos = find128(batch.hi, batch.lo, member_batch.hi, member_batch.lo)
-                responsive[member_pos[member_pos >= 0], j] = True
+        protocols = scan.protocols
+        responsive = np.zeros((len(rows.batch), len(protocols)), dtype=bool)
+        responsive[rows.positions, :] = scan.responsive_matrix
         return cls(
             generation=generation,
             day=daily.day,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.addr import IPv6Address
+from repro.addr.batch import AddressBatch
 from repro.analysis import (
     compare_apd_approaches,
     conditional_probability_matrix,
@@ -92,6 +93,47 @@ class TestLongitudinal:
         # Servers stay responsive; CPE devices lose a larger share (Figure 8).
         assert by_group["servers"].final_retention > by_group["clients"].final_retention
         assert by_group["servers"].loss < 0.15
+
+    def test_retention_equals_its_set_definition_on_both_engines(self, tiny_internet):
+        """Figure 8 over unsorted days equals retention computed from each
+        day's responsive sets, on the scalar and the batch scan engine."""
+        hosts = tiny_internet.hosts_by_role
+        servers = [h.primary_address for h in hosts(HostRole.WEB_SERVER)][:150]
+        clients = [h.primary_address for h in hosts(HostRole.CPE)][:150]
+        targets = servers + clients
+        # Every third target: a group the sort permutes against the rest.
+        groups = {"servers": servers, "clients": clients, "every third": targets[::3]}
+        protocols = (Protocol.ICMP, Protocol.TCP80)
+        scheduler = ScanScheduler(tiny_internet, protocols=protocols, seed=6)
+        days = range(0, 6)
+        campaigns = {
+            "reference": scheduler.run_fixed_campaign(targets, days),
+            "batch": [
+                scheduler.run_day_batch(AddressBatch.from_addresses(targets), day) for day in days
+            ],
+        }
+        timelines = {}
+        for engine, campaign in campaigns.items():
+            assert not campaign[0].targets_batch.is_sorted(), engine
+            for protocol in (None, Protocol.ICMP):
+
+                def responsive(result):
+                    if protocol is None:
+                        return result.responsive_any
+                    return result.responsive_on(protocol)
+
+                first = responsive(campaign[0])
+                got = responsiveness_over_time(campaign, groups, protocol=protocol)
+                for timeline in got:
+                    baseline = set(groups[timeline.group]) & first
+                    assert baseline, (engine, protocol, timeline.group)
+                    assert timeline.baseline_size == len(baseline)
+                    assert timeline.retention == [
+                        len(baseline & responsive(result)) / len(baseline) for result in campaign
+                    ], (engine, protocol, timeline.group)
+                timelines[engine, protocol] = [(t.group, t.retention) for t in got]
+        for protocol in (None, Protocol.ICMP):
+            assert timelines["reference", protocol] == timelines["batch", protocol]
 
     def test_empty_baseline_group(self, tiny_internet):
         servers = [h.primary_address for h in tiny_internet.hosts_by_role(HostRole.WEB_SERVER)][:50]

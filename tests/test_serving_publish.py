@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.addr.batch import AddressBatch, FlatLPM
+from repro.exec import ExecutionPolicy
 from repro.scenarios import build
 from repro.serving import HitlistSnapshot
 
@@ -76,6 +77,15 @@ def test_every_day_equals_a_full_build(published):
     server, snapshots = published
     for snapshot in snapshots:
         assert_same_snapshot(snapshot, full_build(server, snapshot))
+
+
+def test_the_reference_engine_publishes_the_same_snapshots(published):
+    """The scalar service fills the containers the batch service publishes,
+    so each of its snapshots equals the batch server's, row for row."""
+    _, snapshots = published
+    reference = build("server", "baseline", policy=ExecutionPolicy(reference=True), **SCENARIO)
+    for snapshot, expected in zip(reference.publish_days(list(DAYS)), snapshots, strict=True):
+        assert_same_snapshot(snapshot, expected)
 
 
 def test_no_record_day_shares_rows_but_not_responsiveness(published):
