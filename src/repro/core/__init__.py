@@ -33,7 +33,7 @@ from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult, PrefixPr
 from repro.core.apd_murdock import MurdockDetector, MurdockResult
 from repro.core.sliding_window import SlidingWindowMerger, WindowStats
 from repro.core.consistency import ConsistencyChecker, ConsistencyReport, PrefixConsistency
-from repro.core.hitlist import Hitlist, HitlistEntry, HitlistService, DailyHitlist
+from repro.core.hitlist import Hitlist, HitlistService, DailyHitlist
 from repro.core.bias import top_x_fractions, concentration_index, coverage_stats
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "ConsistencyReport",
     "PrefixConsistency",
     "Hitlist",
-    "HitlistEntry",
     "HitlistService",
     "DailyHitlist",
     "top_x_fractions",

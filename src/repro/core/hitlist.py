@@ -13,7 +13,9 @@ This module ties the pipeline of Section 6 together:
 The hitlist itself is columnar: addresses live in sorted ``uint64`` hi/lo
 arrays with a per-source membership bitmask and a ``first_seen_day`` array,
 and scalar :class:`~repro.addr.address.IPv6Address` views are materialised
-only at the publish boundary.  :class:`HitlistService` runs the daily loop in
+only at the publish boundary.  Rows enter it one way only,
+:meth:`Hitlist.merge_records`: one union of every source's first-seen-day
+window.  :class:`HitlistService` runs the daily loop in
 one of two engines: the incremental fast engine (default) merges only the
 day's new source records into the standing batch, reuses APD verdicts for
 prefixes whose candidate membership is unchanged, and scans targets with one
@@ -30,21 +32,19 @@ prefix's rows, which is what makes the fast engine's reuse exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.addr.address import IPv6Address
 from repro.addr.batch import (
     AddressBatch,
-    find128,
     readonly_view,
     searchsorted128,
     union_sorted,
 )
 from repro.addr.prefix import IPv6Prefix
 from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult, PrefixProbeOutcome
-from repro.core.bias import CoverageStats, coverage_stats
 from repro.events.dynamics import NetworkDynamics
 from repro.exec import ExecutionPolicy
 from repro.netmodel.internet import SimulatedInternet
@@ -53,62 +53,37 @@ from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
 from repro.sources.base import HitlistSource
 from repro.sources.registry import SourceAssembly
 
-_LO_MASK = (1 << 64) - 1
-
 #: Sentinel first-seen day for freshly inserted rows (min() always replaces it).
 _NEVER_SEEN = np.int64(2**62)
 
 
-class HitlistEntry:
-    """One hitlist address with provenance (a scalar view of a batch row)."""
-
-    __slots__ = ("address", "sources", "first_seen_day")
-
-    def __init__(
-        self,
-        address: IPv6Address,
-        sources: Iterable[str] = (),
-        first_seen_day: int = 0,
-    ):
-        self.address = address
-        self.sources = set(sources)
-        self.first_seen_day = first_seen_day
-
-    def __repr__(self) -> str:
-        return (
-            f"HitlistEntry({self.address.compressed}, sources={sorted(self.sources)}, "
-            f"first_seen_day={self.first_seen_day})"
-        )
-
-
 class Hitlist:
-    """A set of candidate scan targets with provenance and curation helpers.
+    """The accumulated union of the hitlist sources, with provenance.
 
     Provenance is stored columnarly: a sorted-unique :class:`AddressBatch`
     (the primary representation), one ``uint64`` per-source membership
     bitmask per address and one ``first_seen_day`` per address.  Scalar
-    :class:`HitlistEntry` / :class:`IPv6Address` views are materialised
-    lazily at the publish boundary; all curation steps -- merging, APD
-    candidate aggregation, de-aliasing -- run on the arrays.
+    :class:`IPv6Address` views are materialised lazily at the publish
+    boundary; all curation steps -- merging, APD candidate aggregation,
+    de-aliasing -- run on the arrays.
 
-    Merges are copy-on-write: they replace the four arrays and never write
-    them in place, which is what keeps a :meth:`frozen` view valid after
-    later merges.
+    :meth:`merge_records` is the only write path: every build (from
+    :meth:`from_sources`, or the daily service's day window) is one union of
+    the sources' first-seen windows.  Merges are copy-on-write: they replace
+    the four arrays and never write them in place, which is what keeps a
+    :meth:`frozen` view valid after later merges.
     """
 
-    def __init__(self, entries: Iterable[HitlistEntry] = ()):
+    def __init__(self) -> None:
         self._hi = np.zeros(0, dtype=np.uint64)
         self._lo = np.zeros(0, dtype=np.uint64)
         self._masks = np.zeros(0, dtype=np.uint64)
         self._first = np.zeros(0, dtype=np.int64)
         self._source_names: list[str] = []
         self._source_bits: dict[str, int] = {}
-        self._pending: list[tuple[int, tuple[str, ...], int]] = []
         self._addresses: list[IPv6Address] | None = None
         self._view: Hitlist | None = None
         self._read_only = False
-        for entry in entries:
-            self.add(entry.address, entry.sources, entry.first_seen_day)
 
     # -- construction -----------------------------------------------------------
 
@@ -133,59 +108,42 @@ class Hitlist:
         """All registered source names, in bit order."""
         return list(self._source_names)
 
-    def add(
-        self, address: IPv6Address, sources: Iterable[str] = (), first_seen_day: int = 0
-    ) -> None:
-        """Add an address (merging provenance if already present)."""
-        self._check_writable()
-        self._pending.append((address.value, tuple(sources), first_seen_day))
-        self._addresses = None
-
     def merge_records(
         self,
-        batch: AddressBatch,
-        first_seen: np.ndarray,
-        source: str,
-        min_day: int | None = None,
-        max_day: int | None = None,
+        sources: Sequence[HitlistSource],
+        first_day: float | None = None,
+        last_day: float | None = None,
     ) -> AddressBatch:
-        """Merge one source's records, keeping only a first-seen-day window.
+        """Merge every source's records first seen in ``[first_day, last_day]``.
 
-        ``batch``/``first_seen`` are parallel arrays (one row per record);
-        rows outside ``[min_day, max_day]`` are ignored, which is how the
-        incremental service merges exactly the days it has not seen yet.
-        Returns the addresses that were new to the hitlist.
+        Each window is one slice of its source's day-sorted record columns
+        (:meth:`HitlistSource.record_arrays`: ``None`` leaves a side open and
+        fractional bounds floor to the day grid), and the windows of all
+        sources are merged in one union.  Every source's bit is registered
+        in the given order, even when its window is empty, so the mask
+        layout depends only on the source order.  If every window is empty
+        nothing is replaced and :meth:`frozen` keeps returning the same view.
 
-        Fractional timestamps (sub-day event times from :mod:`repro.events`)
-        are floored to the day grid here, at the provenance boundary: the
-        ``first_seen_day`` column is integral by contract, and a float day
-        must never leak into it.
+        Returns the addresses that were new to the hitlist (sorted, unique).
         """
         self._check_writable()
-        self._flush()
-        first_seen = np.asarray(first_seen)
-        if first_seen.dtype.kind == "f":
-            first_seen = np.floor(first_seen).astype(np.int64)
-        else:
-            first_seen = first_seen.astype(np.int64)
-        keep = np.ones(len(batch), dtype=bool)
-        if min_day is not None:
-            keep &= first_seen >= int(np.floor(min_day))
-        if max_day is not None:
-            keep &= first_seen <= int(np.floor(max_day))
-        if not keep.all():
-            batch = batch.take(keep)
-            first_seen = first_seen[keep]
-        bit = self.source_bit(source)
-        masks = np.full(len(batch), np.uint64(1 << bit), dtype=np.uint64)
-        return self._merge_arrays(batch, masks, first_seen)
+        windows: list[tuple[AddressBatch, np.ndarray, np.ndarray]] = []
+        for source in sources:
+            bit = self.source_bit(source.name)
+            batch, days = source.record_arrays(first_day, last_day)
+            if len(batch):
+                windows.append((batch, np.full(len(batch), np.uint64(1 << bit)), days))
+        if not windows:
+            return AddressBatch.empty()
+        batches, masks, days = zip(*windows)
+        return self._merge_arrays(
+            AddressBatch.concatenate(batches), np.concatenate(masks), np.concatenate(days)
+        )
 
     def _merge_arrays(
         self, batch: AddressBatch, masks: np.ndarray, days: np.ndarray
     ) -> AddressBatch:
         """Vectorised provenance merge; returns the rows new to the hitlist."""
-        if len(batch) == 0:
-            return AddressBatch.empty()
         # Deduplicate the incoming rows first (OR masks, min first-seen day).
         order = batch.argsort()
         s = batch.take(order)
@@ -211,40 +169,20 @@ class Hitlist:
         self._view = None
         return s.take(is_new)
 
-    def _flush(self) -> None:
-        """Fold scalar ``add()`` calls into the columnar arrays."""
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        n = len(pending)
-        batch = AddressBatch.from_ints([value for value, _, _ in pending])
-        masks = np.zeros(n, dtype=np.uint64)
-        for i, (_, sources, _) in enumerate(pending):
-            mask = 0
-            for name in sources:
-                mask |= 1 << self.source_bit(name)
-            masks[i] = mask
-        days = np.fromiter((day for _, _, day in pending), dtype=np.int64, count=n)
-        self._merge_arrays(batch, masks, days)
-
     @classmethod
     def from_assembly(cls, assembly: SourceAssembly, day: int | None = None) -> "Hitlist":
         """Build a hitlist from every source's snapshot up to *day*."""
         return cls.from_sources(assembly.sources, day=day)
 
     @classmethod
-    def from_sources(cls, sources: Sequence[HitlistSource], day: int | None = None) -> "Hitlist":
-        """Build a hitlist from an explicit list of sources (vectorised).
+    def from_sources(cls, sources: Sequence[HitlistSource], day: float | None = None) -> "Hitlist":
+        """Build a hitlist from every record first seen on or before *day*.
 
-        *day* is floored to the day grid first, so a fractional event time
-        (e.g. a wave timestamp) selects exactly the completed days.
+        *day* floors to the day grid, so a fractional event time (e.g. a
+        wave timestamp) selects exactly the completed days.
         """
         hitlist = cls()
-        if day is not None:
-            day = int(np.floor(day))
-        for source in sources:
-            batch, first_seen = source.record_arrays()
-            hitlist.merge_records(batch, first_seen, source.name, max_day=day)
+        hitlist.merge_records(sources, last_day=day)
         return hitlist
 
     def frozen(self) -> "Hitlist":
@@ -258,7 +196,6 @@ class Hitlist:
         """
         if self._read_only:
             return self
-        self._flush()
         if self._view is None:
             view = Hitlist()
             view._hi, view._lo = readonly_view(self._hi), readonly_view(self._lo)
@@ -272,28 +209,12 @@ class Hitlist:
     # -- access -------------------------------------------------------------------
 
     def __len__(self) -> int:
-        self._flush()
         return int(self._hi.shape[0])
-
-    def __contains__(self, address: IPv6Address) -> bool:
-        self._flush()
-        value = address.value
-        pos = find128(
-            self._hi,
-            self._lo,
-            np.asarray([value >> 64], dtype=np.uint64),
-            np.asarray([value & _LO_MASK], dtype=np.uint64),
-        )
-        return bool(pos[0] >= 0)
-
-    def __iter__(self):
-        return iter(self.addresses)
 
     @property
     def addresses(self) -> list[IPv6Address]:
         """All hitlist addresses (ascending; materialised lazily and cached)."""
         if self._addresses is None:
-            self._flush()
             self._addresses = self.address_batch.to_addresses()
         return self._addresses
 
@@ -305,19 +226,16 @@ class Hitlist:
         hitlist only by replacing whole arrays, never in place, so handing
         out frozen views is free and keeps published snapshots immutable.
         """
-        self._flush()
         return AddressBatch(self._hi, self._lo).readonly()
 
     @property
     def first_seen_days(self) -> np.ndarray:
         """Per-address first-seen day, aligned with :attr:`address_batch` (read-only)."""
-        self._flush()
         return readonly_view(self._first)
 
     @property
     def source_masks(self) -> np.ndarray:
         """Per-address source membership bitmasks, bit order = source_names (read-only)."""
-        self._flush()
         return readonly_view(self._masks)
 
     def snapshot_arrays(
@@ -339,38 +257,8 @@ class Hitlist:
     def _sources_of_mask(self, mask: int) -> set[str]:
         return {name for bit, name in enumerate(self._source_names) if mask >> bit & 1}
 
-    @property
-    def entries(self) -> list[HitlistEntry]:
-        """Scalar provenance views of every row (publish-boundary only)."""
-        self._flush()
-        return [
-            HitlistEntry(address, self._sources_of_mask(mask), day)
-            for address, mask, day in zip(
-                self.addresses, self._masks.tolist(), self._first.tolist()
-            )
-        ]
-
-    def entry(self, address: IPv6Address) -> HitlistEntry | None:
-        self._flush()
-        value = address.value
-        pos = find128(
-            self._hi,
-            self._lo,
-            np.asarray([value >> 64], dtype=np.uint64),
-            np.asarray([value & _LO_MASK], dtype=np.uint64),
-        )
-        index = int(pos[0])
-        if index < 0:
-            return None
-        return HitlistEntry(
-            address,
-            self._sources_of_mask(int(self._masks[index])),
-            int(self._first[index]),
-        )
-
     def by_source(self, source: str) -> list[IPv6Address]:
         """Addresses contributed (possibly among others) by one source."""
-        self._flush()
         bit = self._source_bits.get(source)
         if bit is None:
             return []
@@ -379,27 +267,12 @@ class Hitlist:
 
     def provenance(self) -> dict[int, tuple[frozenset[str], int]]:
         """Address value -> (source set, first seen day), for parity checks."""
-        self._flush()
         return {
             value: (frozenset(self._sources_of_mask(mask)), day)
             for value, mask, day in zip(
                 self.address_batch.to_ints(), self._masks.tolist(), self._first.tolist()
             )
         }
-
-    # -- curation -------------------------------------------------------------------
-
-    def split_aliased(self, apd: APDResult) -> tuple[list[IPv6Address], list[IPv6Address]]:
-        """Split into (aliased, non-aliased) using the APD filter (batch LPM)."""
-        return apd.split(self.addresses, batch=self.address_batch)
-
-    def non_aliased(self, apd: APDResult) -> list[IPv6Address]:
-        """Scan targets after removing addresses in aliased prefixes."""
-        return self.split_aliased(apd)[1]
-
-    def coverage(self, internet: SimulatedInternet) -> CoverageStats:
-        """AS/prefix coverage of the full hitlist."""
-        return coverage_stats(self.addresses, internet)
 
 
 def _membership_epochs(hitlist: Hitlist, prefixes: Sequence[IPv6Prefix]) -> list[int]:
@@ -446,14 +319,14 @@ class DailyHitlist:
         aliased_prefixes: list[IPv6Prefix],
         scan_result: BatchDailyScanResult,
         apd_result: APDResult,
-        hitlist: Hitlist | None = None,
+        hitlist: Hitlist,
     ):
         self.day = day
         self.input_addresses = input_addresses
         self.aliased_prefixes = aliased_prefixes
         self.scan_result = scan_result
         self.apd_result = apd_result
-        #: The day's hitlist with provenance (arrays, not entry objects).  On
+        #: The day's hitlist with provenance (columnar arrays).  On
         #: the batch engine this is a :meth:`Hitlist.frozen` view of the
         #: standing rows, and every day up to the next merge holds the same
         #: view (and the same target batch and outcome map); treat them as
@@ -492,7 +365,11 @@ class DailyHitlist:
         return self.scan_result.responsive_on(protocol)
 
     def count_responsive(self, protocol: Protocol | None = None) -> int:
-        """Responsive-address count (matrix sum on the batch engine)."""
+        """Responsive-target count: a sum over the scan matrix's rows.
+
+        The rows are the day's scan targets, unique hitlist rows on both
+        engines, so the count equals the size of the published sets.
+        """
         return self.scan_result.count_responsive(protocol)
 
     @property
@@ -680,35 +557,17 @@ class HitlistService:
     def _merge_new_records(self, day: int) -> AddressBatch:
         """Merge the not-yet-seen first-seen-day window into the standing batch.
 
-        Returns the union of addresses new to the standing hitlist today
-        (sorted, unique) -- the only rows whose candidate membership can have
-        changed.
+        One :meth:`Hitlist.merge_records` call over all sources, which floors
+        the window to the day grid.  Returns the addresses new to the
+        standing hitlist today (sorted, unique) -- the only rows whose
+        candidate membership can have changed.
         """
         if self._standing is None:
             self._standing = Hitlist()
-        # The window's day-grid bounds, floored as merge_records floors them
-        # (Python ints: a float bound would make each search convert the column).
-        first_day = (
-            np.iinfo(np.int64).min
-            if self._merged_through is None
-            else int(np.floor(self._merged_through)) + 1
-        )
-        last_day = int(np.floor(day))
-        fresh: list[AddressBatch] = []
-        for source in self.assembly.sources:
-            # Records are sorted by first-seen day, so the window is one slice.
-            batch, first_seen = source.record_arrays()
-            window = slice(
-                int(np.searchsorted(first_seen, first_day, "left")),
-                int(np.searchsorted(first_seen, last_day, "right")),
-            )
-            new = self._standing.merge_records(batch.take(window), first_seen[window], source.name)
-            if len(new):
-                fresh.append(new)
+        first_day = None if self._merged_through is None else self._merged_through + 1
+        new = self._standing.merge_records(self.assembly.sources, first_day, last_day=day)
         self._merged_through = day
-        if not fresh:
-            return AddressBatch.empty()
-        return AddressBatch.concatenate(fresh).unique()
+        return new
 
     def _update_candidates(self, new_batch: AddressBatch) -> dict[tuple[int, int, int], int]:
         """Re-evaluate candidate membership for prefixes touched by new rows.

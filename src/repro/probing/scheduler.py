@@ -88,7 +88,13 @@ class BatchDailyScanResult:
         return self.result.column(protocol)
 
     def count_responsive(self, protocol: Protocol | None = None) -> int:
-        """Responsive-target count straight off the matrix."""
+        """Responsive-row count straight off the matrix.
+
+        Rows follow the target list, so the count is per row: a target
+        listed twice counts twice, while :attr:`responsive_any` and
+        :meth:`responsive_on` are address sets.  The daily service's targets
+        are unique hitlist rows, so there the two agree.
+        """
         return int(self.responsive_mask(protocol).sum())
 
     @property
@@ -147,8 +153,10 @@ class ScanScheduler:
 
         The reference engine of :meth:`run_day_batch`: every probe is one
         packet of :meth:`ZMapScanner.sweep`, and the replies are recorded
-        into the same (target x protocol) matrix, with rows in *targets*
-        order.  With active sub-day *dynamics* the day is split into
+        into the same (target x protocol) matrix, with one row per entry of
+        *targets*, in order (a repeated target is a repeated row, and
+        :meth:`BatchDailyScanResult.count_responsive` counts rows).  With
+        active sub-day *dynamics* the day is split into
         timestamped probe waves on the dynamics' event scheduler; without it
         (the degenerate whole-day configuration) one sweep covers the day.
         """
@@ -198,7 +206,8 @@ class ScanScheduler:
         (target x protocol) responsiveness matrix comes from one
         ``probe_batch`` call via :meth:`ZMapScanner.sweep_batch` -- or, with
         active sub-day *dynamics*, from one ``probe_batch`` call per wave,
-        assembled into the same matrix.
+        assembled into the same matrix.  As there, the matrix has one row per
+        row of *targets* and counts are per row.
         """
         scanner = ZMapScanner(self.internet, seed=self._seed ^ (day * 0x9E3779B1))
         if dynamics is None or not dynamics.active:

@@ -52,9 +52,14 @@ def build(
     if policy is None:
         policy = ExecutionPolicy()
     if target == "internet":
-        return resolved.build_internet(seed=seed)
+        from repro.netmodel.internet import SimulatedInternet
+
+        return SimulatedInternet(resolved.internet_config(seed=seed))
     if target == "substrate":
-        return resolved.build_substrate(seed=seed)
+        # (internet, assembly) exactly as the context derives them: the one
+        # place the substrate wiring (assembly seed scheme, run-up) lives.
+        context = build("context", resolved, seed=seed)
+        return context.internet, context.assembly
     if target == "context":
         from repro.experiments.context import ExperimentContext
 
@@ -66,7 +71,7 @@ def build(
         from repro.core.hitlist import HitlistService
 
         config = resolved.experiment_config(seed=seed)
-        internet, assembly = resolved.build_substrate(seed=seed)
+        internet, assembly = build("substrate", resolved, seed=seed)
         return HitlistService(
             internet,
             assembly,
@@ -92,7 +97,7 @@ def build(
 
         config = resolved.experiment_config(seed=seed)
         return GenerationPipeline(
-            resolved.build_internet(seed=seed),
+            build("internet", resolved, seed=seed),
             seed=config.seed,
             policy=policy,
             **kwargs,

@@ -33,6 +33,7 @@ from repro.core.hitlist import Hitlist, HitlistService
 from repro.exec import ExecutionPolicy
 from repro.genaddr.pipeline import TOOLS, GenerationPipeline
 from repro.netmodel.internet import SimulatedInternet
+from repro.scenarios.build import build
 from repro.scenarios.registry import Scenario, as_scenario
 from repro.sources.registry import SourceAssembly
 
@@ -344,7 +345,7 @@ def run_differential(
     if days < 1:
         raise ValueError(f"days must be >= 1, got {days}")
     scenario = as_scenario(scenario)
-    context = scenario.build_context(seed=seed)
+    context = build("context", scenario, seed=seed)
     config = context.config
     internet, assembly = context.internet, context.assembly
     hitlist = Hitlist.from_assembly(assembly)

@@ -31,14 +31,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.experiments.context import TEST_EXPERIMENT_CONFIG, ExperimentConfig
 from repro.netmodel.config import InternetConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.context import ExperimentContext
-    from repro.netmodel.internet import SimulatedInternet
 
 _INTERNET_FIELDS = frozenset(f.name for f in dataclasses.fields(InternetConfig))
 _EXPERIMENT_FIELDS = frozenset(
@@ -133,27 +129,6 @@ class Scenario:
     def internet_config(self, seed: int | None = None) -> InternetConfig:
         """The scenario resolved to an :class:`InternetConfig`."""
         return self.experiment_config(seed=seed).internet_config()
-
-    # -- substrate builders ------------------------------------------------------
-
-    def build_internet(self, seed: int | None = None) -> "SimulatedInternet":
-        """A simulated Internet for this scenario."""
-        from repro.netmodel.internet import SimulatedInternet
-
-        return SimulatedInternet(self.internet_config(seed=seed))
-
-    def build_context(self, seed: int | None = None) -> "ExperimentContext":
-        """A shared experiment context for this scenario."""
-        from repro.experiments.context import ExperimentContext
-
-        return ExperimentContext(self.experiment_config(seed=seed))
-
-    def build_substrate(self, seed: int | None = None):
-        """(internet, assembly) exactly as :class:`ExperimentContext` derives
-        them -- the one place the substrate wiring (assembly seed scheme,
-        run-up) is defined, so scenario consumers cannot drift from it."""
-        context = self.build_context(seed=seed)
-        return context.internet, context.assembly
 
     def summary(self) -> str:
         """One-line human-readable description of the resolved knobs."""

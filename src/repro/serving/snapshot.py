@@ -190,8 +190,6 @@ class SnapshotRows:
     )
 
     def __init__(self, daily: "DailyHitlist", internet: "SimulatedInternet | None") -> None:
-        if daily.hitlist is None:
-            raise ValueError("DailyHitlist carries no hitlist; cannot snapshot")
         # Sorted unique rows with aligned provenance, all read-only already.
         batch, masks, first, source_names = daily.hitlist.snapshot_arrays()
         targets = daily.targets_batch

@@ -4,13 +4,19 @@ A source produces :class:`SourceRecord` entries -- an address, the source
 name, and the day the address was first observed.  The paper accumulates
 sources ("IP addresses will stay indefinitely in our scanning list"), so the
 natural query is a *snapshot*: every address first seen on or before a day.
+A source keeps its records sorted by first-seen day, so every day-bounded
+query -- a snapshot, a cumulative count, the hitlist's merge window -- is a
+binary search over them.
 """
 
 from __future__ import annotations
 
 import abc
+import bisect
+import math
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -64,12 +70,18 @@ def growth_first_seen_day(
     return min(runup_days - 1, int(runup_days * (u ** (1.0 / explosiveness))))
 
 
+_first_seen_day = attrgetter("first_seen_day")
+
+
 class HitlistSource(abc.ABC):
     """Base class for all hitlist sources.
 
     Subclasses generate their full record timeline at construction time (so
-    everything is deterministic given the seed) and answer snapshot queries
-    from it.
+    everything is deterministic given the seed) and answer day-bounded
+    queries from it.  The records are sorted by first-seen day (then
+    address) once, here, and every query relies on that order: it bisects
+    the record list or slices the record columns instead of testing each
+    record.
     """
 
     #: Name used in tables and figures.
@@ -122,14 +134,20 @@ class HitlistSource(abc.ABC):
         """All records of this source (sorted by first-seen day)."""
         return list(self._records)
 
-    def record_arrays(self) -> tuple[AddressBatch, np.ndarray]:
-        """All records as columnar arrays: ``(addresses, first_seen_days)``.
+    def record_arrays(
+        self, first_day: float | None = None, last_day: float | None = None
+    ) -> tuple[AddressBatch, np.ndarray]:
+        """The records first seen in ``[first_day, last_day]`` as columns.
 
-        Rows are in record order (sorted by first-seen day, then address) and
-        already deduplicated per source; this is the zero-object input the
-        incremental hitlist merge consumes.  Built once and cached -- records
-        are immutable after construction, and the returned arrays are
-        read-only views so a consumer cannot corrupt the shared cache.
+        Returns ``(addresses, first_seen_days)`` in record order (sorted by
+        first-seen day, then address), already deduplicated per source: the
+        zero-object input of :meth:`Hitlist.merge_records`.  ``None`` leaves
+        a side of the window open, so no bounds give every record.  The day
+        column is ``int64`` (a fractional record day floors to the day grid)
+        and fractional bounds floor too, so the window is one slice of the
+        columns.  The columns are built once and cached -- records are
+        immutable after construction -- and each window is a read-only view
+        of them, so a consumer cannot corrupt the shared cache.
         """
         if self._record_arrays is None:
             batch = AddressBatch.from_ints([r.address.value for r in self._records])
@@ -139,21 +157,27 @@ class HitlistSource(abc.ABC):
                 count=len(self._records),
             )
             self._record_arrays = (batch.readonly(), readonly_view(days))
-        return self._record_arrays
+        batch, days = self._record_arrays
+        start, stop = 0, len(days)
+        # Python-int bounds: a float bound would make each search convert the column.
+        if first_day is not None:
+            start = int(np.searchsorted(days, math.floor(first_day), "left"))
+        if last_day is not None:
+            stop = int(np.searchsorted(days, math.floor(last_day), "right"))
+        window = slice(start, stop)
+        return batch.take(window).readonly(), readonly_view(days[window])
 
     def snapshot(self, day: int | None = None) -> SourceSnapshot:
         """Addresses first seen on or before *day* (default: everything)."""
         if day is None:
             day = self.runup_days
-        addresses = [r.address for r in self._records if r.first_seen_day <= day]
+        stop = bisect.bisect_right(self._records, day, key=_first_seen_day)
+        addresses = [r.address for r in self._records[:stop]]
         return SourceSnapshot(source=self.name, day=day, addresses=addresses)
 
     def cumulative_counts(self, days: Sequence[int]) -> list[int]:
         """Cumulative address count at each of the given days (Figure 1a)."""
-        counts = []
-        for day in days:
-            counts.append(sum(1 for r in self._records if r.first_seen_day <= day))
-        return counts
+        return [bisect.bisect_right(self._records, day, key=_first_seen_day) for day in days]
 
     def __len__(self) -> int:
         return len(self._records)

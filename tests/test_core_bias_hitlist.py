@@ -16,10 +16,26 @@ from repro.core.bias import (
     prefix_distribution,
     top_x_fractions,
 )
-from repro.core.hitlist import Hitlist, HitlistEntry, HitlistService
+from repro.core.hitlist import Hitlist, HitlistService
 from repro.exec import ExecutionPolicy
 from repro.netmodel.services import HostRole, Protocol
 from repro.sources import assemble_all_sources
+from repro.sources.base import HitlistSource, SourceRecord
+
+
+class ListedSource(HitlistSource):
+    """A source whose records are given as ``(address value, day)`` pairs."""
+
+    def __init__(self, name: str, listed: list[tuple[int, int]]):
+        self.name = name
+        self._records = sorted(
+            (SourceRecord(IPv6Address(value), name, day) for value, day in listed),
+            key=lambda r: (r.first_seen_day, r.address.value),
+        )
+        self._record_arrays = None
+
+    def _draw_addresses(self, rng):  # pragma: no cover - records are given
+        return []
 
 
 class TestTopXFractions:
@@ -99,20 +115,15 @@ class TestDistributionsOnSimulator:
 
 class TestHitlist:
     def test_add_merges_provenance(self):
+        """One address reported by two sources is one row with both
+        sources' bits and the earlier first-seen day."""
+        value = IPv6Address.parse("2001:db8::1").value
         hitlist = Hitlist()
-        addr = IPv6Address.parse("2001:db8::1")
-        hitlist.add(addr, {"ct"}, first_seen_day=5)
-        hitlist.add(addr, {"fdns"}, first_seen_day=2)
+        hitlist.merge_records(
+            [ListedSource("ct", [(value, 5)]), ListedSource("fdns", [(value, 2)])]
+        )
         assert len(hitlist) == 1
-        entry = hitlist.entry(addr)
-        assert entry.sources == {"ct", "fdns"}
-        assert entry.first_seen_day == 2
-
-    def test_from_entries(self):
-        entries = [HitlistEntry(IPv6Address(1), {"a"}, 0), HitlistEntry(IPv6Address(2), {"b"}, 1)]
-        hitlist = Hitlist(entries)
-        assert len(hitlist) == 2
-        assert IPv6Address(1) in hitlist
+        assert hitlist.provenance() == {value: (frozenset({"ct", "fdns"}), 2)}
 
     def test_from_assembly_and_by_source(self, small_internet):
         assembly = assemble_all_sources(small_internet, total_target=2500, seed=7, runup_days=60)
@@ -120,7 +131,8 @@ class TestHitlist:
         assert len(hitlist) == len(assembly.snapshot())
         ct_addresses = hitlist.by_source("ct")
         assert ct_addresses
-        assert all(hitlist.entry(a) is not None for a in ct_addresses[:10])
+        provenance = hitlist.provenance()
+        assert all("ct" in provenance[a.value][0] for a in ct_addresses[:10])
 
     def test_from_assembly_day_limit(self, small_internet):
         assembly = assemble_all_sources(small_internet, total_target=2500, seed=7, runup_days=60)
@@ -131,7 +143,7 @@ class TestHitlist:
     def test_coverage(self, small_internet):
         assembly = assemble_all_sources(small_internet, total_target=2000, seed=7, runup_days=60)
         hitlist = Hitlist.from_assembly(assembly)
-        stats = hitlist.coverage(small_internet)
+        stats = coverage_stats(hitlist.addresses, small_internet)
         assert stats.num_ases > 10
         assert stats.num_addresses == len(hitlist)
 
@@ -140,8 +152,8 @@ class TestHitlist:
         until the next merge, keeps its rows after that merge (merges are
         copy-on-write) and refuses every mutation."""
         hitlist = Hitlist()
-        known = AddressBatch.from_ints([1, 2, 3])
-        hitlist.merge_records(known, np.zeros(3, dtype=np.int64), "a")
+        known = ListedSource("a", [(1, 0), (2, 0), (3, 0)])
+        hitlist.merge_records([known])
         view = hitlist.frozen()
         assert hitlist.frozen() is view and view.frozen() is view
         assert np.shares_memory(view.source_masks, hitlist.source_masks)
@@ -149,15 +161,13 @@ class TestHitlist:
         # A known address reported by another source adds no row, but it is
         # a merge: the standing hitlist gets a new view and the old one keeps
         # the old provenance.
-        hitlist.merge_records(AddressBatch.from_ints([2]), np.ones(1, dtype=np.int64), "b")
-        hitlist.merge_records(AddressBatch.from_ints([9]), np.ones(1, dtype=np.int64), "a")
+        hitlist.merge_records([ListedSource("b", [(2, 1)])])
+        hitlist.merge_records([ListedSource("a", [(9, 1)])])
         assert hitlist.frozen() is not view
         assert view.provenance() == before
         assert hitlist.provenance()[2] == (frozenset({"a", "b"}), 0)
         with pytest.raises(ValueError, match="read-only"):
-            view.add(IPv6Address(5), {"a"})
-        with pytest.raises(ValueError, match="read-only"):
-            view.merge_records(known, np.zeros(3, dtype=np.int64), "a")
+            view.merge_records([known])
         with pytest.raises(ValueError, match="read-only"):
             view.source_bit("c")
         assert view.provenance() == before
@@ -181,9 +191,7 @@ class TestHitlistService:
             full = len(Hitlist.from_assembly(assembly))
             assert early.input_addresses == len(Hitlist.from_assembly(assembly, day=10))
             assert early.input_addresses < full
-            max_day = max(
-                e.first_seen_day for e in early.hitlist.entries
-            ) if len(early.hitlist) else 0
+            max_day = int(early.hitlist.first_seen_days.max()) if len(early.hitlist) else 0
             assert max_day <= 10
 
     def test_daily_pipeline_outputs(self, service_day):

@@ -200,12 +200,12 @@ class TestStochasticParity:
     @pytest.fixture(scope="class", params=["realistic", "hostile"])
     def world(self, request):
         from repro.events import NetworkDynamics
-        from repro.scenarios import get_scenario
+        from repro.scenarios import build, get_scenario
 
         scenario = get_scenario(
             "multi-vantage", scale="tiny", anomalies=request.param
         ).with_overrides("dynamics", _DYNAMICS)
-        net = scenario.build_internet()
+        net = build("internet", scenario)
         rng = random.Random(5)
         values = [a.value for a in net.all_bound_addresses()[:400]]
         for region in net.aliased_regions:

@@ -153,6 +153,32 @@ class TestServiceParity:
         for db, dr in zip(batch_days, reference_days):
             assert db.hitlist.provenance() == dr.hitlist.provenance(), db.day
 
+    def test_provenance_equals_the_records_definition(self, both_engines, scripted_assembly):
+        """Both engines build every hitlist through ``Hitlist.merge_records``,
+        so their parity misses a merge fault they share.  Each day's rows
+        must equal their definition from the source records: the sources
+        that listed the address by that day and its earliest first-seen day,
+        with every source's bit registered in assembly order (``late`` lists
+        nothing before day 4)."""
+        batch_days, reference_days, *_ = both_engines
+        assembly, _ = scripted_assembly
+        names = [source.name for source in assembly.sources]
+        for day in DAYS:
+            listed: dict[int, set[str]] = {}
+            first: dict[int, int] = {}
+            for source in assembly.sources:
+                for record in source.records:
+                    if record.first_seen_day > day:
+                        continue
+                    value = record.address.value
+                    listed.setdefault(value, set()).add(source.name)
+                    first[value] = min(first.get(value, day), record.first_seen_day)
+            expected = {value: (frozenset(s), first[value]) for value, s in listed.items()}
+            for daily in (batch_days[day], reference_days[day]):
+                assert daily.day == day
+                assert daily.hitlist.provenance() == expected, day
+                assert daily.hitlist.source_names == names, day
+
     def test_invaded_aliased_prefix_reprobed_on_day3(self, both_engines):
         batch_days, _, batch, _, target_prefix = both_engines
         # The prefix is aliased before, during and after the invasion.
@@ -379,25 +405,25 @@ class TestDayCutoffFloor:
     and a float day cutoff selects exactly the completed days."""
 
     def test_merge_records_floors_float_first_seen(self):
-        from repro.addr.batch import AddressBatch
-
+        source = ScriptedSource(
+            "waves",
+            {
+                day: [IPv6Address(0x20010DB8 << 96 | i)]
+                for i, day in enumerate([0.25, 1.0, 3.9, 4.999])
+            },
+        )
         hitlist = Hitlist()
-        batch = AddressBatch.from_ints([0x20010DB8 << 96 | i for i in range(4)])
-        first_seen = np.array([0.25, 1.0, 3.9, 4.999])
-        hitlist.merge_records(batch, first_seen, "waves")
+        hitlist.merge_records([source])
         days = hitlist.first_seen_days
         assert days.dtype == np.int64
         assert sorted(days.tolist()) == [0, 1, 3, 4]
 
     def test_merge_records_floors_float_window(self):
-        from repro.addr.batch import AddressBatch
-
-        hitlist = Hitlist()
-        batch = AddressBatch.from_ints([0x20010DB8 << 96 | i for i in range(6)])
-        first_seen = np.arange(6, dtype=np.int64)
-        hitlist.merge_records(
-            batch, first_seen, "waves", min_day=1.7, max_day=3.5
+        source = ScriptedSource(
+            "waves", {day: [IPv6Address(0x20010DB8 << 96 | day)] for day in range(6)}
         )
+        hitlist = Hitlist()
+        hitlist.merge_records([source], first_day=1.7, last_day=3.5)
         # floor(1.7)=1 and floor(3.5)=3: days 1..3 inclusive survive.
         assert sorted(hitlist.first_seen_days.tolist()) == [1, 2, 3]
 
