@@ -23,7 +23,9 @@ Three pieces live here:
 
 128-bit values do not fit numpy's integer dtypes, so every search packs each
 ``(hi, lo)`` pair into one 16-byte big-endian ``V16`` key, whose byte order
-is its numeric order, and makes one native ``np.searchsorted`` call.
+is its numeric order, and makes one native ``np.searchsorted`` call.  A
+table searched again and again keeps its side packed (:class:`FlatLPM`,
+:class:`PackedKeys`); the layout never leaves this module.
 """
 
 from __future__ import annotations
@@ -429,6 +431,27 @@ def searchsorted128(
     return np.searchsorted(
         _pack128(sorted_hi, sorted_lo), _pack128(query_hi, query_lo), side=side
     )
+
+
+class PackedKeys:
+    """A sorted batch packed once into 16-byte keys, for repeated searches.
+
+    :func:`searchsorted128` packs both sides on every call; a table searched
+    on every probe pass packs its own side once here, as :class:`FlatLPM`
+    does with its interval starts.
+    """
+
+    __slots__ = ("_keys",)
+
+    #: Immutability contract, enforced statically by reprolint rule R2.
+    __frozen_arrays__ = ("_keys",)
+
+    def __init__(self, batch: AddressBatch):
+        self._keys = _pack128(batch.hi, batch.lo)
+
+    def searchsorted(self, batch: AddressBatch, side: str = "right") -> np.ndarray:
+        """:func:`searchsorted128` of *batch* into the packed keys."""
+        return np.searchsorted(self._keys, _pack128(batch.hi, batch.lo), side=side)
 
 
 def find128(

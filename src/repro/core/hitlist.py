@@ -47,7 +47,7 @@ from repro.addr.prefix import IPv6Prefix
 from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult, PrefixProbeOutcome
 from repro.events.dynamics import NetworkDynamics
 from repro.exec import ExecutionPolicy
-from repro.netmodel.internet import SimulatedInternet
+from repro.netmodel.internet import ResolvedTargets, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
 from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
 from repro.sources.base import HitlistSource
@@ -101,6 +101,8 @@ class Hitlist:
                 raise ValueError("a hitlist supports at most 64 distinct sources")
             self._source_bits[name] = bit
             self._source_names.append(name)
+            # The cached view carries the names it was made with.
+            self._view = None
         return bit
 
     @property
@@ -122,7 +124,8 @@ class Hitlist:
         sources are merged in one union.  Every source's bit is registered
         in the given order, even when its window is empty, so the mask
         layout depends only on the source order.  If every window is empty
-        nothing is replaced and :meth:`frozen` keeps returning the same view.
+        nothing is replaced, and unless a new source name was registered
+        :meth:`frozen` keeps returning the same view.
 
         Returns the addresses that were new to the hitlist (sorted, unique).
         """
@@ -190,9 +193,9 @@ class Hitlist:
 
         Zero copy: the view shares this hitlist's arrays, and merges replace
         those rather than write them, so the view keeps today's rows after
-        later merges.  Until the next merge every call returns the same view
-        object, so view identity tells whether anything merged since.  The
-        view's mutators raise ``ValueError``.
+        later merges.  Until the next merge (or source registration) every
+        call returns the same view object, so view identity tells whether
+        anything changed since.  The view's mutators raise ``ValueError``.
         """
         if self._read_only:
             return self
@@ -386,15 +389,17 @@ class _PublishedState:
 
     All of it is a function of the standing rows and the outcome cache, so
     it is rebuilt only on a day that merges a source record; every other day
-    wraps the same objects in its own :class:`DailyHitlist`.
+    wraps the same objects in its own :class:`DailyHitlist` and scans the
+    same resolved targets, so it makes no address lookup.
     """
 
     #: The standing rows as of the build (a :meth:`Hitlist.frozen` view).
     hitlist: Hitlist
     #: The candidate outcomes in prefix order, with their verdict LPM built.
     apd: APDResult
-    #: The rows outside aliased prefixes (read-only).
-    targets: AddressBatch
+    #: The rows outside aliased prefixes (read-only), resolved once for
+    #: every day's scan until the next rebuild.
+    targets: ResolvedTargets
     aliased_prefixes: list[IPv6Prefix]
 
 
@@ -416,9 +421,9 @@ class HitlistService:
       five-protocol scan with one ``probe_batch`` call, keeping per-day
       responsiveness as (target x protocol) boolean matrices.  A day whose
       window holds no source record reuses the previous day's published
-      state (hitlist view, outcome map and verdict LPM, target batch,
-      aliased prefixes) and only scans.  Days must be run in increasing
-      order.
+      state (hitlist view, outcome map and verdict LPM, resolved target
+      batch, aliased prefixes) and only draws its scan.  Days must be run
+      in increasing order.
     * the reference engine -- the original scalar loop: rebuild the hitlist
       from scratch, run APD over everything, sweep per protocol with the
       scalar ZMap scanner, recording the replies into the same scan matrix.
@@ -545,14 +550,16 @@ class HitlistService:
         )
 
     def _build_published_state(self, hitlist: Hitlist, day: int) -> _PublishedState:
-        """Outcome map, verdict LPM, scan targets and aliased list of *hitlist*."""
+        """Outcome map, verdict LPM, resolved scan targets and aliased list of *hitlist*."""
         cache = self._outcome_cache
         apd = APDResult(
             day=day, outcomes={prefix: cache[key] for key, prefix in self._sorted_candidates()}
         )
         batch = hitlist.address_batch
         targets = batch.take(~apd.is_aliased_batch(batch)).readonly()
-        return _PublishedState(hitlist, apd, targets, apd.aliased_prefixes)
+        return _PublishedState(
+            hitlist, apd, self.internet.resolve_targets(targets), apd.aliased_prefixes
+        )
 
     def _merge_new_records(self, day: int) -> AddressBatch:
         """Merge the not-yet-seen first-seen-day window into the standing batch.

@@ -17,7 +17,8 @@ Internet with the structural properties the paper relies on:
 
 The measurement code in :mod:`repro.core` interacts with this class only
 through :meth:`SimulatedInternet.probe` (one address, one protocol),
-:meth:`SimulatedInternet.probe_batch` (whole target arrays at once) and
+:meth:`SimulatedInternet.probe_batch` (whole target arrays at once, or a
+:meth:`SimulatedInternet.resolve_targets` resolution of one) and
 :meth:`SimulatedInternet.traceroute`; everything else is ground truth reserved
 for validation.
 """
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro import keyed
 from repro.addr.address import LO_MASK, IPv6Address, parse_address
-from repro.addr.batch import AddressBatch, FlatLPM, find128, readonly_view, searchsorted128
+from repro.addr.batch import AddressBatch, FlatLPM, PackedKeys, find128, readonly_view
 from repro.addr.generate import random_address_in_prefix
 from repro.addr.prefix import IPv6Prefix
 from repro.addr.trie import PrefixTrie
@@ -113,36 +114,44 @@ def _service_mask(services: Iterable[Protocol]) -> int:
     return mask
 
 
-#: Keyed probe decisions made at the target, and the path effects that also
-#: key on the vantage.
-_TARGET_SALTS = (
-    keyed.LOSS,
-    keyed.PREFIX_ICMP,
-    keyed.SYN_PROXY,
-    keyed.REGION_ICMP,
-    keyed.REGION_ANSWER,
-)
-_PATH_SALTS = (keyed.CONGESTION, keyed.ROUTE_ICMP)
+#: Probe decisions whose keys also carry the vantage (path effects).
+_PATH_SALTS = frozenset((keyed.CONGESTION, keyed.ROUTE_ICMP))
 
 #: Death day of a machine that never dies (vectorised uptime).
 _NEVER = np.iinfo(np.int64).max
 
 
-@lru_cache(maxsize=4096)
-def _probe_streams(
-    protocol: Protocol, day: int, wave: int, attempt: int, vantage: int
-) -> dict[int, int]:
-    """Stream key of every probe decision in one (protocol, day, wave,
-    attempt, vantage) context, by salt.
+class _Streams(dict):
+    """Stream key of each probe decision in one context, by salt.
 
     A decision's draw for a target is ``keyed.draw(address key, stream)``,
     the same in :meth:`SimulatedInternet.probe` and
-    :meth:`SimulatedInternet.probe_batch`.
+    :meth:`SimulatedInternet.probe_batch`.  Each key is derived on first
+    use: a scan draws with only a few of the decisions.
     """
-    coords = (ALL_PROTOCOLS.index(protocol), day, wave, attempt)
-    streams = {salt: keyed.key(salt, *coords) for salt in _TARGET_SALTS}
-    streams.update({salt: keyed.key(salt, *coords, vantage) for salt in _PATH_SALTS})
-    return streams
+
+    __slots__ = ("_coords", "_vantage")
+
+    def __init__(self, coords: tuple[int, ...], vantage: int):
+        super().__init__()
+        self._coords = coords
+        self._vantage = vantage
+
+    def __missing__(self, salt: int) -> int:
+        if salt in _PATH_SALTS:
+            stream = keyed.key(salt, *self._coords, self._vantage)
+        else:
+            stream = keyed.key(salt, *self._coords)
+        self[salt] = stream
+        return stream
+
+
+@lru_cache(maxsize=4096)
+def _probe_streams(
+    protocol: Protocol, day: int, wave: int, attempt: int, vantage: int
+) -> _Streams:
+    """The stream keys of one (protocol, day, wave, attempt, vantage) context."""
+    return _Streams((ALL_PROTOCOLS.index(protocol), day, wave, attempt), vantage)
 
 
 @dataclass(slots=True)
@@ -252,13 +261,15 @@ class _BatchIndex:
         # address after the last one wraps to ::, which starts every table.
         after_lo = bound.lo + np.uint64(1)
         after = AddressBatch(bound.hi + (after_lo == 0), after_lo)
-        self.cells = AddressBatch.concatenate(
+        cells = AddressBatch.concatenate(
             [self.bgp.starts(), self.limits.starts(), self.regions.starts(), bound, after]
         ).unique()
-        self.cell_ann = self.bgp.lookup_indices(self.cells)
-        self.cell_limit = self.limits.lookup_indices(self.cells)
-        self.cell_region = self.regions.lookup_indices(self.cells)
-        pos = find128(bound.hi, bound.lo, self.cells.hi, self.cells.lo)
+        # Packed once: every probe_batch resolution searches these starts.
+        self.cells = PackedKeys(cells)
+        self.cell_ann = self.bgp.lookup_indices(cells)
+        self.cell_limit = self.limits.lookup_indices(cells)
+        self.cell_region = self.regions.lookup_indices(cells)
+        pos = find128(bound.hi, bound.lo, cells.hi, cells.lo)
         self.cell_host = np.where(pos >= 0, owners[np.maximum(pos, 0)], np.int64(-1))
         machines = internet._machines
         self.services = np.fromiter(
@@ -306,7 +317,80 @@ class _BatchIndex:
 
     def cells_of(self, batch: AddressBatch) -> np.ndarray:
         """Index of each address's interval in :attr:`cells`."""
-        return searchsorted128(self.cells.hi, self.cells.lo, batch.hi, batch.lo) - 1
+        return self.cells.searchsorted(batch) - 1
+
+
+class ResolvedTargets:
+    """Everything :meth:`SimulatedInternet.probe_batch` derives from the
+    target addresses alone, for one target batch.
+
+    One search of the batch index's cells gives each target's announcement,
+    rate-limit, aliased-region and bound-host answers, and the target's base
+    key for keyed draws comes with them.  None of it depends on the day,
+    wave, attempt, vantage or protocol, so a batch scanned more than once --
+    the daily service's standing targets, a sweep's retries, a day's waves --
+    is resolved once (:meth:`SimulatedInternet.resolve_targets`) and probed
+    many times.  Read-only, and valid only for the Internet that made it.
+    """
+
+    #: Immutability contract, enforced statically by reprolint rule R2: one
+    #: resolution serves every scan of its batch, so no probe may write it.
+    __frozen_arrays__ = (
+        "cell",
+        "base",
+        "routed",
+        "dest_rows",
+        "limited_rows",
+        "limited_allowance",
+        "limited_base",
+        "in_region",
+        "region_rows",
+        "region_ids",
+        "region_base",
+        "host_id",
+    )
+    __slots__ = ("_index", "targets", *__frozen_arrays__)
+
+    def __init__(
+        self, index: _BatchIndex, targets: AddressBatch, cell: np.ndarray, base: np.ndarray
+    ):
+        self._index = index
+        self.targets = targets
+        #: Each target's interval in the index's cells, and its base key.
+        self.cell = readonly_view(cell)
+        self.base = readonly_view(base)
+        ann = index.cell_ann[cell]
+        self.routed = readonly_view(ann >= 0)
+        #: Row of the announcement's origin in the routing model (-1: none).
+        self.dest_rows = readonly_view(
+            np.where(self.routed, index.ann_dest_row[np.maximum(ann, 0)], np.int64(-1))
+        )
+        # Targets inside an ICMP rate-limited prefix, with its allowance.
+        limit = index.cell_limit[cell]
+        limited = np.flatnonzero(limit >= 0)
+        self.limited_rows = readonly_view(limited)
+        self.limited_allowance = readonly_view(index.limit_values[limit[limited]])
+        self.limited_base = readonly_view(base[limited])
+        # Targets inside an aliased region (regions answer first, as in the
+        # scalar path): the region and the machine behind it.
+        region = index.cell_region[cell]
+        self.in_region = readonly_view(region >= 0)
+        self.region_rows = readonly_view(region[self.in_region])
+        self.region_ids = readonly_view(index.region_ids[self.region_rows])
+        self.region_base = readonly_view(base[self.in_region])
+        #: The bound host behind each target outside a region (-1: none).
+        self.host_id = readonly_view(
+            np.where(self.in_region, np.int64(-1), index.cell_host[cell])
+        )
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def take(self, rows: np.ndarray) -> "ResolvedTargets":
+        """The resolution of the targets at *rows* (no second search)."""
+        return ResolvedTargets(
+            self._index, self.targets.take(rows), self.cell[rows], self.base[rows]
+        )
 
 
 @dataclass(slots=True)
@@ -722,9 +806,27 @@ class SimulatedInternet:
         """
         return self._ensure_batch_index().bgp
 
+    def resolve_targets(
+        self, targets: "AddressBatch | Iterable[IPv6Address | int | str]"
+    ) -> ResolvedTargets:
+        """Resolve what :meth:`probe_batch` needs of each target address.
+
+        One search of the batch index's cells per batch: routing, ICMP rate
+        limiting, aliased-region membership and the bound host, plus each
+        target's base key for keyed draws.  Pass the result to
+        :meth:`probe_batch` in place of the batch to probe it on any day,
+        wave, attempt or vantage without resolving it again.
+        """
+        if not isinstance(targets, AddressBatch):
+            targets = AddressBatch.from_addresses(targets)
+        index = self._ensure_batch_index()
+        return ResolvedTargets(
+            index, targets, index.cells_of(targets), keyed.key_array(targets.hi, targets.lo)
+        )
+
     def probe_batch(
         self,
-        targets: "AddressBatch | Iterable[IPv6Address | int | str]",
+        targets: "ResolvedTargets | AddressBatch | Iterable[IPv6Address | int | str]",
         protocols: Optional[Sequence[Protocol]] = None,
         day: int = 0,
         *,
@@ -734,12 +836,15 @@ class SimulatedInternet:
     ) -> BatchProbeResult:
         """Resolve responsiveness for a whole target array in one pass.
 
-        The vectorised counterpart of :meth:`probe`: routing, ICMP rate
-        limiting, aliased-region membership and bound-host lookup are resolved
-        for the entire batch with flattened longest-prefix matching and sorted
-        binary search, then per-protocol service/stability checks and the
-        stochastic effects (loss, rate limits, SYN proxies) are applied as
-        array operations.
+        The vectorised counterpart of :meth:`probe`, in two steps.  First
+        the targets are resolved (:meth:`resolve_targets`: routing, ICMP
+        rate limiting, aliased-region membership and bound-host lookup in
+        one interval search), unless *targets* already is a resolution
+        made by this Internet.  Then the (protocol, day, wave, attempt,
+        vantage) part is applied as array operations: the day's routes,
+        host uptime, rotation, services and the stochastic effects (loss,
+        rate limits, SYN proxies).  A resolution is never written, so one
+        can serve every scan of its batch.
 
         Every stochastic effect is the same keyed draw :meth:`probe` makes
         for the same (target, protocol, day, wave, attempt, vantage), so the
@@ -747,8 +852,13 @@ class SimulatedInternet:
         batch's order, size or chunking.
         """
         protocols = ALL_PROTOCOLS if protocols is None else tuple(protocols)
-        if not isinstance(targets, AddressBatch):
-            targets = AddressBatch.from_addresses(targets)
+        resolved = (
+            targets if isinstance(targets, ResolvedTargets) else self.resolve_targets(targets)
+        )
+        index = self._batch_index
+        if resolved._index is not index:
+            raise ValueError("the targets were resolved by another SimulatedInternet")
+        targets = resolved.targets
         n = len(targets)
         responsive = np.zeros((n, len(protocols)), dtype=bool)
         result = BatchProbeResult(
@@ -756,10 +866,7 @@ class SimulatedInternet:
         )
         if n == 0:
             return result
-        index = self._ensure_batch_index()
-        cell = index.cells_of(targets)
-        ann_index = index.cell_ann[cell]
-        routed = ann_index >= 0
+        routed = resolved.routed
         route_delivery: Optional[np.ndarray] = None
         route_allowance: Optional[np.ndarray] = None
         # With active token buckets the wave's admission mask *is* the ICMP
@@ -772,9 +879,7 @@ class SimulatedInternet:
             # Gather the day's route effects per target; deterministic parts
             # (filtering, reachability) fold into `routed` before any draw.
             view = routing.day_view(day, vantage)
-            dest_rows = np.where(
-                routed, index.ann_dest_row[np.maximum(ann_index, 0)], np.int64(-1)
-            )
+            dest_rows = resolved.dest_rows
             rows = np.maximum(dest_rows, 0)
             routed = routed & (dest_rows >= 0) & (view.hops[rows] > 0)
             if routing.has_filtering:
@@ -783,18 +888,16 @@ class SimulatedInternet:
                 route_delivery = np.where(routed, view.delivery[rows], 0.0)
             if routing.has_rate_limit and not bucketed:
                 route_allowance = np.where(routed, view.icmp_allowance[rows], 0.0)
-        limit_index = index.cell_limit[cell]
-        region_index = index.cell_region[cell]
-        in_region = region_index >= 0
-        region_rows = region_index[in_region]
-        region_ids = index.region_ids[region_rows]
+        in_region = resolved.in_region
+        region_rows = resolved.region_rows
+        region_ids = resolved.region_ids
         region_online = self.hosts_online(region_ids, day)
-        # The machine behind each target outside a region (aliased regions
-        # answer first, as in the scalar path): its bound host unless that
-        # host has rotated away by wave time; on an unbound address, the
-        # host re-homed onto it this wave.
-        host_id = np.where(in_region, np.int64(-1), index.cell_host[cell])
+        # The machine behind each target outside a region: its bound host
+        # unless that host has rotated away by wave time; on an unbound
+        # address, the host re-homed onto it this wave.
+        host_id = resolved.host_id
         if wave is not None and (wave.has_dark or wave.has_rehomed):
+            host_id = host_id.copy()  # the resolution is shared: never write it
             bound = host_id >= 0
             if wave.has_dark:
                 host_id[bound] = np.where(
@@ -807,10 +910,11 @@ class SimulatedInternet:
         answering = host_id >= 0
         host_ids = host_id[answering]
         host_online = self.hosts_online(host_ids, day)
-        # Keyed draws: each target's base key, then one mixer round per
-        # decision against that decision's stream key.
-        base = keyed.key_array(targets.hi, targets.lo)
-        region_base = base[in_region]
+        # Keyed draws: one mixer round of each target's base key against
+        # the decision's stream key.
+        base = resolved.base
+        region_base = resolved.region_base
+        limited_rows = resolved.limited_rows
         wave_key = 0 if wave is None else wave.key
         path_vantage = routing.resolve_vantage(vantage) if routing.active else 0
         loss = self.config.packet_loss
@@ -830,12 +934,10 @@ class SimulatedInternet:
                 delivered &= admitted
             if protocol is Protocol.ICMP and route_allowance is not None:
                 delivered &= draws(keyed.ROUTE_ICMP) < route_allowance
-            if protocol is Protocol.ICMP and len(index.limits) and not bucketed:
-                limited = limit_index >= 0
-                if limited.any():
-                    allowance = np.ones(n)
-                    allowance[limited] = index.limit_values[limit_index[limited]]
-                    delivered &= ~limited | (draws(keyed.PREFIX_ICMP) <= allowance)
+            if protocol is Protocol.ICMP and limited_rows.size and not bucketed:
+                delivered[limited_rows] &= (
+                    draws(keyed.PREFIX_ICMP, resolved.limited_base) <= resolved.limited_allowance
+                )
             answered = np.zeros(n, dtype=bool)
             if region_rows.size:
                 ok = (index.services[region_ids] & bit) != 0

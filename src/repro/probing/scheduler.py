@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch, readonly_view
-from repro.netmodel.internet import BatchProbeResult, SimulatedInternet
+from repro.netmodel.internet import BatchProbeResult, ResolvedTargets, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
 from repro.probing.zmap import ZMapScanner
 
@@ -195,7 +195,7 @@ class ScanScheduler:
 
     def run_day_batch(
         self,
-        targets: AddressBatch,
+        targets: "ResolvedTargets | AddressBatch",
         day: int,
         *,
         dynamics: "Optional[NetworkDynamics]" = None,
@@ -207,7 +207,9 @@ class ScanScheduler:
         ``probe_batch`` call via :meth:`ZMapScanner.sweep_batch` -- or, with
         active sub-day *dynamics*, from one ``probe_batch`` call per wave,
         assembled into the same matrix.  As there, the matrix has one row per
-        row of *targets* and counts are per row.
+        row of *targets* and counts are per row.  *targets* may be a
+        resolution (:meth:`SimulatedInternet.resolve_targets`): a caller that
+        scans one batch every day resolves it once, and the day only draws.
         """
         scanner = ZMapScanner(self.internet, seed=self._seed ^ (day * 0x9E3779B1))
         if dynamics is None or not dynamics.active:
@@ -219,7 +221,7 @@ class ScanScheduler:
 
     def enqueue_day_batch(
         self,
-        targets: AddressBatch,
+        targets: "ResolvedTargets | AddressBatch",
         day: int,
         dynamics: "NetworkDynamics",
         *,
@@ -233,22 +235,29 @@ class ScanScheduler:
         it).  Two schedulers enqueueing against the *same* dynamics with
         interleaved ``phase`` offsets is the scanner-contention scenario:
         their waves alternate on the shared event queue and compete for the
-        same token budgets.
+        same token budgets.  The targets are resolved once (unless they
+        already are a resolution); each wave probes its span of the
+        resolution.
         """
         if scanner is None:
             scanner = ZMapScanner(self.internet, seed=self._seed ^ (day * 0x9E3779B1))
-        n = len(targets)
+        resolved = (
+            targets
+            if isinstance(targets, ResolvedTargets)
+            else self.internet.resolve_targets(targets)
+        )
+        n = len(resolved)
         responsive = np.zeros((n, len(self.protocols)), dtype=bool)
         combined = BatchProbeResult(
-            day=day, protocols=self.protocols, targets=targets, responsive=responsive
+            day=day, protocols=self.protocols, targets=resolved.targets, responsive=responsive
         )
         dynamics.begin_day(day)
         for w, (start, stop) in enumerate(wave_spans(n, dynamics.waves_per_day)):
             when = dynamics.wave_time(day, w, phase)
 
             def fire(start=start, stop=stop, when=when):
-                span = targets.take(np.arange(start, stop))
-                wave = dynamics.begin_wave(day, when, span)
+                span = resolved.take(np.arange(start, stop))
+                wave = dynamics.begin_wave(day, when, span.targets)
                 result = scanner.sweep_batch(span, self.protocols, day, wave=wave)
                 responsive[start:stop, :] = result.responsive
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch
-from repro.netmodel.internet import BatchProbeResult, SimulatedInternet
+from repro.netmodel.internet import BatchProbeResult, ResolvedTargets, SimulatedInternet
 from repro.netmodel.packets import ProbeReply
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
 
@@ -103,7 +103,7 @@ class ZMapScanner:
 
     def sweep_batch(
         self,
-        targets: "AddressBatch | Iterable[IPv6Address]",
+        targets: "ResolvedTargets | AddressBatch | Iterable[IPv6Address]",
         protocols: Sequence[Protocol] = ALL_PROTOCOLS,
         day: int = 0,
         *,
@@ -117,9 +117,11 @@ class ZMapScanner:
         :class:`ProbeReply` objects.  Retry *k* is a full pass at probe
         attempt *k* OR-ed into the matrix: the same keyed draws the scalar
         loop makes for its non-responders, so both return the same sets.
+        *targets* is resolved once (:meth:`SimulatedInternet.resolve_targets`)
+        unless it already is a resolution, and every attempt reuses it.
         """
-        if not isinstance(targets, AddressBatch):
-            targets = AddressBatch.from_addresses(targets)
+        if not isinstance(targets, ResolvedTargets):
+            targets = self.internet.resolve_targets(targets)
         protocols = tuple(protocols)
         result = self.internet.probe_batch(targets, protocols, day, wave=wave)
         for attempt in range(1, self.retries + 1):

@@ -2,8 +2,8 @@
 
 The scalar primitives are the oracles: ``union_sorted`` against Python set
 algebra, ``FlatLPM`` against the per-length hash tables of :class:`PrefixTrie`,
-``searchsorted128`` against :mod:`bisect`, and the hi/lo packing against
-plain 128-bit integer arithmetic.  Randomised inputs cover the corners the
+``searchsorted128`` and ``PackedKeys`` against :mod:`bisect`, and the hi/lo
+packing against plain 128-bit integer arithmetic.  Randomised inputs cover the corners the
 hand-written parity tests cannot enumerate (empty sides, duplicate-heavy
 inputs, nested prefixes, /0 and /128 extremes, and the 16-byte keys' corner
 words).
@@ -18,6 +18,7 @@ from repro.addr.address import IPv6Address
 from repro.addr.batch import (
     AddressBatch,
     FlatLPM,
+    PackedKeys,
     find128,
     searchsorted128,
     union_sorted,
@@ -112,6 +113,7 @@ class TestUnionSorted:
         # Mix of arbitrary queries and guaranteed hits.
         query_values = queries + haystack[: len(extra)]
         query = AddressBatch.from_ints(query_values)
+        packed = PackedKeys(batch)
         for side in ("left", "right"):
             positions = searchsorted128(batch.hi, batch.lo, query.hi, query.lo, side)
             oracle = [
@@ -121,6 +123,7 @@ class TestUnionSorted:
                 for v in query_values
             ]
             assert positions.tolist() == oracle
+            assert packed.searchsorted(query, side).tolist() == oracle
         hits = find128(batch.hi, batch.lo, query.hi, query.lo)
         oracle_hits = [
             sorted_values.index(v) if v in set(sorted_values) else -1

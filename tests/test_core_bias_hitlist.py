@@ -172,6 +172,18 @@ class TestHitlist:
             view.source_bit("c")
         assert view.provenance() == before
 
+    def test_registering_a_source_drops_the_cached_view(self):
+        """A merge whose only effect is a new source name (its window is
+        empty) still changes what a view reports, so it gets a new view."""
+        hitlist = Hitlist()
+        hitlist.merge_records([ListedSource("a", [(1, 0)])], last_day=0)
+        view = hitlist.frozen()
+        hitlist.merge_records([ListedSource("b", [(2, 5)])], last_day=3)
+        assert len(hitlist) == 1
+        assert hitlist.frozen() is not view
+        assert hitlist.frozen().source_names == hitlist.source_names == ["a", "b"]
+        assert view.source_names == ["a"]
+
 
 class TestHitlistService:
     @pytest.fixture(scope="class")

@@ -158,19 +158,20 @@ class TestWaveParity:
         self, dynamic_internet, dynamic_targets
     ):
         """Token buckets, rotation darkness and re-homed addresses all hit
-        both engines identically: per-protocol responsive sets match."""
+        both engines identically: per-protocol responsive sets match, also
+        when the batch engine's waves slice a resolution made beforehand."""
         net = dynamic_internet
         scheduler = ScanScheduler(net, ALL_PROTOCOLS, seed=11)
         ref = scheduler.run_day(
             dynamic_targets, 2, dynamics=NetworkDynamics.from_config(net, seed=3)
         )
-        bat = scheduler.run_day_batch(
-            AddressBatch.from_addresses(dynamic_targets),
-            2,
-            dynamics=NetworkDynamics.from_config(net, seed=3),
-        )
-        for protocol in ALL_PROTOCOLS:
-            assert ref.responsive_on(protocol) == bat.responsive_on(protocol), protocol
+        targets = AddressBatch.from_addresses(dynamic_targets)
+        for given in (targets, net.resolve_targets(targets)):
+            bat = scheduler.run_day_batch(
+                given, 2, dynamics=NetworkDynamics.from_config(net, seed=3)
+            )
+            for protocol in ALL_PROTOCOLS:
+                assert ref.responsive_on(protocol) == bat.responsive_on(protocol), protocol
 
     def test_wave_run_is_deterministic(self, dynamic_internet, dynamic_targets):
         net = dynamic_internet

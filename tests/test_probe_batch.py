@@ -4,8 +4,10 @@
 draw for every stochastic effect (loss, rate limits, SYN proxies, congestion),
 so they agree row for row on every Internet: exact parity is asserted on a
 loss-free Internet and on the realistic and hostile anomaly mixes with probe
-waves, token buckets and prefix rotation.  The same holds for the two APD
-engines.
+waves, token buckets and prefix rotation.  A target batch resolved once
+(``resolve_targets``) probes like the batch itself on every day, attempt,
+vantage and wave, and no probe writes the resolution.  The same parity
+holds for the two APD engines.
 """
 
 import random
@@ -19,6 +21,7 @@ from repro.addr.generate import random_addresses_in_prefix
 from repro.core.apd import AliasedPrefixDetector
 from repro.exec import ExecutionPolicy
 from repro.netmodel import InternetConfig, SimulatedInternet
+from repro.netmodel.internet import ResolvedTargets
 from repro.netmodel.services import ALL_PROTOCOLS, HostRole, Protocol
 
 #: Loss-free tiny Internet: every non-stochastic probe outcome is deterministic.
@@ -192,6 +195,26 @@ _DYNAMICS = {
 }
 
 
+def _dynamic_world(anomalies: str):
+    """The routed multi-vantage world with :data:`_DYNAMICS`, a target list
+    of bound hosts, aliased-region addresses and unrouted noise, and its
+    dynamics."""
+    from repro.events import NetworkDynamics
+    from repro.scenarios import build, get_scenario
+
+    scenario = get_scenario(
+        "multi-vantage", scale="tiny", anomalies=anomalies
+    ).with_overrides("dynamics", _DYNAMICS)
+    net = build("internet", scenario)
+    rng = random.Random(5)
+    values = [a.value for a in net.all_bound_addresses()[:400]]
+    for region in net.aliased_regions:
+        host_bits = 128 - region.prefix.length
+        values += [region.prefix.network | rng.getrandbits(host_bits) for _ in range(6)]
+    values += [rng.getrandbits(128) for _ in range(50)]
+    return net, values, NetworkDynamics.from_config(net, seed=3)
+
+
 class TestStochasticParity:
     """Row-for-row parity of ``probe`` and ``probe_batch`` with every
     stochastic effect on: loss, prefix and region ICMP limits, SYN proxies,
@@ -199,20 +222,7 @@ class TestStochasticParity:
 
     @pytest.fixture(scope="class", params=["realistic", "hostile"])
     def world(self, request):
-        from repro.events import NetworkDynamics
-        from repro.scenarios import build, get_scenario
-
-        scenario = get_scenario(
-            "multi-vantage", scale="tiny", anomalies=request.param
-        ).with_overrides("dynamics", _DYNAMICS)
-        net = build("internet", scenario)
-        rng = random.Random(5)
-        values = [a.value for a in net.all_bound_addresses()[:400]]
-        for region in net.aliased_regions:
-            host_bits = 128 - region.prefix.length
-            values += [region.prefix.network | rng.getrandbits(host_bits) for _ in range(6)]
-        values += [rng.getrandbits(128) for _ in range(50)]
-        return net, values, NetworkDynamics.from_config(net, seed=3)
+        return _dynamic_world(request.param)
 
     @staticmethod
     def _assert_rows_match(net, batch, day, **kwargs):
@@ -251,6 +261,89 @@ class TestStochasticParity:
             rows.append(self._assert_rows_match(net, batch, day, wave=wave).responsive)
         # Buckets and rotation make the waves differ from one another.
         assert any(not np.array_equal(rows[0], other) for other in rows[1:])
+
+
+class TestResolvedTargets:
+    """A resolution holds what ``probe_batch`` derives from the addresses
+    alone: probing it equals probing its batch on every day, attempt,
+    vantage and wave, and no probe writes it."""
+
+    @pytest.fixture(scope="class", params=["deterministic", "realistic", "hostile"])
+    def world(self, request):
+        return _dynamic_world(request.param)
+
+    @staticmethod
+    def _assert_same_resolution(got, want):
+        assert got.targets.to_ints() == want.targets.to_ints()
+        for name in ResolvedTargets.__frozen_arrays__:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), name)
+
+    def test_probing_a_resolution_equals_probing_its_batch(self, world):
+        net, values, _ = world
+        batch = AddressBatch.from_ints(values)
+        resolved = net.resolve_targets(batch)
+        vantages = [None, *range(len(net.routing.vantage_asns))]
+        assert len(vantages) == 4
+        for vantage in vantages:
+            for day, attempt in ((0, 0), (0, 1), (4, 0), (11, 2)):
+                kwargs = dict(vantage=vantage, attempt=attempt)
+                got = net.probe_batch(resolved, ALL_PROTOCOLS, day, **kwargs)
+                want = net.probe_batch(batch, ALL_PROTOCOLS, day, **kwargs)
+                assert got.targets is resolved.targets
+                np.testing.assert_array_equal(got.responsive, want.responsive)
+
+    def test_waves_with_dark_and_rehomed_hosts_never_write_it(self, world):
+        net, values, dynamics = world
+        day = 2
+        dynamics.begin_day(day)
+        rotations = dynamics.rehomed()
+        assert rotations
+        # Each rotated host's old addresses (dark after it rotates) and its
+        # new one (answering after it rotates).
+        moved = [a.value for host, _, _ in rotations for a in host.addresses]
+        moved += [address.value for _, address, _ in rotations]
+        batch = AddressBatch.from_ints(values + moved)
+        resolved = net.resolve_targets(batch)
+        waves = []
+        for w in range(dynamics.waves_per_day):
+            wave = dynamics.begin_wave(day, dynamics.wave_time(day, w), batch)
+            waves.append(wave)
+            for attempt in (0, 1):
+                got = net.probe_batch(resolved, ALL_PROTOCOLS, day, wave=wave, attempt=attempt)
+                want = net.probe_batch(batch, ALL_PROTOCOLS, day, wave=wave, attempt=attempt)
+                np.testing.assert_array_equal(got.responsive, want.responsive)
+        # Some wave darkens a bound target's host and re-homes a host onto
+        # an unbound target: both write the per-call copy of the host ids.
+        bound = resolved.host_id[resolved.host_id >= 0]
+        assert any(wave.has_dark and wave.dark_of(bound).any() for wave in waves)
+        assert any(
+            wave.has_rehomed and (wave.rehome_ids(batch) >= 0).any() for wave in waves
+        )
+        self._assert_same_resolution(resolved, net.resolve_targets(batch))
+
+    def test_take_equals_resolving_the_rows(self, world):
+        net, values, _ = world
+        batch = AddressBatch.from_ints(values)
+        resolved = net.resolve_targets(batch)
+        for rows in (np.arange(100, 300), np.arange(len(batch))[::-1], np.arange(0)):
+            self._assert_same_resolution(
+                resolved.take(rows), net.resolve_targets(batch.take(rows))
+            )
+
+    def test_a_resolution_of_another_internet_is_refused(self, lossless_internet):
+        """Even an identically built twin's resolution is refused: a
+        resolution is tied to the index that made it."""
+        twin = SimulatedInternet(LOSSLESS_CONFIG)
+        values = [a.value for a in lossless_internet.all_bound_addresses()[:20]]
+        foreign = twin.resolve_targets(AddressBatch.from_ints(values))
+        with pytest.raises(ValueError, match="another SimulatedInternet"):
+            lossless_internet.probe_batch(foreign, ALL_PROTOCOLS, day=0)
+
+    def test_empty_resolution(self, lossless_internet):
+        resolved = lossless_internet.resolve_targets(AddressBatch.empty())
+        assert len(resolved) == 0
+        result = lossless_internet.probe_batch(resolved, ALL_PROTOCOLS, day=0)
+        assert result.responsive.shape == (0, len(ALL_PROTOCOLS))
 
 
 class TestAPDEngineParity:

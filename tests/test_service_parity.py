@@ -20,6 +20,7 @@ from repro.core.hitlist import Hitlist, HitlistService
 from repro.exec import ExecutionPolicy
 from repro.experiments import table4
 from repro.netmodel import InternetConfig, SimulatedInternet
+from repro.scenarios import build
 from repro.sources.base import HitlistSource, SourceRecord
 from repro.sources.registry import SourceAssembly, assemble_all_sources
 
@@ -311,6 +312,40 @@ class TestStochasticServiceParity:
         assert any(r.icmp_rate_limit and r.stochastic for r in internet.aliased_regions)
         assert len(internet._icmp_rate_limited) > 0
         assert batch_days[4].hitlist.source_names[-1] == "late"
+
+
+class TestResolutionReuse:
+    """The batch engine resolves its scan targets (one cell search per
+    target batch) only when it rebuilds its published state."""
+
+    #: The tiny tier's sources report records on days 0-24 only.
+    RUNUP_DAYS = 25
+
+    def test_days_without_records_resolve_no_targets(self, monkeypatch):
+        resolutions: list[int] = []
+        resolve = SimulatedInternet.resolve_targets
+
+        def counting(internet, targets):
+            resolved = resolve(internet, targets)
+            resolutions.append(len(resolved))
+            return resolved
+
+        monkeypatch.setattr(SimulatedInternet, "resolve_targets", counting)
+        batch = build("service", "baseline", scale="tiny", seed=7)
+        reference = build(
+            "service", "baseline", scale="tiny", seed=7, policy=ExecutionPolicy(reference=True)
+        )
+        made = {}
+        for day in range(self.RUNUP_DAYS + 15):
+            before = len(resolutions)
+            db = batch.run_day(day)
+            made[day] = len(resolutions) - before
+            dr = reference.run_day(day)
+            assert db.aliased_prefixes == dr.aliased_prefixes, day
+            assert db.responsive_addresses == dr.responsive_addresses, day
+            assert db.hitlist.provenance() == dr.hitlist.provenance(), day
+        assert all(made[day] >= 1 for day in range(self.RUNUP_DAYS)), made
+        assert all(made[day] == 0 for day in range(self.RUNUP_DAYS, self.RUNUP_DAYS + 15)), made
 
 
 class TestServiceEngineContract:
