@@ -31,7 +31,9 @@ prefix's rows, which is what makes the fast engine's reuse exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,6 +41,9 @@ import numpy as np
 from repro.addr.address import IPv6Address
 from repro.addr.batch import (
     AddressBatch,
+    FlatLPM,
+    PackedKeys,
+    prefix_masks,
     readonly_view,
     searchsorted128,
     union_sorted,
@@ -387,18 +392,25 @@ class DailyHitlist:
 class _PublishedState:
     """What the batch engine publishes besides the day's scan.
 
-    All of it is a function of the standing rows and the outcome cache, so
-    it is rebuilt only on a day that merges a source record; every other day
-    wraps the same objects in its own :class:`DailyHitlist` and scans the
-    same resolved targets, so it makes no address lookup.
+    All of it is a function of the standing rows and the candidate
+    outcomes, so it changes only on a day that merges a source record; every
+    other day wraps the same objects in its own :class:`DailyHitlist` and
+    scans the same resolved targets, so it makes no address lookup.  A day
+    that merges records carries the previous state's row columns through the
+    merge: only the new rows are resolved, and only the rows of the blocks
+    they fall in are looked up in the new verdict LPM.
     """
 
     #: The standing rows as of the build (a :meth:`Hitlist.frozen` view).
     hitlist: Hitlist
     #: The candidate outcomes in prefix order, with their verdict LPM built.
     apd: APDResult
-    #: The rows outside aliased prefixes (read-only), resolved once for
-    #: every day's scan until the next rebuild.
+    #: Every standing row, resolved, and whether it lies in an aliased
+    #: prefix (read-only, aligned with the rows).
+    rows: ResolvedTargets
+    aliased: np.ndarray
+    #: The rows outside aliased prefixes, the scan targets of every day
+    #: until the next merge.
     targets: ResolvedTargets
     aliased_prefixes: list[IPv6Prefix]
 
@@ -414,16 +426,20 @@ class HitlistService:
     * the fast engine (default) -- incremental and columnar.  Day *d* merges
       only source records with ``first_seen_day`` in the not-yet-merged window
       into the standing batch (vectorised dedup via sorted hi/lo binary
-      search), updates per-length candidate-prefix counts incrementally,
-      re-probes only candidate prefixes whose membership changed (all other
-      APD verdicts are reused: an unchanged prefix keeps its membership
-      epoch, the day it is probed on), and resolves the daily
-      five-protocol scan with one ``probe_batch`` call, keeping per-day
-      responsiveness as (target x protocol) boolean matrices.  A day whose
-      window holds no source record reuses the previous day's published
-      state (hitlist view, outcome map and verdict LPM, resolved target
-      batch, aliased prefixes) and only draws its scan.  Days must be run
-      in increasing order.
+      search) and works only on that delta: the new rows and the /*L* blocks
+      they fall in (*L* the shortest APD prefix length), which hold every
+      candidate prefix, verdict and aliased-row status a new row can change.
+      It re-judges the candidates of those blocks, re-probes only candidate
+      prefixes whose membership changed (all other APD verdicts are reused:
+      an unchanged prefix keeps its membership epoch, the day it is probed
+      on), resolves only the new rows and looks up only the blocks' rows in
+      the new verdict LPM, and resolves the daily five-protocol scan with
+      one ``probe_batch`` call, keeping per-day responsiveness as
+      (target x protocol) boolean matrices.  A day whose window holds no
+      source record reuses the previous day's published state (hitlist
+      view, outcome map and verdict LPM, resolved rows and targets, aliased
+      prefixes) and only draws its scan.  Days must be run in increasing
+      order.
     * the reference engine -- the original scalar loop: rebuild the hitlist
       from scratch, run APD over everything, sweep per protocol with the
       scalar ZMap scanner, recording the replies into the same scan matrix.
@@ -458,11 +474,13 @@ class HitlistService:
         # Incremental batch-engine state.
         self._standing: Hitlist | None = None
         self._merged_through: int | None = None
-        # Candidates and cached outcomes keyed by ``(hi, lo, length)``, which
-        # sorts like the prefixes themselves.
-        self._candidates: dict[tuple[int, int, int], IPv6Prefix] = {}
-        self._candidate_sorted: list[tuple[tuple[int, int, int], IPv6Prefix]] | None = None
-        self._outcome_cache: dict[tuple[int, int, int], PrefixProbeOutcome] = {}
+        # The candidates in key order, as aligned lists: ``(hi, lo, length)``
+        # keys sort like the prefixes themselves.  The verdict array is
+        # replaced, never written, once a published state holds it.
+        self._keys: list[tuple[int, int, int]] = []
+        self._prefixes: list[IPv6Prefix] = []
+        self._outcomes: list[PrefixProbeOutcome] = []
+        self._verdicts = np.zeros(0, dtype=bool)
         self._published: _PublishedState | None = None
 
     # -- daily loop -------------------------------------------------------------
@@ -521,23 +539,13 @@ class HitlistService:
                 f"{self._merged_through}); use ExecutionPolicy(reference=True) for replays"
             )
         new_batch = self._merge_new_records(day)
-        changed = self._update_candidates(new_batch)
-        self.apd_probe_counts[day] = len(changed)
-        if changed:
-            detector = AliasedPrefixDetector(
-                self.internet, self.apd_config, seed=self._seed, policy=self.policy
-            )
-            keys = list(changed)
-            prefixes = [self._candidates[key] for key in keys]
-            self._outcome_cache.update(
-                zip(keys, _probe_on_epochs(detector, prefixes, list(changed.values())))
-            )
         # Any merged record replaces the standing arrays and with them the
         # frozen view, even one that only adds a source to a known row.
         hitlist = self._standing.frozen()
         state = self._published
+        self.apd_probe_counts[day] = 0
         if state is None or state.hitlist is not hitlist:
-            state = self._published = self._build_published_state(hitlist, day)
+            state = self._published = self._build_published_state(hitlist, new_batch, day)
         scheduler = ScanScheduler(self.internet, self.protocols, seed=self._seed ^ day)
         scan_result = scheduler.run_day_batch(state.targets, day, dynamics=self._dynamics)
         return DailyHitlist(
@@ -549,16 +557,47 @@ class HitlistService:
             hitlist=hitlist,
         )
 
-    def _build_published_state(self, hitlist: Hitlist, day: int) -> _PublishedState:
-        """Outcome map, verdict LPM, resolved scan targets and aliased list of *hitlist*."""
-        cache = self._outcome_cache
-        apd = APDResult(
-            day=day, outcomes={prefix: cache[key] for key, prefix in self._sorted_candidates()}
-        )
+    def _build_published_state(
+        self, hitlist: Hitlist, new_batch: AddressBatch, day: int
+    ) -> _PublishedState:
+        """Carry the published state through a merge that added *new_batch*.
+
+        Only the delta is worked: the candidates of the blocks the new rows
+        fall in are re-judged (:meth:`_update_candidates`), the new rows are
+        resolved and inserted into the previous state's resolution, and only
+        the blocks' rows are looked up in the new verdict LPM -- every other
+        row keeps its aliased status.  The first build is the same code with
+        every row new.
+        """
         batch = hitlist.address_batch
-        targets = batch.take(~apd.is_aliased_batch(batch)).readonly()
+        keys = PackedKeys(batch)
+        new_rows = keys.searchsorted(new_batch, "left")
+        block_rows = self._block_rows(keys, new_batch)
+        self.apd_probe_counts[day] = self._update_candidates(hitlist, new_rows, block_rows)
+        verdicts = readonly_view(self._verdicts)
+        flags = verdicts.tolist()
+        apd = APDResult(
+            day=day,
+            outcomes=dict(zip(self._prefixes, self._outcomes)),
+            _flat=(FlatLPM(zip(self._prefixes, flags)), verdicts),
+        )
+        rows = self.internet.resolve_targets(new_batch)
+        aliased = np.zeros(len(batch), dtype=bool)
+        previous = self._published
+        if previous is not None:
+            # ``np.insert`` positions: each new row goes before the old row
+            # that follows it.
+            before = new_rows - np.arange(len(new_rows))
+            rows = previous.rows.insert(before, rows)
+            aliased = np.insert(previous.aliased, before, False)
+        aliased[block_rows] = apd.is_aliased_batch(batch.take(block_rows))
         return _PublishedState(
-            hitlist, apd, self.internet.resolve_targets(targets), apd.aliased_prefixes
+            hitlist,
+            apd,
+            rows,
+            readonly_view(aliased),
+            rows.take(np.flatnonzero(~aliased)),
+            list(compress(self._prefixes, flags)),
         )
 
     def _merge_new_records(self, day: int) -> AddressBatch:
@@ -576,27 +615,49 @@ class HitlistService:
         self._merged_through = day
         return new
 
-    def _update_candidates(self, new_batch: AddressBatch) -> dict[tuple[int, int, int], int]:
-        """Re-evaluate candidate membership for prefixes touched by new rows.
+    def _block_rows(self, keys: PackedKeys, new_batch: AddressBatch) -> np.ndarray:
+        """Positions of the standing rows in the /L blocks the new rows fall in.
 
-        Returns the ``(hi, lo, length)`` key of every candidate whose
-        membership changed today, mapped to its new membership epoch.  The
-        standing batch is sorted, so per length one boundary scan of its
-        shared prefix lengths (:meth:`APDConfig.qualifying_runs`, as in
-        one-shot candidate selection) judges every network, and the new
-        rows' positions in the standing batch, found once, mark the networks
-        they touched.
+        *L* is the shortest APD prefix length, so a row's block holds every
+        candidate prefix that covers it: rows outside these blocks keep
+        their candidates, verdicts and aliased status.  *keys* are the
+        standing rows, packed; the result is sorted.
         """
-        changed: dict[tuple[int, int, int], int] = {}
-        if len(new_batch) == 0:
-            return changed
+        length = min(self.apd_config.prefix_lengths, default=128)
+        blocks = new_batch.masked(length)
+        blocks = blocks.take(blocks.sorted_run_starts())
+        mask_hi, mask_lo = prefix_masks(np.array([length]))
+        lasts = AddressBatch(blocks.hi | ~mask_hi, blocks.lo | ~mask_lo)
+        starts = keys.searchsorted(blocks, "left")
+        counts = keys.searchsorted(lasts, "right") - starts
+        # Each block's rows are one run: output index plus the block's shift.
+        shifts = starts - (np.cumsum(counts) - counts)
+        return np.arange(counts.sum(), dtype=np.int64) + np.repeat(shifts, counts)
+
+    def _update_candidates(
+        self, hitlist: Hitlist, new_rows: np.ndarray, block_rows: np.ndarray
+    ) -> int:
+        """Re-judge the candidates of the touched blocks; re-probe the changed ones.
+
+        *new_rows* and *block_rows* are standing-row positions (see
+        :meth:`_block_rows`).  The block rows are sorted and every block is
+        whole, so per length one boundary scan of their shared prefix
+        lengths (:meth:`APDConfig.qualifying_runs`, as in one-shot candidate
+        selection) judges every network in the blocks, and the new rows'
+        places among them mark the networks they touched.  A candidate whose
+        membership changed is probed on its new membership epoch; a new one
+        first enters the key-ordered lists by bisect.  Returns the number of
+        candidates probed.
+        """
+        if len(new_rows) == 0:
+            return 0
         config = self.apd_config
-        standing = self._standing.address_batch
-        first_seen = self._standing.first_seen_days
-        shared = standing.shared_prefix_lengths()
-        is_new = np.zeros(len(standing), dtype=bool)
-        positions = searchsorted128(standing.hi, standing.lo, new_batch.hi, new_batch.lo, "left")
-        is_new[positions] = True
+        rows = hitlist.address_batch.take(block_rows)
+        first_seen = hitlist.first_seen_days[block_rows]
+        shared = rows.shared_prefix_lengths()
+        is_new = np.zeros(len(rows), dtype=bool)
+        is_new[np.searchsorted(block_rows, new_rows)] = True
+        changed: dict[tuple[int, int, int], int] = {}
         for length in config.prefix_lengths:
             starts, qualifies = config.qualifying_runs(shared, length)
             # Only qualifying networks matter downstream: a touched candidate
@@ -604,19 +665,36 @@ class HitlistService:
             # non-candidates are never consulted by the re-probe decision.
             touched = qualifies & np.logical_or.reduceat(is_new, starts)
             epochs = np.maximum.reduceat(first_seen, starts)[touched]
-            networks = standing.take(starts[touched]).masked(length)
+            networks = rows.take(starts[touched]).masked(length)
             for hi, lo, epoch in zip(networks.hi.tolist(), networks.lo.tolist(), epochs.tolist()):
-                key = (hi, lo, length)
-                changed[key] = epoch
-                if key not in self._candidates:
-                    self._candidates[key] = IPv6Prefix((hi << 64) | lo, length)
-                    self._candidate_sorted = None
-        return changed
-
-    def _sorted_candidates(self) -> list[tuple[tuple[int, int, int], IPv6Prefix]]:
-        if self._candidate_sorted is None:
-            self._candidate_sorted = sorted(self._candidates.items())
-        return self._candidate_sorted
+                changed[(hi, lo, length)] = epoch
+        if not changed:
+            return 0
+        keys = self._keys
+        fresh = []
+        for key in changed:
+            at = bisect_left(keys, key)
+            if at == len(keys) or keys[at] != key:
+                fresh.append((key, at))
+        fresh.sort()
+        # Inserted back to front, each at its place in the old lists.
+        for key, at in reversed(fresh):
+            keys.insert(at, key)
+            self._prefixes.insert(at, IPv6Prefix((key[0] << 64) | key[1], key[2]))
+            self._outcomes.insert(at, None)
+        verdicts = np.insert(self._verdicts, [at for _, at in fresh], False)
+        detector = AliasedPrefixDetector(
+            self.internet, config, seed=self._seed, policy=self.policy
+        )
+        index = [bisect_left(keys, key) for key in changed]
+        outcomes = _probe_on_epochs(
+            detector, [self._prefixes[i] for i in index], list(changed.values())
+        )
+        for i, outcome in zip(index, outcomes):
+            self._outcomes[i] = outcome
+        verdicts[index] = [outcome.is_aliased for outcome in outcomes]
+        self._verdicts = verdicts
+        return len(changed)
 
     @property
     def standing_hitlist(self) -> Hitlist | None:

@@ -19,7 +19,7 @@ from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult
 from repro.core.hitlist import Hitlist
 from repro.exec import ExecutionPolicy
 from repro.netmodel.config import InternetConfig
-from repro.netmodel.internet import SimulatedInternet
+from repro.netmodel.internet import ResolvedTargets, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
 from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
 from repro.sources.registry import SourceAssembly, assemble_all_sources
@@ -163,7 +163,7 @@ class ExperimentContext:
 
     def scan(
         self,
-        targets: AddressBatch,
+        targets: AddressBatch | ResolvedTargets,
         day: int,
         *,
         seed: int,
@@ -175,10 +175,14 @@ class ExperimentContext:
         ``probe_batch`` pass by default, the scalar scheduler under
         ``reference=True``.  Both fill the same (target x protocol) matrix,
         with rows in *targets* order, and probe outcomes are keyed draws, so
-        both engines give the same answers.
+        both engines give the same answers.  *targets* may be a resolution
+        (:meth:`SimulatedInternet.resolve_targets`) of a batch scanned on
+        several days; the scalar scheduler scans its addresses.
         """
         scheduler = ScanScheduler(self.internet, protocols, seed=seed)
         if self.policy.reference:
+            if isinstance(targets, ResolvedTargets):
+                targets = targets.targets
             return scheduler.run_day(targets.to_addresses(), day)
         return scheduler.run_day_batch(targets, day)
 
@@ -191,7 +195,9 @@ class ExperimentContext:
     @cached_property
     def longitudinal_campaign(self) -> Sequence[BatchDailyScanResult]:
         """Multi-day campaign over the day-0 responsive addresses (Figure 8)."""
-        targets = AddressBatch.from_addresses(self.day0_scan.responsive_any).sort()
+        batch = AddressBatch.from_addresses(self.day0_scan.responsive_any).sort()
+        # Resolved once for every day of the campaign.
+        targets = self.internet.resolve_targets(batch)
         seed = self.config.seed ^ 0x10E
         return [self.scan(targets, day, seed=seed) for day in range(self.config.longitudinal_days)]
 

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.addr.batch import AddressBatch
 from repro.experiments.context import ExperimentContext
 from repro.netmodel.asgraph import REGIONS
 from repro.netmodel.internet import SimulatedInternet
@@ -118,19 +117,12 @@ def run(ctx: ExperimentContext) -> VantageBiasResult:
     internet = SimulatedInternet(config)
     routing = internet.routing
     graph = internet.asgraph
-    targets = AddressBatch.from_addresses(ctx.hitlist.addresses)
+    # Resolved once: every vantage probes the same targets.
+    targets = internet.resolve_targets(ctx.hitlist.address_batch)
 
-    # Destination region per target, via the covering announcement's origin.
-    flat = internet.bgp_lpm()
-    ann_index = flat.lookup_indices(targets)
-    rows = np.fromiter(
-        (
-            routing.row_of_asn(flat.objects[i].origin_asn) if i >= 0 else -1
-            for i in ann_index.tolist()
-        ),
-        dtype=np.int64,
-        count=len(ann_index),
-    )
+    # Destination region per target, via the covering announcement's
+    # origin: its routing row, -1 where no announcement covers the target.
+    rows = targets.dest_rows
     row_region = np.fromiter(
         (graph.region_of(asn) for asn in routing.dest_asns),
         dtype=np.int64,

@@ -330,7 +330,9 @@ class ResolvedTargets:
     wave, attempt, vantage or protocol, so a batch scanned more than once --
     the daily service's standing targets, a sweep's retries, a day's waves --
     is resolved once (:meth:`SimulatedInternet.resolve_targets`) and probed
-    many times.  Read-only, and valid only for the Internet that made it.
+    many times, and a growing batch inserts the resolution of its new
+    targets (:meth:`insert`) instead of resolving every target again.
+    Read-only, and valid only for the Internet that made it.
     """
 
     #: Immutability contract, enforced statically by reprolint rule R2: one
@@ -355,7 +357,7 @@ class ResolvedTargets:
         self, index: _BatchIndex, targets: AddressBatch, cell: np.ndarray, base: np.ndarray
     ):
         self._index = index
-        self.targets = targets
+        self.targets = targets.readonly()
         #: Each target's interval in the index's cells, and its base key.
         self.cell = readonly_view(cell)
         self.base = readonly_view(base)
@@ -390,6 +392,27 @@ class ResolvedTargets:
         """The resolution of the targets at *rows* (no second search)."""
         return ResolvedTargets(
             self._index, self.targets.take(rows), self.cell[rows], self.base[rows]
+        )
+
+    def insert(self, rows: np.ndarray, other: "ResolvedTargets") -> "ResolvedTargets":
+        """This resolution with *other*'s targets inserted (no second search).
+
+        As in ``np.insert``, target *j* of *other* lands before row
+        ``rows[j]`` of this resolution, so inserting a sorted batch at its
+        insertion points into a sorted one keeps the result sorted.  Both
+        must be resolutions by the same Internet.
+        """
+        if other._index is not self._index:
+            raise ValueError("the targets were resolved by another SimulatedInternet")
+        targets = AddressBatch(
+            np.insert(self.targets.hi, rows, other.targets.hi),
+            np.insert(self.targets.lo, rows, other.targets.lo),
+        )
+        return ResolvedTargets(
+            self._index,
+            targets,
+            np.insert(self.cell, rows, other.cell),
+            np.insert(self.base, rows, other.base),
         )
 
 

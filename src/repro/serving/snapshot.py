@@ -11,8 +11,10 @@ mutates the snapshot -- which is what makes it safe to share between any
 number of reader threads while the next day's snapshot builds elsewhere.
 Snapshots of one published state share its row columns
 (:class:`SnapshotRows`): a day that merged no source record builds only its
-responsiveness matrix.  Both service engines publish the same day
-containers, so one build path serves both.
+responsiveness matrix, and a day that merged records builds its rows from
+the previous snapshot's, converting and AS-mapping only the new rows.  Both
+service engines publish the same day containers, so one build path serves
+both.
 
 Query surface (mirroring what the measurement community asks of the real
 service, Section 11 and "IPv6 Hitlists at Scale"):
@@ -155,6 +157,15 @@ class SnapshotRows:
     the snapshots of those days share one instance (:meth:`built_from`):
     the point index, the target row positions and the AS index are built
     once per published state.
+
+    A state that merged records is built from the previous state's rows:
+    a hitlist only grows and a row's first-seen day never changes, so the
+    previous rows are the rows first seen no later than their last
+    first-seen day.  Where those equal the previous rows (and the internet
+    is the same), only the new rows get Python ints, spliced into the
+    point index, and an origin-AS lookup; otherwise -- a replay of an
+    earlier day, another internet -- every row is new.  A first build is
+    the same code with no previous rows.
     """
 
     __slots__ = (
@@ -189,7 +200,12 @@ class SnapshotRows:
         "asn_order",
     )
 
-    def __init__(self, daily: "DailyHitlist", internet: "SimulatedInternet | None") -> None:
+    def __init__(
+        self,
+        daily: "DailyHitlist",
+        internet: "SimulatedInternet | None",
+        previous: "SnapshotRows | None" = None,
+    ) -> None:
         # Sorted unique rows with aligned provenance, all read-only already.
         batch, masks, first, source_names = daily.hitlist.snapshot_arrays()
         targets = daily.targets_batch
@@ -198,13 +214,22 @@ class SnapshotRows:
             raise ValueError("scan targets are not a subset of the day's hitlist")
         unaliased = np.zeros(len(batch), dtype=bool)
         unaliased[positions] = True
+        kept = _kept_rows(previous, batch, first, internet)
+        old = np.flatnonzero(kept)
+        new = np.flatnonzero(~kept)
+        fresh = batch.take(new)
         self.hitlist = daily.hitlist
         self.internet = internet
         self.source_names = source_names
         self.batch = batch
         #: Plain-int bisect index: point queries in ~1 us instead of a
-        #: vectorised one-element binary search.
-        self.values = batch.to_ints()
+        #: vectorised one-element binary search.  Kept rows share the
+        #: previous index's ints.
+        values = np.empty(len(batch), dtype=object)
+        if len(old):
+            values[old] = previous.values
+        values[new] = fresh.to_ints()
+        self.values = values.tolist()
         self.masks = masks
         self.first = first
         self.positions = readonly_view(positions)
@@ -218,11 +243,14 @@ class SnapshotRows:
         self.asn_order: np.ndarray | None = None
         if internet is not None:
             bgp = internet.bgp_lpm()
-            indices = bgp.lookup_indices(batch)
+            indices = bgp.lookup_indices(fresh)
             origins = np.fromiter(
                 (a.origin_asn for a in bgp.objects), dtype=np.int64, count=len(bgp.objects)
             )
-            asn = np.where(indices >= 0, origins[np.maximum(indices, 0)], np.int64(-1))
+            asn = np.empty(len(batch), dtype=np.int64)
+            if len(old):
+                asn[old] = previous.asn
+            asn[new] = np.where(indices >= 0, origins[np.maximum(indices, 0)], np.int64(-1))
             order = np.argsort(asn, kind="stable")
             self.asn = readonly_view(asn)
             self.asn_order = readonly_view(order)
@@ -236,6 +264,26 @@ class SnapshotRows:
             and internet is self.internet
             and daily.apd_result.verdict_lpm()[0] is self.apd_lpm
         )
+
+
+def _kept_rows(
+    previous: SnapshotRows | None,
+    batch: AddressBatch,
+    first: np.ndarray,
+    internet: "SimulatedInternet | None",
+) -> np.ndarray:
+    """Which of *batch*'s rows are *previous*'s rows (all False: none are).
+
+    The candidates are the rows first seen no later than the previous rows'
+    last first-seen day; they are kept only if they equal the previous rows.
+    """
+    if previous is None or internet is not previous.internet or not len(previous.batch):
+        return np.zeros(len(batch), dtype=bool)
+    kept = first <= previous.first.max()
+    rows = batch.take(kept)
+    if np.array_equal(rows.hi, previous.batch.hi) and np.array_equal(rows.lo, previous.batch.lo):
+        return kept
+    return np.zeros(len(batch), dtype=bool)
 
 
 class HitlistSnapshot:
@@ -336,11 +384,12 @@ class HitlistSnapshot:
         *previous* is the snapshot published before this one.  When its
         rows were built from the very objects this day carries
         (:meth:`SnapshotRows.built_from`), the new snapshot shares them and
-        builds only its own responsiveness matrix.
+        builds only its own responsiveness matrix; otherwise the new rows
+        are built from them, converting only the rows they lack.
         """
         rows = None if previous is None else previous._rows
         if rows is None or not rows.built_from(daily, internet):
-            rows = SnapshotRows(daily, internet)
+            rows = SnapshotRows(daily, internet, rows)
         scan = daily.scan_result
         protocols = scan.protocols
         responsive = np.zeros((len(rows.batch), len(protocols)), dtype=bool)

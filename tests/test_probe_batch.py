@@ -330,6 +330,29 @@ class TestResolvedTargets:
                 resolved.take(rows), net.resolve_targets(batch.take(rows))
             )
 
+    def test_insert_equals_resolving_the_merged_rows(self, world):
+        """Sorted rows inserted at their insertion points into a sorted
+        resolution: the growing batch of the daily service."""
+        net, values, _ = world
+        merged = AddressBatch.from_ints(values).unique()
+        rng = np.random.default_rng(1)
+        for share in (0.0, 0.1, 0.5, 1.0):
+            new = np.sort(rng.choice(len(merged), int(share * len(merged)), replace=False))
+            old = np.setdiff1d(np.arange(len(merged)), new)
+            standing = net.resolve_targets(merged.take(old))
+            inserted = standing.insert(
+                np.searchsorted(old, new), net.resolve_targets(merged.take(new))
+            )
+            self._assert_same_resolution(inserted, net.resolve_targets(merged))
+
+    def test_inserting_a_resolution_of_another_internet_is_refused(self, lossless_internet):
+        twin = SimulatedInternet(LOSSLESS_CONFIG)
+        values = [a.value for a in lossless_internet.all_bound_addresses()[:20]]
+        standing = lossless_internet.resolve_targets(AddressBatch.from_ints(values[:10]))
+        foreign = twin.resolve_targets(AddressBatch.from_ints(values[10:]))
+        with pytest.raises(ValueError, match="another SimulatedInternet"):
+            standing.insert(np.full(10, 10), foreign)
+
     def test_a_resolution_of_another_internet_is_refused(self, lossless_internet):
         """Even an identically built twin's resolution is refused: a
         resolution is tied to the index that made it."""

@@ -16,6 +16,7 @@ import pytest
 
 from repro.addr.address import IPv6Address
 from repro.analysis.longitudinal import responsiveness_over_time
+from repro.core.apd import APDConfig
 from repro.core.hitlist import Hitlist, HitlistService
 from repro.exec import ExecutionPolicy
 from repro.experiments import table4
@@ -346,6 +347,48 @@ class TestResolutionReuse:
             assert db.hitlist.provenance() == dr.hitlist.provenance(), day
         assert all(made[day] >= 1 for day in range(self.RUNUP_DAYS)), made
         assert all(made[day] == 0 for day in range(self.RUNUP_DAYS, self.RUNUP_DAYS + 15)), made
+
+
+class TestBlocksOfOtherLengths:
+    """The batch engine re-judges only the /L blocks that hold a new row, L
+    the shortest APD prefix length.  Under configurations whose blocks are
+    /48s, or /56s without the all-/64s rule, it must publish what the
+    reference engine publishes, and scan exactly the rows its verdicts do
+    not flag."""
+
+    DAYS = range(30)
+
+    @pytest.mark.parametrize(
+        "apd_config",
+        [
+            APDConfig(prefix_lengths=tuple(range(48, 125, 4)), min_targets_per_prefix=3),
+            APDConfig(
+                prefix_lengths=tuple(range(56, 125, 4)),
+                min_targets_per_prefix=2,
+                always_probe_64=False,
+            ),
+        ],
+        ids=["blocks-48", "blocks-56"],
+    )
+    def test_engines_agree(self, apd_config):
+        internet, assembly = build("substrate", "baseline", scale="tiny", seed=7)
+        batch = HitlistService(internet, assembly, apd_config=apd_config, seed=7)
+        reference = HitlistService(
+            internet,
+            assembly,
+            apd_config=apd_config,
+            seed=7,
+            policy=ExecutionPolicy(reference=True),
+        )
+        for day in self.DAYS:
+            db, dr = batch.run_day(day), reference.run_day(day)
+            assert db.aliased_prefixes == dr.aliased_prefixes, day
+            assert db.responsive_addresses == dr.responsive_addresses, day
+            assert db.hitlist.provenance() == dr.hitlist.provenance(), day
+            rows = db.hitlist.address_batch
+            kept = rows.take(~db.apd_result.is_aliased_batch(rows))
+            assert db.targets_batch.to_ints() == kept.to_ints(), day
+        assert sum(batch.apd_probe_counts.values()) < sum(reference.apd_probe_counts.values())
 
 
 class TestServiceEngineContract:

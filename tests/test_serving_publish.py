@@ -45,7 +45,18 @@ def full_build(server, snapshot: HitlistSnapshot) -> HitlistSnapshot:
     )
 
 
+def assert_same_subset(got, want) -> None:
+    """Two prefix or AS answers select the same rows with the same columns."""
+    assert (got.generation, got.day, got.protocols) == (want.generation, want.day, want.protocols)
+    np.testing.assert_array_equal(got.addresses.hi, want.addresses.hi)
+    np.testing.assert_array_equal(got.addresses.lo, want.addresses.lo)
+    for column in ("responsive", "source_masks", "first_seen_days"):
+        np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
+
+
 def assert_same_snapshot(snapshot: HitlistSnapshot, expected: HitlistSnapshot) -> None:
+    """Every column, every row's point query and one miss next to it, and
+    the AS query of every origin AS of the rows."""
     got, want = snapshot.download(), expected.download()
     assert (got.generation, got.day) == (want.generation, want.day)
     assert got.source_names == want.source_names
@@ -55,8 +66,17 @@ def assert_same_snapshot(snapshot: HitlistSnapshot, expected: HitlistSnapshot) -
         np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
     rows = want.addresses.to_ints()
     assert got.addresses.to_ints() == rows
+    listed = set(rows)
     for value in rows:
         assert snapshot.point_query(value) == expected.point_query(value)
+        neighbour = value + 1
+        while neighbour in listed:
+            neighbour += 1
+        miss = snapshot.point_query(neighbour)
+        assert not miss.in_hitlist
+        assert miss == expected.point_query(neighbour)
+    for asn in np.unique(expected._asn).tolist():
+        assert_same_subset(snapshot.as_query(asn), expected.as_query(asn))
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +163,51 @@ def test_publish_after_a_rejected_day_equals_a_full_build():
     assert after.generation == before.generation + 1
     assert not np.shares_memory(before.download().source_masks, after.download().source_masks)
     assert_same_snapshot(after, full_build(server, after))
+
+
+def test_a_record_day_converts_only_its_new_rows(monkeypatch):
+    """A snapshot of a day that merged records carries the previous
+    snapshot's point index: only the day's new rows become Python ints."""
+    converted: list[int] = []
+    to_ints = AddressBatch.to_ints
+
+    def recording_to_ints(self):
+        values = to_ints(self)
+        converted.extend(values)
+        return values
+
+    monkeypatch.setattr(AddressBatch, "to_ints", recording_to_ints)
+    server = build("server", "baseline", **SCENARIO)
+    for day in DAYS:
+        converted.clear()
+        download = server.publish_day(day).download()
+        new = download.first_seen_days == day
+        assert sorted(converted) == to_ints(download.addresses.take(new)), day
+
+
+def test_a_previous_snapshot_of_a_later_day_is_not_reused():
+    """The reference engine replays any day: a snapshot of day 30 offered
+    to the build of day 20 holds rows day 20 lacks, so nothing is carried."""
+    server = build("server", "baseline", policy=ExecutionPolicy(reference=True), **SCENARIO)
+    later = server.publish_day(30)
+    earlier = server.publish_day(20)
+    assert len(earlier) < len(later)
+    assert_same_snapshot(earlier, full_build(server, earlier))
+
+
+def test_a_previous_snapshot_of_another_internet_is_not_reused(published):
+    """Rows AS-mapped on another internet are rebuilt: the other world
+    announces other prefixes, so a carried AS index would answer wrongly."""
+    server, _ = published
+    other = build("internet", "baseline", scale="tiny", seed=8)
+    service = server.service
+    day = LAST_RECORD_DAY
+    previous = HitlistSnapshot.from_daily(service.history[day - 1], generation=1, internet=other)
+    snapshot = HitlistSnapshot.from_daily(
+        service.history[day], generation=2, internet=server.internet, previous=previous
+    )
+    expected = HitlistSnapshot.from_daily(
+        service.history[day], generation=2, internet=server.internet
+    )
+    assert_same_snapshot(snapshot, expected)
+    assert len(np.unique(expected._asn)) > 1
