@@ -92,7 +92,7 @@ def test_bench_probe_batch_throughput(benchmark, ctx):
 
     def probe():
         result = internet.probe_batch(batch, (Protocol.ICMP, Protocol.TCP80), day=0)
-        return result.count(Protocol.ICMP)
+        return result.count_responsive(Protocol.ICMP)
 
     responded = benchmark(probe)
     assert responded > 90_000
@@ -123,7 +123,7 @@ def test_bench_probe_batch_vs_scalar(benchmark, ctx):
             start = time.perf_counter()
             result = internet.probe_batch(batch, (Protocol.ICMP,), day=0)
             batch_elapsed = min(batch_elapsed, time.perf_counter() - start)
-        return len(addresses), scalar_hits, result.count(Protocol.ICMP), scalar_elapsed, batch_elapsed
+        return len(addresses), scalar_hits, result.count_responsive(Protocol.ICMP), scalar_elapsed, batch_elapsed
 
     n, scalar_hits, batch_hits, scalar_elapsed, batch_elapsed = run_once(benchmark, compare)
     speedup = scalar_elapsed / batch_elapsed if batch_elapsed else float("inf")

@@ -18,8 +18,8 @@ import numpy as np
 
 from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch, find128
+from repro.netmodel.internet import BatchProbeResult
 from repro.netmodel.services import Protocol
-from repro.probing.scheduler import BatchDailyScanResult
 
 
 @dataclass(slots=True)
@@ -43,7 +43,7 @@ class ResponsivenessTimeline:
 
 
 def responsiveness_over_time(
-    campaign: "Sequence[BatchDailyScanResult]",
+    campaign: "Sequence[BatchProbeResult]",
     groups: "Mapping[str, Sequence[IPv6Address] | AddressBatch]",
     protocol: Protocol | None = None,
 ) -> list[ResponsivenessTimeline]:
@@ -90,10 +90,10 @@ def responsiveness_over_time(
 
 
 def _sorted_day(
-    result: BatchDailyScanResult, protocol: Protocol | None
+    result: BatchProbeResult, protocol: Protocol | None
 ) -> tuple[AddressBatch, np.ndarray]:
     """One day's targets in ascending order with their responsiveness mask."""
-    targets = result.targets_batch
+    targets = result.targets
     mask = result.responsive_mask(protocol)
     if targets.is_sorted():
         return targets, mask

@@ -57,9 +57,7 @@ R2_PUBLISH_BOUNDARY_METHODS: frozenset[str] = frozenset(
         "HitlistSource.record_arrays",
         "HitlistSnapshot._subset_rows",
         "HitlistSnapshot.download",
-        "BatchDailyScanResult.responsive_matrix",
-        "BatchDailyScanResult.responsive_mask",
-        "BatchProbeResult.column",
+        "BatchProbeResult.responsive_mask",
         "DailyHitlist.targets_batch",
     }
 )

@@ -264,26 +264,14 @@ class APDResult:
         result[covered] = verdicts[indices[covered]]
         return result
 
-    def filter_non_aliased(self, addresses: Iterable[IPv6Address]) -> list[IPv6Address]:
-        """Addresses that do NOT fall into an aliased prefix (scan input)."""
-        return self.split(addresses)[1]
-
     def split(
-        self,
-        addresses: Iterable[IPv6Address],
-        batch: AddressBatch | None = None,
+        self, addresses: Iterable[IPv6Address]
     ) -> tuple[list[IPv6Address], list[IPv6Address]]:
-        """Split addresses into (aliased, non-aliased) by longest-prefix match.
-
-        Pass *batch* (the columnar view of the same addresses, in the same
-        order) to skip the conversion when the caller already holds one.
-        """
+        """Split addresses into (aliased, non-aliased) by longest-prefix match."""
         address_list = list(addresses)
         if not address_list:
             return [], []
-        if batch is None:
-            batch = AddressBatch.from_addresses(address_list)
-        hits = self.is_aliased_batch(batch)
+        hits = self.is_aliased_batch(AddressBatch.from_addresses(address_list))
         aliased: list[IPv6Address] = []
         clean: list[IPv6Address] = []
         for address, hit in zip(address_list, hits.tolist()):

@@ -52,9 +52,9 @@ from repro.addr.prefix import IPv6Prefix
 from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult, PrefixProbeOutcome
 from repro.events.dynamics import NetworkDynamics
 from repro.exec import ExecutionPolicy
-from repro.netmodel.internet import ResolvedTargets, SimulatedInternet
+from repro.netmodel.internet import BatchProbeResult, ResolvedTargets, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
-from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
+from repro.probing.scheduler import ScanScheduler
 from repro.sources.base import HitlistSource
 from repro.sources.registry import SourceAssembly
 
@@ -314,10 +314,11 @@ def _probe_on_epochs(
 class DailyHitlist:
     """The published artefacts of one day of the hitlist service.
 
-    Both engines publish the same containers: the scan targets are the rows
-    of the day's (target x protocol) scan matrix, and scalar address/set
-    views are materialised lazily, only when a consumer actually asks for
-    the published lists.
+    Both engines publish the same containers: the day's scan is one
+    read-only :class:`~repro.netmodel.internet.BatchProbeResult` whose rows
+    are the scan targets, the hitlist rows at :attr:`target_rows`, and
+    scalar address/set views are materialised lazily, only when a consumer
+    actually asks for the published lists.
     """
 
     def __init__(
@@ -325,15 +326,20 @@ class DailyHitlist:
         day: int,
         input_addresses: int,
         aliased_prefixes: list[IPv6Prefix],
-        scan_result: BatchDailyScanResult,
+        scan_result: BatchProbeResult,
         apd_result: APDResult,
         hitlist: Hitlist,
+        target_rows: np.ndarray,
     ):
         self.day = day
         self.input_addresses = input_addresses
         self.aliased_prefixes = aliased_prefixes
         self.scan_result = scan_result
         self.apd_result = apd_result
+        #: The scan targets' positions among the hitlist rows (ascending,
+        #: read-only): row *i* of the scan belongs to hitlist row
+        #: ``target_rows[i]``.
+        self.target_rows = target_rows
         #: The day's hitlist with provenance (columnar arrays).  On
         #: the batch engine this is a :meth:`Hitlist.frozen` view of the
         #: standing rows, and every day up to the next merge holds the same
@@ -345,28 +351,28 @@ class DailyHitlist:
     @property
     def num_scan_targets(self) -> int:
         """Number of scan targets (no scalar materialisation)."""
-        return self.scan_result.targets
+        return len(self.scan_result.targets)
 
     @property
     def scan_targets(self) -> list[IPv6Address]:
         """The de-aliased scan targets (materialised at the publish boundary)."""
         if self._scan_targets is None:
-            self._scan_targets = self.scan_result.targets_batch.to_addresses()
+            self._scan_targets = self.scan_result.targets.to_addresses()
         return self._scan_targets
 
     @property
     def targets_batch(self) -> AddressBatch:
         """The scan targets as a columnar batch (read-only: a published artefact).
 
-        The scan result's own target batch, so its rows align with the
+        The scan's own target batch, so its rows align with the
         responsiveness matrix.
         """
-        return self.scan_result.targets_batch.readonly()
+        return self.scan_result.targets.readonly()
 
     @property
     def responsive_addresses(self) -> set[IPv6Address]:
         """Addresses responsive on at least one protocol (the published list)."""
-        return self.scan_result.responsive_any
+        return self.scan_result.responsive_on()
 
     def responsive_on(self, protocol: Protocol) -> set[IPv6Address]:
         """Addresses responsive on one protocol."""
@@ -409,8 +415,10 @@ class _PublishedState:
     #: prefix (read-only, aligned with the rows).
     rows: ResolvedTargets
     aliased: np.ndarray
-    #: The rows outside aliased prefixes, the scan targets of every day
+    #: The rows outside aliased prefixes (their ascending positions,
+    #: read-only, and their resolution): the scan targets of every day
     #: until the next merge.
+    target_rows: np.ndarray
     targets: ResolvedTargets
     aliased_prefixes: list[IPv6Prefix]
 
@@ -519,7 +527,8 @@ class HitlistService:
             zip(candidates, _probe_on_epochs(detector, candidates, epochs))
         )
         self.apd_probe_counts[day] = len(apd_result.outcomes)
-        targets = apd_result.filter_non_aliased(addresses)
+        target_rows = np.flatnonzero(~apd_result.is_aliased_batch(hitlist.address_batch))
+        targets = [addresses[row] for row in target_rows.tolist()]
         scheduler = ScanScheduler(self.internet, self.protocols, seed=self._seed ^ day)
         scan_result = scheduler.run_day(targets, day, dynamics=self._dynamics)
         return DailyHitlist(
@@ -529,6 +538,7 @@ class HitlistService:
             scan_result=scan_result,
             apd_result=apd_result,
             hitlist=hitlist,
+            target_rows=readonly_view(target_rows),
         )
 
     def _run_day_batch(self, day: int) -> DailyHitlist:
@@ -555,6 +565,7 @@ class HitlistService:
             scan_result=scan_result,
             apd_result=state.apd.for_day(day),
             hitlist=hitlist,
+            target_rows=state.target_rows,
         )
 
     def _build_published_state(
@@ -591,12 +602,14 @@ class HitlistService:
             rows = previous.rows.insert(before, rows)
             aliased = np.insert(previous.aliased, before, False)
         aliased[block_rows] = apd.is_aliased_batch(batch.take(block_rows))
+        target_rows = np.flatnonzero(~aliased)
         return _PublishedState(
             hitlist,
             apd,
             rows,
             readonly_view(aliased),
-            rows.take(np.flatnonzero(~aliased)),
+            readonly_view(target_rows),
+            rows.take(target_rows),
             list(compress(self._prefixes, flags)),
         )
 
@@ -705,7 +718,7 @@ class HitlistService:
         """Run the daily pipeline for several days."""
         return [self.run_day(day) for day in days]
 
-    def campaign(self) -> list[BatchDailyScanResult]:
+    def campaign(self) -> list[BatchProbeResult]:
         """All recorded scan results, ordered by day (longitudinal input)."""
         return [daily.scan_result for _, daily in sorted(self.history.items())]
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.events.dynamics import NetworkDynamics
-from repro.netmodel.internet import SimulatedInternet
+from repro.netmodel.internet import BatchProbeResult, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
-from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
+from repro.probing.scheduler import ScanScheduler
 
 #: Seed stride separating the per-scanner probe streams.
 _SCANNER_SEED_STRIDE = 0x51ED
@@ -39,8 +39,8 @@ class ContentionReport:
     """
 
     day: int
-    per_scanner: list[BatchDailyScanResult]
-    solo: BatchDailyScanResult
+    per_scanner: list[BatchProbeResult]
+    solo: BatchProbeResult
 
     @property
     def contended_count(self) -> int:
@@ -92,7 +92,7 @@ def run_scanner_contention(
         seed=seed,
     )
     shared = NetworkDynamics(internet, **kwargs)
-    pending: list[BatchDailyScanResult] = []
+    pending: list[BatchProbeResult] = []
     for k in range(scanners):
         scheduler = ScanScheduler(
             internet, protocols, seed=seed ^ (k * _SCANNER_SEED_STRIDE)

@@ -19,9 +19,9 @@ from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult
 from repro.core.hitlist import Hitlist
 from repro.exec import ExecutionPolicy
 from repro.netmodel.config import InternetConfig
-from repro.netmodel.internet import ResolvedTargets, SimulatedInternet
+from repro.netmodel.internet import BatchProbeResult, ResolvedTargets, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
-from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
+from repro.probing.scheduler import ScanScheduler
 from repro.sources.registry import SourceAssembly, assemble_all_sources
 
 
@@ -168,7 +168,7 @@ class ExperimentContext:
         *,
         seed: int,
         protocols: Sequence[Protocol] = ALL_PROTOCOLS,
-    ) -> BatchDailyScanResult:
+    ) -> BatchProbeResult:
         """One day's scan of *targets* on *protocols*, on the policy's engine.
 
         The only place an experiment scan picks its engine: one
@@ -187,15 +187,15 @@ class ExperimentContext:
         return scheduler.run_day_batch(targets, day)
 
     @cached_property
-    def day0_scan(self) -> BatchDailyScanResult:
+    def day0_scan(self) -> BatchProbeResult:
         """Five-protocol day-0 scan over the non-aliased scan targets."""
         targets = AddressBatch.from_addresses(self.non_aliased_addresses)
         return self.scan(targets, 0, seed=self.config.seed ^ 0x5CA)
 
     @cached_property
-    def longitudinal_campaign(self) -> Sequence[BatchDailyScanResult]:
+    def longitudinal_campaign(self) -> Sequence[BatchProbeResult]:
         """Multi-day campaign over the day-0 responsive addresses (Figure 8)."""
-        batch = AddressBatch.from_addresses(self.day0_scan.responsive_any).sort()
+        batch = AddressBatch.from_addresses(self.day0_scan.responsive_on()).sort()
         # Resolved once for every day of the campaign.
         targets = self.internet.resolve_targets(batch)
         seed = self.config.seed ^ 0x10E

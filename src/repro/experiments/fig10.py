@@ -72,10 +72,8 @@ def run(ctx: ExperimentContext, rdns_scale: float = 0.4) -> Fig10Result:
     scan = ctx.scan(targets, 0, seed=ctx.config.seed ^ 0xD46)
 
     def response_rates(day_scan):
-        return {
-            p: (day_scan.count_responsive(p) / day_scan.targets if day_scan.targets else 0.0)
-            for p in ALL_PROTOCOLS
-        }
+        n = len(day_scan.targets)
+        return {p: (day_scan.count_responsive(p) / n if n else 0.0) for p in ALL_PROTOCOLS}
 
     def top_ases(addresses, limit=5):
         counts = group_counts(addresses, ctx.internet.asn_of)
@@ -87,7 +85,7 @@ def run(ctx: ExperimentContext, rdns_scale: float = 0.4) -> Fig10Result:
 
     icmp_responders = sorted(scan.responsive_on(Protocol.ICMP), key=lambda a: a.value)
     tcp80_responders = sorted(scan.responsive_on(Protocol.TCP80), key=lambda a: a.value)
-    responders_any = scan.responsive_any
+    responders_any = scan.responsive_on()
     slaac_share = (
         sum(1 for a in responders_any if a.is_slaac_eui64) / len(responders_any)
         if responders_any

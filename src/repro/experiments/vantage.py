@@ -135,7 +135,7 @@ def run(ctx: ExperimentContext) -> VantageBiasResult:
     responsive: list[np.ndarray] = []
     for vantage in range(num_vantages):
         result = internet.probe_batch(targets, day=0, vantage=vantage)
-        responsive.append(result.responsive_any)
+        responsive.append(result.responsive_mask())
     jaccard = [
         [
             float((a & b).sum()) / max(1, int((a | b).sum()))

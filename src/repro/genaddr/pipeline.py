@@ -97,19 +97,17 @@ class GenerationReport:
     """Outcome of the full generation + probing pipeline.
 
     Both engines store the same containers: per tool, a candidate batch and
-    the (candidate x protocol) boolean responsiveness matrix of its sweep,
-    with the sweep's rows aligned to the batch's.  Counts, rates and
-    protocol combinations come straight off the matrices; the scalar views
-    are materialised lazily at the read boundary.
+    the read-only :class:`~repro.netmodel.internet.BatchProbeResult` of its
+    sweep, with the sweep's rows aligned to the batch's.  Counts, rates and
+    protocol combinations come straight off the matrices; the address sets
+    are the sweeps' own, built lazily at the read boundary.
     """
 
     def __init__(self):
         self.per_as: list[PerASGeneration] = []
         self._candidates: dict[str, list[IPv6Address]] = {}
         self._candidate_batches: dict[str, AddressBatch] = {}
-        self._responsive: dict[str, dict[Protocol, set[IPv6Address]]] = {}
         self._sweeps: dict[str, BatchProbeResult] = {}
-        self._responsive_any: dict[str, set[IPv6Address]] = {}
 
     # -- storage (filled by the pipeline engines) ---------------------------------
 
@@ -118,7 +116,7 @@ class GenerationReport:
         self._candidate_batches[tool] = batch
 
     def set_sweep(self, tool: str, sweep: BatchProbeResult) -> None:
-        """Store one tool's probe outcome as a responsiveness matrix."""
+        """Store one tool's scan."""
         self._sweeps[tool] = sweep
 
     # -- candidate views ----------------------------------------------------------
@@ -144,32 +142,25 @@ class GenerationReport:
     @property
     def responsive(self) -> dict[str, dict[Protocol, set[IPv6Address]]]:
         """Responsive addresses per tool and protocol (lazy scalar view)."""
-        for tool, sweep in self._sweeps.items():
-            if tool not in self._responsive:
-                self._responsive[tool] = {
-                    protocol: set(sweep.responsive_addresses(protocol))
-                    for protocol in sweep.protocols
-                }
-        return self._responsive
+        return {
+            tool: {protocol: sweep.responsive_on(protocol) for protocol in sweep.protocols}
+            for tool, sweep in self._sweeps.items()
+        }
 
     def responsive_matrix(self, tool: str) -> np.ndarray | None:
-        """The (candidate x protocol) boolean matrix (None when not probed)."""
+        """The read-only (candidate x protocol) matrix (None when not probed)."""
         sweep = self._sweeps.get(tool)
         return None if sweep is None else sweep.responsive
 
     def responsive_any(self, tool: str) -> set[IPv6Address]:
         """Addresses of one tool responsive on at least one protocol."""
-        cached = self._responsive_any.get(tool)
-        if cached is None:
-            sweep = self._sweeps.get(tool)
-            cached = set() if sweep is None else set(sweep.responsive_addresses())
-            self._responsive_any[tool] = cached
-        return cached
+        sweep = self._sweeps.get(tool)
+        return set() if sweep is None else sweep.responsive_on()
 
     def responsive_any_count(self, tool: str) -> int:
         """Responsive-candidate count (a matrix sum)."""
         sweep = self._sweeps.get(tool)
-        return 0 if sweep is None else sweep.count()
+        return 0 if sweep is None else sweep.count_responsive()
 
     def response_rate(self, tool: str) -> float:
         """Responsive share of one tool's candidates."""
@@ -362,7 +353,7 @@ class GenerationPipeline:
                 self.internet, ALL_PROTOCOLS, seed=self._rng.getrandbits(32)
             )
             for tool in TOOLS:
-                report.set_sweep(tool, scheduler.run_day(report.candidates[tool], day).result)
+                report.set_sweep(tool, scheduler.run_day(report.candidates[tool], day))
         return report
 
     def _run_batch(
@@ -417,6 +408,6 @@ class GenerationPipeline:
             second = report.candidate_batch(TOOLS[1])
             union, first_pos, second_pos, _ = union_sorted(first, second)
             daily = scheduler.run_day_batch(union, day)
-            report.set_sweep(TOOLS[0], daily.take(first_pos).result)
-            report.set_sweep(TOOLS[1], daily.take(second_pos).result)
+            report.set_sweep(TOOLS[0], daily.take(first_pos))
+            report.set_sweep(TOOLS[1], daily.take(second_pos))
         return report

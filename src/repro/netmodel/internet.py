@@ -154,49 +154,79 @@ def _probe_streams(
     return _Streams((ALL_PROTOCOLS.index(protocol), day, wave, attempt), vantage)
 
 
-@dataclass(slots=True)
 class BatchProbeResult:
-    """Responsiveness of a whole target batch on several protocols.
+    """One scan: the responsiveness of a target batch on several protocols.
 
-    ``responsive[i, j]`` is True when target *i* answered on ``protocols[j]``.
+    ``responsive[i, j]`` is True when row *i* of ``targets`` answered on
+    ``protocols[j]``.  Every scan publishes this container: ``probe_batch``,
+    ``sweep_batch`` and both engines of a scan day (the scalar
+    :meth:`~repro.probing.scheduler.ScanScheduler.run_day` records each
+    reply into the same matrix), so every consumer has one code path.  Rows
+    follow the caller's target order: a target listed twice is two rows.
     Unlike the scalar :meth:`SimulatedInternet.probe` this carries no
-    per-packet :class:`ProbeReply` objects -- it is the bulk answer the hot
-    paths (APD, responsiveness scans) actually need.
-    """
+    per-packet :class:`ProbeReply` objects.
 
-    day: int
-    protocols: tuple[Protocol, ...]
-    targets: AddressBatch
-    responsive: np.ndarray
+    The matrix is read-only from construction: one scan is shared by every
+    consumer (APD, the daily service, snapshots, experiments).  Each view
+    reads ``protocol=None`` as "on any protocol": :meth:`responsive_mask`
+    per row, :meth:`count_responsive` over rows and :meth:`responsive_on`
+    as an address set, built on first use and cached.  A waved scan day
+    hands the container out before its waves fire and they fill in its
+    rows, so read the views once the day has run.
+    """
 
     #: Immutability contract, enforced statically by reprolint rule R2: the
     #: responsiveness matrix is shared with every downstream consumer (APD,
-    #: scans, snapshots) and must never be written after construction.
+    #: scans, snapshots) and must never be written through the container.
     __frozen_arrays__ = ("responsive",)
+    __slots__ = ("day", "protocols", "targets", "responsive", "_sets")
 
-    def column(self, protocol: Protocol) -> np.ndarray:
-        """Boolean responsiveness of every target on one protocol.
+    def __init__(
+        self,
+        day: int,
+        protocols: Sequence[Protocol],
+        targets: AddressBatch,
+        responsive: np.ndarray,
+    ):
+        self.day = day
+        self.protocols = tuple(protocols)
+        self.targets = targets
+        self.responsive = readonly_view(responsive)
+        self._sets: dict[Optional[Protocol], set[IPv6Address]] = {}
 
-        A read-only view: the column shares memory with the day's published
-        responsiveness matrix, which concurrent consumers must never mutate.
-        """
+    def responsive_mask(self, protocol: Optional[Protocol] = None) -> np.ndarray:
+        """Boolean responsiveness per row, on *protocol* or on any (read-only)."""
+        if protocol is None:
+            return readonly_view(self.responsive.any(axis=1))
         return readonly_view(self.responsive[:, self.protocols.index(protocol)])
 
-    @property
-    def responsive_any(self) -> np.ndarray:
-        """Boolean array: responsive on at least one probed protocol."""
-        return self.responsive.any(axis=1)
+    def count_responsive(self, protocol: Optional[Protocol] = None) -> int:
+        """Number of responsive rows, on *protocol* or on any.
 
-    def count(self, protocol: Optional[Protocol] = None) -> int:
-        """Number of responsive targets (on one protocol, or on any)."""
-        if protocol is None:
-            return int(self.responsive_any.sum())
-        return int(self.column(protocol).sum())
+        A target listed twice counts twice, while :meth:`responsive_on` is a
+        set; the daily service's targets are unique hitlist rows, so there
+        the two agree.
+        """
+        return int(self.responsive_mask(protocol).sum())
 
-    def responsive_addresses(self, protocol: Optional[Protocol] = None) -> list[IPv6Address]:
-        """The responsive targets as scalar addresses."""
-        mask = self.responsive_any if protocol is None else self.column(protocol)
-        return self.targets.take(np.nonzero(mask)[0]).to_addresses()
+    def responsive_on(self, protocol: Optional[Protocol] = None) -> set[IPv6Address]:
+        """The responsive targets as an address set (built once, then cached)."""
+        cached = self._sets.get(protocol)
+        if cached is None:
+            rows = np.flatnonzero(self.responsive_mask(protocol))
+            cached = self._sets[protocol] = set(self.targets.take(rows).to_addresses())
+        return cached
+
+    def take(self, rows: np.ndarray) -> "BatchProbeResult":
+        """This scan restricted to the targets at *rows* (no re-probing).
+
+        Lets one sweep serve several target groups: the generation pipeline
+        probes the union of both tools' candidates once and splits it back
+        per tool.
+        """
+        return BatchProbeResult(
+            self.day, self.protocols, self.targets.take(rows), self.responsive[rows]
+        )
 
 
 class _BatchIndex:
@@ -328,7 +358,7 @@ class ResolvedTargets:
     rate-limit, aliased-region and bound-host answers, and the target's base
     key for keyed draws comes with them.  None of it depends on the day,
     wave, attempt, vantage or protocol, so a batch scanned more than once --
-    the daily service's standing targets, a sweep's retries, a day's waves --
+    the daily service's standing targets, a campaign's days, a day's waves --
     is resolved once (:meth:`SimulatedInternet.resolve_targets`) and probed
     many times, and a growing batch inserts the resolution of its new
     targets (:meth:`insert`) instead of resolving every target again.
@@ -721,8 +751,9 @@ class SimulatedInternet:
         path effects of the day's route from *vantage* are applied here.
         Every stochastic decision is a keyed draw on (target, protocol, day,
         wave, *attempt*), path effects also on the vantage, so a probe's
-        outcome is a pure function of its coordinates: a retry or a second
-        probe of the same target passes the next *attempt*.
+        outcome is a pure function of its coordinates: a second probe of the
+        same target (a fingerprint pair, a Murdock triple) passes the next
+        *attempt*.
 
         With a *wave* (sub-day dynamics on, :mod:`repro.events`) three things
         change: token-bucket admission replaces every stochastic ICMP
@@ -884,11 +915,8 @@ class SimulatedInternet:
         targets = resolved.targets
         n = len(targets)
         responsive = np.zeros((n, len(protocols)), dtype=bool)
-        result = BatchProbeResult(
-            day=day, protocols=protocols, targets=targets, responsive=responsive
-        )
         if n == 0:
-            return result
+            return BatchProbeResult(day, protocols, targets, responsive)
         routed = resolved.routed
         route_delivery: Optional[np.ndarray] = None
         route_allowance: Optional[np.ndarray] = None
@@ -987,7 +1015,7 @@ class SimulatedInternet:
                 ok &= host_online
                 answered[answering] = ok
             responsive[:, j] = delivered & answered
-        return result
+        return BatchProbeResult(day, protocols, targets, responsive)
 
     def traceroute(
         self,

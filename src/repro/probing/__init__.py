@@ -12,7 +12,7 @@
 from repro.probing.zmap import ScanResult, ZMapScanner
 from repro.probing.traceroute import TracerouteEngine
 from repro.probing.fingerprint import FingerprintProbe, FingerprintRecord
-from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
+from repro.probing.scheduler import ScanScheduler
 
 __all__ = [
     "ZMapScanner",
@@ -21,5 +21,4 @@ __all__ = [
     "FingerprintProbe",
     "FingerprintRecord",
     "ScanScheduler",
-    "BatchDailyScanResult",
 ]

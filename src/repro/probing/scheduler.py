@@ -7,10 +7,10 @@ with scamper, then run ZMapv6 responsiveness scans on all five protocols.
 full curation pipeline (including APD filtering) lives in
 :mod:`repro.core.hitlist`, which composes this scheduler.
 
-A day's scan is one :class:`BatchDailyScanResult` on either engine: the
-vectorised :meth:`ScanScheduler.run_day_batch` and the scalar
-:meth:`ScanScheduler.run_day`, kept as its parity oracle, fill the same
-(target x protocol) matrix, so every consumer reads one container.
+A day's scan is one :class:`~repro.netmodel.internet.BatchProbeResult` on
+either engine: the vectorised :meth:`ScanScheduler.run_day_batch` and the
+scalar :meth:`ScanScheduler.run_day`, kept as its parity oracle, fill the
+same (target x protocol) matrix, so every consumer reads one container.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.addr.address import IPv6Address
-from repro.addr.batch import AddressBatch, readonly_view
+from repro.addr.batch import AddressBatch
 from repro.netmodel.internet import BatchProbeResult, ResolvedTargets, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
 from repro.probing.zmap import ZMapScanner
@@ -38,95 +38,6 @@ def wave_spans(n: int, waves: int) -> list[tuple[int, int]]:
     """
     bounds = [round(i * n / waves) for i in range(waves + 1)]
     return [(bounds[i], bounds[i + 1]) for i in range(waves)]
-
-
-class BatchDailyScanResult:
-    """One day's multi-protocol scan as a (target x protocol) boolean matrix.
-
-    Both scan engines publish this container: :meth:`ScanScheduler.run_day_batch`
-    fills it from ``probe_batch`` and the scalar :meth:`ScanScheduler.run_day`
-    records each reply of its per-probe sweep into it.  Its rows follow the
-    caller's target order.  The set-of-address views are materialised lazily
-    (and cached) only when asked for -- the publish boundary of the daily
-    service.
-    """
-
-    def __init__(self, day: int, result: BatchProbeResult):
-        self.day = day
-        self.result = result
-        self._any_set: set[IPv6Address] | None = None
-        self._per_protocol: dict[Protocol, set[IPv6Address]] = {}
-
-    @property
-    def targets(self) -> int:
-        """Number of scan targets."""
-        return len(self.result.targets)
-
-    @property
-    def targets_batch(self) -> AddressBatch:
-        """The scan targets as a columnar batch."""
-        return self.result.targets
-
-    @property
-    def protocols(self) -> tuple[Protocol, ...]:
-        return self.result.protocols
-
-    @property
-    def responsive_matrix(self) -> np.ndarray:
-        """``matrix[i, j]``: did target *i* answer on ``protocols[j]``?
-
-        A read-only view: one day's published responsiveness is shared by
-        every consumer (longitudinal analysis, snapshots, experiments) and
-        must never be mutated in place.
-        """
-        return readonly_view(self.result.responsive)
-
-    def responsive_mask(self, protocol: Protocol | None = None) -> np.ndarray:
-        """Boolean responsiveness per target (any protocol, or one)."""
-        if protocol is None:
-            return self.result.responsive_any
-        return self.result.column(protocol)
-
-    def count_responsive(self, protocol: Protocol | None = None) -> int:
-        """Responsive-row count straight off the matrix.
-
-        Rows follow the target list, so the count is per row: a target
-        listed twice counts twice, while :attr:`responsive_any` and
-        :meth:`responsive_on` are address sets.  The daily service's targets
-        are unique hitlist rows, so there the two agree.
-        """
-        return int(self.responsive_mask(protocol).sum())
-
-    @property
-    def responsive_any(self) -> set[IPv6Address]:
-        """Addresses responsive on at least one protocol (lazy scalar view)."""
-        if self._any_set is None:
-            self._any_set = set(self.result.responsive_addresses())
-        return self._any_set
-
-    def responsive_on(self, protocol: Protocol) -> set[IPv6Address]:
-        """Addresses responsive on one protocol (lazy scalar view)."""
-        cached = self._per_protocol.get(protocol)
-        if cached is None:
-            cached = set(self.result.responsive_addresses(protocol))
-            self._per_protocol[protocol] = cached
-        return cached
-
-    def take(self, indices: np.ndarray) -> "BatchDailyScanResult":
-        """This day restricted to the targets at *indices* (matrix slice).
-
-        Lets one combined sweep serve several target groups -- e.g. the
-        generation pipeline probes the union of both tools' candidates once
-        and splits the result back per tool -- without re-probing or
-        materialising scalar address sets.
-        """
-        sliced = BatchProbeResult(
-            day=self.result.day,
-            protocols=self.result.protocols,
-            targets=self.result.targets.take(indices),
-            responsive=self.result.responsive[indices],
-        )
-        return BatchDailyScanResult(day=self.day, result=sliced)
 
 
 class ScanScheduler:
@@ -148,14 +59,14 @@ class ScanScheduler:
         day: int,
         *,
         dynamics: "Optional[NetworkDynamics]" = None,
-    ) -> BatchDailyScanResult:
+    ) -> BatchProbeResult:
         """One daily measurement: a scalar sweep of all protocols over the targets.
 
         The reference engine of :meth:`run_day_batch`: every probe is one
         packet of :meth:`ZMapScanner.sweep`, and the replies are recorded
         into the same (target x protocol) matrix, with one row per entry of
         *targets*, in order (a repeated target is a repeated row, and
-        :meth:`BatchDailyScanResult.count_responsive` counts rows).  With
+        :meth:`BatchProbeResult.count_responsive` counts rows).  With
         active sub-day *dynamics* the day is split into
         timestamped probe waves on the dynamics' event scheduler; without it
         (the degenerate whole-day configuration) one sweep covers the day.
@@ -185,13 +96,9 @@ class ScanScheduler:
 
                 dynamics.scheduler.schedule(when, fire)
             dynamics.scheduler.run_until(day + 1.0)
-        result = BatchProbeResult(
-            day=day,
-            protocols=self.protocols,
-            targets=AddressBatch.from_addresses(target_list),
-            responsive=responsive,
+        return BatchProbeResult(
+            day, self.protocols, AddressBatch.from_addresses(target_list), responsive
         )
-        return BatchDailyScanResult(day=day, result=result)
 
     def run_day_batch(
         self,
@@ -199,7 +106,7 @@ class ScanScheduler:
         day: int,
         *,
         dynamics: "Optional[NetworkDynamics]" = None,
-    ) -> BatchDailyScanResult:
+    ) -> BatchProbeResult:
         """One daily measurement as a single vectorised multi-protocol pass.
 
         Same per-day seeding discipline as :meth:`run_day`, but the whole
@@ -213,8 +120,7 @@ class ScanScheduler:
         """
         scanner = ZMapScanner(self.internet, seed=self._seed ^ (day * 0x9E3779B1))
         if dynamics is None or not dynamics.active:
-            result = scanner.sweep_batch(targets, self.protocols, day)
-            return BatchDailyScanResult(day=day, result=result)
+            return scanner.sweep_batch(targets, self.protocols, day)
         scan = self.enqueue_day_batch(targets, day, dynamics, scanner=scanner)
         dynamics.scheduler.run_until(day + 1.0)
         return scan
@@ -227,12 +133,12 @@ class ScanScheduler:
         *,
         scanner: Optional[ZMapScanner] = None,
         phase: float = 0.5,
-    ) -> BatchDailyScanResult:
+    ) -> BatchProbeResult:
         """Schedule a day's probe waves without running them yet.
 
-        The returned result's matrix fills in as the dynamics' scheduler
-        fires the waves (``dynamics.scheduler.run_until(day + 1)`` completes
-        it).  Two schedulers enqueueing against the *same* dynamics with
+        The returned scan's rows fill in as the dynamics' scheduler fires
+        the waves (``dynamics.scheduler.run_until(day + 1)`` completes it);
+        read its views only then.  Two schedulers enqueueing against the *same* dynamics with
         interleaved ``phase`` offsets is the scanner-contention scenario:
         their waves alternate on the shared event queue and compete for the
         same token budgets.  The targets are resolved once (unless they
@@ -247,10 +153,9 @@ class ScanScheduler:
             else self.internet.resolve_targets(targets)
         )
         n = len(resolved)
+        # The scan's matrix is a read-only view of this array: the waves
+        # write here.
         responsive = np.zeros((n, len(self.protocols)), dtype=bool)
-        combined = BatchProbeResult(
-            day=day, protocols=self.protocols, targets=resolved.targets, responsive=responsive
-        )
         dynamics.begin_day(day)
         for w, (start, stop) in enumerate(wave_spans(n, dynamics.waves_per_day)):
             when = dynamics.wave_time(day, w, phase)
@@ -262,19 +167,19 @@ class ScanScheduler:
                 responsive[start:stop, :] = result.responsive
 
             dynamics.scheduler.schedule(when, fire)
-        return BatchDailyScanResult(day=day, result=combined)
+        return BatchProbeResult(day, self.protocols, resolved.targets, responsive)
 
     def run_campaign(
         self,
         targets_for_day: Callable[[int], Iterable[IPv6Address]],
         days: Sequence[int],
-    ) -> list[BatchDailyScanResult]:
+    ) -> list[BatchProbeResult]:
         """Run a scan every day, with possibly day-dependent target lists."""
         return [self.run_day(targets_for_day(day), day) for day in days]
 
     def run_fixed_campaign(
         self, targets: Iterable[IPv6Address], days: Sequence[int]
-    ) -> list[BatchDailyScanResult]:
+    ) -> list[BatchProbeResult]:
         """Run a scan every day over the same fixed target list.
 
         The paper keeps probing addresses even when they disappear from the

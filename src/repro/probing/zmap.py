@@ -2,8 +2,8 @@
 
 The paper probes every hitlist target daily on ICMPv6, TCP/80, TCP/443,
 UDP/53 and UDP/443 with ZMapv6.  This module provides the equivalent for the
-simulated Internet: deterministic target shuffling, per-protocol sweeps with
-retries, and result objects the analysis code can consume.
+simulated Internet: deterministic target shuffling, per-protocol sweeps, and
+result objects the analysis code can consume.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ class ScanResult:
 class ZMapScanner:
     """Multi-protocol responsiveness scanner over the simulated Internet."""
 
-    def __init__(self, internet: SimulatedInternet, seed: int = 0, retries: int = 0):
+    def __init__(self, internet: SimulatedInternet, seed: int = 0):
         self.internet = internet
-        self.retries = retries
         self._rng = random.Random(seed)
 
     def scan(
@@ -61,10 +60,9 @@ class ZMapScanner:
         *,
         wave: "Optional[WaveAdmission]" = None,
     ) -> ScanResult:
-        """Probe all *targets* once (plus retries) on one protocol.
+        """Probe all *targets* once on one protocol.
 
-        Retry *k* of a silent target is probe attempt *k*: a fresh keyed
-        draw.  With a *wave* (sub-day dynamics) probes carry the wave's
+        With a *wave* (sub-day dynamics) probes carry the wave's
         timestamp and its token-bucket/rotation state.  Probe outcomes are
         keyed draws and wave admission is decided in address order, so the
         shuffle spreads load without changing any outcome.
@@ -76,12 +74,6 @@ class ZMapScanner:
         time_of_day = 43200.0 if wave is None else (wave.time - day) * 86400.0
         for address in target_list:
             reply = self.internet.probe(address, protocol, day, time_of_day, wave=wave)
-            attempt = 0
-            while reply is None and attempt < self.retries:
-                attempt += 1
-                reply = self.internet.probe(
-                    address, protocol, day, time_of_day, wave=wave, attempt=attempt
-                )
             if reply is not None:
                 result.replies[address] = reply
         return result
@@ -113,25 +105,13 @@ class ZMapScanner:
 
         The vectorised counterpart of :meth:`sweep`: the whole daily
         measurement -- all targets x all protocols -- is one resolver pass,
-        returning a boolean responsiveness matrix instead of per-packet
-        :class:`ProbeReply` objects.  Retry *k* is a full pass at probe
-        attempt *k* OR-ed into the matrix: the same keyed draws the scalar
-        loop makes for its non-responders, so both return the same sets.
-        *targets* is resolved once (:meth:`SimulatedInternet.resolve_targets`)
-        unless it already is a resolution, and every attempt reuses it.
+        returning the read-only (target x protocol) :class:`BatchProbeResult`
+        instead of per-packet :class:`ProbeReply` objects.  Probe outcomes
+        are keyed draws, so it answers as the scalar loop does, target for
+        target.  *targets* may already be a resolution
+        (:meth:`SimulatedInternet.resolve_targets`).
         """
-        if not isinstance(targets, ResolvedTargets):
-            targets = self.internet.resolve_targets(targets)
-        protocols = tuple(protocols)
-        result = self.internet.probe_batch(targets, protocols, day, wave=wave)
-        for attempt in range(1, self.retries + 1):
-            if result.responsive.all():
-                break
-            again = self.internet.probe_batch(
-                targets, protocols, day, wave=wave, attempt=attempt
-            )
-            result.responsive |= again.responsive
-        return result
+        return self.internet.probe_batch(targets, protocols, day, wave=wave)
 
     @staticmethod
     def responsive_any(sweep_result: Mapping[Protocol, ScanResult]) -> set[IPv6Address]:

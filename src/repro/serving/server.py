@@ -85,7 +85,6 @@ class HitlistServer:
         *,
         internet: "SimulatedInternet | None" = None,
         validate_hook: "Callable[[HitlistSnapshot], None] | None" = None,
-        keep_history: bool = True,
     ):
         self.service = service
         self.internet = service.internet if internet is None else internet
@@ -93,7 +92,6 @@ class HitlistServer:
         #: a validation gate (reject a bad build before it goes live); tests
         #: use it to hold a publish in flight deterministically.
         self.validate_hook = validate_hook
-        self._keep_history = keep_history
         self._current: HitlistSnapshot | None = None
         self._snapshots: dict[int, HitlistSnapshot] = {}
         self._generation = 0
@@ -123,8 +121,7 @@ class HitlistServer:
             if self.validate_hook is not None:
                 self.validate_hook(snapshot)
             self._generation = snapshot.generation
-            if self._keep_history:
-                self._snapshots[snapshot.generation] = snapshot
+            self._snapshots[snapshot.generation] = snapshot
             self._current = snapshot  # the atomic swap: readers see it whole
 
     def publish_day(self, day: int) -> HitlistSnapshot:
@@ -187,7 +184,7 @@ class HitlistServer:
 
     @property
     def published_generations(self) -> list[int]:
-        """All published generation numbers (requires ``keep_history``)."""
+        """All published generation numbers."""
         with self._publish_lock:
             return sorted(self._snapshots)
 

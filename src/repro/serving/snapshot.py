@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.addr.address import IPv6Address, _to_int
-from repro.addr.batch import AddressBatch, find128, readonly_view
+from repro.addr.batch import AddressBatch, readonly_view
 from repro.addr.prefix import IPv6Prefix, parse_prefix
 from repro.netmodel.services import Protocol
 
@@ -151,12 +151,13 @@ class SnapshotRows:
 
     Everything a snapshot holds besides the day's responsiveness matrix is
     a function of three objects: the day's hitlist, its verdict LPM (the
-    scan targets are the hitlist rows it does not label aliased) and the
-    internet that maps rows to origin ASes.  The batch service hands every
-    day up to its next merge the very same hitlist view and verdict LPM, so
-    the snapshots of those days share one instance (:meth:`built_from`):
-    the point index, the target row positions and the AS index are built
-    once per published state.
+    scan targets are the hitlist rows it does not label aliased, which the
+    day hands over as :attr:`~repro.core.hitlist.DailyHitlist.target_rows`)
+    and the internet that maps rows to origin ASes.  The batch service hands
+    every day up to its next merge the very same hitlist view and verdict
+    LPM, so the snapshots of those days share one instance
+    (:meth:`built_from`): the point index and the AS index are built once
+    per published state.
 
     A state that merged records is built from the previous state's rows:
     a hitlist only grows and a row's first-seen day never changes, so the
@@ -208,10 +209,7 @@ class SnapshotRows:
     ) -> None:
         # Sorted unique rows with aligned provenance, all read-only already.
         batch, masks, first, source_names = daily.hitlist.snapshot_arrays()
-        targets = daily.targets_batch
-        positions = find128(batch.hi, batch.lo, targets.hi, targets.lo)
-        if len(targets) and bool((positions < 0).any()):
-            raise ValueError("scan targets are not a subset of the day's hitlist")
+        positions = daily.target_rows
         unaliased = np.zeros(len(batch), dtype=bool)
         unaliased[positions] = True
         kept = _kept_rows(previous, batch, first, internet)
@@ -376,8 +374,9 @@ class HitlistSnapshot:
         Works for both engines, which publish the same containers: the
         hitlist columns come straight from :meth:`Hitlist.snapshot_arrays`
         (zero copy), the day's (target x protocol) scan matrix is scattered
-        back onto the full rows with one assignment (its rows are the day's
-        :attr:`~repro.core.hitlist.DailyHitlist.targets_batch`), and the APD
+        back onto the full rows with one assignment (its row *i* is hitlist
+        row ``target_rows[i]``, see
+        :attr:`~repro.core.hitlist.DailyHitlist.target_rows`), and the APD
         verdicts are the day's own LPM from
         :meth:`~repro.core.apd.APDResult.verdict_lpm`.
 
@@ -393,7 +392,7 @@ class HitlistSnapshot:
         scan = daily.scan_result
         protocols = scan.protocols
         responsive = np.zeros((len(rows.batch), len(protocols)), dtype=bool)
-        responsive[rows.positions, :] = scan.responsive_matrix
+        responsive[rows.positions, :] = scan.responsive
         return cls(
             generation=generation,
             day=daily.day,

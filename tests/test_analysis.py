@@ -114,22 +114,18 @@ class TestLongitudinal:
         }
         timelines = {}
         for engine, campaign in campaigns.items():
-            assert not campaign[0].targets_batch.is_sorted(), engine
+            assert not campaign[0].targets.is_sorted(), engine
             for protocol in (None, Protocol.ICMP):
 
-                def responsive(result):
-                    if protocol is None:
-                        return result.responsive_any
-                    return result.responsive_on(protocol)
-
-                first = responsive(campaign[0])
+                first = campaign[0].responsive_on(protocol)
                 got = responsiveness_over_time(campaign, groups, protocol=protocol)
                 for timeline in got:
                     baseline = set(groups[timeline.group]) & first
                     assert baseline, (engine, protocol, timeline.group)
                     assert timeline.baseline_size == len(baseline)
                     assert timeline.retention == [
-                        len(baseline & responsive(result)) / len(baseline) for result in campaign
+                        len(baseline & result.responsive_on(protocol)) / len(baseline)
+                        for result in campaign
                     ], (engine, protocol, timeline.group)
                 timelines[engine, protocol] = [(t.group, t.retention) for t in got]
         for protocol in (None, Protocol.ICMP):

@@ -178,7 +178,7 @@ class TestProbing:
     def test_filter_non_aliased_removes_only_aliased(self, tiny_internet, hitlist_sample):
         detector = AliasedPrefixDetector(tiny_internet, seed=3)
         result = detector.run(hitlist_sample, day=0)
-        clean = result.filter_non_aliased(hitlist_sample)
+        clean = result.split(hitlist_sample)[1]
         assert len(clean) < len(hitlist_sample)
         false_removals = [
             a

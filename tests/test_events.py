@@ -183,7 +183,7 @@ class TestWaveParity:
             )
             for _ in range(2)
         ]
-        assert np.array_equal(runs[0].responsive_matrix, runs[1].responsive_matrix)
+        assert np.array_equal(runs[0].responsive, runs[1].responsive)
 
     def test_buckets_shed_ICMP_but_not_tcp(self, dynamic_internet, dynamic_targets):
         """Draining buckets must lower ICMP responsiveness only: the other
@@ -275,7 +275,7 @@ class TestDegenerateCase:
         scheduler = ScanScheduler(net, ALL_PROTOCOLS, seed=11)
         plain = scheduler.run_day_batch(targets, 1)
         gated = scheduler.run_day_batch(targets, 1, dynamics=inert)
-        assert np.array_equal(plain.responsive_matrix, gated.responsive_matrix)
+        assert np.array_equal(plain.responsive, gated.responsive)
 
 
 # -- recovery across a published snapshot (satellite) --------------------------
@@ -364,7 +364,7 @@ class TestScannerContention:
             seed=5,
         )
         for mine, theirs in zip(contention.per_scanner, again.per_scanner):
-            assert np.array_equal(mine.responsive_matrix, theirs.responsive_matrix)
+            assert np.array_equal(mine.responsive, theirs.responsive)
         assert np.array_equal(
-            contention.solo.responsive_matrix, again.solo.responsive_matrix
+            contention.solo.responsive, again.solo.responsive
         )

@@ -25,9 +25,9 @@ from repro.experiments import (
     table7,
     table9,
 )
-from repro.netmodel.internet import SimulatedInternet
+from repro.netmodel.internet import BatchProbeResult, SimulatedInternet
 from repro.netmodel.services import Protocol
-from repro.probing.scheduler import BatchDailyScanResult, ScanScheduler
+from repro.probing.scheduler import ScanScheduler
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +299,7 @@ class TestContextPolicy:
         monkeypatch.setattr(SimulatedInternet, "probe", scalar)
         for module in (fig3, fig5, fig7, fig8, fig10, murdock):
             module.run(fresh)
-        assert isinstance(fresh.day0_scan, BatchDailyScanResult)
+        assert isinstance(fresh.day0_scan, BatchProbeResult)
 
     def test_reference_policy_scans_are_scalar(self, ctx, monkeypatch):
         fresh = ExperimentContext(TEST_EXPERIMENT_CONFIG, policy=ExecutionPolicy(reference=True))

@@ -329,14 +329,14 @@ class TestUptimeCoin:
             for protocol in ALL_PROTOCOLS:
                 reply = net.probe(address, protocol, day)
                 answers.append((machine, protocol, reply is not None))
-                answers.append((machine, protocol, bool(batch.column(protocol)[0])))
+                answers.append((machine, protocol, bool(batch.responsive_mask(protocol)[0])))
         targets = AddressBatch.from_addresses([new_address])
         wave = dynamics.begin_wave(day, day + 0.999, targets)
         batch = net.probe_batch(targets, day=day, wave=wave)
         for protocol in ALL_PROTOCOLS:
             reply = net.probe(new_address, protocol, day, wave=wave)
             answers.append((rehomed, protocol, reply is not None))
-            answers.append((rehomed, protocol, bool(batch.column(protocol)[0])))
+            answers.append((rehomed, protocol, bool(batch.responsive_mask(protocol)[0])))
         for machine, protocol, answered in answers:
             assert answered == machine.is_responsive(protocol, day)
         # The flaky sample really flips coins: some hosts are down today.

@@ -94,22 +94,22 @@ class TestProbeBatchParity:
             p for p in ALL_PROTOCOLS
             if lossless_internet.probe(host.primary_address, p, day=0) is not None
         }
-        got = {p for p in ALL_PROTOCOLS if result.column(p)[0]}
+        got = {p for p in ALL_PROTOCOLS if result.responsive_mask(p)[0]}
         assert got == expected
 
     def test_result_accessors(self, lossless_internet):
         region = _deterministic_regions(lossless_internet)[0]
         batch = random_batch_in_prefix(region.prefix, 50, np.random.default_rng(3))
         result = lossless_internet.probe_batch(batch, (Protocol.ICMP, Protocol.TCP80), day=0)
-        assert result.count() == int(result.responsive_any.sum())
-        assert result.count(Protocol.ICMP) == 50  # region serves ICMP, no loss
-        assert len(result.responsive_addresses(Protocol.ICMP)) == 50
-        assert set(result.responsive_addresses()) <= set(batch.to_addresses())
+        assert result.count_responsive() == int(result.responsive.any(axis=1).sum())
+        assert result.count_responsive(Protocol.ICMP) == 50  # region serves ICMP, no loss
+        assert len(result.responsive_on(Protocol.ICMP)) == 50
+        assert result.responsive_on() <= set(batch.to_addresses())
 
     def test_empty_batch(self, lossless_internet):
         result = lossless_internet.probe_batch(AddressBatch.empty(), ALL_PROTOCOLS, day=0)
         assert result.responsive.shape == (0, len(ALL_PROTOCOLS))
-        assert result.count() == 0
+        assert result.count_responsive() == 0
 
     def test_icmp_rate_limit_does_not_leak_into_other_protocols(self):
         """Regression: the ICMP allowance draw must not corrupt the shared
@@ -130,13 +130,13 @@ class TestProbeBatchParity:
         # Exact scalar parity on both columns, regardless of how many ICMP
         # probes were rate-limited away.
         expected_tcp = [net.probe(a, Protocol.TCP80, day=0) is not None for a in batch]
-        assert result.column(Protocol.TCP80).tolist() == expected_tcp
+        assert result.responsive_mask(Protocol.TCP80).tolist() == expected_tcp
         expected_icmp = [net.probe(a, Protocol.ICMP, day=0) is not None for a in batch]
-        assert result.column(Protocol.ICMP).tolist() == expected_icmp
+        assert result.responsive_mask(Protocol.ICMP).tolist() == expected_icmp
         # And protocol order must not matter for either column.
         reordered = net.probe_batch(batch, (Protocol.TCP80, Protocol.ICMP), day=0)
-        assert reordered.column(Protocol.TCP80).tolist() == expected_tcp
-        assert reordered.column(Protocol.ICMP).tolist() == expected_icmp
+        assert reordered.responsive_mask(Protocol.TCP80).tolist() == expected_tcp
+        assert reordered.responsive_mask(Protocol.ICMP).tolist() == expected_icmp
 
     def test_loss_thins_responses_statistically(self):
         lossy = SimulatedInternet(
@@ -151,7 +151,7 @@ class TestProbeBatchParity:
         region = _deterministic_regions(lossy)[0]
         batch = random_batch_in_prefix(region.prefix, 4000, np.random.default_rng(4))
         result = lossy.probe_batch(batch, (Protocol.ICMP,), day=0)
-        rate = result.count(Protocol.ICMP) / len(batch)
+        rate = result.count_responsive(Protocol.ICMP) / len(batch)
         assert 0.6 < rate < 0.8  # ~1 - packet_loss
 
     def test_rows_independent_of_batch_order_and_size(self):
@@ -410,7 +410,7 @@ class TestAPDEngineParity:
         assert batch_verdicts.tolist() == [result.is_aliased(a) for a in sample]
         aliased, clean = result.split(sample)
         assert len(aliased) + len(clean) == len(sample)
-        assert result.filter_non_aliased(sample) == clean
+        assert clean == [a for a, hit in zip(sample, batch_verdicts.tolist()) if not hit]
 
     def test_duplicate_prefixes_probed_once(self, lossless_internet):
         region = _deterministic_regions(lossless_internet)[0]

@@ -5,7 +5,7 @@ fixture must be caught (correct rule id, correct line neighbourhood) and
 the good fixture must lint clean -- so a rule that silently stops firing
 fails the suite, not just the invariant it guards.  The repo-wide smoke
 test at the bottom pins the tree itself at zero findings: reverting one of
-the fixes this linter forced (e.g. the ``BatchProbeResult.column``
+the fixes this linter forced (e.g. the ``BatchProbeResult.responsive_mask``
 readonly wrap) makes this suite fail, not just CI lint.
 """
 
@@ -196,14 +196,14 @@ def test_r2_cross_file_store_through_frozen_attr(tmp_path):
 def test_r2_publish_boundary_bare_slice_vs_readonly(tmp_path):
     bad = """
         class BatchProbeResult:
-            def column(self, i):
+            def responsive_mask(self, i):
                 return self.responsive[:, i]
     """
     good = """
         from repro.addr.batch import readonly_view
 
         class BatchProbeResult:
-            def column(self, i):
+            def responsive_mask(self, i):
                 return readonly_view(self.responsive[:, i])
     """
     findings = lint_fixture(tmp_path / "a", {"pkg/bad.py": bad})
@@ -217,7 +217,7 @@ def test_r2_publish_boundary_bare_asarray(tmp_path):
         import numpy as np
 
         class BatchProbeResult:
-            def column(self, i):
+            def responsive_mask(self, i):
                 return np.asarray(self.rows[i])
     """
     findings = lint_fixture(tmp_path, {"pkg/bad.py": source})

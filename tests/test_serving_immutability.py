@@ -4,7 +4,7 @@ The serving layer's safety argument rests on copy-on-write -- a published
 generation is never mutated in place, so handing readers zero-copy views is
 safe *only* if those views are read-only.  These tests pin the
 ``writeable=False`` contract at every boundary: snapshot queries and
-downloads, the hitlist's columnar exports, the scheduler's responsiveness
+downloads, the hitlist's columnar exports, every scan's responsiveness
 matrix and the sources' record arrays.
 """
 
@@ -16,6 +16,11 @@ import pytest
 from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch, readonly_view
 from repro.addr.prefix import IPv6Prefix
+from repro.events.dynamics import NetworkDynamics
+from repro.exec import ExecutionPolicy
+from repro.genaddr.pipeline import TOOLS, GenerationPipeline
+from repro.netmodel.services import Protocol
+from repro.probing import ScanScheduler, ZMapScanner
 from repro.scenarios import build
 
 FIRST_DAY = 25  # the tiny tier's run-up horizon
@@ -102,7 +107,7 @@ class TestPipelineBoundariesAreFrozen:
         daily = server.service.history[FIRST_DAY]
         _assert_frozen(daily.targets_batch.hi)
         _assert_frozen(daily.targets_batch.lo)
-        _assert_frozen(daily.scan_result.responsive_matrix)
+        _assert_frozen(daily.scan_result.responsive)
 
     def test_source_record_arrays_are_frozen(self, served):
         server, _ = served
@@ -111,3 +116,68 @@ class TestPipelineBoundariesAreFrozen:
             _assert_frozen(batch.hi)
             _assert_frozen(batch.lo)
             _assert_frozen(first_seen)
+
+
+def _assert_scan_frozen(scan):
+    assert len(scan.targets), "an empty scan checks nothing"
+    _assert_frozen(scan.responsive)
+    _assert_frozen(scan.responsive_mask())
+    _assert_frozen(scan.responsive_mask(Protocol.ICMP))
+
+
+class TestEveryScanIsFrozen:
+    """Every scan is one read-only ``BatchProbeResult``, however it was made:
+    its consumers (the service, snapshots, experiments, the generation
+    report) share it, so none of them may write its matrix or a view of it."""
+
+    @pytest.fixture(scope="class")
+    def targets(self, served):
+        server, _ = served
+        return server.service.internet, server.service.history[FIRST_DAY].targets_batch
+
+    @pytest.fixture(scope="class")
+    def churn(self):
+        internet = build("internet", "subday-churn", scale="tiny")
+        targets = AddressBatch.from_addresses(internet.all_bound_addresses()[:300])
+        return internet, targets
+
+    def test_probe_and_sweep_results_are_frozen(self, targets):
+        internet, batch = targets
+        _assert_scan_frozen(internet.probe_batch(batch, day=FIRST_DAY))
+        _assert_scan_frozen(ZMapScanner(internet, seed=1).sweep_batch(batch, day=FIRST_DAY))
+
+    @pytest.mark.parametrize("engine", ["run_day", "run_day_batch"])
+    def test_scan_days_are_frozen(self, targets, engine):
+        internet, batch = targets
+        scheduler = ScanScheduler(internet, seed=2)
+        day_targets = batch.to_addresses() if engine == "run_day" else batch
+        scan = getattr(scheduler, engine)(day_targets, FIRST_DAY)
+        _assert_scan_frozen(scan)
+        _assert_scan_frozen(scan.take(np.arange(0, len(batch), 2)))
+
+    @pytest.mark.parametrize("engine", ["run_day", "run_day_batch"])
+    def test_waved_scan_days_are_frozen(self, churn, engine):
+        internet, batch = churn
+        dynamics = NetworkDynamics.from_config(internet, seed=3)
+        assert dynamics is not None and dynamics.waves_per_day > 1
+        scheduler = ScanScheduler(internet, seed=3)
+        day_targets = batch.to_addresses() if engine == "run_day" else batch
+        scan = getattr(scheduler, engine)(day_targets, 0, dynamics=dynamics)
+        assert scan.count_responsive(), "the waves filled no row"
+        _assert_scan_frozen(scan)
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["batch", "reference"])
+    def test_generation_sweeps_are_frozen(self, served, reference):
+        server, _ = served
+        daily = server.service.history[FIRST_DAY]
+        pipeline = GenerationPipeline(
+            server.service.internet,
+            min_seeds_per_as=20,
+            generation_budget_per_as=40,
+            seed=4,
+            policy=ExecutionPolicy(reference=reference),
+        )
+        report = pipeline.run(daily.targets_batch, daily.hitlist.addresses, day=FIRST_DAY)
+        for tool in TOOLS:
+            assert report.generated_count(tool), tool
+            _assert_frozen(report.responsive_matrix(tool))
