@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.addr.address import IPv6Address
+from repro.addr.batch import AddressBatch
 from repro.core.apd import APDResult
-from repro.core.apd_murdock import MurdockResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,17 +44,18 @@ class APDComparison:
 def compare_apd_approaches(
     hitlist: Sequence[IPv6Address],
     apd_result: APDResult,
-    murdock_result: MurdockResult,
+    murdock_result: APDResult,
 ) -> APDComparison:
-    """Compute the Section 5.5 comparison for one hitlist."""
-    apd_aliased = {a for a in hitlist if apd_result.is_aliased(a)}
-    murdock_aliased = {a for a in hitlist if murdock_result.is_aliased(a)}
+    """Compute the Section 5.5 comparison for one hitlist (distinct addresses)."""
+    addresses = AddressBatch.from_addresses(hitlist).unique()
+    apd = apd_result.is_aliased_batch(addresses)
+    murdock = murdock_result.is_aliased_batch(addresses)
     return APDComparison(
         hitlist_size=len(hitlist),
-        apd_aliased_addresses=len(apd_aliased),
-        murdock_aliased_addresses=len(murdock_aliased),
-        only_apd=len(apd_aliased - murdock_aliased),
-        only_murdock=len(murdock_aliased - apd_aliased),
+        apd_aliased_addresses=int(apd.sum()),
+        murdock_aliased_addresses=int(murdock.sum()),
+        only_apd=int((apd & ~murdock).sum()),
+        only_murdock=int((murdock & ~apd).sum()),
         apd_addresses_probed=apd_result.addresses_probed,
         murdock_addresses_probed=murdock_result.addresses_probed,
         apd_probes_sent=apd_result.probes_sent,

@@ -30,7 +30,7 @@ from repro.core.clustering import (
     kmeans,
 )
 from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult, PrefixProbeOutcome
-from repro.core.apd_murdock import MurdockDetector, MurdockResult
+from repro.core.apd_murdock import MurdockDetector
 from repro.core.sliding_window import SlidingWindowMerger, WindowStats
 from repro.core.consistency import ConsistencyChecker, ConsistencyReport, PrefixConsistency
 from repro.core.hitlist import Hitlist, HitlistService, DailyHitlist
@@ -51,7 +51,6 @@ __all__ = [
     "APDResult",
     "PrefixProbeOutcome",
     "MurdockDetector",
-    "MurdockResult",
     "SlidingWindowMerger",
     "WindowStats",
     "ConsistencyChecker",

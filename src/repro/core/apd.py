@@ -11,28 +11,58 @@ the final per-address classification uses longest-prefix matching over the
 probed prefixes.
 
 Both probing engines publish one outcome form, a (branch x protocol)
-matrix per prefix (:class:`PrefixProbeOutcome`), so the sliding window, the
-verdict LPM and the daily service read every outcome the same way.
+matrix per prefix (:class:`PrefixProbeOutcome`), and one result form, the
+immutable verdict table :class:`APDResult`, so the sliding window, the
+daily service and its snapshots read every outcome the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence, ValuesView
+from dataclasses import dataclass
+from itertools import compress
+from typing import Any
 
 import numpy as np
 
-from repro.addr.address import IPv6Address
-from repro.addr.batch import AddressBatch, FanoutPlan, FlatLPM
+from repro.addr.address import IPv6Address, _to_int
+from repro.addr.batch import (
+    AddressBatch,
+    FanoutPlan,
+    FlatLPM,
+    _exact_positions,
+    prefix_masks,
+    readonly_view,
+)
 from repro.addr.generate import fanout_targets
 from repro.addr.prefix import IPv6Prefix
-from repro.addr.trie import PrefixTrie
 from repro.exec import ExecutionPolicy, plan_chunk_spans, scratch_memmap
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import Protocol
 
 #: The protocols whose answers APD merges by default (Section 5.2).
 APD_PROTOCOLS = (Protocol.ICMP, Protocol.TCP80)
+
+
+#: A key of the verdict table: the network's two limbs, big-endian, then the
+#: length byte, so numpy's bytewise order of the packed keys is prefix order.
+_KEY = np.dtype([("hi", ">u8"), ("lo", ">u8"), ("length", "u1")])
+_PACKED = np.dtype((np.void, _KEY.itemsize))
+
+
+def _key_bytes(prefix: IPv6Prefix) -> bytes:
+    """One prefix's key in :data:`_KEY`'s byte layout."""
+    return prefix.network.to_bytes(16, "big") + bytes((prefix.length,))
+
+
+def _prefix_keys(prefixes: Iterable[IPv6Prefix]) -> np.ndarray:
+    return np.frombuffer(b"".join(map(_key_bytes, prefixes)), dtype=_KEY)
+
+
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    """The rows of *keys* in prefix order, the last of each repeated key."""
+    _, last = np.unique(keys.view(_PACKED)[::-1], return_index=True)
+    return len(keys) - 1 - last
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,18 +79,34 @@ class APDConfig:
     #: Protocols whose responses are merged (Section 5.2).
     protocols: tuple[Protocol, ...] = APD_PROTOCOLS
 
-    def qualifying_runs(self, shared: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """Run starts of a sorted batch's /*length* networks, and which qualify.
+    def candidate_runs(self, batch: AddressBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The candidate rule over a sorted batch, all prefix lengths in one pass.
 
-        *shared* is the batch's :meth:`AddressBatch.shared_prefix_lengths`.
-        The candidate rule: a network qualifies with more than
-        ``min_targets_per_prefix`` rows, and every /64 does while
-        ``always_probe_64`` holds.  One boundary scan counts every network.
+        A /L network qualifies with more than ``min_targets_per_prefix`` rows,
+        and every /64 does while ``always_probe_64`` holds.  A /L network's
+        rows are one run that starts where a row shares fewer than L leading
+        bits with the row before it (:meth:`AddressBatch.shared_prefix_lengths`).
+        Returns the qualifying networks' keys in prefix order, each network
+        once, and the ``[start, end)`` rows of each.
         """
-        starts = np.flatnonzero(shared < length)
-        if length == 64 and self.always_probe_64:
-            return starts, np.ones(len(starts), dtype=bool)
-        return starts, np.diff(starts, append=len(shared)) > self.min_targets_per_prefix
+        lengths = np.asarray(self.prefix_lengths, dtype=np.int64)
+        rows = max(len(batch), 1)
+        # Row-major over (length, row): a run ends where the next one starts,
+        # and each length's first run starts at row 0.
+        flat = np.flatnonzero(batch.shared_prefix_lengths() < lengths[:, None])
+        run_lengths = lengths[flat // rows]
+        starts = flat % rows
+        ends = starts + np.diff(flat, append=len(lengths) * len(batch))
+        qualifies = ends - starts > self.min_targets_per_prefix
+        if self.always_probe_64:
+            qualifies |= run_lengths == 64
+        starts, ends, run_lengths = starts[qualifies], ends[qualifies], run_lengths[qualifies]
+        mask_hi, mask_lo = prefix_masks(run_lengths)
+        keys = np.empty(len(starts), dtype=_KEY)
+        keys["hi"], keys["lo"] = batch.hi[starts] & mask_hi, batch.lo[starts] & mask_lo
+        keys["length"] = run_lengths
+        order = _key_order(keys)
+        return keys[order], starts[order], ends[order]
 
 
 class PrefixProbeOutcome:
@@ -72,8 +118,8 @@ class PrefixProbeOutcome:
     engine fills its own matrix one ``probe`` at a time.  The hot path
     (`is_aliased`, `responsive_branches`) is an array reduction, and scalar
     targets/sets are materialised only when a consumer asks for them.  The
-    matrix is never written in place -- fast-engine outcomes share one probe
-    matrix -- so :attr:`branch_responses` assignment replaces it.
+    matrix is never written after construction: fast-engine outcomes share
+    one probe matrix, and a verdict table holds each outcome's verdict.
     """
 
     __slots__ = (
@@ -98,7 +144,11 @@ class PrefixProbeOutcome:
         self.day = day
         self._target_limbs = (batch.hi, batch.lo)
         self._protocols = protocols
-        self.branch_responses = branch_responses or []
+        responses = branch_responses or []
+        self._matrix = np.zeros((len(responses), len(protocols)), dtype=bool)
+        for i, answered in enumerate(responses):
+            self._matrix[i, [protocols.index(p) for p in answered]] = True
+        self._aliased = None
 
     @classmethod
     def from_matrix(
@@ -141,14 +191,6 @@ class PrefixProbeOutcome:
         """Per-branch (0..15) set of protocols that answered."""
         return [{self._protocols[j] for j in row.nonzero()[0].tolist()} for row in self._matrix]
 
-    @branch_responses.setter
-    def branch_responses(self, value: list[set[Protocol]]) -> None:
-        matrix = np.zeros((len(value), len(self._protocols)), dtype=bool)
-        for i, protocols in enumerate(value):
-            matrix[i, [self._protocols.index(p) for p in protocols]] = True
-        self._matrix = matrix
-        self._aliased = None
-
     @property
     def responsive_branches(self) -> set[int]:
         """Branch indices whose target answered on at least one protocol."""
@@ -179,67 +221,84 @@ class PrefixProbeOutcome:
         )
 
 
-@dataclass(slots=True)
 class APDResult:
-    """Result of one APD run: per-prefix outcomes and the aliased filter."""
+    """One detection's probed prefixes: an immutable table in prefix order.
 
-    day: int
-    outcomes: dict[IPv6Prefix, PrefixProbeOutcome] = field(default_factory=dict)
-    _trie: PrefixTrie | None = field(default=None, repr=False, compare=False)
-    _flat: "tuple[FlatLPM, np.ndarray] | None" = field(
-        default=None, repr=False, compare=False
-    )
+    Every detector publishes it: one-shot APD, both engines of the daily
+    service and the /96 baseline (whose outcomes are
+    :class:`~repro.core.apd_murdock.MurdockPrefixOutcome`).  The columns are
+    bound once in ``__init__`` and read-only: :attr:`keys` (``hi``, ``lo``,
+    ``length``), the outcomes and :attr:`verdicts`.  :meth:`with_outcomes`
+    builds a new table and never writes this one.  Addresses are judged by
+    longest-prefix match over one :class:`FlatLPM`, built on first lookup,
+    for batches and single addresses alike.
+    """
+
+    __slots__ = ("keys", "_outcomes", "verdicts", "_lpm")
+
+    #: Immutability contract, enforced statically by reprolint rule R2.
+    __frozen_arrays__ = ("keys", "_outcomes", "verdicts")
+
+    def __init__(self, keys: np.ndarray, outcomes: np.ndarray, verdicts: np.ndarray):
+        """Aligned columns in prefix order, each key once."""
+        self.keys = readonly_view(keys)
+        self._outcomes = readonly_view(outcomes)
+        self.verdicts = readonly_view(verdicts)
+        self._lpm: FlatLPM | None = None
+
+    @classmethod
+    def from_outcomes(cls, outcomes: Iterable[Any]) -> "APDResult":
+        """The table of *outcomes*, in any order (of one prefix's, the last)."""
+        column = np.fromiter(outcomes, dtype=object)
+        keys = _prefix_keys(outcome.prefix for outcome in column)
+        order = _key_order(keys)
+        column = column[order]
+        verdicts = np.fromiter((o.is_aliased for o in column), dtype=bool, count=len(column))
+        return cls(keys[order], column, verdicts)
+
+    def with_outcomes(self, outcomes: Iterable[Any]) -> "APDResult":
+        """A new table: new prefixes inserted in order, re-probed ones replaced."""
+        update = APDResult.from_outcomes(outcomes)
+        if not len(update.keys):
+            return self
+        table, queries = self.keys.view(_PACKED), update.keys.view(_PACKED)
+        pos = np.searchsorted(table, queries)
+        fresh = _exact_positions(table, queries, pos) < 0
+        keys = np.insert(self.keys, pos[fresh], update.keys[fresh])
+        column = np.insert(self._outcomes, pos[fresh], update._outcomes[fresh])
+        verdicts = np.insert(self.verdicts, pos[fresh], update.verdicts[fresh])
+        # Each update row lands after the fresh rows that sort before it.
+        rows = pos + np.cumsum(fresh) - fresh
+        column[rows] = update._outcomes
+        verdicts[rows] = update.verdicts
+        return APDResult(keys, column, verdicts)
 
     @property
-    def probed_prefixes(self) -> list[IPv6Prefix]:
-        return list(self.outcomes)
+    def outcomes(self) -> Mapping[IPv6Prefix, Any]:
+        """Prefix -> outcome, a read-only view in prefix order."""
+        return _OutcomeView(self)
 
     @property
-    def aliased_prefixes(self) -> list[IPv6Prefix]:
-        """All prefixes labelled aliased."""
-        return [p for p, o in self.outcomes.items() if o.is_aliased]
-
-    @property
-    def non_aliased_prefixes(self) -> list[IPv6Prefix]:
-        return [p for p, o in self.outcomes.items() if not o.is_aliased]
+    def aliased_prefixes(self) -> tuple[IPv6Prefix, ...]:
+        """All prefixes labelled aliased, in prefix order."""
+        return tuple(outcome.prefix for outcome in self._outcomes[self.verdicts])
 
     @property
     def probes_sent(self) -> int:
         """Total probe packets sent."""
-        return sum(o.probes_sent for o in self.outcomes.values())
+        return sum(outcome.probes_sent for outcome in self._outcomes)
 
     @property
     def addresses_probed(self) -> int:
         """Total distinct target addresses probed."""
-        return sum(o.num_targets for o in self.outcomes.values())
+        return sum(outcome.num_targets for outcome in self._outcomes)
 
-    def _ensure_trie(self) -> PrefixTrie:
-        if self._trie is None:
-            trie: PrefixTrie[bool] = PrefixTrie()
-            for prefix, outcome in self.outcomes.items():
-                trie.insert(prefix, outcome.is_aliased)
-            self._trie = trie
-        return self._trie
-
-    def verdict_lpm(self) -> tuple[FlatLPM, np.ndarray]:
-        """The probed prefixes as one :class:`FlatLPM` plus its verdict array.
-
-        ``verdicts[i]`` is the aliased verdict of the prefix behind LPM index
-        *i*.  Built once per result, forcing every lazy ``is_aliased``, and
-        shared by :meth:`is_aliased_batch` and the day's published snapshot.
-        """
-        if self._flat is None:
-            verdicts = [outcome.is_aliased for outcome in self.outcomes.values()]
-            self._flat = FlatLPM(zip(self.outcomes, verdicts)), np.array(verdicts, dtype=bool)
-        return self._flat
-
-    def for_day(self, day: int) -> "APDResult":
-        """These verdicts published again on *day*.
-
-        The new result shares this one's outcome map and verdict LPM instead
-        of rebuilding them; neither may be mutated afterwards.
-        """
-        return APDResult(day=day, outcomes=self.outcomes, _flat=self.verdict_lpm())
+    @property
+    def lpm(self) -> FlatLPM:
+        """The probed prefixes as one :class:`FlatLPM` (index *i* = row *i*)."""
+        if self._lpm is None:
+            self._lpm = FlatLPM((outcome.prefix, outcome) for outcome in self._outcomes)
+        return self._lpm
 
     def is_aliased(self, address: "IPv6Address | int | str") -> bool:
         """Longest-prefix-match classification of one address.
@@ -248,35 +307,59 @@ class APDResult:
         what lets small non-aliased subprefixes survive inside aliased
         covering prefixes (the /116 anomaly of Section 5.1).
         """
-        verdict = self._ensure_trie().lookup(address)
-        return bool(verdict)
+        row = int(self.lpm.lookup_indices(AddressBatch.from_ints([_to_int(address)]))[0])
+        return row >= 0 and bool(self.verdicts[row])
 
     def is_aliased_batch(self, batch: AddressBatch) -> np.ndarray:
-        """Vectorised longest-prefix-match classification of a whole batch.
-
-        Same semantics as :meth:`is_aliased`, but one flattened-LPM binary
-        search for the entire array instead of a scalar lookup per address.
-        """
-        lpm, verdicts = self.verdict_lpm()
-        indices = lpm.lookup_indices(batch)
-        covered = indices >= 0
-        result = np.zeros(len(batch), dtype=bool)
-        result[covered] = verdicts[indices[covered]]
-        return result
+        """:meth:`is_aliased` for a whole batch, in one LPM search."""
+        # An uncovered address reads index -1: the appended False.
+        return np.append(self.verdicts, False)[self.lpm.lookup_indices(batch)]
 
     def split(
         self, addresses: Iterable[IPv6Address]
     ) -> tuple[list[IPv6Address], list[IPv6Address]]:
         """Split addresses into (aliased, non-aliased) by longest-prefix match."""
         address_list = list(addresses)
-        if not address_list:
-            return [], []
-        hits = self.is_aliased_batch(AddressBatch.from_addresses(address_list))
-        aliased: list[IPv6Address] = []
-        clean: list[IPv6Address] = []
-        for address, hit in zip(address_list, hits.tolist()):
-            (aliased if hit else clean).append(address)
-        return aliased, clean
+        hits = self.is_aliased_batch(AddressBatch.from_addresses(address_list)).tolist()
+        clean = [address for address, hit in zip(address_list, hits) if not hit]
+        return list(compress(address_list, hits)), clean
+
+
+class _OutcomeView(Mapping[IPv6Prefix, Any]):
+    """The prefix -> outcome mapping of an :class:`APDResult`: its rows in
+    order, and a lookup is one search of its keys."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: APDResult):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table.keys)
+
+    def __iter__(self) -> Iterator[IPv6Prefix]:
+        return (outcome.prefix for outcome in self._table._outcomes)
+
+    def __getitem__(self, prefix: IPv6Prefix) -> Any:
+        if isinstance(prefix, IPv6Prefix):
+            keys, key = self._table.keys.view(_PACKED), np.void(_key_bytes(prefix))
+            row = int(keys.searchsorted(key))
+            if row < len(keys) and keys[row] == key:
+                return self._table._outcomes[row]
+        raise KeyError(prefix)
+
+    def values(self) -> ValuesView[Any]:
+        return _OutcomeValues(self)
+
+
+class _OutcomeValues(ValuesView[Any]):
+    """The outcome column itself, without a lookup per key."""
+
+    __slots__ = ()
+    _mapping: _OutcomeView
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._mapping._table._outcomes)
 
 
 class AliasedPrefixDetector:
@@ -327,17 +410,11 @@ class AliasedPrefixDetector:
         addresses, except /64s which always qualify.  ``extra_prefixes``
         (e.g. BGP announcements) are probed as given.
         """
-        config = self.config
-        candidates: set[IPv6Prefix] = set(extra_prefixes)
-        if addresses:
-            batch = AddressBatch.from_addresses(addresses).sort()
-            shared = batch.shared_prefix_lengths()
-            for length in config.prefix_lengths:
-                starts, qualifies = config.qualifying_runs(shared, length)
-                networks = batch.take(starts[qualifies]).masked(length)
-                for hi, lo in zip(networks.hi.tolist(), networks.lo.tolist()):
-                    candidates.add(IPv6Prefix((hi << 64) | lo, length))
-        return sorted(candidates)
+        batch = AddressBatch.from_addresses(addresses).sort()
+        keys, _, _ = self.config.candidate_runs(batch)
+        candidates = [IPv6Prefix((hi << 64) | lo, length) for hi, lo, length in keys.tolist()]
+        extra = set(extra_prefixes)
+        return sorted(extra.union(candidates)) if extra else candidates
 
     # -- probing -----------------------------------------------------------------
 
@@ -436,9 +513,7 @@ class AliasedPrefixDetector:
     ) -> APDResult:
         """Run APD for a hitlist and/or an explicit prefix list on one day."""
         candidates = self.candidate_prefixes(addresses, extra_prefixes=prefixes)
-        result = APDResult(day=day)
-        result.outcomes = self.probe_prefixes(candidates, day)
-        return result
+        return APDResult.from_outcomes(self.probe_prefixes(candidates, day).values())
 
     def run_window(
         self,

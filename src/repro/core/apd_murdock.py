@@ -11,8 +11,8 @@ while probing less than half as many addresses.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.addr.address import IPv6Address
 from repro.addr.batch import AddressBatch
 from repro.addr.generate import random_addresses_in_prefix
 from repro.addr.prefix import IPv6Prefix
-from repro.addr.trie import PrefixTrie
+from repro.core.apd import APDResult
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import Protocol
 
@@ -39,48 +39,12 @@ class MurdockPrefixOutcome:
         return bool(self.responsive) and all(self.responsive)
 
     @property
+    def num_targets(self) -> int:
+        return len(self.targets)
+
+    @property
     def probes_sent(self) -> int:
         return len(self.targets) * MurdockDetector.PROBES_PER_ADDRESS
-
-
-@dataclass(slots=True)
-class MurdockResult:
-    """Result of the static-/96 baseline detection."""
-
-    outcomes: dict[IPv6Prefix, MurdockPrefixOutcome] = field(default_factory=dict)
-    _trie: PrefixTrie | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def aliased_prefixes(self) -> list[IPv6Prefix]:
-        return [p for p, o in self.outcomes.items() if o.is_aliased]
-
-    @property
-    def probes_sent(self) -> int:
-        return sum(o.probes_sent for o in self.outcomes.values())
-
-    @property
-    def addresses_probed(self) -> int:
-        return sum(len(o.targets) for o in self.outcomes.values())
-
-    def _ensure_trie(self) -> PrefixTrie:
-        if self._trie is None:
-            trie: PrefixTrie[bool] = PrefixTrie()
-            for prefix, outcome in self.outcomes.items():
-                trie.insert(prefix, outcome.is_aliased)
-            self._trie = trie
-        return self._trie
-
-    def is_aliased(self, address: "IPv6Address | int | str") -> bool:
-        """Classification of one address under the /96 baseline."""
-        return bool(self._ensure_trie().lookup(address))
-
-    def split(self, addresses: Iterable[IPv6Address]) -> tuple[list[IPv6Address], list[IPv6Address]]:
-        """Split addresses into (aliased, non-aliased)."""
-        aliased: list[IPv6Address] = []
-        clean: list[IPv6Address] = []
-        for address in addresses:
-            (aliased if self.is_aliased(address) else clean).append(address)
-        return aliased, clean
 
 
 class MurdockDetector:
@@ -104,11 +68,10 @@ class MurdockDetector:
         """Probe three random addresses, three probes (attempts) each."""
         return self._probe_prefixes([prefix], day)[0]
 
-    def run(self, addresses: Sequence[IPv6Address], day: int = 0) -> MurdockResult:
-        """Run the baseline detection over a hitlist."""
+    def run(self, addresses: Sequence[IPv6Address], day: int = 0) -> APDResult:
+        """Run the baseline detection over a hitlist: one verdict table of /96s."""
         candidates = self.candidate_prefixes(addresses)
-        outcomes = self._probe_prefixes(candidates, day)
-        return MurdockResult(outcomes=dict(zip(candidates, outcomes)))
+        return APDResult.from_outcomes(self._probe_prefixes(candidates, day))
 
     def _probe_prefixes(
         self, prefixes: Sequence[IPv6Prefix], day: int

@@ -31,9 +31,7 @@ prefix's rows, which is what makes the fast engine's reuse exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,7 +39,6 @@ import numpy as np
 from repro.addr.address import IPv6Address
 from repro.addr.batch import (
     AddressBatch,
-    FlatLPM,
     PackedKeys,
     prefix_masks,
     readonly_view,
@@ -300,53 +297,43 @@ def _membership_epochs(hitlist: Hitlist, prefixes: Sequence[IPv6Prefix]) -> list
 def _probe_on_epochs(
     detector: AliasedPrefixDetector, prefixes: Sequence[IPv6Prefix], epochs: Sequence[int]
 ) -> list[PrefixProbeOutcome]:
-    """Probe each prefix on its membership epoch (one detector call per epoch)."""
-    rows_by_epoch: dict[int, list[int]] = {}
-    for row, epoch in enumerate(epochs):
-        rows_by_epoch.setdefault(epoch, []).append(row)
-    outcomes: dict[int, PrefixProbeOutcome] = {}
-    for epoch, rows in rows_by_epoch.items():
-        probed = detector.probe_prefixes([prefixes[row] for row in rows], epoch)
-        outcomes.update(zip(rows, probed.values()))
-    return [outcomes[row] for row in range(len(prefixes))]
+    """Probe each prefix on its membership epoch (one detector call per epoch),
+    returning the outcomes epoch by epoch."""
+    by_epoch: dict[int, list[IPv6Prefix]] = {}
+    for prefix, epoch in zip(prefixes, epochs):
+        by_epoch.setdefault(epoch, []).append(prefix)
+    outcomes: list[PrefixProbeOutcome] = []
+    for epoch, group in by_epoch.items():
+        outcomes += detector.probe_prefixes(group, epoch).values()
+    return outcomes
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class DailyHitlist:
     """The published artefacts of one day of the hitlist service.
 
     Both engines publish the same containers: the day's scan is one
     read-only :class:`~repro.netmodel.internet.BatchProbeResult` whose rows
     are the scan targets, the hitlist rows at :attr:`target_rows`, and
-    scalar address/set views are materialised lazily, only when a consumer
-    actually asks for the published lists.
+    scalar address/set views are materialised only when a consumer asks
+    for the published lists.  A published day cannot be changed by its
+    readers: the fields cannot be rebound, and each is read-only.  On the
+    batch engine every day up to the next merge shares the same hitlist
+    view, verdict table and target rows.
     """
 
-    def __init__(
-        self,
-        day: int,
-        input_addresses: int,
-        aliased_prefixes: list[IPv6Prefix],
-        scan_result: BatchProbeResult,
-        apd_result: APDResult,
-        hitlist: Hitlist,
-        target_rows: np.ndarray,
-    ):
-        self.day = day
-        self.input_addresses = input_addresses
-        self.aliased_prefixes = aliased_prefixes
-        self.scan_result = scan_result
-        self.apd_result = apd_result
-        #: The scan targets' positions among the hitlist rows (ascending,
-        #: read-only): row *i* of the scan belongs to hitlist row
-        #: ``target_rows[i]``.
-        self.target_rows = target_rows
-        #: The day's hitlist with provenance (columnar arrays).  On
-        #: the batch engine this is a :meth:`Hitlist.frozen` view of the
-        #: standing rows, and every day up to the next merge holds the same
-        #: view (and the same target batch and outcome map); treat them as
-        #: read-only.
-        self.hitlist = hitlist
-        self._scan_targets: list[IPv6Address] | None = None
+    day: int
+    input_addresses: int
+    aliased_prefixes: tuple[IPv6Prefix, ...]
+    scan_result: BatchProbeResult
+    apd_result: APDResult
+    #: The day's hitlist with provenance (columnar arrays); on the batch
+    #: engine a :meth:`Hitlist.frozen` view of the standing rows.
+    hitlist: Hitlist
+    #: The scan targets' positions among the hitlist rows (ascending,
+    #: read-only): row *i* of the scan belongs to hitlist row
+    #: ``target_rows[i]``.
+    target_rows: np.ndarray
 
     @property
     def num_scan_targets(self) -> int:
@@ -355,10 +342,8 @@ class DailyHitlist:
 
     @property
     def scan_targets(self) -> list[IPv6Address]:
-        """The de-aliased scan targets (materialised at the publish boundary)."""
-        if self._scan_targets is None:
-            self._scan_targets = self.scan_result.targets.to_addresses()
-        return self._scan_targets
+        """The de-aliased scan targets (a new list on every call)."""
+        return self.scan_result.targets.to_addresses()
 
     @property
     def targets_batch(self) -> AddressBatch:
@@ -370,11 +355,11 @@ class DailyHitlist:
         return self.scan_result.targets.readonly()
 
     @property
-    def responsive_addresses(self) -> set[IPv6Address]:
+    def responsive_addresses(self) -> frozenset[IPv6Address]:
         """Addresses responsive on at least one protocol (the published list)."""
         return self.scan_result.responsive_on()
 
-    def responsive_on(self, protocol: Protocol) -> set[IPv6Address]:
+    def responsive_on(self, protocol: Protocol) -> frozenset[IPv6Address]:
         """Addresses responsive on one protocol."""
         return self.scan_result.responsive_on(protocol)
 
@@ -409,7 +394,7 @@ class _PublishedState:
 
     #: The standing rows as of the build (a :meth:`Hitlist.frozen` view).
     hitlist: Hitlist
-    #: The candidate outcomes in prefix order, with their verdict LPM built.
+    #: The candidate verdict table, with its LPM built.
     apd: APDResult
     #: Every standing row, resolved, and whether it lies in an aliased
     #: prefix (read-only, aligned with the rows).
@@ -420,7 +405,8 @@ class _PublishedState:
     #: until the next merge.
     target_rows: np.ndarray
     targets: ResolvedTargets
-    aliased_prefixes: list[IPv6Prefix]
+    #: The table's aliased prefixes.
+    aliased_prefixes: tuple[IPv6Prefix, ...]
 
 
 class HitlistService:
@@ -445,9 +431,8 @@ class HitlistService:
       one ``probe_batch`` call, keeping per-day responsiveness as
       (target x protocol) boolean matrices.  A day whose window holds no
       source record reuses the previous day's published state (hitlist
-      view, outcome map and verdict LPM, resolved rows and targets, aliased
-      prefixes) and only draws its scan.  Days must be run in increasing
-      order.
+      view, verdict table, resolved rows and targets, aliased prefixes) and
+      only draws its scan.  Days must be run in increasing order.
     * the reference engine -- the original scalar loop: rebuild the hitlist
       from scratch, run APD over everything, sweep per protocol with the
       scalar ZMap scanner, recording the replies into the same scan matrix.
@@ -482,13 +467,9 @@ class HitlistService:
         # Incremental batch-engine state.
         self._standing: Hitlist | None = None
         self._merged_through: int | None = None
-        # The candidates in key order, as aligned lists: ``(hi, lo, length)``
-        # keys sort like the prefixes themselves.  The verdict array is
-        # replaced, never written, once a published state holds it.
-        self._keys: list[tuple[int, int, int]] = []
-        self._prefixes: list[IPv6Prefix] = []
-        self._outcomes: list[PrefixProbeOutcome] = []
-        self._verdicts = np.zeros(0, dtype=bool)
+        #: Every candidate's latest outcome: a record day replaces the
+        #: table with :meth:`APDResult.with_outcomes`, never writes it.
+        self._apd = APDResult.from_outcomes(())
         self._published: _PublishedState | None = None
 
     # -- daily loop -------------------------------------------------------------
@@ -522,10 +503,7 @@ class HitlistService:
         detector = AliasedPrefixDetector(self.internet, self.apd_config, seed=self._seed)
         candidates = detector.candidate_prefixes(addresses)
         epochs = _membership_epochs(hitlist, candidates)
-        apd_result = APDResult(day=day)
-        apd_result.outcomes = dict(
-            zip(candidates, _probe_on_epochs(detector, candidates, epochs))
-        )
+        apd_result = APDResult.from_outcomes(_probe_on_epochs(detector, candidates, epochs))
         self.apd_probe_counts[day] = len(apd_result.outcomes)
         target_rows = np.flatnonzero(~apd_result.is_aliased_batch(hitlist.address_batch))
         targets = [addresses[row] for row in target_rows.tolist()]
@@ -563,7 +541,7 @@ class HitlistService:
             input_addresses=len(hitlist),
             aliased_prefixes=state.aliased_prefixes,
             scan_result=scan_result,
-            apd_result=state.apd.for_day(day),
+            apd_result=state.apd,
             hitlist=hitlist,
             target_rows=state.target_rows,
         )
@@ -585,13 +563,7 @@ class HitlistService:
         new_rows = keys.searchsorted(new_batch, "left")
         block_rows = self._block_rows(keys, new_batch)
         self.apd_probe_counts[day] = self._update_candidates(hitlist, new_rows, block_rows)
-        verdicts = readonly_view(self._verdicts)
-        flags = verdicts.tolist()
-        apd = APDResult(
-            day=day,
-            outcomes=dict(zip(self._prefixes, self._outcomes)),
-            _flat=(FlatLPM(zip(self._prefixes, flags)), verdicts),
-        )
+        apd = self._apd
         rows = self.internet.resolve_targets(new_batch)
         aliased = np.zeros(len(batch), dtype=bool)
         previous = self._published
@@ -610,7 +582,7 @@ class HitlistService:
             readonly_view(aliased),
             readonly_view(target_rows),
             rows.take(target_rows),
-            list(compress(self._prefixes, flags)),
+            apd.aliased_prefixes,
         )
 
     def _merge_new_records(self, day: int) -> AddressBatch:
@@ -654,60 +626,42 @@ class HitlistService:
 
         *new_rows* and *block_rows* are standing-row positions (see
         :meth:`_block_rows`).  The block rows are sorted and every block is
-        whole, so per length one boundary scan of their shared prefix
-        lengths (:meth:`APDConfig.qualifying_runs`, as in one-shot candidate
+        whole, so one pass of the candidate rule
+        (:meth:`APDConfig.candidate_runs`, as in one-shot candidate
         selection) judges every network in the blocks, and the new rows'
         places among them mark the networks they touched.  A candidate whose
-        membership changed is probed on its new membership epoch; a new one
-        first enters the key-ordered lists by bisect.  Returns the number of
-        candidates probed.
+        membership changed is probed on its new membership epoch, and the
+        verdict table takes the outcomes copy-on-write.  Returns the number
+        of candidates probed.
         """
         if len(new_rows) == 0:
             return 0
-        config = self.apd_config
         rows = hitlist.address_batch.take(block_rows)
-        first_seen = hitlist.first_seen_days[block_rows]
-        shared = rows.shared_prefix_lengths()
-        is_new = np.zeros(len(rows), dtype=bool)
-        is_new[np.searchsorted(block_rows, new_rows)] = True
-        changed: dict[tuple[int, int, int], int] = {}
-        for length in config.prefix_lengths:
-            starts, qualifies = config.qualifying_runs(shared, length)
-            # Only qualifying networks matter downstream: a touched candidate
-            # always qualifies (counts never shrink), and touched
-            # non-candidates are never consulted by the re-probe decision.
-            touched = qualifies & np.logical_or.reduceat(is_new, starts)
-            epochs = np.maximum.reduceat(first_seen, starts)[touched]
-            networks = rows.take(starts[touched]).masked(length)
-            for hi, lo, epoch in zip(networks.hi.tolist(), networks.lo.tolist(), epochs.tolist()):
-                changed[(hi, lo, length)] = epoch
-        if not changed:
+        # Only qualifying networks matter downstream: a touched candidate
+        # always qualifies (counts never shrink), and touched non-candidates
+        # are never consulted by the re-probe decision.
+        keys, starts, ends = self.apd_config.candidate_runs(rows)
+        # new_before[i]: how many new rows lie before block row i.
+        new_before = np.zeros(len(rows) + 1, dtype=np.int64)
+        new_before[np.searchsorted(block_rows, new_rows) + 1] = 1
+        new_before = np.cumsum(new_before)
+        touched = new_before[ends] > new_before[starts]
+        if not touched.any():
             return 0
-        keys = self._keys
-        fresh = []
-        for key in changed:
-            at = bisect_left(keys, key)
-            if at == len(keys) or keys[at] != key:
-                fresh.append((key, at))
-        fresh.sort()
-        # Inserted back to front, each at its place in the old lists.
-        for key, at in reversed(fresh):
-            keys.insert(at, key)
-            self._prefixes.insert(at, IPv6Prefix((key[0] << 64) | key[1], key[2]))
-            self._outcomes.insert(at, None)
-        verdicts = np.insert(self._verdicts, [at for _, at in fresh], False)
+        # The latest first-seen day of each touched run: reduce over the
+        # (start, end) pairs, padded so that a run may end at the last row,
+        # and keep every other result.
+        first_seen = np.append(hitlist.first_seen_days[block_rows], 0)
+        runs = np.column_stack((starts[touched], ends[touched])).ravel()
+        epochs = np.maximum.reduceat(first_seen, runs)[::2]
+        prefixes = [
+            IPv6Prefix((hi << 64) | lo, length) for hi, lo, length in keys[touched].tolist()
+        ]
         detector = AliasedPrefixDetector(
-            self.internet, config, seed=self._seed, policy=self.policy
+            self.internet, self.apd_config, seed=self._seed, policy=self.policy
         )
-        index = [bisect_left(keys, key) for key in changed]
-        outcomes = _probe_on_epochs(
-            detector, [self._prefixes[i] for i in index], list(changed.values())
-        )
-        for i, outcome in zip(index, outcomes):
-            self._outcomes[i] = outcome
-        verdicts[index] = [outcome.is_aliased for outcome in outcomes]
-        self._verdicts = verdicts
-        return len(changed)
+        self._apd = self._apd.with_outcomes(_probe_on_epochs(detector, prefixes, epochs.tolist()))
+        return len(prefixes)
 
     @property
     def standing_hitlist(self) -> Hitlist | None:

@@ -180,13 +180,13 @@ class SlidingWindowMerger:
             expected = np.zeros(shape, dtype=np.int64)
             present = np.zeros(shape, dtype=bool)
             for j, day in enumerate(self._days):
-                for prefix, outcome in self._daily[day].outcomes.items():
-                    i = index[prefix]
+                for outcome in self._daily[day].outcomes.values():
+                    i = index[outcome.prefix]
                     mask = 0
                     for branch in outcome.responsive_branches:
                         if branch >= 64:
                             raise ValueError(
-                                f"branch {branch} of {prefix} exceeds the 64-bit "
+                                f"branch {branch} of {outcome.prefix} exceeds the 64-bit "
                                 "mask of the fast engine; use ExecutionPolicy(reference=True)"
                             )
                         mask |= 1 << branch

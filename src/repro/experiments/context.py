@@ -203,7 +203,7 @@ class ExperimentContext:
 
     # -- convenience ------------------------------------------------------------------------
 
-    def responsive_on(self, protocol: Protocol) -> set[IPv6Address]:
+    def responsive_on(self, protocol: Protocol) -> frozenset[IPv6Address]:
         """Day-0 responsive addresses for one protocol."""
         return self.day0_scan.responsive_on(protocol)
 

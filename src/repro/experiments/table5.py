@@ -87,12 +87,14 @@ def run(ctx: ExperimentContext, max_prefixes: int = 150) -> Table5Result:
     for h in ctx.internet.hosts:
         hosts_by_64.setdefault((h.asn, IPv6Prefix.of(h.primary_address, 64)), []).append(h)
     non_aliased_records = {}
-    for host in ctx.internet.hosts_by_role(HostRole.WEB_SERVER, HostRole.CDN_EDGE):
+    hosts = ctx.internet.hosts_by_role(HostRole.WEB_SERVER, HostRole.CDN_EDGE)
+    in_aliased = ctx.apd_result.is_aliased_batch(
+        AddressBatch.from_addresses([h.primary_address for h in hosts])
+    )
+    for host, aliased in zip(hosts, in_aliased.tolist()):
         if len(non_aliased_records) >= max_prefixes:
             break
-        if Protocol.TCP80 not in host.services:
-            continue
-        if ctx.apd_result.is_aliased(host.primary_address):
+        if Protocol.TCP80 not in host.services or aliased:
             continue
         prefix = IPv6Prefix.of(host.primary_address, 64)
         if prefix in non_aliased_records:

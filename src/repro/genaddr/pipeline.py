@@ -140,7 +140,7 @@ class GenerationReport:
     # -- responsiveness views -----------------------------------------------------
 
     @property
-    def responsive(self) -> dict[str, dict[Protocol, set[IPv6Address]]]:
+    def responsive(self) -> dict[str, dict[Protocol, frozenset[IPv6Address]]]:
         """Responsive addresses per tool and protocol (lazy scalar view)."""
         return {
             tool: {protocol: sweep.responsive_on(protocol) for protocol in sweep.protocols}
@@ -152,10 +152,10 @@ class GenerationReport:
         sweep = self._sweeps.get(tool)
         return None if sweep is None else sweep.responsive
 
-    def responsive_any(self, tool: str) -> set[IPv6Address]:
+    def responsive_any(self, tool: str) -> frozenset[IPv6Address]:
         """Addresses of one tool responsive on at least one protocol."""
         sweep = self._sweeps.get(tool)
-        return set() if sweep is None else sweep.responsive_on()
+        return frozenset() if sweep is None else sweep.responsive_on()
 
     def responsive_any_count(self, tool: str) -> int:
         """Responsive-candidate count (a matrix sum)."""
@@ -175,7 +175,7 @@ class GenerationReport:
 
     def overlap_responsive(
         self, tool_a: str = "entropy_ip", tool_b: str = "6gen"
-    ) -> set[IPv6Address]:
+    ) -> frozenset[IPv6Address]:
         """Responsive addresses found by both tools."""
         return self.responsive_any(tool_a) & self.responsive_any(tool_b)
 

@@ -170,7 +170,7 @@ class BatchProbeResult:
     consumer (APD, the daily service, snapshots, experiments).  Each view
     reads ``protocol=None`` as "on any protocol": :meth:`responsive_mask`
     per row, :meth:`count_responsive` over rows and :meth:`responsive_on`
-    as an address set, built on first use and cached.  A waved scan day
+    as a frozen address set, built on first use and cached.  A waved scan day
     hands the container out before its waves fire and they fill in its
     rows, so read the views once the day has run.
     """
@@ -192,7 +192,7 @@ class BatchProbeResult:
         self.protocols = tuple(protocols)
         self.targets = targets
         self.responsive = readonly_view(responsive)
-        self._sets: dict[Optional[Protocol], set[IPv6Address]] = {}
+        self._sets: dict[Optional[Protocol], frozenset[IPv6Address]] = {}
 
     def responsive_mask(self, protocol: Optional[Protocol] = None) -> np.ndarray:
         """Boolean responsiveness per row, on *protocol* or on any (read-only)."""
@@ -209,12 +209,12 @@ class BatchProbeResult:
         """
         return int(self.responsive_mask(protocol).sum())
 
-    def responsive_on(self, protocol: Optional[Protocol] = None) -> set[IPv6Address]:
+    def responsive_on(self, protocol: Optional[Protocol] = None) -> frozenset[IPv6Address]:
         """The responsive targets as an address set (built once, then cached)."""
         cached = self._sets.get(protocol)
         if cached is None:
             rows = np.flatnonzero(self.responsive_mask(protocol))
-            cached = self._sets[protocol] = set(self.targets.take(rows).to_addresses())
+            cached = self._sets[protocol] = frozenset(self.targets.take(rows).to_addresses())
         return cached
 
     def take(self, rows: np.ndarray) -> "BatchProbeResult":

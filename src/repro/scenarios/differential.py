@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult
 from repro.core.clustering import EntropyClustering
 from repro.core.hitlist import Hitlist, HitlistService
@@ -134,6 +136,19 @@ def _diff_sets(name: str, reference: set, batch: set, limit: int = 3) -> str:
     )
 
 
+def _table_diff(name: str, reference: APDResult, batch: APDResult) -> str:
+    """Empty string when both verdict tables hold the same prefixes in the
+    same order with the same verdicts, else what differs."""
+    if not np.array_equal(reference.keys, batch.keys):
+        diff = _diff_sets(name, set(reference.outcomes), set(batch.outcomes))
+        return diff or f"{name}: order differs"
+    flips = np.flatnonzero(reference.verdicts != batch.verdicts).tolist()
+    if flips:
+        prefixes = list(batch.outcomes)
+        return f"{name}: {len(flips)} verdict flips, e.g. {[prefixes[i] for i in flips[:3]]}"
+    return ""
+
+
 # -- per-pair checks ----------------------------------------------------------------
 
 
@@ -143,7 +158,8 @@ def check_apd(
     apd_config: APDConfig,
     seed: int,
 ) -> tuple[PairCheck, APDResult]:
-    """Exact per-prefix verdict parity of the batch vs scalar APD engines.
+    """Exact parity of the batch vs scalar APD engines' verdict tables: the
+    same prefixes in the same order, with the same verdicts.
 
     Returns the batch result so downstream checks can reuse the verdicts.
     """
@@ -151,23 +167,9 @@ def check_apd(
     scalar = AliasedPrefixDetector(
         internet, apd_config, seed=seed, policy=ExecutionPolicy(reference=True)
     ).run(addresses, day=0)
-    problems = []
-    if set(batch.outcomes) != set(scalar.outcomes):
-        problems.append(
-            _diff_sets("probed prefixes", set(scalar.outcomes), set(batch.outcomes))
-        )
-    else:
-        flips = [
-            prefix
-            for prefix, outcome in batch.outcomes.items()
-            if outcome.is_aliased != scalar.outcomes[prefix].is_aliased
-        ]
-        if flips:
-            problems.append(f"{len(flips)} verdict flips, e.g. {flips[:3]}")
-    detail = "; ".join(p for p in problems if p)
-    if not detail:
-        detail = f"{len(batch.outcomes)} prefixes, {len(batch.aliased_prefixes)} aliased"
-    return PairCheck("apd", not problems, detail), batch
+    problem = _table_diff("probed prefixes", scalar, batch)
+    detail = problem or f"{len(batch.outcomes)} prefixes, {len(batch.aliased_prefixes)} aliased"
+    return PairCheck("apd", not problem, detail), batch
 
 
 def check_clustering(
@@ -229,7 +231,8 @@ def check_service(
     days: Sequence[int],
     apd_config: APDConfig,
 ) -> PairCheck:
-    """Per-day published-state parity of the two HitlistService engines."""
+    """Per-day published-state parity of the two HitlistService engines: each
+    day's input size, verdict table, responsive set and provenance."""
     services = {
         name: HitlistService(
             internet,
@@ -249,11 +252,7 @@ def check_service(
                 f"day {day}: input {ref_day.input_addresses} vs {bat_day.input_addresses}"
             )
         problems.append(
-            _diff_sets(
-                f"day {day} aliased prefixes",
-                set(ref_day.aliased_prefixes),
-                set(bat_day.aliased_prefixes),
-            )
+            _table_diff(f"day {day} probed prefixes", ref_day.apd_result, bat_day.apd_result)
         )
         problems.append(
             _diff_sets(

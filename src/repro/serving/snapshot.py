@@ -4,11 +4,11 @@ A :class:`HitlistSnapshot` freezes one published day of the hitlist service
 into a self-contained, query-ready view: the sorted ``uint64`` hi/lo address
 columns with per-source membership bitmasks and first-seen days, the day's
 (address x protocol) responsiveness matrix scattered back onto the full
-hitlist rows, the de-aliasing verdicts as a :class:`FlatLPM`, and a per-row
-origin-AS index.  Every array is a read-only view (``writeable=False``), all
-lazy state is materialised at build time, and nothing on the query path
-mutates the snapshot -- which is what makes it safe to share between any
-number of reader threads while the next day's snapshot builds elsewhere.
+hitlist rows, the day's APD verdict table and a per-row origin-AS index.
+Every array is a read-only view (``writeable=False``), all lazy state is
+materialised at build time, and nothing on the query path mutates the
+snapshot -- which is what makes it safe to share between any number of
+reader threads while the next day's snapshot builds elsewhere.
 Snapshots of one published state share its row columns
 (:class:`SnapshotRows`): a day that merged no source record builds only its
 responsiveness matrix, and a day that merged records builds its rows from
@@ -150,12 +150,12 @@ class SnapshotRows:
     """The row columns of one published state, shared by all its snapshots.
 
     Everything a snapshot holds besides the day's responsiveness matrix is
-    a function of three objects: the day's hitlist, its verdict LPM (the
+    a function of three objects: the day's hitlist, its verdict table (the
     scan targets are the hitlist rows it does not label aliased, which the
     day hands over as :attr:`~repro.core.hitlist.DailyHitlist.target_rows`)
     and the internet that maps rows to origin ASes.  The batch service hands
     every day up to its next merge the very same hitlist view and verdict
-    LPM, so the snapshots of those days share one instance
+    table, so the snapshots of those days share one instance
     (:meth:`built_from`): the point index and the AS index are built once
     per published state.
 
@@ -179,8 +179,7 @@ class SnapshotRows:
         "first",
         "positions",
         "unaliased",
-        "apd_lpm",
-        "apd_verdicts",
+        "apd",
         "asn",
         "asn_sorted",
         "asn_order",
@@ -195,7 +194,6 @@ class SnapshotRows:
         "first",
         "positions",
         "unaliased",
-        "apd_verdicts",
         "asn",
         "asn_sorted",
         "asn_order",
@@ -232,10 +230,10 @@ class SnapshotRows:
         self.first = first
         self.positions = readonly_view(positions)
         self.unaliased = readonly_view(unaliased)
-        # The day's own verdict LPM, with every lazy ``is_aliased`` forced by
-        # now, so no reader ever races a lazy cache.
-        self.apd_lpm, apd_verdicts = daily.apd_result.verdict_lpm()
-        self.apd_verdicts = readonly_view(apd_verdicts)
+        # The day's verdict table, its LPM built here so that no reader
+        # races the table's lazy build.
+        self.apd = daily.apd_result
+        self.apd.lpm
         self.asn: np.ndarray | None = None
         self.asn_sorted: np.ndarray | None = None
         self.asn_order: np.ndarray | None = None
@@ -255,12 +253,12 @@ class SnapshotRows:
             self.asn_sorted = readonly_view(asn[order])
 
     def built_from(self, daily: "DailyHitlist", internet: "SimulatedInternet | None") -> bool:
-        """Are *daily*'s hitlist and verdict LPM, and *internet*, the very
+        """Are *daily*'s hitlist and verdict table, and *internet*, the very
         objects these rows were built from?"""
         return (
             daily.hitlist is self.hitlist
             and internet is self.internet
-            and daily.apd_result.verdict_lpm()[0] is self.apd_lpm
+            and daily.apd_result is self.apd
         )
 
 
@@ -306,8 +304,7 @@ class HitlistSnapshot:
         "_first",
         "_responsive",
         "_unaliased",
-        "_apd_lpm",
-        "_apd_verdicts",
+        "_apd",
         "_asn",
         "_asn_sorted",
         "_asn_order",
@@ -322,7 +319,6 @@ class HitlistSnapshot:
         "_first",
         "_responsive",
         "_unaliased",
-        "_apd_verdicts",
         "_asn",
         "_asn_sorted",
         "_asn_order",
@@ -352,8 +348,7 @@ class HitlistSnapshot:
         self._first = rows.first
         self._responsive = readonly_view(np.asarray(responsive, dtype=bool))
         self._unaliased = rows.unaliased
-        self._apd_lpm = rows.apd_lpm
-        self._apd_verdicts = rows.apd_verdicts
+        self._apd = rows.apd
         self._asn = rows.asn
         self._asn_sorted = rows.asn_sorted
         self._asn_order = rows.asn_order
@@ -377,8 +372,7 @@ class HitlistSnapshot:
         back onto the full rows with one assignment (its row *i* is hitlist
         row ``target_rows[i]``, see
         :attr:`~repro.core.hitlist.DailyHitlist.target_rows`), and the APD
-        verdicts are the day's own LPM from
-        :meth:`~repro.core.apd.APDResult.verdict_lpm`.
+        verdicts are the day's own :class:`~repro.core.apd.APDResult`.
 
         *previous* is the snapshot published before this one.  When its
         rows were built from the very objects this day carries
@@ -433,15 +427,6 @@ class HitlistSnapshot:
             name for bit, name in enumerate(self.source_names) if mask >> bit & 1
         )
 
-    def _lpm_aliased(self, value: int) -> bool:
-        """APD verdict for an arbitrary address via the frozen LPM."""
-        if self._apd_lpm is None or not len(self._apd_lpm):
-            return False
-        index = int(
-            self._apd_lpm.lookup_indices(AddressBatch.from_ints([value]))[0]
-        )
-        return bool(self._apd_verdicts[index]) if index >= 0 else False
-
     # -- queries -----------------------------------------------------------
 
     def point_query(self, address: "IPv6Address | int | str") -> PointAnswer:
@@ -469,7 +454,7 @@ class HitlistSnapshot:
             generation=self.generation,
             day=self.day,
             in_hitlist=False,
-            aliased=self._lpm_aliased(value),
+            aliased=self._apd.is_aliased(value),
             sources=(),
             first_seen_day=None,
             protocols=self.protocols,

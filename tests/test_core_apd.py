@@ -8,12 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.addr import AddressBatch, IPv6Prefix
 from repro.addr.generate import random_addresses_in_prefix
-from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult
+from repro.core.apd import AliasedPrefixDetector, APDConfig, APDResult, PrefixProbeOutcome
 from repro.core.apd_murdock import MurdockDetector
 from repro.core.sliding_window import SlidingWindowMerger
 from repro.exec import ExecutionPolicy
 
 REFERENCE = ExecutionPolicy(reference=True)
+
+
+def _prefixes(keys):
+    """A verdict-table key column as prefixes."""
+    return [IPv6Prefix((hi << 64) | lo, length) for hi, lo, length in keys.tolist()]
 
 
 @pytest.fixture(scope="module")
@@ -130,16 +135,57 @@ class TestCandidateSelection:
         length=st.one_of(st.sampled_from(range(0, 129, 4)), st.integers(0, 128)),
         threshold=st.sampled_from((0, 1, 2)),
     )
-    def test_qualifying_runs_match_masked_networks(self, values, length, threshold):
+    def test_candidate_rule_matches_masked_networks(self, values, length, threshold):
         values = sorted(values)
-        config = APDConfig(min_targets_per_prefix=threshold, always_probe_64=False)
-        shared = AddressBatch.from_ints(values).shared_prefix_lengths()
-        starts, qualifies = config.qualifying_runs(shared, length)
+        config = APDConfig(
+            prefix_lengths=(length,), min_targets_per_prefix=threshold, always_probe_64=False
+        )
+        keys, starts, ends = config.candidate_runs(AddressBatch.from_ints(values))
         networks = [IPv6Prefix.of(v, length) for v in values]
-        expected = [i for i, p in enumerate(networks) if i == 0 or p != networks[i - 1]]
+        runs = [i for i, p in enumerate(networks) if i == 0 or p != networks[i - 1]]
         counts = Counter(networks)
+        expected = [i for i in runs if counts[networks[i]] > threshold]
         assert starts.tolist() == expected
-        assert qualifies.tolist() == [counts[networks[i]] > threshold for i in expected]
+        assert ends.tolist() == [i + counts[networks[i]] for i in expected]
+        assert _prefixes(keys) == [networks[i] for i in expected]
+
+    @settings(deadline=None)
+    @given(
+        values=st.lists(
+            st.builds(
+                lambda k, x: (0x20010DB8 << 96) | (x << (4 * k)),
+                st.integers(0, 31),
+                st.sampled_from((1, 8, 15)),
+            ),
+            max_size=60,
+        ),
+        lengths=st.lists(st.sampled_from(range(0, 129, 4)), min_size=1, max_size=6),
+        threshold=st.sampled_from((0, 1, 2)),
+        always_probe_64=st.booleans(),
+    )
+    def test_candidate_rule_judges_every_length_at_once(
+        self, values, lengths, threshold, always_probe_64
+    ):
+        values = sorted(values)
+        config = APDConfig(
+            prefix_lengths=tuple(lengths),
+            min_targets_per_prefix=threshold,
+            always_probe_64=always_probe_64,
+        )
+        keys, starts, ends = config.candidate_runs(AddressBatch.from_ints(values))
+        runs = {}
+        for length in set(lengths):
+            for i, value in enumerate(values):
+                network = IPv6Prefix.of(value, length)
+                first, _ = runs.get(network, (i, i))
+                runs[network] = (first, i + 1)
+        expected = sorted(
+            p
+            for p, (first, end) in runs.items()
+            if end - first > threshold or (p.length == 64 and always_probe_64)
+        )
+        assert _prefixes(keys) == expected
+        assert list(zip(starts.tolist(), ends.tolist())) == [runs[p] for p in expected]
 
 
 class TestProbing:
@@ -209,25 +255,87 @@ class TestProbing:
 
     def test_longest_prefix_match_resolves_conflicts(self, tiny_internet):
         """A non-aliased more-specific inside an aliased less-specific wins."""
-        result = APDResult(day=0)
         detector = AliasedPrefixDetector(tiny_internet, seed=1)
         outer = IPv6Prefix.parse("2001:db8::/64")
         inner = IPv6Prefix.parse("2001:db8::/68")
-        outer_outcome = detector.probe_prefix(outer)
-        inner_outcome = detector.probe_prefix(inner)
         # Force verdicts for the test regardless of the simulated responses.
         from repro.netmodel.services import Protocol
 
-        outer_outcome.branch_responses = [{Protocol.ICMP} for _ in range(16)]  # aliased
-        inner_outcome.branch_responses = [set() for _ in range(16)]  # non-aliased
-        result.outcomes[outer] = outer_outcome
-        result.outcomes[inner] = inner_outcome
+        outer_outcome = PrefixProbeOutcome(
+            outer,
+            0,
+            detector.probe_prefix(outer).targets,
+            branch_responses=[{Protocol.ICMP} for _ in range(16)],  # aliased
+        )
+        inner_outcome = PrefixProbeOutcome(
+            inner,
+            0,
+            detector.probe_prefix(inner).targets,
+            branch_responses=[set() for _ in range(16)],  # non-aliased
+        )
+        result = APDResult.from_outcomes([outer_outcome, inner_outcome])
         from repro.addr import IPv6Address
 
         inside_inner = IPv6Address.parse("2001:db8::1")
         inside_outer_only = IPv6Address.parse("2001:db8:0:0:f000::1")
         assert not result.is_aliased(inside_inner)
         assert result.is_aliased(inside_outer_only)
+
+
+#: Prefixes for the verdict-table property: three /64s, each holding more
+#: specific prefixes, and one network at several lengths.
+TABLE_PREFIXES = st.builds(
+    lambda net, sub, length: IPv6Prefix.of((0x20010DB8 << 96) | (net << 64) | (sub << 56), length),
+    st.integers(0, 2),
+    st.sampled_from((0, 0x01, 0x10, 0xF0)),
+    st.sampled_from((64, 68, 72, 96)),
+)
+
+
+def _table_outcome(prefix: IPv6Prefix, aliased: bool) -> PrefixProbeOutcome:
+    from repro.netmodel.services import Protocol
+
+    answered = {Protocol.ICMP} if aliased else set()
+    return PrefixProbeOutcome(prefix, 0, [prefix.first], branch_responses=[answered])
+
+
+class TestVerdictTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        chain=st.lists(
+            st.lists(st.builds(_table_outcome, TABLE_PREFIXES, st.booleans()), max_size=6),
+            max_size=6,
+        )
+    )
+    def test_updates_equal_a_one_shot_table_and_never_write(self, chain):
+        """A chain of ``with_outcomes`` updates (nested prefixes, one network
+        at several lengths, re-probed keys, empty updates) equals a one-shot
+        table of the latest outcome per prefix, and leaves every earlier
+        table as it was."""
+        table = APDResult.from_outcomes(())
+        latest: dict[IPv6Prefix, PrefixProbeOutcome] = {}
+        history = []
+        for update in chain:
+            history.append(
+                (table, table.keys.copy(), table.verdicts.copy(), list(table.outcomes.values()))
+            )
+            table = table.with_outcomes(update)
+            latest.update((outcome.prefix, outcome) for outcome in update)
+            order = sorted(latest)
+            assert list(table.outcomes) == order
+            assert table.verdicts.tolist() == [latest[p].is_aliased for p in order]
+            assert all(a is latest[p] for a, p in zip(table.outcomes.values(), order))
+            assert all(table.outcomes[p] is latest[p] for p in order)
+            one_shot = APDResult.from_outcomes(latest.values())
+            assert table.keys.tolist() == one_shot.keys.tolist()
+            assert table.verdicts.tolist() == one_shot.verdicts.tolist()
+            assert len(table.outcomes) == len(order)
+        for old, keys, verdicts, outcomes in history:
+            assert old.keys.tolist() == keys.tolist()
+            assert old.verdicts.tolist() == verdicts.tolist()
+            assert all(a is b for a, b in zip(old.outcomes.values(), outcomes, strict=True))
+        for column in (table.keys, table._outcomes, table.verdicts):
+            assert not column.flags.writeable
 
 
 class TestRunWindow:
@@ -361,16 +469,16 @@ class TestSlidingWindow:
     def test_large_fanout_within_mask_capacity(self):
         """Branch indices up to 63 fit the vectorized uint64 bitmask; beyond
         that the engine refuses loudly instead of overflowing."""
-        from repro.core.apd import PrefixProbeOutcome
         from repro.netmodel.services import Protocol
 
         prefix = IPv6Prefix.parse("2001:db8::/64")
-        wide = APDResult(day=0)
         outcome = PrefixProbeOutcome(
-            prefix=prefix, day=0, targets=[prefix.first + i for i in range(40)]
+            prefix=prefix,
+            day=0,
+            targets=[prefix.first + i for i in range(40)],
+            branch_responses=[{Protocol.ICMP} for _ in range(40)],
         )
-        outcome.branch_responses = [{Protocol.ICMP} for _ in range(40)]
-        wide.outcomes[prefix] = outcome
+        wide = APDResult.from_outcomes([outcome])
         merger = SlidingWindowMerger({0: wide})
         stats = merger.window_stats(0)  # 40 branches > 32: needs uint64 masks
         assert stats.aliased_final == 1
@@ -378,12 +486,13 @@ class TestSlidingWindow:
             {0: wide}, policy=REFERENCE
         ).window_stats(0)
 
-        overflow = APDResult(day=0)
         big = PrefixProbeOutcome(
-            prefix=prefix, day=0, targets=[prefix.first + i for i in range(70)]
+            prefix=prefix,
+            day=0,
+            targets=[prefix.first + i for i in range(70)],
+            branch_responses=[{Protocol.ICMP} for _ in range(70)],
         )
-        big.branch_responses = [{Protocol.ICMP} for _ in range(70)]
-        overflow.outcomes[prefix] = big
+        overflow = APDResult.from_outcomes([big])
         with pytest.raises(ValueError, match=r"ExecutionPolicy\(reference=True\)"):
             SlidingWindowMerger({0: overflow}).window_stats(0)
         scalar = SlidingWindowMerger({0: overflow}, policy=REFERENCE)
@@ -393,22 +502,23 @@ class TestSlidingWindow:
         """A <16-target prefix unprobed on the queried day must be judged
         against its own fan-out from the window, not a hardcoded 16."""
         from repro.addr import IPv6Address
-        from repro.core.apd import PrefixProbeOutcome
         from repro.netmodel.services import Protocol
 
         narrow = IPv6Prefix.parse("2001:db8:ffff::/125")  # 3 host bits -> 8 targets
         other = IPv6Prefix.parse("2001:db8::/64")
-        day0, day1 = APDResult(day=0), APDResult(day=1)
         outcome = PrefixProbeOutcome(
-            prefix=narrow, day=0, targets=[narrow.first + i for i in range(8)]
+            prefix=narrow,
+            day=0,
+            targets=[narrow.first + i for i in range(8)],
+            branch_responses=[{Protocol.ICMP} for _ in range(8)],
         )
-        outcome.branch_responses = [{Protocol.ICMP} for _ in range(8)]
-        day0.outcomes[narrow] = outcome
         filler = PrefixProbeOutcome(
-            prefix=other, day=1, targets=[IPv6Address.parse("2001:db8::1")] * 16
+            prefix=other,
+            day=1,
+            targets=[IPv6Address.parse("2001:db8::1")] * 16,
+            branch_responses=[set() for _ in range(16)],
         )
-        filler.branch_responses = [set() for _ in range(16)]
-        day1.outcomes[other] = filler
+        day0, day1 = APDResult.from_outcomes([outcome]), APDResult.from_outcomes([filler])
         for policy in (ExecutionPolicy(), REFERENCE):
             merger = SlidingWindowMerger({0: day0, 1: day1}, policy=policy)
             # All 8 of 8 branches answered within the window -> aliased.

@@ -19,7 +19,9 @@ from repro.genaddr import GenerationPipeline, SixGenGenerator
 #: One call per entry point, each forwarding ``**kwargs`` to the constructor.
 ENTRY_POINTS = {
     "AliasedPrefixDetector": lambda internet, **kw: AliasedPrefixDetector(internet, **kw),
-    "SlidingWindowMerger": lambda _, **kw: SlidingWindowMerger({0: APDResult(day=0)}, **kw),
+    "SlidingWindowMerger": lambda _, **kw: SlidingWindowMerger(
+        {0: APDResult.from_outcomes(())}, **kw
+    ),
     "EntropyClustering": lambda _, **kw: EntropyClustering(**kw),
     "kmeans": lambda _, **kw: kmeans(np.zeros((4, 2)), 2, **kw),
     "sse_curve": lambda _, **kw: sse_curve(np.zeros((4, 2)), [1, 2], **kw),

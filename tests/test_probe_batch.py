@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.addr import IPv6Address, IPv6Prefix
+from repro.addr import IPv6Address, IPv6Prefix, PrefixTrie
 from repro.addr.batch import AddressBatch, random_batch_in_prefix
 from repro.addr.generate import random_addresses_in_prefix
 from repro.core.apd import AliasedPrefixDetector
@@ -406,8 +406,15 @@ class TestAPDEngineParity:
 
     def test_batch_classification_matches_scalar_lpm(self, lossless_internet, sample):
         result = AliasedPrefixDetector(lossless_internet, seed=2).run(sample, day=0)
-        batch_verdicts = result.is_aliased_batch(AddressBatch.from_addresses(sample))
-        assert batch_verdicts.tolist() == [result.is_aliased(a) for a in sample]
+        # An oracle independent of the table's LPM: a trie of its outcomes,
+        # also asked about addresses that no probed prefix covers.
+        trie: PrefixTrie[bool] = PrefixTrie()
+        for prefix, outcome in result.outcomes.items():
+            trie.insert(prefix, outcome.is_aliased)
+        addresses = sample + [IPv6Address.parse("::1"), IPv6Address.parse("ff02::1")]
+        batch_verdicts = result.is_aliased_batch(AddressBatch.from_addresses(addresses))
+        assert batch_verdicts.tolist() == [bool(trie.lookup(a)) for a in addresses]
+        assert [result.is_aliased(a) for a in addresses] == batch_verdicts.tolist()
         aliased, clean = result.split(sample)
         assert len(aliased) + len(clean) == len(sample)
         assert clean == [a for a, hit in zip(sample, batch_verdicts.tolist()) if not hit]

@@ -453,6 +453,7 @@ def test_repository_declares_the_core_invariants():
         "src/repro/serving/server.py",
         "src/repro/serving/snapshot.py",
         "src/repro/addr/batch.py",
+        "src/repro/core/apd.py",
     ):
         path = REPO_ROOT / rel
         sources.append(SourceFile.load(path, path.as_posix()))
@@ -462,6 +463,7 @@ def test_repository_declares_the_core_invariants():
     assert context.frozen_arrays["AddressBatch"] == ("hi", "lo")
     assert "_start_keys" in context.frozen_arrays["FlatLPM"]
     assert "_responsive" in context.frozen_arrays["HitlistSnapshot"]
+    assert context.frozen_arrays["APDResult"] == ("keys", "_outcomes", "verdicts")
 
 
 def test_r1_covers_the_events_layer():

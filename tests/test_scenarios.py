@@ -276,3 +276,29 @@ class TestDifferentialValidation:
             run_differential("baseline", pairs=["apd", "warp"])
         with pytest.raises(ValueError, match="days"):
             run_differential("baseline", days=0)
+
+    def test_tables_differ_in_a_non_aliased_candidate_or_a_verdict(self):
+        """The oracle compares whole verdict tables: an extra non-aliased
+        candidate and a flipped verdict are both differences, although
+        neither changes the aliased-prefix set."""
+        from repro.addr import IPv6Prefix
+        from repro.core.apd import APDResult, PrefixProbeOutcome
+        from repro.netmodel.services import Protocol
+        from repro.scenarios.differential import _table_diff
+
+        def table(*verdicts):
+            return APDResult.from_outcomes(
+                PrefixProbeOutcome(
+                    IPv6Prefix.parse(f"2001:db8:{i}::/64"),
+                    0,
+                    [IPv6Prefix.parse(f"2001:db8:{i}::/64").first],
+                    branch_responses=[{Protocol.ICMP} if aliased else set()],
+                )
+                for i, aliased in enumerate(verdicts)
+            )
+
+        assert _table_diff("day 3", table(True, False), table(True, False)) == ""
+        extra = _table_diff("day 3", table(True, False), table(True, False, False))
+        assert "day 3" in extra and "2001:db8:2::/64" in extra
+        flip = _table_diff("day 3", table(True, False, False), table(True, False, True))
+        assert "1 verdict flips" in flip and "2001:db8:2::/64" in flip

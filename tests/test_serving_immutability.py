@@ -5,7 +5,8 @@ generation is never mutated in place, so handing readers zero-copy views is
 safe *only* if those views are read-only.  These tests pin the
 ``writeable=False`` contract at every boundary: snapshot queries and
 downloads, the hitlist's columnar exports, every scan's responsiveness
-matrix and the sources' record arrays.
+matrix and the sources' record arrays.  A published day of the service is
+frozen the same way: no reader can change what it shows the others.
 """
 
 from __future__ import annotations
@@ -181,3 +182,40 @@ class TestEveryScanIsFrozen:
         for tool in TOOLS:
             assert report.generated_count(tool), tool
             _assert_frozen(report.responsive_matrix(tool))
+
+
+#: One mutation of a published day's public containers each.
+DAY_MUTATIONS = {
+    "append-aliased-prefix": lambda daily: daily.aliased_prefixes.append(
+        daily.aliased_prefixes[0]
+    ),
+    "pop-outcome": lambda daily: daily.apd_result.outcomes.pop(
+        next(iter(daily.apd_result.outcomes))
+    ),
+    "assign-outcome": lambda daily: daily.apd_result.outcomes.__setitem__(
+        *next(iter(daily.apd_result.outcomes.items()))
+    ),
+    "clear-responsive": lambda daily: daily.responsive_addresses.clear(),
+    "rebind-field": lambda daily: setattr(daily, "aliased_prefixes", ()),
+    "set-branch-responses": lambda daily: setattr(
+        next(iter(daily.apd_result.outcomes.values())),
+        "branch_responses",
+        [{Protocol.ICMP}] * 16,
+    ),
+}
+
+
+class TestPublishedDayCannotBeChanged:
+    """Days up to the next merge share their containers, so a reader that
+    could change one day would change them all.  Each case mutates a day of
+    its own service, so that no case's mutation can mask another's."""
+
+    @pytest.mark.parametrize("mutation", sorted(DAY_MUTATIONS))
+    @pytest.mark.parametrize("reference", [False, True], ids=["batch", "reference"])
+    def test_mutation_raises(self, reference, mutation):
+        service = build(
+            "service", "baseline", scale="tiny", seed=7, policy=ExecutionPolicy(reference=reference)
+        )
+        daily = service.run_days(range(FIRST_DAY, FIRST_DAY + 4))[-1]
+        with pytest.raises((AttributeError, TypeError)):
+            DAY_MUTATIONS[mutation](daily)

@@ -27,20 +27,17 @@ PREFIX = IPv6Prefix(0x2001_0DB8_0407_8000 << 64, 64)
 
 def outcome_with(responsive: int, total: int = 16, day: int = 0) -> PrefixProbeOutcome:
     """A probe outcome with *responsive* of *total* fan-out branches answering."""
-    targets = [IPv6Address(PREFIX.network | (i + 1)) for i in range(total)]
-    responses = [
-        {Protocol.ICMP} if i < responsive else set() for i in range(total)
-    ]
-    return PrefixProbeOutcome(
-        prefix=PREFIX, day=day, targets=targets, branch_responses=responses
-    )
+    return outcome_of([{Protocol.ICMP} if i < responsive else set() for i in range(total)], day)
+
+
+def outcome_of(responses: list, day: int = 0) -> PrefixProbeOutcome:
+    """A probe outcome whose fan-out branch *i* answered ``responses[i]``."""
+    targets = [IPv6Address(PREFIX.network | (i + 1)) for i in range(len(responses))]
+    return PrefixProbeOutcome(prefix=PREFIX, day=day, targets=targets, branch_responses=responses)
 
 
 def merger_for(outcomes_by_day: dict, reference: bool) -> SlidingWindowMerger:
-    daily = {
-        day: APDResult(day=day, outcomes={PREFIX: outcome})
-        for day, outcome in outcomes_by_day.items()
-    }
+    daily = {day: APDResult.from_outcomes([outcome]) for day, outcome in outcomes_by_day.items()}
     return SlidingWindowMerger(daily, policy=ExecutionPolicy(reference=reference))
 
 
@@ -86,14 +83,8 @@ class TestWindowEdges:
     @pytest.mark.parametrize("reference", [True, False], ids=["reference", "fast"])
     def test_window_merges_partial_days_across_the_boundary(self, reference):
         """8 + 8 disjoint branches over two days only alias once merged."""
-        first = outcome_with(16, day=0)
-        first.branch_responses = [
-            {Protocol.ICMP} if i < 8 else set() for i in range(16)
-        ]
-        second = outcome_with(16, day=1)
-        second.branch_responses = [
-            set() if i < 8 else {Protocol.TCP80} for i in range(16)
-        ]
+        first = outcome_of([{Protocol.ICMP} if i < 8 else set() for i in range(16)], day=0)
+        second = outcome_of([set() if i < 8 else {Protocol.TCP80} for i in range(16)], day=1)
         merger = merger_for({0: first, 1: second}, reference)
         assert not merger.windowed_is_aliased(PREFIX, 1, 0)
         assert merger.windowed_is_aliased(PREFIX, 1, 1)
