@@ -17,7 +17,6 @@ from repro.addr.batch import AddressBatch, FlatLPM, random_batch_in_prefix
 from repro.addr.generate import random_address_in_prefix
 from repro.core.clustering import kmeans
 from repro.core.entropy import nybble_entropies
-from repro.exec import chunked_probe_batch, scratch_memmap
 from repro.netmodel.services import Protocol
 from repro.scenarios import build
 
@@ -136,40 +135,18 @@ def test_bench_probe_batch_vs_scalar(benchmark, ctx):
     assert abs(scalar_hits - batch_hits) <= max(50, int(n * 0.02))
 
 
-# -- out-of-core scaling curve ----------------------------------------------
+# -- probe scaling curve ----------------------------------------------------
 
 #: Probe-sweep tiers: 1x / 10x / 100x fan-out rows.
 SCALING_TIERS = {"1x": 1_024, "10x": 10_240, "100x": 102_400}
-SCALING_CHUNK_ROWS = 2_048
 
 
-def _scaling_run(internet, targets, protocols, *, storage):
-    """One timed streamed probe sweep; returns (elapsed, responses)."""
-    n = len(targets)
-    out = (
-        scratch_memmap((n, len(protocols)), np.bool_)
-        if storage == "memmap"
-        else np.zeros((n, len(protocols)), dtype=bool)
-    )
-    start = time.perf_counter()
-    chunked_probe_batch(
-        internet,
-        targets,
-        protocols,
-        0,
-        chunk_rows=SCALING_CHUNK_ROWS,
-        out=out,
-    )
-    elapsed = time.perf_counter() - start
-    return elapsed, int(np.asarray(out).sum())
+def test_bench_scaling_curve(benchmark):
+    """Throughput of one plain probe_batch call per tier.
 
-
-def test_bench_scaling_curve(benchmark, tmp_path):
-    """Throughput of the streamed probe sweep across tiers and storage.
-
-    Measures the execution tier's scaling curve -- 1x/10x/100x fan-out rows,
-    RAM vs memmap scratch -- and appends the results to
-    ``BENCH_scaling.json``.  The gated metric is the 10x RAM throughput
+    Measures the probe path's scaling curve -- 1x/10x/100x fan-out rows, one
+    ``probe_batch`` call each -- and appends the results to
+    ``BENCH_scaling.json``.  The gated metric is the 10x throughput
     (``targets_per_sec``).
     """
     internet = build("internet", "megascale", scale="tiny", anomalies="deterministic")
@@ -177,41 +154,24 @@ def test_bench_scaling_curve(benchmark, tmp_path):
     region = internet.aliased_regions[0]
     rng = np.random.default_rng(9)
     # Warm the lazy batch index untimed, as test_bench_probe_batch_vs_scalar
-    # does: the 1x RAM cell is the first probe on this world and would
-    # otherwise time the index build instead of the sweep.
+    # does: the 1x cell is the first probe on this world and would otherwise
+    # time the index build instead of the sweep.
     internet.probe_batch(AddressBatch.from_ints([region.prefix.network]), protocols, day=0)
 
     def sweep():
         curve = {}
-        responses = {}
         for tier, n in SCALING_TIERS.items():
             batch = random_batch_in_prefix(region.prefix, n, rng)
-            # The 100x tier runs out-of-core end to end: targets parked in a
-            # memmap file and reopened zero-copy, never fully heap-resident.
-            if tier == "100x":
-                batch = AddressBatch.from_memmap(
-                    batch.to_memmap(tmp_path / f"targets-{tier}.npy")
-                )
-            curve[tier] = {}
-            for storage in ("ram", "memmap"):
-                elapsed, responded = _scaling_run(internet, batch, protocols, storage=storage)
-                curve[tier][storage] = {
-                    "elapsed_sec": round(elapsed, 6),
-                    "targets_per_sec": round(n / elapsed) if elapsed else None,
-                }
-                responses.setdefault(tier, set()).add(responded)
-        return curve, responses
+            start = time.perf_counter()
+            internet.probe_batch(batch, protocols, day=0)
+            elapsed = time.perf_counter() - start
+            curve[tier] = {
+                "elapsed_sec": round(elapsed, 6),
+                "targets_per_sec": round(n / elapsed) if elapsed else None,
+            }
+        return curve
 
-    curve, responses = run_once(benchmark, sweep)
-    # Both storages of a tier probe the identical target rows on a
-    # deterministic internet: response counts must agree exactly.
-    for tier, counts in responses.items():
-        assert len(counts) == 1, (tier, counts)
-
-    payload = {
-        "targets_per_sec": curve["10x"]["ram"]["targets_per_sec"],
-        "chunk_rows": SCALING_CHUNK_ROWS,
-        "curve": curve,
-    }
+    curve = run_once(benchmark, sweep)
+    payload = {"targets_per_sec": curve["10x"]["targets_per_sec"], "curve": curve}
     write_bench_json("scaling", payload)
     print(f"\nscaling curve: {curve}")

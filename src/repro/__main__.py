@@ -21,7 +21,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.exec import STORAGE_KINDS, ExecutionPolicy
+from repro.exec import ExecutionPolicy
 from repro.experiments import EXPERIMENTS, run_all, run_experiment
 from repro.experiments.context import (
     DEFAULT_EXPERIMENT_CONFIG,
@@ -35,23 +35,11 @@ _SCALES = {"default": DEFAULT_EXPERIMENT_CONFIG, "test": TEST_EXPERIMENT_CONFIG}
 
 
 def _add_policy_options(parser: argparse.ArgumentParser) -> None:
-    """The execution-policy flags, shared by every pipeline-running command."""
+    """The execution-policy flag, shared by every pipeline-running command."""
     parser.add_argument(
         "--reference",
         action="store_true",
         help="run the scalar reference engines instead of the fast ones",
-    )
-    parser.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=None,
-        help="stream hot paths in chunks of this many rows (out-of-core tier)",
-    )
-    parser.add_argument(
-        "--storage",
-        choices=sorted(STORAGE_KINDS),
-        default="ram",
-        help="chunk scratch storage: ram or memmap (default: ram)",
     )
 
 
@@ -118,12 +106,8 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_policy(args: argparse.Namespace) -> ExecutionPolicy:
-    """The execution policy described by the CLI policy flags."""
-    return ExecutionPolicy(
-        reference=args.reference,
-        chunk_rows=args.chunk_rows,
-        storage=args.storage,
-    )
+    """The execution policy described by the CLI policy flag."""
+    return ExecutionPolicy(reference=args.reference)
 
 
 def _build_server(args: argparse.Namespace):

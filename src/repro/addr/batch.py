@@ -17,9 +17,8 @@ Three pieces live here:
 * :class:`FlatLPM` -- a flattened longest-prefix-match table: a prefix set is
   decomposed once into disjoint 128-bit intervals so that batch lookups are a
   single native binary search instead of one scalar lookup per address,
-* :class:`FanoutPlan` -- vectorised generation of the paper's 16-probe APD
-  fan-out for many prefixes at once (Table 3), whole or one row span at a
-  time.
+* :func:`batch_fanout_targets` -- vectorised generation of the paper's
+  16-probe APD fan-out for many prefixes at once (Table 3).
 
 128-bit values do not fit numpy's integer dtypes, so every search packs each
 ``(hi, lo)`` pair into one 16-byte big-endian ``V16`` key, whose byte order
@@ -30,7 +29,6 @@ table searched again and again keeps its side packed (:class:`FlatLPM`,
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -160,41 +158,6 @@ class AddressBatch:
             np.concatenate([b.hi for b in batches]),
             np.concatenate([b.lo for b in batches]),
         )
-
-    # -- out-of-core storage ----------------------------------------------
-
-    def to_memmap(self, path: "str | os.PathLike[str]") -> str:
-        """Write the batch to *path* as a shape ``(2, n)`` uint64 ``.npy`` file.
-
-        Row 0 holds ``hi``, row 1 ``lo``.  The file is a plain ``.npy`` so it
-        round-trips through :meth:`from_memmap` (zero-copy, read-only mapping)
-        as well as ordinary ``np.load``.  Returns the written path.
-        """
-        out = np.lib.format.open_memmap(
-            os.fspath(path), mode="w+", dtype=np.uint64, shape=(2, len(self))
-        )
-        out[0] = self.hi
-        out[1] = self.lo
-        out.flush()
-        return os.fspath(path)
-
-    @classmethod
-    def from_memmap(cls, path: "str | os.PathLike[str]") -> "AddressBatch":
-        """Open a batch written by :meth:`to_memmap` as a read-only mapping.
-
-        The returned batch's ``hi``/``lo`` are views over the file mapping --
-        no rows are materialised in RAM until touched, which is what lets the
-        streaming kernels in :mod:`repro.exec` bound their working set by
-        ``chunk_rows`` instead of the corpus size.
-        """
-        mapped = np.lib.format.open_memmap(os.fspath(path), mode="r")
-        if mapped.ndim != 2 or mapped.shape[0] != 2 or mapped.dtype != np.uint64:
-            raise ValueError(
-                f"not an AddressBatch memmap: {os.fspath(path)!r} has "
-                f"dtype={mapped.dtype}, shape={mapped.shape} "
-                "(expected uint64, shape (2, n))"
-            )
-        return cls(mapped[0], mapped[1])
 
     # -- conversion --------------------------------------------------------
 
@@ -609,25 +572,33 @@ def _random_host_bits(
     return rand_hi & mask_hi, rand_lo & mask_lo
 
 
-def fanout_rows(
-    net_hi: np.ndarray,
-    net_lo: np.ndarray,
-    lengths: np.ndarray,
-    branch: np.ndarray,
-    seed: int,
-    day: int,
-) -> AddressBatch:
-    """The fan-out target of each row: prefix ``(net_hi, net_lo, lengths)``,
-    fan-out branch *branch* (all arrays per row).
+def batch_fanout_targets(
+    prefixes: Sequence["IPv6Prefix"], seed: int = 0, day: int = 0
+) -> tuple[AddressBatch, np.ndarray, np.ndarray]:
+    """Vectorised APD fan-out generation for many prefixes at once.
 
-    The branch number sits just below the prefix; the host bits below it are
-    keyed on (prefix, day, branch, *seed*) (:mod:`repro.keyed`), so a row's
-    target never depends on which other rows are built with it.
+    For every prefix of length ``L`` the fan-out picks one address in each of
+    its 16 length-``L+4`` subprefixes (fewer for L > 124, where the remaining
+    host bits are enumerated), exactly like the scalar
+    :func:`repro.addr.generate.fanout_targets`.  The branch number sits just
+    below the prefix; the host bits below it are keyed on (prefix, day,
+    branch, *seed*) (:mod:`repro.keyed`), so a row's target never depends on
+    which other rows are built with it.  Returns ``(targets, prefix_index,
+    branch)``: the targets of one prefix are contiguous and ordered by
+    branch, ``prefix_index[i]`` is the position of row *i*'s prefix in
+    *prefixes* and ``branch[i]`` its fan-out branch number.
     """
-    sub_lengths = np.minimum(lengths + 4, BITS)
+    num = len(prefixes)
+    lengths = np.fromiter((p.length for p in prefixes), np.int64, num)
+    counts = 1 << (np.minimum(lengths + 4, BITS) - lengths)
+    prefix_index = np.repeat(np.arange(num), counts)
+    branch = np.arange(len(prefix_index)) - np.repeat(np.cumsum(counts) - counts, counts)
+    net_hi = np.fromiter((p.network >> 64 for p in prefixes), np.uint64, num)[prefix_index]
+    net_lo = np.fromiter((p.network & _LO_MASK for p in prefixes), np.uint64, num)[prefix_index]
+    lengths = lengths[prefix_index]
     # ``shift`` is the bit position of the branch field and simultaneously
     # the number of host bits below it.
-    shift = BITS - sub_lengths
+    shift = BITS - np.minimum(lengths + 4, BITS)
     b = branch.astype(np.uint64)
     hi_part = np.where(shift >= 64, _shl64(b, shift - 64), _shr64(b, 64 - shift))
     lo_part = np.where(shift >= 64, np.uint64(0), _shl64(b, shift))
@@ -635,69 +606,11 @@ def fanout_rows(
     hi_stream = np.uint64(keyed.stream(keyed.FANOUT_HI, seed, day))
     lo_stream = np.uint64(keyed.stream(keyed.FANOUT_LO, seed, day))
     mask_hi, mask_lo = _host_masks(shift)
-    return AddressBatch(
+    targets = AddressBatch(
         net_hi | hi_part | (keyed.key_array(prefix_key ^ hi_stream, b) & mask_hi),
         net_lo | lo_part | (keyed.key_array(prefix_key ^ lo_stream, b) & mask_lo),
     )
-
-
-class FanoutPlan:
-    """Row layout of an APD fan-out, materialisable one row span at a time.
-
-    For every prefix of length ``L`` the fan-out picks one address in each of
-    its 16 length-``L+4`` subprefixes (fewer for L > 124, where the remaining
-    host bits are enumerated), exactly like the scalar
-    :func:`repro.addr.generate.fanout_targets`.  The plan holds only the
-    per-prefix geometry (network limbs, fan-out counts, first-row offsets);
-    :meth:`chunk` builds target rows ``[start, end)`` for the plan's *seed*
-    and *day*.  Targets of one prefix are contiguous and ordered by branch,
-    and every row is keyed on its own coordinates (:func:`fanout_rows`), so
-    any span equals the same rows of the whole fan-out.
-    """
-
-    __slots__ = ("seed", "day", "net_hi", "net_lo", "lengths", "counts", "starts", "total")
-
-    def __init__(self, prefixes: Sequence["IPv6Prefix"], seed: int = 0, day: int = 0) -> None:
-        num = len(prefixes)
-        self.seed = seed
-        self.day = day
-        self.net_hi = np.fromiter((p.network >> 64 for p in prefixes), np.uint64, num)
-        self.net_lo = np.fromiter((p.network & _LO_MASK for p in prefixes), np.uint64, num)
-        self.lengths = np.fromiter((p.length for p in prefixes), np.int64, num)
-        self.counts = (1 << (np.minimum(self.lengths + 4, BITS) - self.lengths)).astype(np.int64)
-        self.starts = np.cumsum(self.counts) - self.counts
-        self.total = int(self.counts.sum())
-
-    def chunk(self, start: int, end: int) -> tuple[AddressBatch, np.ndarray, np.ndarray]:
-        """Target rows ``[start, end)``: ``(targets, prefix_index, branch)``.
-
-        ``prefix_index[i]`` is the position of row *i*'s prefix in the plan's
-        prefix list and ``branch[i]`` its fan-out branch number.
-        """
-        rows = np.arange(start, end, dtype=np.int64)
-        prefix_index = np.searchsorted(self.starts, rows, side="right") - 1
-        branch = rows - self.starts[prefix_index]
-        targets = fanout_rows(
-            self.net_hi[prefix_index],
-            self.net_lo[prefix_index],
-            self.lengths[prefix_index],
-            branch,
-            self.seed,
-            self.day,
-        )
-        return targets, prefix_index, branch
-
-
-def batch_fanout_targets(
-    prefixes: Sequence["IPv6Prefix"], seed: int = 0, day: int = 0
-) -> tuple[AddressBatch, np.ndarray, np.ndarray]:
-    """Vectorised APD fan-out generation for many prefixes at once.
-
-    The whole :class:`FanoutPlan` as one chunk: ``(targets, prefix_index,
-    branch)`` for every fan-out row, in one pass over numpy arrays.
-    """
-    plan = FanoutPlan(prefixes, seed, day)
-    return plan.chunk(0, plan.total)
+    return targets, prefix_index, branch
 
 
 def random_batch_in_prefix(

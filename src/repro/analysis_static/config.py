@@ -39,6 +39,15 @@ R1_NP_RANDOM_OK: frozenset[str] = frozenset(
 #: ``__init__`` is flagged for these.
 R2_FROZEN_CLASS_NAMES: frozenset[str] = frozenset({"HitlistSnapshot"})
 
+#: Calls that build a mutable container, by kind: a frozen class's method
+#: must not return one it also caches on ``self``, which every reader shares.
+R2_MUTABLE_BUILDERS: dict[str, str] = {
+    "set": "set",
+    "list": "list",
+    "sorted": "list",
+    "dict": "dict",
+}
+
 #: ndarray methods that mutate in place.
 R2_MUTATING_ARRAY_METHODS: frozenset[str] = frozenset(
     {"sort", "resize", "fill", "partition", "put", "itemset", "setflags", "byteswap"}

@@ -11,6 +11,11 @@ an in-place mutation.  This rule makes the discipline checkable:
   store to those attributes outside ``__init__``: no ``self.x = ...``, no
   ``self.x += ...``, no ``self.x[...] = ...``, no mutating ndarray calls
   (``.sort()``, ``.resize()``, ``.fill()``, ...).
+* A method of a frozen class must not return a mutable ``set``, ``list``
+  or ``dict`` that it also caches on ``self`` (``cached = self._sets[k] =
+  set(...)``, then ``return cached``): every reader would get the same
+  container, and any of them could change what the others see.  Cache a
+  ``frozenset``, a ``tuple`` or a read-only mapping instead.
 * A *publish-boundary* method (``ClassName.method`` in
   :data:`~repro.analysis_static.config.R2_PUBLISH_BOUNDARY_METHODS`) must
   not return a bare slice/subscript or ``np.asarray``/``np.array`` result:
@@ -59,6 +64,26 @@ def _is_np_array_call(node: ast.Call) -> bool:
         and isinstance(func.value, ast.Name)
         and func.value.id in ("np", "numpy")
     )
+
+
+def _cache_attr(target: ast.expr) -> str | None:
+    """The ``self`` attribute a store caches into: ``self.x`` or ``self.x[...]``."""
+    if isinstance(target, ast.Subscript):
+        target = target.value
+    return _self_attr(target)
+
+
+def _mutable_kind(node: ast.expr) -> str | None:
+    """``set``, ``list`` or ``dict`` when *node* builds that mutable container."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return "set"
+    if isinstance(node, (ast.List, ast.ListComp)):
+        return "list"
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return "dict"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return config.R2_MUTABLE_BUILDERS.get(node.func.id)
+    return None
 
 
 def _is_approved_wrapper(node: ast.Call) -> bool:
@@ -110,6 +135,7 @@ class ImmutabilityRule(Rule):
                 yield from self._check_frozen_method(
                     source, class_node, item, restricted
                 )
+                yield from self._check_cached_returns(source, class_node, item)
             boundary_key = f"{class_node.name}.{item.name}"
             if boundary_key in config.R2_PUBLISH_BOUNDARY_METHODS:
                 yield from self._check_boundary_method(source, boundary_key, item)
@@ -165,6 +191,39 @@ class ImmutabilityRule(Rule):
                         f"mutating call self.{attr}.{node.func.attr}() on "
                         f"frozen class {cls}",
                     )
+
+    # -- cached mutable returns -----------------------------------------
+
+    def _check_cached_returns(
+        self,
+        source: SourceFile,
+        class_node: ast.ClassDef,
+        method: ast.FunctionDef | ast.AsyncFunctionDef,
+    ) -> Iterator[Finding]:
+        """Flag returns of a mutable container the method also caches on ``self``."""
+        # Local names and ``self.<attr>`` caches bound to a built container.
+        cached: dict[str, str] = {}
+        for node in ast.walk(method):
+            if isinstance(node, ast.Assign) and (kind := _mutable_kind(node.value)):
+                stores = [attr for attr in map(_cache_attr, node.targets) if attr]
+                if stores:
+                    cached.update((f"self.{attr}", kind) for attr in stores)
+                    cached.update((t.id, kind) for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(method):
+            if not isinstance(node, ast.Return) or node.value is None:
+                continue
+            value = node.value
+            if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute):
+                value = value.func.value if value.func.attr == "get" else value
+            key = value.id if isinstance(value, ast.Name) else f"self.{_cache_attr(value)}"
+            if key in cached:
+                yield self.finding(
+                    source,
+                    node,
+                    f"{class_node.name}.{method.name} returns a cached mutable "
+                    f"{cached[key]} that every reader shares; cache a frozenset, "
+                    "a tuple or a read-only mapping instead",
+                )
 
     # -- publish-boundary returns ---------------------------------------
 

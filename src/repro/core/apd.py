@@ -28,15 +28,15 @@ import numpy as np
 from repro.addr.address import IPv6Address, _to_int
 from repro.addr.batch import (
     AddressBatch,
-    FanoutPlan,
     FlatLPM,
     _exact_positions,
+    batch_fanout_targets,
     prefix_masks,
     readonly_view,
 )
 from repro.addr.generate import fanout_targets
 from repro.addr.prefix import IPv6Prefix
-from repro.exec import ExecutionPolicy, plan_chunk_spans, scratch_memmap
+from repro.exec import ExecutionPolicy
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import Protocol
 
@@ -379,8 +379,7 @@ class AliasedPrefixDetector:
 
     Fan-out host bits are keyed on (prefix, day, branch, *seed*) and every
     probe outcome on its own coordinates (:mod:`repro.keyed`), so the two
-    engines -- and any chunking of the fast one -- return identical
-    outcomes, loss and rate limiting included.
+    engines return identical outcomes, loss and rate limiting included.
     """
 
     def __init__(
@@ -456,49 +455,33 @@ class AliasedPrefixDetector:
     ) -> dict[IPv6Prefix, PrefixProbeOutcome]:
         """Probe many candidate prefixes in one vectorised pass (the hot path).
 
-        The fan-out rows of every prefix (a :class:`FanoutPlan`) are built
-        and resolved by :meth:`SimulatedInternet.probe_batch` one span of
-        ``policy.effective_chunk_rows`` rows at a time -- one span over every
-        row by default -- into RAM or memmap stores (``policy.storage``).
-        Verdicts are reduced per span, so the working set never exceeds one
-        chunk.  Duplicate prefixes collapse onto one outcome (probed once).
+        The fan-out rows of every prefix (:func:`batch_fanout_targets`) are
+        resolved by one :meth:`SimulatedInternet.probe_batch` call, and each
+        prefix's outcome holds slices of its target columns and probe matrix.
+        Duplicate prefixes collapse onto one outcome (probed once).
         """
         prefix_list = list(dict.fromkeys(prefixes))
         if self.policy.reference:
             return {p: self._probe_prefix_scalar(p, day) for p in prefix_list}
-        plan = FanoutPlan(prefix_list, self._seed, day)
+        if not prefix_list:
+            return {}
+        targets, prefix_index, _ = batch_fanout_targets(prefix_list, self._seed, day)
         protocols = self.config.protocols
-        total = plan.total
-        if self.policy.storage == "memmap" and total:
-            hi = scratch_memmap((total,), np.uint64)
-            lo = scratch_memmap((total,), np.uint64)
-            matrix = scratch_memmap((total, len(protocols)), np.bool_)
-        else:
-            hi = np.empty(total, dtype=np.uint64)
-            lo = np.empty(total, dtype=np.uint64)
-            matrix = np.empty((total, len(protocols)), dtype=bool)
-        # Fan-out rows that answered on any protocol, per prefix: aliased
-        # when every row answered.
-        answered = np.zeros(len(prefix_list))
-        for s, e in plan_chunk_spans(total, self.policy.effective_chunk_rows):
-            targets, prefix_index, _ = plan.chunk(s, e)
-            responsive = self.internet.probe_batch(targets, protocols, day).responsive
-            hi[s:e] = targets.hi
-            lo[s:e] = targets.lo
-            matrix[s:e] = responsive
-            answered += np.bincount(
-                prefix_index, weights=responsive.any(axis=1), minlength=len(prefix_list)
-            )
-        aliased = (answered >= plan.counts).tolist()
+        matrix = self.internet.probe_batch(targets, protocols, day).responsive
+        ends = np.cumsum(np.bincount(prefix_index))
+        starts = np.concatenate(([0], ends[:-1]))
+        # A prefix is aliased when every one of its fan-out rows answered on
+        # any protocol.
+        aliased = np.logical_and.reduceat(matrix.any(axis=1), starts).tolist()
         outcomes: dict[IPv6Prefix, PrefixProbeOutcome] = {}
         for prefix, start, end, verdict in zip(
-            prefix_list, plan.starts.tolist(), (plan.starts + plan.counts).tolist(), aliased
+            prefix_list, starts.tolist(), ends.tolist(), aliased
         ):
             outcomes[prefix] = PrefixProbeOutcome.from_matrix(
                 prefix,
                 day,
-                hi[start:end],
-                lo[start:end],
+                targets.hi[start:end],
+                targets.lo[start:end],
                 matrix[start:end],
                 protocols,
                 aliased=verdict,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -38,7 +37,7 @@ from repro.core.entropy import (
     grouped_nybble_entropies,
     median_profile,
 )
-from repro.exec import ExecutionPolicy, kmeans_assign_block, plan_chunk_spans
+from repro.exec import ExecutionPolicy
 
 @dataclass(slots=True)
 class KMeansResult:
@@ -145,27 +144,24 @@ def _lloyd_vectorized(
     centroids: np.ndarray,
     k: int,
     max_iterations: int,
-    chunk_rows: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Fully vectorised Lloyd loop: no per-centroid Python iteration.
 
-    Distances come from one broadcast ``(x - c)^2`` reduction
-    (:func:`repro.exec.kmeans_assign_block`, over row blocks of *chunk_rows*;
-    one block when ``None``) — elementwise and reduction-order identical to
-    the reference engine's per-centroid expression, so near-tie argmin
-    decisions cannot diverge the way the ``|x|^2 - 2 x.c + |c|^2`` matmul
-    expansion (catastrophic cancellation) could, and any block split gives
-    the same labels.  Centroid updates are one ``np.add.at`` scatter plus a
+    Distances come from one broadcast ``(x - c)^2`` reduction — elementwise
+    and reduction-order identical to the reference engine's per-centroid
+    expression, so near-tie argmin decisions cannot diverge the way the
+    ``|x|^2 - 2 x.c + |c|^2`` matmul expansion (catastrophic cancellation)
+    could.  Centroid updates are one ``np.add.at`` scatter plus a
     ``bincount`` over all rows.  Empty clusters keep their previous
     centroid, like the reference loop.
     """
     n, dims = data.shape
-    spans = plan_chunk_spans(n, chunk_rows)
     labels = np.zeros(n, dtype=int)
     centroids = centroids.astype(np.float64, copy=True)
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        new_labels = np.concatenate([kmeans_assign_block(data[s:e], centroids) for s, e in spans])
+        distances = ((data[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(distances, axis=1)
         if iterations > 1 and np.array_equal(new_labels, labels):
             labels = new_labels
             break
@@ -191,18 +187,13 @@ def kmeans(
 
     Returns the restart with the lowest sum of squared errors.  ``policy``
     selects the Lloyd implementation; both engines consume the identical
-    seeded rng stream and agree on the result.  The fast engine assigns
-    labels in blocks of ``policy.effective_chunk_rows`` rows, which bounds
-    its distance matrix without changing a bit of the result.
+    seeded rng stream and agree on the result.
     """
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("data must be a non-empty 2-D array")
     if not 1 <= k <= data.shape[0]:
         raise ValueError(f"k={k} out of range for {data.shape[0]} points")
-    if policy.reference:
-        lloyd = _lloyd_reference
-    else:
-        lloyd = partial(_lloyd_vectorized, chunk_rows=policy.effective_chunk_rows)
+    lloyd = _lloyd_reference if policy.reference else _lloyd_vectorized
     rng = random.Random(seed)
     best: KMeansResult | None = None
     for _ in range(restarts):
@@ -317,8 +308,7 @@ class EntropyClustering:
     and fingerprints a columnar :class:`AddressBatch` in one pass and runs
     the vectorised k-means; ``policy.reference`` keeps the original scalar
     ``group_by_prefix`` + per-network fingerprint loop and the reference
-    k-means, for parity tests and ablations.  The chunking knob reaches the
-    k-means too, so a chunked clustering policy chunks its label assignment.
+    k-means, for parity tests and ablations.
     """
 
     def __init__(

@@ -83,7 +83,7 @@ class Hitlist:
         self._first = np.zeros(0, dtype=np.int64)
         self._source_names: list[str] = []
         self._source_bits: dict[str, int] = {}
-        self._addresses: list[IPv6Address] | None = None
+        self._addresses: tuple[IPv6Address, ...] | None = None
         self._view: Hitlist | None = None
         self._read_only = False
 
@@ -217,10 +217,14 @@ class Hitlist:
         return int(self._hi.shape[0])
 
     @property
-    def addresses(self) -> list[IPv6Address]:
-        """All hitlist addresses (ascending; materialised lazily and cached)."""
+    def addresses(self) -> tuple[IPv6Address, ...]:
+        """All hitlist addresses (ascending; materialised lazily and cached).
+
+        A tuple: every reader gets the same cached object, so no reader may
+        change what the others see.
+        """
         if self._addresses is None:
-            self._addresses = self.address_batch.to_addresses()
+            self._addresses = tuple(self.address_batch.to_addresses())
         return self._addresses
 
     @property

@@ -14,22 +14,25 @@ Two implementations coexist, selected by ``policy.reference``:
   and an outcome-present flag); each window size is then a handful of
   column shifts-and-ORs plus one ``bitwise_count``, instead of
   O(prefixes x days x windows) dict walks.
-* the reference engine -- the original per-prefix dict walks, kept for
-  parity tests and as the implementation behind the public per-prefix
-  queries.
+* the reference engine -- per-prefix walks over each day's outcome, kept
+  for parity tests and as the implementation behind the public per-prefix
+  queries.  A sweep fetches each (prefix, day) outcome once per window size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.addr.generate import FANOUT
 from repro.addr.prefix import IPv6Prefix
 from repro.core.apd import APDResult
-from repro.exec import ExecutionPolicy, plan_chunk_spans
+from repro.exec import ExecutionPolicy
+
+#: One day's observation of a prefix: its fan-out size and responsive branches.
+_Observed = tuple[int, set[int]]
 
 
 def window_verdict_block(
@@ -39,12 +42,10 @@ def window_verdict_block(
     days: Sequence[int],
     window: int,
 ) -> np.ndarray:
-    """Windowed aliased verdicts for a block of prefix rows.
+    """Windowed aliased verdicts of every (prefix, day) cell.
 
-    The row-independent core of the vectorized sweep: every prefix row is
-    classified from its own ``(day)`` columns only, so computing the matrix
-    in row blocks yields exactly the whole-matrix result --
-    integer bit-ORs and counts, no floating point to reassociate.
+    The vectorized sweep: every prefix row is classified from its own day
+    columns only, with integer bit-ORs and counts.
     """
     column_of = {d: j for j, d in enumerate(days)}
     acc_masks = np.zeros_like(masks)
@@ -108,6 +109,36 @@ class SlidingWindowMerger:
 
     # -- windowed classification (scalar reference, also the per-prefix API) ------
 
+    def _history(self, prefix: IPv6Prefix, days: Iterable[int]) -> dict[int, _Observed]:
+        """The prefix's fan-out size and responsive branches on each of *days*
+        that probed it: one outcome lookup per day."""
+        history: dict[int, _Observed] = {}
+        for d in days:
+            result = self._daily.get(d)
+            outcome = None if result is None else result.outcomes.get(prefix)
+            if outcome is not None:
+                history[d] = (outcome.num_targets, outcome.responsive_branches)
+        return history
+
+    @staticmethod
+    def _judge(history: Mapping[int, _Observed], day: int, window: int) -> bool:
+        """Aliased verdict on *day* under a window size, from a prefix's history.
+
+        The fan-out size a full alias response must reach comes from the
+        prefix's outcome on the queried day; when the prefix was not probed
+        that day, from its most recent outcome within the window (so
+        non-default fan-outs -- e.g. prefixes longer than /124 with fewer
+        than 16 targets -- are not misjudged against a hardcoded 16), and
+        only as a last resort from the shared APD fan-out constant.
+        """
+        recent_first = [history[d] for d in range(day, day - window - 1, -1) if d in history]
+        expected = recent_first[0][0] if recent_first else FANOUT
+        return len(set().union(*(branches for _, branches in recent_first))) >= expected
+
+    def _verdict_days(self, window: int) -> list[int]:
+        """The days that get a verdict: from the ``window``-th observed day on."""
+        return [d for d in self._days if d - self._days[0] >= window]
+
     def windowed_responsive_branches(
         self, prefix: IPv6Prefix, day: int, window: int
     ) -> set[int]:
@@ -116,38 +147,12 @@ class SlidingWindowMerger:
         ``window = 0`` uses only the given day; ``window = n`` additionally
         merges the n previous days.
         """
-        branches: set[int] = set()
-        for d in range(day - window, day + 1):
-            result = self._daily.get(d)
-            if result is None:
-                continue
-            outcome = result.outcomes.get(prefix)
-            if outcome is not None:
-                branches |= outcome.responsive_branches
-        return branches
-
-    def _expected_targets(self, prefix: IPv6Prefix, day: int, window: int) -> int:
-        """Fan-out size a full alias response must reach for this prefix.
-
-        Taken from the prefix's outcome on the queried day; when the prefix
-        was not probed that day, from its most recent outcome within the
-        window (so non-default fan-outs -- e.g. prefixes longer than /124
-        with fewer than 16 targets -- are not misjudged against a hardcoded
-        16), and only as a last resort from the shared APD fan-out constant.
-        """
-        for d in range(day, day - window - 1, -1):
-            result = self._daily.get(d)
-            if result is None:
-                continue
-            outcome = result.outcomes.get(prefix)
-            if outcome is not None:
-                return outcome.num_targets
-        return FANOUT
+        history = self._history(prefix, range(day - window, day + 1))
+        return set().union(*(branches for _, branches in history.values()))
 
     def windowed_is_aliased(self, prefix: IPv6Prefix, day: int, window: int) -> bool:
         """Aliased verdict for a prefix on a day under a window size."""
-        expected = self._expected_targets(prefix, day, window)
-        return len(self.windowed_responsive_branches(prefix, day, window)) >= expected
+        return self._judge(self._history(prefix, range(day - window, day + 1)), day, window)
 
     def daily_verdicts(self, prefix: IPv6Prefix, window: int) -> list[bool]:
         """Per-day aliased verdicts for one prefix under a window size.
@@ -156,8 +161,8 @@ class SlidingWindowMerger:
         observed day onwards) so that short histories do not masquerade as
         instability.
         """
-        verdict_days = [d for d in self._days if d - self._days[0] >= window]
-        return [self.windowed_is_aliased(prefix, d, window) for d in verdict_days]
+        history = self._history(prefix, self._days)
+        return [self._judge(history, d, window) for d in self._verdict_days(window)]
 
     def is_unstable(self, prefix: IPv6Prefix, window: int) -> bool:
         """Does the prefix change nature across days under this window?"""
@@ -199,22 +204,16 @@ class SlidingWindowMerger:
     def _windowed_verdicts(self, window: int) -> np.ndarray:
         """Boolean (prefix, day) matrix of windowed aliased verdicts.
 
-        :func:`window_verdict_block` over row spans of
-        ``policy.effective_chunk_rows`` prefixes (one span by default).
         Cached per window size: ``window_stats`` and
         ``final_aliased_prefixes`` on the same window share one computation.
         """
         cached = self._verdict_cache.get(window)
-        if cached is not None:
-            return cached
-        masks, expected, present = self._ensure_matrices()
-        verdicts = np.empty(masks.shape, dtype=bool)
-        for s, e in plan_chunk_spans(masks.shape[0], self.policy.effective_chunk_rows):
-            verdicts[s:e] = window_verdict_block(
-                masks[s:e], expected[s:e], present[s:e], self._days, window
+        if cached is None:
+            masks, expected, present = self._ensure_matrices()
+            cached = self._verdict_cache[window] = window_verdict_block(
+                masks, expected, present, self._days, window
             )
-        self._verdict_cache[window] = verdicts
-        return verdicts
+        return cached
 
     # -- Table 4 ------------------------------------------------------------------
 
@@ -222,11 +221,16 @@ class SlidingWindowMerger:
         """Unstable-prefix count and final aliased count for one window size."""
         prefixes = self.prefixes()
         if self.policy.reference:
-            unstable = sum(1 for p in prefixes if self.is_unstable(p, window))
-            last_day = self._days[-1]
-            aliased_final = sum(
-                1 for p in prefixes if self.windowed_is_aliased(p, last_day, window)
-            )
+            verdict_days = self._verdict_days(window)
+            unstable = aliased_final = 0
+            for prefix in prefixes:
+                history = self._history(prefix, self._days)
+                verdicts = [self._judge(history, d, window) for d in verdict_days]
+                unstable += len(set(verdicts)) > 1
+                # The last day is the last verdict day once the window has filled.
+                aliased_final += (
+                    verdicts[-1] if verdicts else self._judge(history, self._days[-1], window)
+                )
         else:
             verdicts = self._windowed_verdicts(window)
             first = self._days[0]

@@ -5,7 +5,7 @@ and examples all wire a scenario's experiment config, substrate and APD
 floor through it, so no consumer re-derives that wiring:
 
     service = scenarios.build("service", "megascale",
-                              policy=ExecutionPolicy(chunk_rows=65536))
+                              policy=ExecutionPolicy(reference=True))
 
 *policy* is an :class:`~repro.exec.ExecutionPolicy` (``None`` for the
 defaults); it reaches the context, service, server and pipeline targets.

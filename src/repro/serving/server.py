@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.addr.address import IPv6Address
     from repro.addr.prefix import IPv6Prefix
     from repro.core.hitlist import DailyHitlist
-    from repro.netmodel.internet import SimulatedInternet
 
 
 class ServingError(RuntimeError):
@@ -83,11 +82,10 @@ class HitlistServer:
         self,
         service: HitlistService,
         *,
-        internet: "SimulatedInternet | None" = None,
         validate_hook: "Callable[[HitlistSnapshot], None] | None" = None,
     ):
         self.service = service
-        self.internet = service.internet if internet is None else internet
+        self.internet = service.internet
         #: Invoked with each fully built snapshot *before* the atomic swap --
         #: a validation gate (reject a bad build before it goes live); tests
         #: use it to hold a publish in flight deterministically.

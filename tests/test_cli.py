@@ -50,7 +50,15 @@ class TestParser:
         assert args.asn == 64500
         assert args.scale == "tiny"
 
-    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--shard-by", "rows"]])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--workers", "2"],
+            ["--shard-by", "rows"],
+            ["--chunk-rows", "1000"],
+            ["--storage", "memmap"],
+        ],
+    )
     def test_removed_policy_flags_exit_2(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "fig1", "--scale", "test", *flag])

@@ -225,6 +225,80 @@ def test_r2_publish_boundary_bare_asarray(tmp_path):
     assert "np.asarray" in findings[0].message
 
 
+R2_BAD_CACHE = """
+    class Scan:
+        __frozen_arrays__ = ("responsive",)
+
+        def __init__(self, rows):
+            self.responsive = rows
+            self._sets = {}
+            self._names = None
+
+        def responsive_on(self, key):
+            cached = self._sets.get(key)
+            if cached is None:
+                cached = self._sets[key] = set(self.responsive)
+            return cached               # one shared set per key
+
+        def names(self):
+            if self._names is None:
+                self._names = [str(r) for r in self.responsive]
+            return self._names          # one shared list
+
+        def index(self, key):
+            if key not in self._sets:
+                self._sets[key] = {r: i for i, r in enumerate(self.responsive)}
+            return self._sets.get(key)  # one shared dict per key
+"""
+
+R2_GOOD_CACHE = """
+    class Scan:
+        __frozen_arrays__ = ("responsive",)
+
+        def __init__(self, rows):
+            self.responsive = rows
+            self._sets = {}
+            self._names = None
+
+        def responsive_on(self, key):
+            cached = self._sets.get(key)
+            if cached is None:
+                cached = self._sets[key] = frozenset(self.responsive)
+            return cached
+
+        def names(self):
+            if self._names is None:
+                self._names = tuple(str(r) for r in self.responsive)
+            return self._names
+
+        def sorted_rows(self):
+            return sorted(self.responsive)   # a new list for each caller
+
+
+    class Scratch:
+        def __init__(self):
+            self._memo = None
+
+        def memo(self):
+            self._memo = {"rows": 1}         # not a frozen class
+            return self._memo
+"""
+
+
+def test_r2_catches_cached_mutable_returns(tmp_path):
+    findings = lint_fixture(tmp_path, {"pkg/bad.py": R2_BAD_CACHE})
+    assert rules_of(findings) == ["R2"]
+    messages = sorted(f.message for f in findings)
+    assert len(messages) == 3
+    assert "Scan.index returns a cached mutable dict" in messages[0]
+    assert "Scan.names returns a cached mutable list" in messages[1]
+    assert "Scan.responsive_on returns a cached mutable set" in messages[2]
+
+
+def test_r2_good_cache_fixture_is_clean(tmp_path):
+    assert lint_fixture(tmp_path, {"pkg/good.py": R2_GOOD_CACHE}) == []
+
+
 # -- R3 lock discipline ------------------------------------------------------
 
 R3_BAD = """

@@ -196,6 +196,7 @@ DAY_MUTATIONS = {
         *next(iter(daily.apd_result.outcomes.items()))
     ),
     "clear-responsive": lambda daily: daily.responsive_addresses.clear(),
+    "clear-hitlist-addresses": lambda daily: daily.hitlist.addresses.clear(),
     "rebind-field": lambda daily: setattr(daily, "aliased_prefixes", ()),
     "set-branch-responses": lambda daily: setattr(
         next(iter(daily.apd_result.outcomes.values())),
