@@ -82,8 +82,8 @@ def test_bench_ablation_cross_protocol_merging(benchmark, ctx):
         tcp_only = AliasedPrefixDetector(
             internet, APDConfig(protocols=(Protocol.TCP80,)), seed=11
         )
-        detected_both = sum(both.probe_prefix(p).is_aliased for p in prefixes)
-        detected_tcp = sum(tcp_only.probe_prefix(p).is_aliased for p in prefixes)
+        detected_both = sum(both.probe_prefixes([p])[p].is_aliased for p in prefixes)
+        detected_tcp = sum(tcp_only.probe_prefixes([p])[p].is_aliased for p in prefixes)
         return len(prefixes), detected_both, detected_tcp
 
     total, detected_both, detected_tcp = run_once(benchmark, ablation)

@@ -70,7 +70,7 @@ def test_bench_service_incremental_speedup(benchmark):
     )
     speedup = reference_elapsed / batch_elapsed if batch_elapsed else float("inf")
     # Address-days scanned per second: the day-by-day scan workload over time.
-    scanned = sum(d.num_scan_targets for d in batch_days)
+    scanned = sum(len(d.scan_result.targets) for d in batch_days)
     print(
         f"\n{len(DAYS)}-day service over {batch_days[-1].input_addresses:,} addresses: "
         f"reference {reference_elapsed:.2f} s, batch {batch_elapsed:.3f} s "
@@ -97,7 +97,7 @@ def test_bench_service_incremental_speedup(benchmark):
     assert batch_days[-1].input_addresses > 10_000
     # Exact seeded parity of the published artefacts, every single day.
     for db, dr in zip(batch_days, reference_days):
-        assert db.responsive_addresses == dr.responsive_addresses, db.day
+        assert db.scan_result.responsive_on() == dr.scan_result.responsive_on(), db.day
         assert db.aliased_prefixes == dr.aliased_prefixes, db.day
         assert db.input_addresses == dr.input_addresses, db.day
         assert db.hitlist.provenance() == dr.hitlist.provenance(), db.day

@@ -33,7 +33,7 @@ def main() -> None:
     for day in days:
         daily = service.run_day(day)
         print(
-            f"{day:>3}  {daily.input_addresses:>8,} {daily.num_scan_targets:>8,} "
+            f"{day:>3}  {daily.input_addresses:>8,} {len(daily.scan_result.targets):>8,} "
             f"{len(daily.aliased_prefixes):>11,} {service.apd_probe_counts[day]:>10,} "
             f"{daily.count_responsive():>10,} "
             f"{daily.count_responsive(Protocol.ICMP):>6,} "
@@ -45,11 +45,10 @@ def main() -> None:
     OUTPUT_DIR.mkdir(exist_ok=True)
     responsive_file = OUTPUT_DIR / "responsive-addresses.txt"
     aliased_file = OUTPUT_DIR / "aliased-prefixes.txt"
-    responsive_file.write_text(
-        "\n".join(sorted(a.compressed for a in last.responsive_addresses)) + "\n"
-    )
+    responsive = last.scan_result.responsive_on()
+    responsive_file.write_text("\n".join(sorted(a.compressed for a in responsive)) + "\n")
     aliased_file.write_text("\n".join(sorted(str(p) for p in last.aliased_prefixes)) + "\n")
-    print(f"\nWrote {responsive_file} ({len(last.responsive_addresses):,} addresses)")
+    print(f"\nWrote {responsive_file} ({len(responsive):,} addresses)")
     print(f"Wrote {aliased_file} ({len(last.aliased_prefixes):,} prefixes)")
     print(f"Aliased share of the input: {last.aliased_share:.1%}")
 

@@ -417,16 +417,6 @@ class AliasedPrefixDetector:
 
     # -- probing -----------------------------------------------------------------
 
-    def probe_prefix(self, prefix: IPv6Prefix, day: int = 0) -> PrefixProbeOutcome:
-        """Probe one prefix with the 16-branch fan-out on the configured protocols.
-
-        Thin wrapper kept for backward compatibility: dispatches to the
-        detector's engine (a one-prefix batch, or the scalar reference loop).
-        """
-        if self.policy.reference:
-            return self._probe_prefix_scalar(prefix, day)
-        return self.probe_prefixes([prefix], day)[prefix]
-
     def _probe_prefix_scalar(self, prefix: IPv6Prefix, day: int = 0) -> PrefixProbeOutcome:
         """Reference implementation: one :meth:`SimulatedInternet.probe` call
         per target and protocol, recorded into the outcome's matrix."""

@@ -318,12 +318,12 @@ class DailyHitlist:
 
     Both engines publish the same containers: the day's scan is one
     read-only :class:`~repro.netmodel.internet.BatchProbeResult` whose rows
-    are the scan targets, the hitlist rows at :attr:`target_rows`, and
-    scalar address/set views are materialised only when a consumer asks
-    for the published lists.  A published day cannot be changed by its
-    readers: the fields cannot be rebound, and each is read-only.  On the
-    batch engine every day up to the next merge shares the same hitlist
-    view, verdict table and target rows.
+    are the scan targets, the hitlist rows at :attr:`target_rows`, and its
+    scalar address sets (``scan_result.responsive_on``) are materialised
+    only when a consumer asks for the published lists.  A published day
+    cannot be changed by its readers: the fields cannot be rebound, and
+    each is read-only.  On the batch engine every day up to the next merge
+    shares the same hitlist view, verdict table and target rows.
     """
 
     day: int
@@ -340,16 +340,6 @@ class DailyHitlist:
     target_rows: np.ndarray
 
     @property
-    def num_scan_targets(self) -> int:
-        """Number of scan targets (no scalar materialisation)."""
-        return len(self.scan_result.targets)
-
-    @property
-    def scan_targets(self) -> list[IPv6Address]:
-        """The de-aliased scan targets (a new list on every call)."""
-        return self.scan_result.targets.to_addresses()
-
-    @property
     def targets_batch(self) -> AddressBatch:
         """The scan targets as a columnar batch (read-only: a published artefact).
 
@@ -357,15 +347,6 @@ class DailyHitlist:
         responsiveness matrix.
         """
         return self.scan_result.targets.readonly()
-
-    @property
-    def responsive_addresses(self) -> frozenset[IPv6Address]:
-        """Addresses responsive on at least one protocol (the published list)."""
-        return self.scan_result.responsive_on()
-
-    def responsive_on(self, protocol: Protocol) -> frozenset[IPv6Address]:
-        """Addresses responsive on one protocol."""
-        return self.scan_result.responsive_on(protocol)
 
     def count_responsive(self, protocol: Protocol | None = None) -> int:
         """Responsive-target count: a sum over the scan matrix's rows.
@@ -380,7 +361,7 @@ class DailyHitlist:
         """Fraction of input addresses removed by de-aliasing."""
         if not self.input_addresses:
             return 0.0
-        return 1.0 - self.num_scan_targets / self.input_addresses
+        return 1.0 - len(self.target_rows) / self.input_addresses
 
 
 @dataclass(frozen=True)

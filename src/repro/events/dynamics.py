@@ -270,13 +270,13 @@ class NetworkDynamics:
             self.waves_per_day > 1 or self.buckets_active or self.rotation_rate > 0.0
         )
 
-    def wave_time(self, day: int, wave: int, phase: float = 0.5) -> float:
-        """Timestamp of wave *wave* of *day* (phase 0.5 = mid-slot).
+    def wave_time(self, day: int, wave: int) -> float:
+        """Timestamp of wave *wave* of *day*: the middle of its slot.
 
-        With one wave per day and the default phase this lands on noon --
-        the historical scalar probe's default time of day.
+        With one wave per day this lands on noon -- the historical scalar
+        probe's default time of day.
         """
-        return float(day) + (wave + phase) / self.waves_per_day
+        return float(day) + (wave + 0.5) / self.waves_per_day
 
     # -- day lifecycle ----------------------------------------------------------
 

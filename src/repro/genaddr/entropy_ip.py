@@ -20,15 +20,13 @@ chain).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.addr.address import HEX_ALPHABET, IPv6Address, LO_MASK, NYBBLES
+from repro.addr.address import HEX_ALPHABET, IPv6Address, NYBBLES
 from repro.addr.batch import AddressBatch
 from repro.core.entropy import nybble_entropies_of_matrix
 
@@ -275,21 +273,18 @@ class EntropyIPModel:
 class _SegmentTables:
     """Integer-indexed views of a model's per-segment value alphabets.
 
-    Heap states and sampled assignments in the batch generators are tuples of
-    small integers instead of hex strings; these tables map value ids back to
-    strings (for conditioning lookups) and to their positional contribution to
-    the final 128-bit address, both as Python ints (heap path) and as packed
-    ``uint64`` hi/lo arrays (vectorised sampling path).
+    Heap states in the batch generator are tuples of small integers instead
+    of hex strings; these tables map value ids back to strings (for
+    conditioning lookups) and to their positional contribution to the final
+    128-bit address.
     """
 
-    __slots__ = ("id_of", "value_of", "contrib", "contrib_hi", "contrib_lo")
+    __slots__ = ("id_of", "value_of", "contrib")
 
     def __init__(self, model: "EntropyIPModel"):
         self.id_of: list[dict[str, int]] = []
         self.value_of: list[list[str]] = []
         self.contrib: list[list[int]] = []
-        self.contrib_hi: list[np.ndarray] = []
-        self.contrib_lo: list[np.ndarray] = []
         last = len(model.segments) - 1
         for index, segment in enumerate(model.segments):
             values = set(model.segment_models[index].probabilities)
@@ -300,20 +295,9 @@ class _SegmentTables:
                 values.update(model.transitions[index])
             ordered = sorted(values)
             shift = 4 * (NYBBLES - segment.end)
-            contributions = [int(value, 16) << shift for value in ordered]
             self.id_of.append({value: i for i, value in enumerate(ordered)})
             self.value_of.append(ordered)
-            self.contrib.append(contributions)
-            self.contrib_hi.append(
-                np.fromiter(
-                    (c >> 64 for c in contributions), np.uint64, len(contributions)
-                )
-            )
-            self.contrib_lo.append(
-                np.fromiter(
-                    (c & LO_MASK for c in contributions), np.uint64, len(contributions)
-                )
-            )
+            self.contrib.append([int(value, 16) << shift for value in ordered])
 
 
 class _Distribution:
@@ -321,38 +305,24 @@ class _Distribution:
 
     ``logs`` carries ``math.log`` of each candidate probability (None for
     zero-probability entries, which the exhaustive search skips exactly like
-    the scalar loop); ``cum``/``total`` replicate ``random.choices``'s
-    cumulative-weight draw so :meth:`pick` is bit-identical to
-    ``rng.choices(population, weights)`` fed the same uniforms.
+    the scalar loop).
     """
 
-    __slots__ = ("ids", "logs", "cum", "total", "hi", "lo")
+    __slots__ = ("ids", "logs")
 
-    def __init__(self, ids: list[int], probabilities: list[float], tables: _SegmentTables, index: int):
+    def __init__(self, ids: list[int], probabilities: list[float]):
         self.ids = ids
         self.logs = [math.log(p) if p > 0 else None for p in probabilities]
-        self.cum = np.asarray(list(itertools.accumulate(probabilities)), dtype=np.float64)
-        self.total = float(self.cum[-1]) if len(self.cum) else 0.0
-        id_array = np.asarray(ids, dtype=np.int64)
-        self.hi = tables.contrib_hi[index][id_array]
-        self.lo = tables.contrib_lo[index][id_array]
-
-    def pick(self, uniforms: np.ndarray) -> np.ndarray:
-        """Candidate positions drawn by cumulative-probability searchsorted."""
-        positions = np.searchsorted(self.cum, uniforms * self.total, side="right")
-        return np.minimum(positions, len(self.cum) - 1)
 
 
 class EntropyIPGenerator:
     """Exhaustive most-probable-first address generation from an Entropy/IP model.
 
-    Every generation mode comes as a scalar/batch pair: :meth:`generate` and
-    :meth:`generate_random` are the original per-address reference loops,
-    :meth:`generate_batch` and :meth:`generate_random_batch` produce the same
-    addresses (bit-identical for the same model, budget and seed) as packed
-    columnar :class:`AddressBatch` output -- the search runs over integer
-    value ids with memoised candidate distributions, and random generation
-    samples segment values for whole attempt blocks at once.
+    :meth:`generate` is the original per-address reference loop;
+    :meth:`generate_batch` produces the same addresses (bit-identical for the
+    same model and budget) as packed columnar :class:`AddressBatch` output --
+    the search runs over integer value ids with memoised candidate
+    distributions.
     """
 
     def __init__(self, model: EntropyIPModel):
@@ -376,7 +346,7 @@ class EntropyIPGenerator:
             )
             candidates = self.model.candidate_values(index, previous)
             ids = [tables.id_of[index][value] for value, _ in candidates]
-            cached = _Distribution(ids, [p for _, p in candidates], tables, index)
+            cached = _Distribution(ids, [p for _, p in candidates])
             self._distributions[key] = cached
         return cached
 
@@ -421,35 +391,6 @@ class EntropyIPGenerator:
                     heap,
                     (neg_logp - math.log(probability), ranks + (rank,), values + (value,)),
                 )
-        return results
-
-    def generate_random(
-        self, budget: int, rng: random.Random, include_seeds: bool = False
-    ) -> list[IPv6Address]:
-        """The original Entropy/IP behaviour: random walks through the model.
-
-        Kept as an ablation baseline against the exhaustive generator.
-        """
-        results: list[IPv6Address] = []
-        seen: set[str] = set()
-        prefix_nybbles = "0" * (self.model.first_nybble - 1)
-        attempts = 0
-        while len(results) < budget and attempts < budget * 20:
-            attempts += 1
-            values: list[str] = []
-            for index in range(len(self.model.segments)):
-                previous = values[-1] if values else None
-                candidates = self.model.candidate_values(index, previous)
-                population = [v for v, _ in candidates]
-                weights = [p for _, p in candidates]
-                values.append(rng.choices(population, weights)[0])
-            nybbles = prefix_nybbles + "".join(values)
-            if nybbles in seen:
-                continue
-            seen.add(nybbles)
-            if not include_seeds and self.model.is_seed(nybbles):
-                continue
-            results.append(IPv6Address.from_nybbles(nybbles))
         return results
 
     def generate_batch(self, budget: int, include_seeds: bool = False) -> AddressBatch:
@@ -524,64 +465,4 @@ class EntropyIPGenerator:
             # First child: best candidate of the next segment.
             child_distribution = self._distribution(depth, ids[-1] if depth else None)
             push(neg_logp, ranks, ids, 0, child_distribution)
-        return AddressBatch.from_ints(results)
-
-    def generate_random_batch(
-        self, budget: int, rng: random.Random, include_seeds: bool = False
-    ) -> AddressBatch:
-        """Batch counterpart of :meth:`generate_random` (same seeded output).
-
-        Attempts are sampled in blocks: the uniform draws come off *rng* in
-        the scalar loop's order, then every segment is resolved for the whole
-        block by cumulative-probability ``searchsorted`` (grouped by the
-        previous segment's sampled value, since the chain conditions on it).
-        The block shape means *rng* may be advanced past where the scalar
-        loop would stop once the budget is filled; the generated addresses
-        are identical.
-        """
-        if budget <= 0:
-            return AddressBatch.empty()
-        tables = self._ensure_tables()
-        seeds = self.model.seed_values()
-        num_segments = len(self.model.segments)
-        results: list[int] = []
-        seen: set[int] = set()
-        attempts = 0
-        max_attempts = budget * 20
-        while len(results) < budget and attempts < max_attempts:
-            block = min(max_attempts - attempts, max(16, budget - len(results)))
-            attempts += block
-            uniforms = np.array(
-                [rng.random() for _ in range(block * num_segments)], dtype=np.float64
-            ).reshape(block, num_segments)
-            hi = np.zeros(block, dtype=np.uint64)
-            lo = np.zeros(block, dtype=np.uint64)
-            previous_ids: np.ndarray | None = None
-            for index in range(num_segments):
-                chosen = np.empty(block, dtype=np.int64)
-                if previous_ids is None:
-                    distribution = self._distribution(index, None)
-                    picks = distribution.pick(uniforms[:, index])
-                    chosen[:] = np.asarray(distribution.ids, dtype=np.int64)[picks]
-                    hi |= distribution.hi[picks]
-                    lo |= distribution.lo[picks]
-                else:
-                    for previous_id in np.unique(previous_ids).tolist():
-                        rows = previous_ids == previous_id
-                        distribution = self._distribution(index, previous_id)
-                        picks = distribution.pick(uniforms[rows, index])
-                        chosen[rows] = np.asarray(distribution.ids, dtype=np.int64)[picks]
-                        hi[rows] |= distribution.hi[picks]
-                        lo[rows] |= distribution.lo[picks]
-                previous_ids = chosen
-            for h, l in zip(hi.tolist(), lo.tolist()):
-                value = (h << 64) | l
-                if value in seen:
-                    continue
-                seen.add(value)
-                if not include_seeds and value in seeds:
-                    continue
-                results.append(value)
-                if len(results) >= budget:
-                    break
         return AddressBatch.from_ints(results)

@@ -38,7 +38,8 @@ Two engines run the same methodology, selected by ``policy.reference``:
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class GenerationReport:
 
     def __init__(self):
         self.per_as: list[PerASGeneration] = []
-        self._candidates: dict[str, list[IPv6Address]] = {}
+        self._candidates: dict[str, tuple[IPv6Address, ...]] = {}
         self._candidate_batches: dict[str, AddressBatch] = {}
         self._sweeps: dict[str, BatchProbeResult] = {}
 
@@ -122,12 +123,15 @@ class GenerationReport:
     # -- candidate views ----------------------------------------------------------
 
     @property
-    def candidates(self) -> dict[str, list[IPv6Address]]:
-        """Deduplicated, routed, previously unknown addresses per tool."""
+    def candidates(self) -> Mapping[str, tuple[IPv6Address, ...]]:
+        """Deduplicated, routed, previously unknown addresses per tool.
+
+        A read-only view of tuples: every reader shares the cached ones.
+        """
         for tool, batch in self._candidate_batches.items():
             if tool not in self._candidates:
-                self._candidates[tool] = batch.to_addresses()
-        return self._candidates
+                self._candidates[tool] = tuple(batch.to_addresses())
+        return MappingProxyType(self._candidates)
 
     def candidate_batch(self, tool: str) -> AddressBatch:
         """One tool's candidates as a columnar batch."""

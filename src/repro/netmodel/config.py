@@ -10,7 +10,7 @@ magnitude smaller, with knobs to scale it up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,14 +154,6 @@ class InternetConfig:
     icmp_bucket_refill_per_day: float = 0.0
     prefix_rotation_rate: float = 0.0
     competing_scanners: int = 0
-
-    def scaled(self, factor: float) -> "InternetConfig":
-        """A copy with host counts scaled by *factor* (same structure)."""
-        return replace(
-            self,
-            base_hosts_per_allocation=max(1, int(self.base_hosts_per_allocation * factor)),
-            max_hosts_per_allocation=max(4, int(self.max_hosts_per_allocation * factor)),
-        )
 
 
 #: Tiny Internet for unit tests: builds in well under a second.

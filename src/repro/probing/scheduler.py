@@ -15,7 +15,7 @@ same (target x protocol) matrix, so every consumer reads one container.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ def wave_spans(n: int, waves: int) -> list[tuple[int, int]]:
 
 
 class ScanScheduler:
-    """Run multi-day, multi-protocol scan campaigns."""
+    """Run daily multi-protocol scans."""
 
     def __init__(
         self,
@@ -117,36 +117,11 @@ class ScanScheduler:
         row of *targets* and counts are per row.  *targets* may be a
         resolution (:meth:`SimulatedInternet.resolve_targets`): a caller that
         scans one batch every day resolves it once, and the day only draws.
+        With dynamics, each wave probes its span of that resolution.
         """
         scanner = ZMapScanner(self.internet, seed=self._seed ^ (day * 0x9E3779B1))
         if dynamics is None or not dynamics.active:
             return scanner.sweep_batch(targets, self.protocols, day)
-        scan = self.enqueue_day_batch(targets, day, dynamics, scanner=scanner)
-        dynamics.scheduler.run_until(day + 1.0)
-        return scan
-
-    def enqueue_day_batch(
-        self,
-        targets: "ResolvedTargets | AddressBatch",
-        day: int,
-        dynamics: "NetworkDynamics",
-        *,
-        scanner: Optional[ZMapScanner] = None,
-        phase: float = 0.5,
-    ) -> BatchProbeResult:
-        """Schedule a day's probe waves without running them yet.
-
-        The returned scan's rows fill in as the dynamics' scheduler fires
-        the waves (``dynamics.scheduler.run_until(day + 1)`` completes it);
-        read its views only then.  Two schedulers enqueueing against the *same* dynamics with
-        interleaved ``phase`` offsets is the scanner-contention scenario:
-        their waves alternate on the shared event queue and compete for the
-        same token budgets.  The targets are resolved once (unless they
-        already are a resolution); each wave probes its span of the
-        resolution.
-        """
-        if scanner is None:
-            scanner = ZMapScanner(self.internet, seed=self._seed ^ (day * 0x9E3779B1))
         resolved = (
             targets
             if isinstance(targets, ResolvedTargets)
@@ -158,7 +133,7 @@ class ScanScheduler:
         responsive = np.zeros((n, len(self.protocols)), dtype=bool)
         dynamics.begin_day(day)
         for w, (start, stop) in enumerate(wave_spans(n, dynamics.waves_per_day)):
-            when = dynamics.wave_time(day, w, phase)
+            when = dynamics.wave_time(day, w)
 
             def fire(start=start, stop=stop, when=when):
                 span = resolved.take(np.arange(start, stop))
@@ -167,23 +142,5 @@ class ScanScheduler:
                 responsive[start:stop, :] = result.responsive
 
             dynamics.scheduler.schedule(when, fire)
+        dynamics.scheduler.run_until(day + 1.0)
         return BatchProbeResult(day, self.protocols, resolved.targets, responsive)
-
-    def run_campaign(
-        self,
-        targets_for_day: Callable[[int], Iterable[IPv6Address]],
-        days: Sequence[int],
-    ) -> list[BatchProbeResult]:
-        """Run a scan every day, with possibly day-dependent target lists."""
-        return [self.run_day(targets_for_day(day), day) for day in days]
-
-    def run_fixed_campaign(
-        self, targets: Iterable[IPv6Address], days: Sequence[int]
-    ) -> list[BatchProbeResult]:
-        """Run a scan every day over the same fixed target list.
-
-        The paper keeps probing addresses even when they disappear from the
-        input sources, to measure longitudinal responsiveness (Section 6.3).
-        """
-        target_list = list(targets)
-        return self.run_campaign(lambda _day: target_list, days)

@@ -257,8 +257,8 @@ def check_service(
         problems.append(
             _diff_sets(
                 f"day {day} responsive",
-                ref_day.responsive_addresses,
-                bat_day.responsive_addresses,
+                ref_day.scan_result.responsive_on(),
+                bat_day.scan_result.responsive_on(),
             )
         )
         if ref_day.hitlist.provenance() != bat_day.hitlist.provenance():

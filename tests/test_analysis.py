@@ -83,7 +83,7 @@ class TestLongitudinal:
         servers = [h.primary_address for h in tiny_internet.hosts_by_role(HostRole.WEB_SERVER)][:150]
         clients = [h.primary_address for h in tiny_internet.hosts_by_role(HostRole.CPE)][:150]
         scheduler = ScanScheduler(tiny_internet, protocols=(Protocol.ICMP,), seed=6)
-        campaign = scheduler.run_fixed_campaign(servers + clients, days=range(0, 8))
+        campaign = [scheduler.run_day(servers + clients, day) for day in range(0, 8)]
         timelines = responsiveness_over_time(
             campaign, {"servers": servers, "clients": clients}, protocol=Protocol.ICMP
         )
@@ -107,7 +107,7 @@ class TestLongitudinal:
         scheduler = ScanScheduler(tiny_internet, protocols=protocols, seed=6)
         days = range(0, 6)
         campaigns = {
-            "reference": scheduler.run_fixed_campaign(targets, days),
+            "reference": [scheduler.run_day(targets, day) for day in days],
             "batch": [
                 scheduler.run_day_batch(AddressBatch.from_addresses(targets), day) for day in days
             ],
@@ -134,7 +134,7 @@ class TestLongitudinal:
     def test_empty_baseline_group(self, tiny_internet):
         servers = [h.primary_address for h in tiny_internet.hosts_by_role(HostRole.WEB_SERVER)][:50]
         scheduler = ScanScheduler(tiny_internet, protocols=(Protocol.ICMP,), seed=6)
-        campaign = scheduler.run_fixed_campaign(servers, days=range(2))
+        campaign = [scheduler.run_day(servers, day) for day in range(2)]
         timelines = responsiveness_over_time(campaign, {"empty": [IPv6Address(1)]})
         assert timelines[0].baseline_size == 0
         assert timelines[0].retention == [0.0, 0.0]

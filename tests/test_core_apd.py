@@ -191,8 +191,8 @@ class TestCandidateSelection:
 class TestProbing:
     def test_aliased_prefix_detected(self, tiny_internet, clean_aliased_region):
         detector = AliasedPrefixDetector(tiny_internet, seed=2)
-        probe_prefix = IPv6Prefix.of(clean_aliased_region.prefix.network, max(64, clean_aliased_region.prefix.length))
-        outcome = detector.probe_prefix(probe_prefix, day=0)
+        prefix = IPv6Prefix.of(clean_aliased_region.prefix.network, max(64, clean_aliased_region.prefix.length))
+        outcome = detector.probe_prefixes([prefix], day=0)[prefix]
         assert outcome.num_responsive >= 15  # rare single-probe double-loss tolerated
         assert outcome.probes_sent == 32
 
@@ -204,7 +204,7 @@ class TestProbing:
         if tiny_internet.is_aliased_truth(host.primary_address):
             pytest.skip("picked host inside aliased region")
         detector = AliasedPrefixDetector(tiny_internet, seed=2)
-        outcome = detector.probe_prefix(prefix, day=0)
+        outcome = detector.probe_prefixes([prefix], day=0)[prefix]
         assert not outcome.is_aliased
         assert outcome.num_responsive <= 2
 
@@ -250,7 +250,7 @@ class TestProbing:
         detector = AliasedPrefixDetector(
             tiny_internet, APDConfig(protocols=(Protocol.TCP80,)), seed=2, policy=policy
         )
-        assert detector.probe_prefix(prefix).probes_sent == 16
+        assert detector.probe_prefixes([prefix])[prefix].probes_sent == 16
         assert detector.run(prefixes=[prefix]).probes_sent == 16
 
     def test_longest_prefix_match_resolves_conflicts(self, tiny_internet):
@@ -264,13 +264,13 @@ class TestProbing:
         outer_outcome = PrefixProbeOutcome(
             outer,
             0,
-            detector.probe_prefix(outer).targets,
+            detector.probe_prefixes([outer])[outer].targets,
             branch_responses=[{Protocol.ICMP} for _ in range(16)],  # aliased
         )
         inner_outcome = PrefixProbeOutcome(
             inner,
             0,
-            detector.probe_prefix(inner).targets,
+            detector.probe_prefixes([inner])[inner].targets,
             branch_responses=[set() for _ in range(16)],  # non-aliased
         )
         result = APDResult.from_outcomes([outer_outcome, inner_outcome])

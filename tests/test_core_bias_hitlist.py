@@ -209,10 +209,10 @@ class TestHitlistService:
     def test_daily_pipeline_outputs(self, service_day):
         service, daily = service_day
         assert daily.input_addresses > 1000
-        assert daily.scan_targets
-        assert len(daily.scan_targets) < daily.input_addresses
+        assert len(daily.scan_result.targets)
+        assert len(daily.scan_result.targets) < daily.input_addresses
         assert daily.aliased_prefixes
-        assert daily.responsive_addresses
+        assert daily.scan_result.responsive_on()
 
     def test_aliased_share_about_half(self, service_day):
         _, daily = service_day
@@ -227,21 +227,23 @@ class TestHitlistService:
 
     def test_scan_targets_not_aliased(self, service_day, small_internet):
         _, daily = service_day
-        truth_aliased = sum(small_internet.is_aliased_truth(a) for a in daily.scan_targets)
+        targets = daily.scan_result.targets.to_addresses()
+        truth_aliased = sum(small_internet.is_aliased_truth(a) for a in targets)
         # Single-day APD has known false negatives (ICMP rate limiting, aliasing
         # at sub-/64 levels below the 100-target threshold -- Section 5.2/5.4);
         # the bulk of the aliased population must still be gone.
-        assert truth_aliased / len(daily.scan_targets) < 0.2
+        assert truth_aliased / len(targets) < 0.2
 
     def test_responsive_subset_of_targets(self, service_day):
         _, daily = service_day
-        assert daily.responsive_addresses <= set(daily.scan_targets)
-        assert daily.responsive_on(Protocol.ICMP) <= daily.responsive_addresses
+        scan = daily.scan_result
+        assert scan.responsive_on() <= set(scan.targets.to_addresses())
+        assert scan.responsive_on(Protocol.ICMP) <= scan.responsive_on()
 
     def test_history_and_responsive_over_time(self, service_day):
         service, daily = service_day
         assert 59 in service.history
         counts = service.responsive_over_time()
-        assert counts[59] == len(daily.responsive_addresses)
+        assert counts[59] == len(daily.scan_result.responsive_on())
         icmp_counts = service.responsive_over_time(Protocol.ICMP)
         assert icmp_counts[59] <= counts[59]

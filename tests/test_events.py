@@ -3,21 +3,18 @@
 Covers the scheduler's determinism contract, the token-bucket edge cases
 (zero capacity, exact wave-boundary refills, oversized bursts, recovery
 across a published service snapshot), reference-vs-batch wave parity with
-rotation churn, scanner contention, and the degenerate whole-day guarantee.
+rotation churn, a competing scanner's cost, and the degenerate whole-day
+guarantee.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.addr.batch import AddressBatch
 from repro.core.hitlist import HitlistService
-from repro.events import (
-    ContentionReport,
-    EventScheduler,
-    NetworkDynamics,
-    TokenBucket,
-    run_scanner_contention,
-)
+from repro.events import EventScheduler, NetworkDynamics, TokenBucket
 from repro.netmodel import InternetConfig, SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, Protocol
 from repro.probing.scheduler import ScanScheduler, wave_spans
@@ -329,42 +326,26 @@ class TestRecoveryAcrossPublishedSnapshot:
 # -- scanner contention --------------------------------------------------------
 
 
-class TestScannerContention:
-    @pytest.fixture(scope="class")
-    def contention(self, dynamic_internet, dynamic_targets):
+class TestCompetingScanners:
+    def test_a_rival_costs_icmp_answers_on_both_engines(self, dynamic_internet, dynamic_targets):
+        """``competing_scanners`` (the scanner-contention preset's knob)
+        charges every ICMP bucket with a rival's arrivals ahead of ours: one
+        rival costs ICMP answers, leaves every other protocol alone, and both
+        engines agree on every probe."""
+        rivalled = SimulatedInternet(replace(DYNAMIC_CONFIG, competing_scanners=1))
         targets = AddressBatch.from_addresses(dynamic_targets)
-        return run_scanner_contention(
-            dynamic_internet,
-            targets,
-            2,
-            scanners=2,
-            waves_per_day=4,
-            bucket_capacity=16.0,
-            bucket_refill_per_day=64.0,
-            seed=5,
-        )
-
-    def test_contention_costs_icmp_answers(self, contention):
-        assert isinstance(contention, ContentionReport)
-        assert len(contention.per_scanner) == 2
-        assert contention.contended_count <= contention.solo_count
-        assert contention.lost_to_contention >= 0
-
-    def test_contention_is_deterministic(
-        self, contention, dynamic_internet, dynamic_targets
-    ):
-        again = run_scanner_contention(
-            dynamic_internet,
-            AddressBatch.from_addresses(dynamic_targets),
-            2,
-            scanners=2,
-            waves_per_day=4,
-            bucket_capacity=16.0,
-            bucket_refill_per_day=64.0,
-            seed=5,
-        )
-        for mine, theirs in zip(contention.per_scanner, again.per_scanner):
-            assert np.array_equal(mine.responsive, theirs.responsive)
-        assert np.array_equal(
-            contention.solo.responsive, again.solo.responsive
-        )
+        scans = []
+        for net in (dynamic_internet, rivalled):
+            scheduler = ScanScheduler(net, ALL_PROTOCOLS, seed=11)
+            ref = scheduler.run_day(
+                dynamic_targets, 2, dynamics=NetworkDynamics.from_config(net, seed=3)
+            )
+            bat = scheduler.run_day_batch(
+                targets, 2, dynamics=NetworkDynamics.from_config(net, seed=3)
+            )
+            assert np.array_equal(ref.responsive, bat.responsive)
+            scans.append(bat)
+        solo, contended = scans
+        assert contended.count_responsive(Protocol.ICMP) < solo.count_responsive(Protocol.ICMP)
+        others = [j for j, p in enumerate(ALL_PROTOCOLS) if p is not Protocol.ICMP]
+        assert np.array_equal(contended.responsive[:, others], solo.responsive[:, others])

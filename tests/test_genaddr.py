@@ -130,13 +130,6 @@ class TestEntropyIPGenerator:
         assert generated
         assert generated[0] in set(seeds)
 
-    def test_random_generator_baseline(self):
-        model = EntropyIPModel(_seeds(AddressingScheme.STRUCTURED, count=200))
-        rng = random.Random(0)
-        generated = EntropyIPGenerator(model).generate_random(50, rng)
-        assert len(set(generated)) == len(generated)
-        assert len(generated) <= 50
-
     @pytest.mark.parametrize(
         "scheme", [AddressingScheme.LOW_COUNTER, AddressingScheme.STRUCTURED]
     )
@@ -151,13 +144,6 @@ class TestEntropyIPGenerator:
                     budget,
                     include_seeds,
                 )
-
-    def test_generate_random_batch_matches_scalar(self):
-        model = EntropyIPModel(_seeds(AddressingScheme.STRUCTURED, count=200))
-        generator = EntropyIPGenerator(model)
-        scalar = generator.generate_random(60, random.Random(9))
-        batch = generator.generate_random_batch(60, random.Random(9))
-        assert [a.value for a in scalar] == batch.to_ints()
 
 
 class TestSeedCluster:
@@ -366,3 +352,17 @@ class TestGenerationPipeline:
         _, report = pipeline_report
         assert report.per_as
         assert {r.tool for r in report.per_as} == {"entropy_ip", "6gen"}
+
+    def test_candidates_cannot_be_changed_by_readers(self, pipeline_report):
+        """Every reader shares one cached view of the candidates, and Table 7's
+        overlap line reads it: a reader that could clear a tool's list would
+        change every later reader's answer."""
+        _, report = pipeline_report
+        overlap = report.overlap_candidates()
+        assert overlap
+        with pytest.raises(AttributeError):
+            report.candidates["6gen"].clear()
+        with pytest.raises(TypeError):
+            report.candidates["6gen"] = ()
+        assert report.overlap_candidates() == overlap
+        assert len(report.candidates["6gen"]) == report.generated_count("6gen")

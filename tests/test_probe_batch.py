@@ -435,7 +435,7 @@ class TestAPDEngineParity:
         region = _deterministic_regions(lossless_internet)[0]
         prefix = IPv6Prefix.of(region.prefix.network, max(64, region.prefix.length))
         detector = AliasedPrefixDetector(lossless_internet, seed=4)
-        outcome = detector.probe_prefix(prefix, day=0)
+        outcome = detector.probe_prefixes([prefix], day=0)[prefix]
         assert outcome.prefix == prefix
         assert len(outcome.targets) == 16
         assert outcome.is_aliased  # fully aliased, loss-free

@@ -10,7 +10,7 @@ from repro.netmodel.config import InternetConfig
 from repro.netmodel.internet import SimulatedInternet
 from repro.netmodel.services import ALL_PROTOCOLS, HostRole, Protocol
 from repro.netmodel.topology import Topology
-from repro.probing import FingerprintProbe, ScanScheduler, TracerouteEngine, ZMapScanner
+from repro.probing import FingerprintProbe, ScanScheduler, ZMapScanner
 
 TRANSIT_PREFIX = Topology.TRANSIT_PREFIX
 
@@ -106,30 +106,26 @@ class TestRetriesDrawAfresh:
 
 
 class TestTraceroute:
-    def test_trace_returns_hops(self, tiny_internet, server_targets):
-        engine = TracerouteEngine(tiny_internet, seed=1)
-        result = engine.trace(server_targets[0])
-        assert result.responded
-        assert result.last_hop is not None
+    """World properties of the scamper source's traceroutes."""
 
     def test_trace_all_accumulates_discovered(self, tiny_internet, server_targets):
-        engine = TracerouteEngine(tiny_internet, seed=1)
-        engine.trace_all(server_targets[:50])
-        assert len(engine.discovered_addresses) > 5
+        rng = random.Random(1)
+        discovered = {
+            hop.value
+            for target in server_targets[:50]
+            for hop in tiny_internet.traceroute(target, rng=rng)
+        }
+        assert len(discovered) > 5
 
     def test_reaches_destination_asn_for_servers(self, tiny_internet, server_targets):
-        engine = TracerouteEngine(tiny_internet, seed=1)
-        results = engine.trace_all(server_targets[:50])
-        reached = sum(engine.reaches_destination_asn(r) for r in results)
+        rng = random.Random(1)
+        reached = 0
+        for target in server_targets[:50]:
+            hops = tiny_internet.traceroute(target, rng=rng)
+            asn = tiny_internet.asn_of(target)
+            if hops and asn is not None and tiny_internet.asn_of(hops[-1]) == asn:
+                reached += 1
         assert reached > 20
-
-    def test_unrouted_target_is_silent(self, tiny_internet):
-        from repro.addr import IPv6Address
-
-        engine = TracerouteEngine(tiny_internet, seed=1)
-        result = engine.trace(IPv6Address.parse("2a0e::1"))
-        assert not result.responded
-        assert result.last_hop is None
 
 
 class TestTracerouteEdgeCases:
@@ -242,7 +238,7 @@ class TestTracerouteEdgeCases:
         internet = SimulatedInternet(self._routed_config(filtered_region=2))
         routing = internet.routing
         # Pick a destination visible from one vantage but filtered from the
-        # other; the engine must honour the vantage it was constructed with.
+        # other; the traceroute must honour the vantage it is given.
         pick = None
         views = [routing.day_view(0, v) for v in range(len(routing.vantage_asns))]
         for address, row in self._dest_rows(internet):
@@ -254,7 +250,6 @@ class TestTracerouteEdgeCases:
                 break
         assert pick, "expected a vantage-dependent destination"
         address, clear, blocked = pick
-        assert TracerouteEngine(internet, seed=1, vantage=clear).trace(address).responded
         clear_hops = internet.traceroute(address, rng=random.Random(1), vantage=clear)
         blocked_hops = internet.traceroute(address, rng=random.Random(1), vantage=blocked)
         assert len(blocked_hops) < len(clear_hops)
@@ -301,16 +296,3 @@ class TestScheduler:
         assert len(result.targets) == 100
         assert result.responsive_on()
         assert result.responsive_on(Protocol.ICMP) <= result.responsive_on()
-
-    def test_fixed_campaign_days(self, tiny_internet, server_targets):
-        scheduler = ScanScheduler(tiny_internet, protocols=(Protocol.ICMP,), seed=4)
-        campaign = scheduler.run_fixed_campaign(server_targets[:80], days=range(3))
-        assert [r.day for r in campaign] == [0, 1, 2]
-        assert all(len(r.targets) == 80 for r in campaign)
-
-    def test_campaign_with_day_dependent_targets(self, tiny_internet, server_targets):
-        scheduler = ScanScheduler(tiny_internet, protocols=(Protocol.ICMP,), seed=4)
-        campaign = scheduler.run_campaign(
-            lambda day: server_targets[: 10 * (day + 1)], days=range(3)
-        )
-        assert [len(r.targets) for r in campaign] == [10, 20, 30]

@@ -545,5 +545,5 @@ def test_r1_covers_the_events_layer():
     clean today, and an unseeded rng or wall-clock read there must fire R1."""
     events = REPO_ROOT / "src" / "repro" / "events"
     findings, files_checked = lint_paths([events], select=["R1"])
-    assert files_checked >= 4  # scheduler, tokenbucket, dynamics, contention
+    assert files_checked >= 4  # __init__, scheduler, tokenbucket, dynamics
     assert findings == [], "\n".join(f.format_human() for f in findings)

@@ -133,7 +133,7 @@ class TestServiceParity:
     def test_responsive_sets_identical(self, both_engines):
         batch_days, reference_days, *_ = both_engines
         for db, dr in zip(batch_days, reference_days):
-            assert db.responsive_addresses == dr.responsive_addresses, db.day
+            assert db.scan_result.responsive_on() == dr.scan_result.responsive_on(), db.day
             assert db.count_responsive() == dr.count_responsive()
 
     def test_aliased_prefix_lists_identical(self, both_engines):
@@ -145,9 +145,9 @@ class TestServiceParity:
         batch_days, reference_days, *_ = both_engines
         for db, dr in zip(batch_days, reference_days):
             assert db.input_addresses == dr.input_addresses, db.day
-            assert db.num_scan_targets == dr.num_scan_targets, db.day
-            assert sorted(a.value for a in db.scan_targets) == sorted(
-                a.value for a in dr.scan_targets
+            assert len(db.scan_result.targets) == len(dr.scan_result.targets), db.day
+            assert sorted(db.scan_result.targets.to_ints()) == sorted(
+                dr.scan_result.targets.to_ints()
             )
 
     def test_provenance_identical(self, both_engines):
@@ -189,7 +189,7 @@ class TestServiceParity:
         # The invading addresses never reach the scan target list.
         day3 = batch_days[3]
         invaded = {target_prefix.network | (0x200 + i) for i in range(150)}
-        assert not invaded & {a.value for a in day3.scan_targets}
+        assert not invaded & set(day3.scan_result.targets.to_ints())
         assert invaded <= set(day3.hitlist.provenance())
 
     def test_incremental_reuse_probes_less(self, both_engines):
@@ -209,8 +209,8 @@ class TestServiceParity:
     def test_longitudinal_batch_path_matches_scalar(self, both_engines):
         batch_days, reference_days, batch, reference, _ = both_engines
         groups = {
-            "all": batch_days[0].scan_targets,
-            "subset": batch_days[0].scan_targets[::3],
+            "all": batch_days[0].scan_result.targets.to_addresses(),
+            "subset": batch_days[0].scan_result.targets.to_addresses()[::3],
             "empty": [],
         }
         fast = responsiveness_over_time(batch.campaign(), groups)
@@ -268,7 +268,7 @@ class TestStochasticServiceParity:
         batch_days, reference_days, *_ = stochastic_engines
         for db, dr in zip(batch_days, reference_days):
             assert db.aliased_prefixes == dr.aliased_prefixes, db.day
-            assert db.responsive_addresses == dr.responsive_addresses, db.day
+            assert db.scan_result.responsive_on() == dr.scan_result.responsive_on(), db.day
             assert db.hitlist.provenance() == dr.hitlist.provenance(), db.day
 
     def test_days_without_new_rows_reuse_every_verdict(self, stochastic_engines):
@@ -301,7 +301,7 @@ class TestStochasticServiceParity:
         ).run_days(days)
         for db, dr in zip(batch, reference):
             assert db.aliased_prefixes == dr.aliased_prefixes, db.day
-            assert db.responsive_addresses == dr.responsive_addresses, db.day
+            assert db.scan_result.responsive_on() == dr.scan_result.responsive_on(), db.day
             for prefix, outcome in dr.apd_result.outcomes.items():
                 assert outcome.targets == db.apd_result.outcomes[prefix].targets
         epochs = {o.day for o in batch[-1].apd_result.outcomes.values()}
@@ -343,7 +343,7 @@ class TestResolutionReuse:
             made[day] = len(resolutions) - before
             dr = reference.run_day(day)
             assert db.aliased_prefixes == dr.aliased_prefixes, day
-            assert db.responsive_addresses == dr.responsive_addresses, day
+            assert db.scan_result.responsive_on() == dr.scan_result.responsive_on(), day
             assert db.hitlist.provenance() == dr.hitlist.provenance(), day
         assert all(made[day] >= 1 for day in range(self.RUNUP_DAYS)), made
         assert all(made[day] == 0 for day in range(self.RUNUP_DAYS, self.RUNUP_DAYS + 15)), made
@@ -383,7 +383,7 @@ class TestBlocksOfOtherLengths:
         for day in self.DAYS:
             db, dr = batch.run_day(day), reference.run_day(day)
             assert db.aliased_prefixes == dr.aliased_prefixes, day
-            assert db.responsive_addresses == dr.responsive_addresses, day
+            assert db.scan_result.responsive_on() == dr.scan_result.responsive_on(), day
             assert db.hitlist.provenance() == dr.hitlist.provenance(), day
             rows = db.hitlist.address_batch
             kept = rows.take(~db.apd_result.is_aliased_batch(rows))

@@ -195,7 +195,7 @@ class TestConcurrentReads:
             snapshot = server.snapshot(generation)
             daily = server.service.history[snapshot.day]
             assert snapshot.num_addresses == len(daily.hitlist)
-            assert snapshot.num_scan_targets == daily.num_scan_targets
+            assert snapshot.num_scan_targets == len(daily.scan_result.targets)
             assert snapshot.num_responsive() == daily.count_responsive()
             for protocol in snapshot.protocols:
                 assert snapshot.num_responsive(protocol) == daily.count_responsive(

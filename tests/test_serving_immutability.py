@@ -195,7 +195,7 @@ DAY_MUTATIONS = {
     "assign-outcome": lambda daily: daily.apd_result.outcomes.__setitem__(
         *next(iter(daily.apd_result.outcomes.items()))
     ),
-    "clear-responsive": lambda daily: daily.responsive_addresses.clear(),
+    "clear-responsive": lambda daily: daily.scan_result.responsive_on().clear(),
     "clear-hitlist-addresses": lambda daily: daily.hitlist.addresses.clear(),
     "rebind-field": lambda daily: setattr(daily, "aliased_prefixes", ()),
     "set-branch-responses": lambda daily: setattr(

@@ -34,9 +34,9 @@ def served():
         "values": [a.value for a in scalars],
         # The snapshot files unrouted rows under AS -1.
         "asns": [-1 if asn is None else asn for asn in map(server.internet.asn_of, scalars)],
-        "targets": {a.value for a in daily.scan_targets},
+        "targets": set(daily.scan_result.targets.to_ints()),
         "responsive": {
-            protocol: {a.value for a in daily.responsive_on(protocol)}
+            protocol: {a.value for a in daily.scan_result.responsive_on(protocol)}
             for protocol in snapshot.protocols
         },
         "provenance": daily.hitlist.provenance(),
