@@ -13,7 +13,7 @@ import numpy as np
 
 from benchmarks.conftest import run_once, write_bench_json
 from repro.addr import PrefixTrie
-from repro.addr.batch import AddressBatch, FlatLPM, random_batch_in_prefix
+from repro.addr.batch import AddressBatch, FlatLPM, prefix_columns, random_batch_in_prefix
 from repro.addr.generate import random_address_in_prefix
 from repro.core.clustering import kmeans
 from repro.core.entropy import nybble_entropies
@@ -73,7 +73,8 @@ def test_bench_probe_throughput(benchmark, ctx):
 def test_bench_flat_lpm_batch_lookup(benchmark, ctx):
     """Flattened LPM over the BGP table: one vectorised search for the whole
     hitlist instead of per-address trie lookups."""
-    flat = FlatLPM((ann.prefix, i) for i, ann in enumerate(ctx.internet.bgp))
+    prefixes = ctx.internet.bgp.prefixes
+    flat = FlatLPM(*prefix_columns(prefixes), range(len(prefixes)))
     batch = ctx.hitlist.address_batch
 
     def lookups():

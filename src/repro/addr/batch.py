@@ -471,6 +471,13 @@ def union_sorted(
     return AddressBatch(merged_hi, merged_lo), base_pos, incoming_pos, is_new
 
 
+def prefix_columns(prefixes: Iterable["IPv6Prefix"]) -> tuple[AddressBatch, np.ndarray]:
+    """The networks and lengths of *prefixes*, as :class:`FlatLPM` takes them."""
+    prefixes = list(prefixes)
+    nets = AddressBatch.from_ints([prefix.network for prefix in prefixes])
+    return nets, np.fromiter((prefix.length for prefix in prefixes), np.int64, len(prefixes))
+
+
 class FlatLPM:
     """Flattened longest-prefix matching over a fixed prefix set.
 
@@ -489,13 +496,13 @@ class FlatLPM:
     #: lookups are pure searchsorted probes over frozen columns.
     __frozen_arrays__ = ("_start_keys", "_values")
 
-    def __init__(self, pairs: Iterable[tuple["IPv6Prefix", object]]):
-        pairs = list(pairs)
+    def __init__(self, nets: AddressBatch, lengths: np.ndarray, values: Iterable[object]):
+        """Prefix *i* is ``nets[i]/lengths[i]`` and carries value *i*
+        (:func:`prefix_columns` turns prefix objects into the two columns)."""
         #: Value objects, indexable by the result of :meth:`lookup_indices`.
-        self.objects: list[object] = [value for _, value in pairs]
-        n = len(pairs)
-        nets = AddressBatch.from_ints([prefix.network for prefix, _ in pairs])
-        lengths = np.fromiter((prefix.length for prefix, _ in pairs), np.int64, n)
+        self.objects: list[object] = list(values)
+        n = len(self.objects)
+        lengths = np.asarray(lengths, dtype=np.int64)
         mask_hi, mask_lo = prefix_masks(lengths)
         # Each prefix opens at its network and closes one past its last
         # address, unless that wraps past the top of the address space.

@@ -297,7 +297,9 @@ class APDResult:
     def lpm(self) -> FlatLPM:
         """The probed prefixes as one :class:`FlatLPM` (index *i* = row *i*)."""
         if self._lpm is None:
-            self._lpm = FlatLPM((outcome.prefix, outcome) for outcome in self._outcomes)
+            keys = self.keys
+            nets = AddressBatch(keys["hi"].astype(np.uint64), keys["lo"].astype(np.uint64))
+            self._lpm = FlatLPM(nets, keys["length"], self._outcomes)
         return self._lpm
 
     def is_aliased(self, address: "IPv6Address | int | str") -> bool:

@@ -4,42 +4,33 @@ The paper probes the hitlist from a single vantage point and warns that
 responsiveness is a property of the *path*, not only the destination:
 congested transit links, upstream ICMP rate limiting and regional inbound
 filtering all depend on where the probes enter the graph.  This experiment
-builds a second Internet from the context's seed, with the routed topology
-enabled and a deterministic substrate, probes the context's hitlist from
-every vantage AS of it, and quantifies the bias:
+probes the context's hitlist from every vantage AS of a routed view of the
+context's own world (:meth:`SimulatedInternet.routed`), and quantifies the
+bias:
 
 * responsive sets differ between vantages (pairwise Jaccard < 1);
 * the filtered region is visible almost exclusively to the vantage homed
   inside it -- an outside hitlist systematically under-covers that region.
 
-The second Internet is not the context's world with routes added.  The
-routed knobs and ``packet_loss=0.0`` change no host, address or
-announcement (the AS graph draws from its own stream), and
-``stochastic_anomalies=False`` only drops the seven Section 5.1 anomaly
-regions.  But ``icmp_rate_limited_share=0.0`` skips the ``rng.uniform``
-draw of each rate-limited allocation (8 in the default world), which
-shifts the build stream from the first of them on.  At the default scale
-the routed world has 11,064 hosts against the context's 10,765 and binds
-10,436 of the context's 13,282 bound addresses; of the 6,962 hitlist
-targets, 2,126 are bound and 3,186 lie in aliased regions there, against
-2,845 and 3,756 in the context's world.  So the experiment measures how
-the vantage changes what one fixed target list sees in one routed world --
-every vantage probes the same targets in the same world -- and not the
-responsiveness the other experiments report for that list.
+The view shares every host, address, announcement, aliased region and
+rate limit of the world every other report sees, so the experiment keeps
+that world's substrate: packet loss is a keyed draw per probe (the same
+for every vantage), and the rate-limited allocations and the seven
+Section 5.1 anomaly regions answer as they do for the other reports.  The
+routed knobs add only the path effects, keyed on the vantage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.experiments.context import ExperimentContext
 from repro.netmodel.asgraph import REGIONS
-from repro.netmodel.internet import SimulatedInternet
 
-#: Routed-topology knobs of the experiment (composed over the context's
-#: Internet configuration; the filtered region is REGIONS[2] = "apnic").
+#: Routed-topology knobs of the experiment (a routed view of the context's
+#: Internet; the filtered region is REGIONS[2] = "apnic").
 ROUTED_KNOBS: dict[str, object] = {
     "num_transit_ases": 5,
     "num_ixps": 2,
@@ -105,16 +96,7 @@ class VantageBiasResult:
 
 def run(ctx: ExperimentContext) -> VantageBiasResult:
     """Probe the context's hitlist from every vantage of the routed graph."""
-    config = replace(
-        ctx.config.internet_config(),
-        # Deterministic substrate: the remaining per-probe randomness is the
-        # routed path effects themselves, keyed on the vantage.
-        packet_loss=0.0,
-        icmp_rate_limited_share=0.0,
-        stochastic_anomalies=False,
-        **ROUTED_KNOBS,
-    )
-    internet = SimulatedInternet(config)
+    internet = ctx.internet.routed(**ROUTED_KNOBS)
     routing = internet.routing
     graph = internet.asgraph
     # Resolved once: every vantage probes the same targets.
@@ -150,7 +132,7 @@ def run(ctx: ExperimentContext) -> VantageBiasResult:
     return VantageBiasResult(
         vantage_asns=list(routing.vantage_asns),
         vantage_regions=[graph.region_of(asn) for asn in routing.vantage_asns],
-        filtered_region=config.filtered_region,
+        filtered_region=internet.config.filtered_region,
         num_targets=len(targets),
         responsive_counts=[int(mask.sum()) for mask in responsive],
         jaccard=jaccard,

@@ -25,8 +25,9 @@ for validation.
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -34,7 +35,14 @@ import numpy as np
 
 from repro import keyed
 from repro.addr.address import LO_MASK, IPv6Address, parse_address
-from repro.addr.batch import AddressBatch, FlatLPM, PackedKeys, find128, readonly_view
+from repro.addr.batch import (
+    AddressBatch,
+    FlatLPM,
+    PackedKeys,
+    find128,
+    prefix_columns,
+    readonly_view,
+)
 from repro.addr.generate import random_address_in_prefix
 from repro.addr.prefix import IPv6Prefix
 from repro.addr.trie import PrefixTrie
@@ -119,6 +127,21 @@ _PATH_SALTS = frozenset((keyed.CONGESTION, keyed.ROUTE_ICMP))
 
 #: Death day of a machine that never dies (vectorised uptime).
 _NEVER = np.iinfo(np.int64).max
+
+#: The :class:`InternetConfig` fields that only the AS graph and the routing
+#: model read (``docs/TOPOLOGY.md``): every other field changes the build.
+_ROUTING_KNOBS = frozenset(
+    (
+        "num_transit_ases",
+        "num_ixps",
+        "num_vantages",
+        "vantage_index",
+        "transit_congestion",
+        "upstream_rate_limit",
+        "filtered_region",
+        "bgp_churn_rate",
+    )
+)
 
 
 class _Streams(dict):
@@ -262,21 +285,16 @@ class _BatchIndex:
     )
 
     def __init__(self, internet: "SimulatedInternet"):
-        self.bgp = FlatLPM((ann.prefix, ann) for ann in internet.bgp)
-        # Announcement index -> destination row of the routing model (-1 for
-        # origin ASes outside the AS graph), so probe_batch can gather route
-        # effects straight from the LPM result.
-        self.ann_dest_row = np.fromiter(
-            (internet.routing.row_of_asn(ann.origin_asn) for ann in self.bgp.objects),
-            dtype=np.int64,
-            count=len(self.bgp.objects),
-        )
+        announcements = list(internet.bgp)
+        self.bgp = FlatLPM(*prefix_columns(ann.prefix for ann in announcements), announcements)
+        self.ann_dest_row = self._dest_rows(internet.routing)
         limit_items = list(internet._icmp_rate_limited.items())
-        self.limits = FlatLPM(limit_items)
         self.limit_values = np.array([v for _, v in limit_items], dtype=float)
-        self.regions = FlatLPM(
-            (region.prefix, region) for region in internet.aliased_regions
+        self.limits = FlatLPM(
+            *prefix_columns(prefix for prefix, _ in limit_items), self.limit_values
         )
+        regions = internet.aliased_regions
+        self.regions = FlatLPM(*prefix_columns(r.prefix for r in regions), regions)
         bound = AddressBatch.from_ints(list(internet._host_by_address))
         order = bound.argsort()
         bound = bound.take(order)
@@ -344,6 +362,23 @@ class _BatchIndex:
             ],
             dtype=float,
         )
+
+    def _dest_rows(self, routing: RoutingModel) -> np.ndarray:
+        """Announcement index -> destination row of *routing* (-1 for origin
+        ASes outside its AS graph), so probe_batch can gather route effects
+        straight from the LPM result."""
+        return np.fromiter(
+            (routing.row_of_asn(ann.origin_asn) for ann in self.bgp.objects),
+            dtype=np.int64,
+            count=len(self.bgp.objects),
+        )
+
+    def rerouted(self, routing: RoutingModel) -> "_BatchIndex":
+        """This index over another routing model: every column is shared
+        but the announcement -> destination row map."""
+        index = copy.copy(self)
+        index.ann_dest_row = self._dest_rows(routing)
+        return index
 
     def cells_of(self, batch: AddressBatch) -> np.ndarray:
         """Index of each address's interval in :attr:`cells`."""
@@ -469,13 +504,7 @@ class SimulatedInternet:
             config.num_ases, self._rng, eyeball_boost=config.eyeball_tail_boost
         )
         self.bgp = BGPTable()
-        self.topology = Topology(random.Random(config.seed ^ 0x70B0))
-        # The AS graph draws from a dedicated stream: enabling the routed
-        # topology must not perturb hosts, addressing or announcements.
-        self.asgraph = build_asgraph(
-            self.registry, config, random.Random(config.seed ^ 0xA5C4)
-        )
-        self.routing = RoutingModel(self.asgraph, config)
+        self._bind_routing(config)
         self.plans: list[NetworkPlan] = []
         self.hosts: list[Host] = []
         self.aliased_regions: list[AliasedRegion] = []
@@ -485,6 +514,20 @@ class SimulatedInternet:
         self._plan_by_announcement: dict[IPv6Prefix, NetworkPlan] = {}
         # Every machine (bound hosts and aliased-region hosts), by host id.
         self._machines: list[Host] = []
+        # Vectorised lookup structures for probe_batch, built on first use
+        # (the Internet is immutable once _build returns).
+        self._batch_index: Optional[_BatchIndex] = None
+        self._build()
+
+    def _bind_routing(self, config: InternetConfig) -> None:
+        """Bind *config* and everything that depends on its routing knobs or
+        on call order: all that a :meth:`routed` view does not share."""
+        self.config = config
+        self.topology = Topology(random.Random(config.seed ^ 0x70B0))
+        # The AS graph draws from a dedicated stream: enabling the routed
+        # topology must not perturb hosts, addressing or announcements.
+        self.asgraph = build_asgraph(self.registry, config, random.Random(config.seed ^ 0xA5C4))
+        self.routing = RoutingModel(self.asgraph, config)
         # Per-address lookup cache: repeated scans hit the same addresses on
         # several protocols and days, so trie lookups -- and the address's
         # base key for keyed draws -- are memoised.
@@ -495,10 +538,31 @@ class SimulatedInternet:
         # Popular /64 pods per aliased region, grown lazily by
         # sample_aliased_addresses (keyed by region identity).
         self._aliased_pods: dict[int, list[IPv6Prefix]] = {}
-        # Vectorised lookup structures for probe_batch, built on first use
-        # (the Internet is immutable once _build returns).
-        self._batch_index: Optional[_BatchIndex] = None
-        self._build()
+
+    def routed(self, **knobs: object) -> "SimulatedInternet":
+        """This world under other routing knobs (the eight of ``docs/TOPOLOGY.md``).
+
+        The view answers exactly as ``SimulatedInternet(replace(config,
+        **knobs))`` would, at a fraction of the cost: no routing knob is read
+        while hosts, addresses, announcements, aliased regions and rate
+        limits are built, and the AS graph draws from its own stream.  So the
+        view shares every build product and every column of the batch index
+        but one, and owns only what depends on routing or on call order: its
+        AS graph and routing model, the announcement -> destination row map,
+        the scalar probe cache, the topology stream and the aliased pods.
+        Nothing done through the view changes what this world answers.
+        """
+        build_fields = sorted(set(knobs) - _ROUTING_KNOBS)
+        if build_fields:
+            raise ValueError(
+                f"routed() takes only routing knobs ({sorted(_ROUTING_KNOBS)}); "
+                f"{build_fields} would change the build"
+            )
+        index = self._ensure_batch_index()
+        view = copy.copy(self)
+        view._bind_routing(replace(self.config, **knobs))
+        view._batch_index = index.rerouted(view.routing)
+        return view
 
     # ------------------------------------------------------------------ build
 

@@ -17,6 +17,7 @@ from repro.addr.batch import (
     FlatLPM,
     batch_fanout_targets,
     find128,
+    prefix_columns,
     random_batch_in_prefix,
     searchsorted128,
 )
@@ -186,7 +187,7 @@ class TestFlatLPM:
         trie: PrefixTrie[int] = PrefixTrie()
         for prefix, value in pairs:
             trie.insert(prefix, value)
-        flat = FlatLPM(pairs)
+        flat = FlatLPM(*prefix_columns(p for p, _ in pairs), [v for _, v in pairs])
         queries = [rng.getrandbits(128) for _ in range(500)]
         for prefix, _ in pairs[:80]:
             offset = rng.getrandbits(128 - prefix.length) if prefix.length < 128 else 0
@@ -199,11 +200,11 @@ class TestFlatLPM:
         assert got == expected
 
     def test_lookup_values_and_empty(self):
-        flat = FlatLPM([])
+        flat = FlatLPM(*prefix_columns([]), [])
         batch = AddressBatch.from_ints([0, 1, FULL_MASK])
         assert flat.lookup_indices(batch).tolist() == [-1, -1, -1]
         assert flat.lookup_values(batch) == [None, None, None]
-        full = FlatLPM([(IPv6Prefix(0, 0), "everything")])
+        full = FlatLPM(*prefix_columns([IPv6Prefix(0, 0)]), ["everything"])
         assert full.lookup_values(batch) == ["everything"] * 3
 
 

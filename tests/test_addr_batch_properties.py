@@ -20,6 +20,7 @@ from repro.addr.batch import (
     FlatLPM,
     PackedKeys,
     find128,
+    prefix_columns,
     searchsorted128,
     union_sorted,
 )
@@ -137,7 +138,7 @@ class TestFlatLPMOracle:
     @given(st.lists(prefix_specs, max_size=40), st.lists(address_ints, max_size=60))
     def test_lookup_matches_prefix_trie(self, specs, queries):
         prefixes = list(dict.fromkeys(IPv6Prefix.of(v, length) for v, length in specs))
-        flat = FlatLPM((p, i) for i, p in enumerate(prefixes))
+        flat = FlatLPM(*prefix_columns(prefixes), range(len(prefixes)))
         trie: PrefixTrie[int] = PrefixTrie()
         for i, prefix in enumerate(prefixes):
             trie.insert(prefix, i)

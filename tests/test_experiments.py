@@ -24,6 +24,7 @@ from repro.experiments import (
     table5,
     table7,
     table9,
+    vantage,
 )
 from repro.netmodel.internet import BatchProbeResult, SimulatedInternet
 from repro.netmodel.services import Protocol
@@ -214,6 +215,32 @@ class TestTable9:
         assert result.clients_less_responsive_than_atlas
         assert result.clients_churn_quickly
         assert "platform" in table9.format_table(result)
+
+
+class TestVantageBias:
+    def test_section5_shape_on_the_context_world(self, ctx):
+        result = vantage.run(ctx)
+        assert result.num_targets == len(ctx.hitlist)
+        assert result.responsiveness_is_vantage_dependent
+        assert result.filtered_region_needs_inside_vantage
+        region = result.filtered_region
+        outside = [v for v in range(len(result.vantage_asns)) if v != result.inside_vantage]
+        assert outside and all(result.region_responsive[v][region] == 0 for v in outside)
+        assert "(inside)" in vantage.format_table(result)
+
+    def test_run_all_builds_no_second_world(self, ctx, monkeypatch):
+        assert ctx.internet is not None  # the context's world, built
+        builds = []
+        init = SimulatedInternet.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatedInternet, "__init__", counting_init)
+        outcomes = runner.run_all(ctx)
+        assert "vantage_bias" in outcomes
+        assert builds == []
 
 
 class TestRunner:
