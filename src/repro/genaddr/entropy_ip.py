@@ -13,8 +13,10 @@ addresses in three steps:
 The generator then produces candidate addresses by walking the model.  The
 paper improves the original random walk by enumerating combinations
 *exhaustively in order of probability* under a scanning budget; that is what
-:class:`EntropyIPGenerator` implements (a best-first search over the segment
-chain).
+:class:`EntropyIPGenerator` implements.  Its reference loop is a best-first
+search over the segment chain; its batch engine is one exact k-best beam
+over sparse per-segment cost tables that emits the same addresses in the
+same order.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.addr.address import HEX_ALPHABET, IPv6Address, NYBBLES
-from repro.addr.batch import AddressBatch
+from repro.addr.address import HEX_ALPHABET, IPv6Address, LO_MASK, NYBBLES
+from repro.addr.batch import AddressBatch, find128
 from repro.core.entropy import nybble_entropies_of_matrix
 
 _HEX_DIGITS = np.array(list(HEX_ALPHABET))
@@ -90,10 +92,6 @@ class Segment:
     def width(self) -> int:
         return self.end - self.start + 1
 
-    def slice_of(self, nybbles: str) -> str:
-        """This segment's substring of a 32-nybble address string."""
-        return nybbles[self.start - 1 : self.end]
-
 
 def segment_positions(
     entropies: Sequence[float], threshold: float = 0.1, max_width: int = 8
@@ -130,10 +128,9 @@ class SegmentModel:
     #: value (hex string) -> probability.
     probabilities: dict[str, float] = field(default_factory=dict)
 
-    def top_values(self, limit: int | None = None) -> list[tuple[str, float]]:
+    def top_values(self) -> list[tuple[str, float]]:
         """Values ordered by decreasing probability."""
-        ordered = sorted(self.probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ordered if limit is None else ordered[:limit]
+        return sorted(self.probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 class EntropyIPModel:
@@ -159,6 +156,8 @@ class EntropyIPModel:
         # value mining and the transition fitting below.
         self._seed_matrix = batch.nybbles_matrix(1, NYBBLES)
         self._seed_set = set(_rows_as_hex(self._seed_matrix))
+        #: Sorted-unique seed addresses: the batch generator's seed filter.
+        self.seed_batch = batch.unique()
         entropies = nybble_entropies_of_matrix(self._seed_matrix[:, first_nybble - 1 :])
         raw_segments = segment_positions(entropies, entropy_threshold, max_segment_width)
         self.segments: list[Segment] = [
@@ -252,39 +251,225 @@ class EntropyIPModel:
         """True when the 32-nybble string is one of the model's seeds."""
         return nybbles in self._seed_set
 
-    def seed_values(self) -> frozenset[int]:
-        """The seed addresses as 128-bit integers (built lazily, cached).
-
-        The integer counterpart of :meth:`is_seed`, used by the batch
-        generators which track candidates as packed integers instead of
-        nybble strings.
-        """
-        cached = getattr(self, "_seed_values", None)
-        if cached is None:
-            cached = frozenset(int(nybbles, 16) for nybbles in self._seed_set)
-            self._seed_values = cached
-        return cached
-
     @property
     def seed_count(self) -> int:
         return int(self._seed_matrix.shape[0])
 
 
+#: Slack of the beam's selection threshold, relative to the threshold (and
+#: absolute below 1).  A selection cost differs from the exact left-to-right
+#: score by its summation order (under 64 ulp of the total) and by numpy
+#: normalising each row of n candidates in its own order (about 2n ulp per
+#: term).  With at most 32 terms and n at most the 100k seeds an AS is
+#: capped at plus 64 marginal values, that is under 1e-9 (absolute below 1,
+#: relative above); 1e-8 exceeds twice it, so the beam drops a prefix only
+#: when K other prefixes' best completions score strictly better than every
+#: completion of it, exact ties included.
+_MARGIN = 1e-8
+
+#: Children scored per expansion block.  It bounds one block's transient
+#: score, id and pointer arrays to a few MB (~40 bytes a child), however many
+#: transitions a segment's rows hold.
+_BLOCK_CHILDREN = 1 << 16
+
+
+def _limit(threshold: float) -> float:
+    """The largest f the beam keeps when the k-th smallest f is *threshold*."""
+    return threshold + _MARGIN * max(1.0, threshold)
+
+
+def _row_pointers(owners: np.ndarray, rows: int) -> np.ndarray:
+    """CSR row pointers of entries sorted by their owner row."""
+    return np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=rows))))
+
+
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row position, entry index) of *counts* consecutive entries per row,
+    each from its row's start."""
+    owner = np.repeat(np.arange(len(starts)), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(int(counts.sum())) - np.repeat(first - starts, counts)
+
+
+class _CostRows:
+    """Selection costs of one segment's values given the previous segment's.
+
+    Row *u* (a previous-segment value id, or the root for segment 0) holds
+    ``-log p`` of what ``candidate_values(index, value_of[u])`` returns, with
+    no (previous alphabet x alphabet) table: a row is the segment's marginal
+    values (at most ``max_values_per_segment``) plus u's observed
+    transitions.  A child's cost is ``offset[u] + raw``: ``offset[u]`` is the
+    log of u's normalising total (0 for a row without transitions, which
+    takes the marginal as is) and ``raw`` is ``-log m`` for a marginal value
+    and ``-log(m/2 + c/2)`` for a transition.  A transition to a marginal
+    value replaces that child (the ``blend`` entries, by marginal slot); any
+    other adds one (the ``extra`` entries).  Both are CSR tables over u.
+
+    ``completion`` is a value's cheapest cost over the later segments, so a
+    child of a path scoring ``s`` has ``f = s + offset[u] + raw +
+    completion``; ``extra_through`` holds ``raw + completion``.  These costs
+    only select paths: numpy normalises and sums them in its own order, so
+    they match the exact scores within :data:`_MARGIN`.
+    """
+
+    __slots__ = (
+        "marginal_ids",
+        "marginal_raw",
+        "marginal_completion",
+        "offset",
+        "blend_ptr",
+        "blend_slot",
+        "blend_raw",
+        "extra_ptr",
+        "extra_ids",
+        "extra_raw",
+        "extra_through",
+    )
+
+    def __init__(
+        self,
+        model: "EntropyIPModel",
+        tables: "_SegmentTables",
+        index: int,
+        completion: np.ndarray,
+    ):
+        id_of = tables.id_of[index]
+        marginal = model.segment_models[index].top_values()
+        probabilities = np.array([p for _, p in marginal])
+        self.marginal_ids = np.array([id_of[value] for value, _ in marginal], dtype=np.int64)
+        self.marginal_raw = -np.log(probabilities)
+        self.marginal_completion = completion[self.marginal_ids]
+        owners: list[int] = []
+        children: list[int] = []
+        conditional: list[float] = []
+        previous_rows = 1
+        if index > 0:
+            previous_rows = len(tables.value_of[index - 1])
+            previous_id = tables.id_of[index - 1]
+            for previous, table in model.transitions[index - 1].items():
+                owners.extend([previous_id[previous]] * len(table))
+                children.extend(map(id_of.__getitem__, table))
+                conditional.extend(table.values())
+        owner = np.array(owners, dtype=np.int64)
+        child = np.array(children, dtype=np.int64)
+        size = len(tables.value_of[index])
+        marginal_p = np.zeros(size)
+        marginal_p[self.marginal_ids] = probabilities
+        slot_of = np.full(size, -1, dtype=np.int64)
+        slot_of[self.marginal_ids] = np.arange(len(marginal))
+        blended = 0.5 * marginal_p[child] + 0.5 * np.array(conditional)
+        total = probabilities.sum() + np.bincount(
+            owner, blended - marginal_p[child], minlength=previous_rows
+        )
+        has_row = np.bincount(owner, minlength=previous_rows) > 0
+        self.offset = np.log(np.where(has_row, total, 1.0))
+        order = np.argsort(owner, kind="stable")
+        owner, child, raw = owner[order], child[order], -np.log(blended[order])
+        slot = slot_of[child]
+        blend = slot >= 0
+        self.blend_ptr = _row_pointers(owner[blend], previous_rows)
+        self.blend_slot = slot[blend]
+        self.blend_raw = raw[blend]
+        self.extra_ptr = _row_pointers(owner[~blend], previous_rows)
+        self.extra_ids = child[~blend]
+        self.extra_raw = raw[~blend]
+        self.extra_through = self.extra_raw + completion[self.extra_ids]
+
+    def cheapest(self) -> np.ndarray:
+        """Each row's least ``offset + raw + completion``: the cheapest
+        completion of every previous-segment value."""
+        dense = self.offset[:, None] + (self.marginal_raw + self.marginal_completion)
+        owner = np.repeat(np.arange(len(self.offset)), np.diff(self.blend_ptr))
+        dense[owner, self.blend_slot] = self.offset[owner] + (
+            self.blend_raw + self.marginal_completion[self.blend_slot]
+        )
+        best = dense.min(axis=1)
+        owner = np.repeat(np.arange(len(self.offset)), np.diff(self.extra_ptr))
+        np.minimum.at(best, owner, self.offset[owner] + self.extra_through)
+        return best
+
+    def children(
+        self, base: np.ndarray, previous: np.ndarray, limit: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(score, f, parent position, value id) of the children whose f is
+        at most *limit*, for parents scoring ``base - offset``."""
+        child_score = base[:, None] + self.marginal_raw
+        starts = self.blend_ptr[previous]
+        owner, entry = _ragged(starts, self.blend_ptr[previous + 1] - starts)
+        child_score[owner, self.blend_slot[entry]] = base[owner] + self.blend_raw[entry]
+        parent, slot = np.nonzero(child_score + self.marginal_completion <= limit)
+        child_score = child_score[parent, slot]
+        starts = self.extra_ptr[previous]
+        owner, entry = _ragged(starts, self.extra_ptr[previous + 1] - starts)
+        extra_f = base[owner] + self.extra_through[entry]
+        within = extra_f <= limit
+        owner, entry = owner[within], entry[within]
+        return (
+            np.concatenate((child_score, base[owner] + self.extra_raw[entry])),
+            np.concatenate((child_score + self.marginal_completion[slot], extra_f[within])),
+            np.concatenate((parent, owner)),
+            np.concatenate((self.marginal_ids[slot], self.extra_ids[entry])),
+        )
+
+    def select(
+        self, score: np.ndarray, previous: np.ndarray, f: np.ndarray, k: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+        """One beam step: the children of the parents (*score*, *previous*,
+        *f*) whose f is within the margin of the k-th smallest.
+
+        A parent's f is the least f of its children, so the k-th smallest
+        parent f bounds the k-th smallest child f from above, and no parent
+        above the running threshold is expanded.  Parents are expanded in
+        ascending f, in blocks of about :data:`_BLOCK_CHILDREN` children,
+        against a running k-best.  Returns the kept children's (score, f,
+        parent, value id) and whether any child of the parents was left out.
+        """
+        order = np.argsort(f, kind="stable")
+        ordered_f = f[order]
+        limit = _limit(ordered_f[k - 1]) if len(order) >= k else np.inf
+        stop = int(np.searchsorted(ordered_f, limit, "right"))
+        widths = len(self.marginal_ids) + np.diff(self.extra_ptr)[previous]
+        order = order[:stop]
+        rows = previous[order]
+        base = score[order] + self.offset[rows]
+        ends = np.cumsum(widths[order])
+        kept = [np.zeros(0), np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int64)]
+        start = 0
+        while start < stop:
+            before = ends[start - 1] if start else 0
+            end = max(start + 1, int(np.searchsorted(ends, before + _BLOCK_CHILDREN, "right")))
+            block = slice(start, min(end, stop))
+            child_score, child_f, owner, child = self.children(base[block], rows[block], limit)
+            fresh = (child_score, child_f, order[block][owner], child)
+            kept = [np.concatenate(pair) for pair in zip(kept, fresh)]
+            if len(kept[1]) > k:
+                limit = _limit(np.partition(kept[1], k - 1)[k - 1])
+                within = kept[1] <= limit
+                kept = [column[within] for column in kept]
+                stop = min(stop, int(np.searchsorted(ordered_f, limit, "right")))
+            start = end
+        child_score, child_f, parent, child = kept
+        return child_score, child_f, parent, child, len(child) < int(widths.sum())
+
+
 class _SegmentTables:
     """Integer-indexed views of a model's per-segment value alphabets.
 
-    Heap states in the batch generator are tuples of small integers instead
-    of hex strings; these tables map value ids back to strings (for
-    conditioning lookups) and to their positional contribution to the final
-    128-bit address.
+    The beam tracks paths as small integer value ids; these tables map ids
+    back to strings (for conditioning lookups), to their bits of the 128-bit
+    address (``contrib_hi``/``contrib_lo``) and to each segment's selection
+    costs (``rows``, built last segment first: each value's cheapest
+    completion is a backward min over the later segments).  ``best`` is the
+    root's f: the best path's selection cost.
     """
 
-    __slots__ = ("id_of", "value_of", "contrib")
+    __slots__ = ("id_of", "value_of", "contrib_hi", "contrib_lo", "rows", "best")
 
     def __init__(self, model: "EntropyIPModel"):
         self.id_of: list[dict[str, int]] = []
         self.value_of: list[list[str]] = []
-        self.contrib: list[list[int]] = []
+        self.contrib_hi: list[np.ndarray] = []
+        self.contrib_lo: list[np.ndarray] = []
         last = len(model.segments) - 1
         for index, segment in enumerate(model.segments):
             values = set(model.segment_models[index].probabilities)
@@ -295,34 +480,56 @@ class _SegmentTables:
                 values.update(model.transitions[index])
             ordered = sorted(values)
             shift = 4 * (NYBBLES - segment.end)
+            contributions = [int(value, 16) << shift for value in ordered]
             self.id_of.append({value: i for i, value in enumerate(ordered)})
             self.value_of.append(ordered)
-            self.contrib.append([int(value, 16) << shift for value in ordered])
+            self.contrib_hi.append(np.array([c >> 64 for c in contributions], np.uint64))
+            self.contrib_lo.append(np.array([c & LO_MASK for c in contributions], np.uint64))
+        completion = np.zeros(len(self.value_of[last]))
+        self.rows: list[_CostRows] = []
+        for index in range(last, -1, -1):
+            self.rows.insert(0, _CostRows(model, self, index, completion))
+            completion = self.rows[0].cheapest()
+        self.best = completion
+
+    def addresses(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (hi, lo) address columns of paths given as value-id rows."""
+        hi = np.zeros(len(ids), dtype=np.uint64)
+        lo = np.zeros(len(ids), dtype=np.uint64)
+        for index in range(ids.shape[1]):
+            hi |= self.contrib_hi[index][ids[:, index]]
+            lo |= self.contrib_lo[index][ids[:, index]]
+        return hi, lo
 
 
 class _Distribution:
-    """One cached, id-indexed ``candidate_values`` result.
+    """One memoised ``candidate_values`` row, indexed by value id.
 
-    ``logs`` carries ``math.log`` of each candidate probability (None for
-    zero-probability entries, which the exhaustive search skips exactly like
-    the scalar loop).
+    ``logs`` follows the row's rank order and holds ``math.log`` of its
+    probabilities: the very floats the scalar loop subtracts.  Every
+    probability is positive (each candidate value was observed), so no
+    candidate is skipped.
     """
 
-    __slots__ = ("ids", "logs")
+    __slots__ = ("logs", "_by_id", "_sorted_ids")
 
     def __init__(self, ids: list[int], probabilities: list[float]):
-        self.ids = ids
-        self.logs = [math.log(p) if p > 0 else None for p in probabilities]
+        self.logs = np.array([math.log(p) for p in probabilities])
+        self._by_id = np.argsort(ids)
+        self._sorted_ids = np.asarray(ids, dtype=np.int64)[self._by_id]
+
+    def rank_of(self, ids: np.ndarray) -> np.ndarray:
+        """The rank of each value id in this row."""
+        return self._by_id[np.searchsorted(self._sorted_ids, ids)]
 
 
 class EntropyIPGenerator:
     """Exhaustive most-probable-first address generation from an Entropy/IP model.
 
     :meth:`generate` is the original per-address reference loop;
-    :meth:`generate_batch` produces the same addresses (bit-identical for the
-    same model and budget) as packed columnar :class:`AddressBatch` output --
-    the search runs over integer value ids with memoised candidate
-    distributions.
+    :meth:`generate_batch` produces the same addresses in the same order
+    (bit-identical for the same model and budget) as packed columnar
+    :class:`AddressBatch` output.
     """
 
     def __init__(self, model: EntropyIPModel):
@@ -361,8 +568,7 @@ class EntropyIPGenerator:
 
         Equal scores are broken by the candidate *rank* tuple (each segment's
         position in its probability-sorted candidate list) -- a content-based
-        order shared with :meth:`generate_batch`, whose lazy-successor search
-        must pop states in exactly the same sequence.
+        order that :meth:`generate_batch` sorts its paths by.
         """
         if budget <= 0:
             return []
@@ -394,75 +600,86 @@ class EntropyIPGenerator:
         return results
 
     def generate_batch(self, budget: int, include_seeds: bool = False) -> AddressBatch:
-        """Batch counterpart of :meth:`generate`: same addresses, columnar output.
+        """Batch counterpart of :meth:`generate`: same addresses, same order.
 
-        Two changes make this the hot-path implementation while keeping the
-        pop sequence bit-identical to :meth:`generate` (same scores via the
-        same ``math.log`` accumulation, same rank-tuple tie-break):
+        The scalar loop pops complete paths in (score, rank tuple) order.
+        Here one exact k-best beam finds the first K of them without a
+        priority queue:
 
-        * candidate distributions are memoised per (segment, previous value)
-          and indexed by integer ids -- no per-expansion sorting or string
-          assembly;
-        * successors are generated lazily: popping a state pushes only its
-          first child and its next sibling, both of which score at least as
-          high, instead of materialising every child.  The heap stays
-          O(pops) instead of O(pops x alphabet).
+        * at each segment it keeps the children whose ``f = score + h`` is
+          within :data:`_MARGIN` of the K-th smallest, where h is the exact
+          cheapest completion of the child's value.  A dropped prefix's best
+          completion loses to those of K kept ones, so every one of the K
+          first paths survives;
+        * the surviving paths are re-scored from the memoised
+          ``candidate_values`` rows by the scalar loop's own left-to-right
+          ``score - log p`` and sorted by (score, rank tuple) with
+          ``np.lexsort``: the scalar loop's pop order;
+        * K starts at *budget* and doubles (at least to *budget* plus the
+          seeds found) while seeds, which are skipped unless
+          *include_seeds*, fill the first K; it stops once *budget*
+          non-seeds remain or no path was dropped.
         """
         if budget <= 0:
             return AddressBatch.empty()
         tables = self._ensure_tables()
-        seeds = self.model.seed_values()
-        results: list[int] = []
-        num_segments = len(self.model.segments)
-        # Heap entries: (score, ranks, ids, parent score).  Ranks are unique
-        # per state, so the (non-comparable-by-score) tails never compare.
-        heap: list[tuple[float, tuple[int, ...], tuple[int, ...], float]] = [
-            (0.0, (), (), 0.0)
-        ]
+        seeds = self.model.seed_batch
+        k = budget
+        while True:
+            ids, complete = self._beam(k)
+            ranked = ids[self._pop_order(ids)]
+            if not complete:
+                ranked = ranked[:k]
+            hi, lo = tables.addresses(ranked)
+            if not include_seeds:
+                fresh = find128(seeds.hi, seeds.lo, hi, lo) < 0
+                hi, lo = hi[fresh], lo[fresh]
+            if len(hi) >= budget or complete:
+                return AddressBatch(hi[:budget], lo[:budget])
+            k = max(2 * k, budget + len(ranked) - len(hi))
 
-        def push(
-            score: float,
-            ranks: tuple[int, ...],
-            ids: tuple[int, ...],
-            rank: int,
-            distribution: _Distribution,
-        ) -> None:
-            """Push the state extending/replacing the last rank with *rank*
-            (advanced past zero-probability candidates, exactly like the
-            scalar loop's ``probability <= 0`` skip)."""
-            logs = distribution.logs
-            while rank < len(logs) and logs[rank] is None:
-                rank += 1
-            if rank >= len(logs):
-                return
-            heapq.heappush(
-                heap,
-                (
-                    score - logs[rank],
-                    ranks + (rank,),
-                    ids + (distribution.ids[rank],),
-                    score,
-                ),
-            )
+    def _beam(self, k: int) -> tuple[np.ndarray, bool]:
+        """Every path that survives a k-best beam, as rows of value ids (one
+        column per segment), and whether the beam kept every path."""
+        tables = self._ensure_tables()
+        score, f = np.zeros(1), tables.best
+        previous = np.zeros(1, dtype=np.int64)
+        trail: list[tuple[np.ndarray, np.ndarray]] = []
+        complete = True
+        for rows in tables.rows:
+            score, f, parent, previous, dropped = rows.select(score, previous, f, k)
+            trail.append((parent, previous))
+            complete = complete and not dropped
+        ids = np.empty((len(previous), len(trail)), dtype=np.int64)
+        pointer = np.arange(len(previous))
+        for index in range(len(trail) - 1, -1, -1):
+            parent, child = trail[index]
+            ids[:, index] = child[pointer]
+            pointer = parent[pointer]
+        return ids, complete
 
-        while heap and len(results) < budget:
-            neg_logp, ranks, ids, parent_score = heapq.heappop(heap)
-            depth = len(ranks)
-            if depth:
-                # Next sibling: same prefix, next candidate of this segment.
-                sibling_distribution = self._distribution(
-                    depth - 1, ids[-2] if depth > 1 else None
-                )
-                push(parent_score, ranks[:-1], ids[:-1], ranks[-1] + 1, sibling_distribution)
-            if depth == num_segments:
-                address = 0
-                for index, value_id in enumerate(ids):
-                    address |= tables.contrib[index][value_id]
-                if not include_seeds and address in seeds:
-                    continue
-                results.append(address)
-                continue
-            # First child: best candidate of the next segment.
-            child_distribution = self._distribution(depth, ids[-1] if depth else None)
-            push(neg_logp, ranks, ids, 0, child_distribution)
-        return AddressBatch.from_ints(results)
+    def _pop_order(self, ids: np.ndarray) -> np.ndarray:
+        """The order in which the scalar loop pops the paths *ids*: exact
+        scores from the memoised rows, ties broken by rank tuple."""
+        count, depth = ids.shape
+        score = np.zeros(count)
+        ranks = np.empty_like(ids)
+        logs = np.empty(count)
+        for index in range(depth):
+            if index == 0:
+                groups = [(None, np.arange(count))]
+            else:
+                previous = ids[:, index - 1]
+                order = np.argsort(previous, kind="stable")
+                cuts = np.flatnonzero(np.diff(previous[order])) + 1
+                heads = previous[order[np.concatenate(([0], cuts))]].tolist()
+                groups = list(zip(heads, np.split(order, cuts)))
+            for previous_id, rows in groups:
+                distribution = self._distribution(index, previous_id)
+                rank = distribution.rank_of(ids[rows, index])
+                ranks[rows, index] = rank
+                logs[rows] = distribution.logs[rank]
+            # The scalar loop's own accumulation, one segment at a time.
+            score = score - logs
+        keys = tuple(ranks[:, index] for index in range(depth - 1, -1, -1))
+        return np.lexsort(keys + (score,))

@@ -30,6 +30,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -38,8 +39,12 @@ from repro.addr.address import HEX_ALPHABET, IPv6Address, LO_MASK, NYBBLES
 from repro.addr.batch import AddressBatch, find128, union_sorted
 from repro.exec import ExecutionPolicy
 
-#: Bit masks of the 16 nybble values, for unpacking range bitmasks.
-_BIT_COLUMNS = np.uint16(1) << np.arange(16, dtype=np.uint16)
+
+@lru_cache(maxsize=1 << 16)
+def _mask_values(mask: int) -> tuple[str, ...]:
+    """The sorted hex characters whose bits a nybble-value bitmask sets
+    (one cache entry per 16-bit mask)."""
+    return tuple(HEX_ALPHABET[value] for value in range(16) if mask >> value & 1)
 
 
 @dataclass(slots=True)
@@ -301,10 +306,7 @@ class SixGenGenerator:
         clusters: list[SeedCluster] = []
         offset = 0
         for cluster in grown:
-            ranges = tuple(
-                tuple(HEX_ALPHABET[v] for v in np.flatnonzero(_BIT_COLUMNS & mask).tolist())
-                for mask in cluster.mask.tolist()
-            )
+            ranges = tuple(map(_mask_values, cluster.mask.tolist()))
             count = len(cluster.rows)
             clusters.append(
                 SeedCluster(ranges=ranges, seeds=strings[offset : offset + count])
@@ -446,7 +448,3 @@ class SixGenGenerator:
     @property
     def cluster_count(self) -> int:
         return len(self.clusters)
-
-    def densest_clusters(self, limit: int = 10) -> list[SeedCluster]:
-        """The *limit* densest clusters (diagnostics and ablations)."""
-        return self.clusters[:limit]

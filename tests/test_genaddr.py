@@ -238,7 +238,7 @@ class TestSixGen:
     def test_cluster_count_positive(self):
         generator = SixGenGenerator(_seeds(count=100))
         assert generator.cluster_count > 0
-        assert len(generator.densest_clusters(3)) <= 3
+        assert len(generator.clusters[:3]) <= 3
 
     def test_budget_respected(self):
         generator = SixGenGenerator(_seeds(AddressingScheme.STRUCTURED, count=150))
