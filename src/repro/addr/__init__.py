@@ -29,7 +29,7 @@ from repro.addr.address import (
     nybbles_of,
     parse_address,
 )
-from repro.addr.prefix import IPv6Prefix, parse_prefix, summarize_max_prefix
+from repro.addr.prefix import IPv6Prefix, parse_prefix
 from repro.addr.trie import PrefixTrie
 from repro.addr.generate import (
     fanout_targets,
@@ -54,7 +54,6 @@ __all__ = [
     "NYBBLES",
     "parse_address",
     "parse_prefix",
-    "summarize_max_prefix",
     "nybbles_of",
     "hamming_weight",
     "iid_hamming_weight",

@@ -552,13 +552,6 @@ class FlatLPM:
         pos = np.searchsorted(self._start_keys, _pack128(batch.hi, batch.lo), side="right")
         return self._values[pos - 1]
 
-    def lookup_values(self, batch: AddressBatch) -> list[object]:
-        """The covering prefixes' value objects (None where uncovered)."""
-        return [
-            self.objects[i] if i >= 0 else None
-            for i in self.lookup_indices(batch).tolist()
-        ]
-
 
 def _host_masks(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) masks of the low *shift* host bits of each address."""

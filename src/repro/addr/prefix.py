@@ -161,20 +161,6 @@ def parse_prefix(value: "IPv6Prefix | str") -> IPv6Prefix:
     return IPv6Prefix.parse(value)
 
 
-def summarize_max_prefix(addresses: Iterable["IPv6Address | int | str"]) -> IPv6Prefix:
-    """Smallest single prefix covering all given addresses.
-
-    Used by 6Gen-style range analysis to describe a cluster of seed addresses.
-    """
-    ints = [_to_int(a) for a in addresses]
-    if not ints:
-        raise ValueError("at least one address is required")
-    lo, hi = min(ints), max(ints)
-    diff = lo ^ hi
-    length = BITS - diff.bit_length()
-    return IPv6Prefix.of(lo, length)
-
-
 def group_by_prefix(
     addresses: Iterable["IPv6Address | int | str"], length: int
 ) -> dict[IPv6Prefix, list[IPv6Address]]:

@@ -5,10 +5,16 @@ addresses in three steps:
 
 1. compute the per-nybble entropy profile of the seed set and split the 32
    nybble positions into *segments* of similar entropy;
-2. for each segment, mine the frequent values (or value ranges) observed in
-   the seeds;
+2. for each segment, mine the frequent values observed in the seeds;
 3. connect adjacent segments in a Bayesian-network-like chain that captures
    which value combinations co-occur.
+
+A segment value is an integer id, its index in the segment's sorted
+alphabet of observed values (at most 8 nybbles, so one ``uint64`` each).
+Per segment the model holds that alphabet, its 64 most frequent ids with
+their probabilities, and the transitions from the previous segment as CSR
+arrays; :meth:`EntropyIPModel.candidate_values` builds one read-only row of
+candidate ids per (segment, previous id) and memoises it.
 
 The generator then produces candidate addresses by walking the model.  The
 paper improves the original random walk by enumerating combinations
@@ -16,65 +22,32 @@ paper improves the original random walk by enumerating combinations
 :class:`EntropyIPGenerator` implements.  Its reference loop is a best-first
 search over the segment chain; its batch engine is one exact k-best beam
 over sparse per-segment cost tables that emits the same addresses in the
-same order.
+same order.  Both read the model's memoised rows.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.addr.address import HEX_ALPHABET, IPv6Address, LO_MASK, NYBBLES
-from repro.addr.batch import AddressBatch, find128
+from repro.addr.address import IPv6Address, NYBBLES
+from repro.addr.batch import AddressBatch, find128, readonly_view
 from repro.core.entropy import nybble_entropies_of_matrix
 
-_HEX_DIGITS = np.array(list(HEX_ALPHABET))
+#: Adjacent nybbles share a segment while their entropy stays within this
+#: of the segment's running mean.
+ENTROPY_THRESHOLD = 0.1
 
+#: The widest segment, in nybbles: wider ones explode the value alphabet,
+#: and at this width every segment value fits one ``uint64``.
+MAX_SEGMENT_WIDTH = 8
 
-def _rows_as_hex(matrix: np.ndarray) -> list[str]:
-    """Each row of a nybble-value matrix as one lowercase hex string."""
-    if matrix.shape[0] == 0:
-        return []
-    chars = _HEX_DIGITS[matrix]
-    return chars.view(f"<U{matrix.shape[1]}").ravel().tolist()
-
-
-def _chunk_widths(width: int) -> list[int]:
-    """Widths of the 16-nybble chunks a segment of *width* splits into."""
-    return [min(16, width - offset) for offset in range(0, width, 16)]
-
-
-def _pack_segment(matrix: np.ndarray, start: int, end: int) -> np.ndarray:
-    """Pack nybble columns ``start..end`` (1-based, inclusive) into uint64s.
-
-    Returns an ``(n, chunks)`` array: the segment is split into 16-nybble
-    chunks from the left so each chunk fits a uint64 regardless of segment
-    width.  Rows compare lexicographically (most significant chunk first)
-    exactly like the fixed-width hex strings they stand for.
-    """
-    width = end - start + 1
-    chunks = []
-    offset = start - 1
-    for chunk_width in _chunk_widths(width):
-        columns = matrix[:, offset : offset + chunk_width].astype(np.uint64)
-        powers = np.uint64(16) ** np.arange(
-            chunk_width - 1, -1, -1, dtype=np.uint64
-        )
-        chunks.append((columns * powers).sum(axis=1))
-        offset += chunk_width
-    return np.stack(chunks, axis=1)
-
-
-def _hex_of_packed(row: np.ndarray, width: int) -> str:
-    """The fixed-width lowercase hex string a packed chunk row stands for."""
-    return "".join(
-        f"{int(value):0{chunk_width}x}"
-        for value, chunk_width in zip(row, _chunk_widths(width))
-    )
+#: Values a segment's marginal distribution keeps, most frequent first.
+MAX_VALUES_PER_SEGMENT = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,174 +59,209 @@ class Segment:
 
     start: int
     end: int
-    mean_entropy: float
 
     @property
     def width(self) -> int:
         return self.end - self.start + 1
 
 
-def segment_positions(
-    entropies: Sequence[float], threshold: float = 0.1, max_width: int = 8
-) -> list[tuple[int, int]]:
+def segment_positions(entropies: Sequence[float]) -> list[tuple[int, int]]:
     """Split nybble positions 1..N into segments of similar entropy.
 
-    Adjacent positions are merged while their entropy differs by less than
-    ``threshold`` from the running segment mean and the segment stays at most
-    ``max_width`` nybbles wide (wide segments explode the value alphabet).
+    Adjacent positions are merged while their entropy differs by at most
+    :data:`ENTROPY_THRESHOLD` from the running segment mean and the segment
+    stays at most :data:`MAX_SEGMENT_WIDTH` nybbles wide.  The running total
+    adds the entropies left to right, so the means do not depend on how the
+    interpreter's ``sum`` rounds.
     """
     if not entropies:
         return []
     segments: list[tuple[int, int]] = []
     start = 1
-    running: list[float] = [entropies[0]]
+    total, width = entropies[0], 1
     for position in range(2, len(entropies) + 1):
         entropy = entropies[position - 1]
-        mean = sum(running) / len(running)
-        if abs(entropy - mean) > threshold or len(running) >= max_width:
+        if abs(entropy - total / width) > ENTROPY_THRESHOLD or width >= MAX_SEGMENT_WIDTH:
             segments.append((start, position - 1))
-            start = position
-            running = [entropy]
+            start, total, width = position, entropy, 1
         else:
-            running.append(entropy)
+            total += entropy
+            width += 1
     segments.append((start, len(entropies)))
     return segments
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SegmentModel:
-    """Observed value distribution of one segment."""
+    """One segment's fitted values, each an id into its alphabet.
+
+    ``alphabet`` holds every value the seeds show in the segment, ascending:
+    a value's id is its index there.  ``marginal_ids`` are the (at most
+    :data:`MAX_VALUES_PER_SEGMENT`) most frequent ids in rank order, count
+    descending then id ascending, and ``marginal_probabilities`` their
+    shares of the kept count.  The transitions into the segment are CSR
+    arrays over the previous segment's ids: previous id u is followed by
+    ``children[pointer[u]:pointer[u + 1]]``, ascending, with the conditional
+    probabilities at the same positions of ``conditional``.  Segment 0 has
+    one empty row, the root's.  Every array is read-only.
+    """
 
     segment: Segment
-    #: value (hex string) -> probability.
-    probabilities: dict[str, float] = field(default_factory=dict)
+    alphabet: np.ndarray
+    marginal_ids: np.ndarray
+    marginal_probabilities: np.ndarray
+    pointer: np.ndarray
+    children: np.ndarray
+    conditional: np.ndarray
 
-    def top_values(self) -> list[tuple[str, float]]:
-        """Values ordered by decreasing probability."""
-        return sorted(self.probabilities.items(), key=lambda kv: (-kv[1], kv[0]))
+
+def _row_pointers(owners: np.ndarray, rows: int) -> np.ndarray:
+    """CSR row pointers of entries sorted by their owner row."""
+    return np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=rows))))
+
+
+def _fit_segment(
+    segment: Segment,
+    values: np.ndarray,
+    previous: np.ndarray | None,
+    previous_counts: np.ndarray,
+) -> tuple[SegmentModel, np.ndarray, np.ndarray]:
+    """Fit one segment from each seed's value of it.
+
+    *previous* holds each seed's value id in the previous segment (None for
+    segment 0) and *previous_counts* each previous id's seed count (the
+    root's one count for segment 0).  Returns the model and this segment's
+    own ids and counts: the next call's *previous* and *previous_counts*.
+    """
+    alphabet, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    kept = np.argsort(-counts, kind="stable")[:MAX_VALUES_PER_SEGMENT]
+    if previous is None:  # the root has no transitions
+        pairs = pair_counts = np.zeros(0, dtype=np.int64)
+    else:
+        pairs, pair_counts = np.unique(previous * len(alphabet) + inverse, return_counts=True)
+    owners, children = np.divmod(pairs, len(alphabet))
+    model = SegmentModel(
+        segment=segment,
+        alphabet=readonly_view(alphabet),
+        marginal_ids=readonly_view(kept),
+        marginal_probabilities=readonly_view(counts[kept] / counts[kept].sum()),
+        pointer=readonly_view(_row_pointers(owners, len(previous_counts))),
+        children=readonly_view(children),
+        # Every seed with previous value u has a value here, so u's seed
+        # count is its row's total.
+        conditional=readonly_view(pair_counts / previous_counts[owners]),
+    )
+    return model, inverse, counts
+
+
+class CandidateRow:
+    """One segment's candidate values after one value of the previous segment.
+
+    ``ids`` are value ids, most probable first and ties by id, and
+    ``probabilities`` theirs.  ``logs`` holds ``math.log`` of each: the very
+    floats both generator engines subtract.  Every probability is positive
+    (each candidate value was observed).  Every array is read-only.
+    """
+
+    __slots__ = ("ids", "probabilities", "logs", "_by_id")
+
+    def __init__(self, ids: np.ndarray, probabilities: np.ndarray):
+        self.ids = readonly_view(ids)
+        self.probabilities = readonly_view(probabilities)
+        self.logs = readonly_view(np.array([math.log(p) for p in probabilities.tolist()]))
+        self._by_id = np.argsort(ids)
+
+    def rank_of(self, ids: np.ndarray) -> np.ndarray:
+        """The rank (position in this row) of each value id."""
+        return self._by_id[np.searchsorted(self.ids, ids, sorter=self._by_id)]
 
 
 class EntropyIPModel:
-    """Segment decomposition + value statistics + adjacent-segment chain."""
+    """Segment decomposition + value statistics + adjacent-segment chain.
+
+    *first_nybble* is the first nybble the model learns; the ones before it
+    are zero in every generated address.
+    """
 
     def __init__(
         self,
         seeds: "AddressBatch | Sequence[IPv6Address | int | str]",
         first_nybble: int = 1,
-        entropy_threshold: float = 0.1,
-        max_segment_width: int = 8,
-        max_values_per_segment: int = 64,
     ):
         if len(seeds) == 0:
             raise ValueError("Entropy/IP needs at least one seed address")
-        self.first_nybble = first_nybble
+        if not 1 <= first_nybble <= NYBBLES:
+            raise ValueError(f"first nybble out of range 1..{NYBBLES}: {first_nybble}")
         batch = (
             seeds
             if isinstance(seeds, AddressBatch)
             else AddressBatch.from_addresses(seeds)
         )
-        # One bulk nybble extraction feeds the entropy profile, the segment
-        # value mining and the transition fitting below.
-        self._seed_matrix = batch.nybbles_matrix(1, NYBBLES)
-        self._seed_set = set(_rows_as_hex(self._seed_matrix))
         #: Sorted-unique seed addresses: the batch generator's seed filter.
         self.seed_batch = batch.unique()
-        entropies = nybble_entropies_of_matrix(self._seed_matrix[:, first_nybble - 1 :])
-        raw_segments = segment_positions(entropies, entropy_threshold, max_segment_width)
+        self._seed_values: set[int] | None = None
+        # One bulk nybble extraction feeds the entropy profile and the
+        # values of every segment.
+        matrix = batch.nybbles_matrix(first_nybble, NYBBLES)
         self.segments: list[Segment] = [
-            Segment(
-                start=first_nybble + start - 1,
-                end=first_nybble + end - 1,
-                mean_entropy=sum(entropies[start - 1 : end]) / (end - start + 1),
+            Segment(first_nybble + start - 1, first_nybble + end - 1)
+            for start, end in segment_positions(nybble_entropies_of_matrix(matrix))
+        ]
+        self.segment_models: list[SegmentModel] = []
+        previous: np.ndarray | None = None
+        previous_counts = np.array([len(batch)])
+        for segment in self.segments:
+            first = segment.start - first_nybble
+            columns = matrix[:, first : first + segment.width].astype(np.uint64)
+            powers = np.uint64(16) ** np.arange(segment.width - 1, -1, -1, dtype=np.uint64)
+            model, previous, previous_counts = _fit_segment(
+                segment, (columns * powers).sum(axis=1), previous, previous_counts
             )
-            for start, end in raw_segments
-        ]
-        self.max_values_per_segment = max_values_per_segment
-        # Pack every segment's nybble columns once; value mining and
-        # transition fitting both consume the packed columns.
-        self._packed_segments = [
-            _pack_segment(self._seed_matrix, segment.start, segment.end)
-            for segment in self.segments
-        ]
-        self.segment_models: list[SegmentModel] = [
-            self._fit_segment(index) for index in range(len(self.segments))
-        ]
-        self.transitions: list[dict[str, dict[str, float]]] = self._fit_transitions()
+            self.segment_models.append(model)
+        self._rows: dict[tuple[int, int], CandidateRow] = {}
 
-    # -- fitting ------------------------------------------------------------------
+    def candidate_values(self, index: int, previous_id: int) -> CandidateRow:
+        """Segment *index*'s candidate values after value *previous_id* of
+        the previous segment (0, the root, for segment 0), memoised."""
+        key = (index, previous_id)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._candidate_row(index, previous_id)
+        return row
 
-    def _fit_segment(self, index: int) -> SegmentModel:
-        """Value mining over the packed segment columns (one ``np.unique``)."""
-        segment = self.segments[index]
-        values, value_counts = np.unique(
-            self._packed_segments[index], axis=0, return_counts=True
-        )
-        # (-count, packed chunks most significant first) sorts exactly like
-        # (-count, hex string) for fixed-width lowercase hex.
-        keys = [values[:, c] for c in range(values.shape[1] - 1, -1, -1)]
-        order = np.lexsort(tuple(keys) + (-value_counts,))
-        kept = order[: self.max_values_per_segment]
-        kept_total = int(value_counts[kept].sum()) or 1
-        probabilities = {
-            _hex_of_packed(values[i], segment.width): int(value_counts[i]) / kept_total
-            for i in kept
-        }
-        return SegmentModel(segment=segment, probabilities=probabilities)
+    def _candidate_row(self, index: int, previous_id: int) -> CandidateRow:
+        segment_model = self.segment_models[index]
+        ids, marginal = segment_model.marginal_ids, segment_model.marginal_probabilities
+        start, end = segment_model.pointer[previous_id], segment_model.pointer[previous_id + 1]
+        if start == end:  # segment 0's root row: the marginal as is
+            return CandidateRow(ids, marginal)
+        children = segment_model.children[start:end]
+        conditional = segment_model.conditional[start:end]
+        # Blend the conditional distribution with the marginal so that unseen
+        # combinations still get some probability mass: a marginal value
+        # takes the mean of both, and any other child joins after them.
+        position = np.minimum(np.searchsorted(children, ids), len(children) - 1)
+        shared = children[position] == ids
+        blended = marginal.copy()
+        blended[shared] = 0.5 * marginal[shared] + 0.5 * conditional[position[shared]]
+        extra = np.ones(len(children), dtype=bool)
+        extra[position[shared]] = False
+        row_ids = np.concatenate((ids, children[extra]))
+        weights = np.concatenate((blended, 0.5 * conditional[extra]))
+        # Left to right, in that order: builtin sum() of floats rounds
+        # differently from Python 3.12 on.
+        total = 0.0
+        for weight in weights.tolist():
+            total += weight
+        probabilities = weights / total
+        order = np.lexsort((row_ids, -probabilities))
+        return CandidateRow(row_ids[order], probabilities[order])
 
-    def _fit_transitions(self) -> list[dict[str, dict[str, float]]]:
-        """Conditional P(next segment value | this segment value) per boundary.
-
-        Pair statistics come from one two-column ``np.unique`` over the packed
-        (left, right) segment values instead of a per-seed string-slicing loop.
-        """
-        transitions: list[dict[str, dict[str, float]]] = []
-        for boundary, (left, right) in enumerate(zip(self.segments, self.segments[1:])):
-            lv = self._packed_segments[boundary]
-            rv = self._packed_segments[boundary + 1]
-            pairs, pair_counts = np.unique(
-                np.hstack((lv, rv)), axis=0, return_counts=True
-            )
-            left_chunks = lv.shape[1]
-            counts: dict[str, dict[str, int]] = {}
-            for row, count in zip(pairs, pair_counts.tolist()):
-                left_key = _hex_of_packed(row[:left_chunks], left.width)
-                right_key = _hex_of_packed(row[left_chunks:], right.width)
-                counts.setdefault(left_key, {})[right_key] = count
-            table: dict[str, dict[str, float]] = {}
-            for left_key, right_counts in counts.items():
-                total = sum(right_counts.values())
-                table[left_key] = {rk: c / total for rk, c in right_counts.items()}
-            transitions.append(table)
-        return transitions
-
-    # -- probabilities -----------------------------------------------------------
-
-    def candidate_values(self, index: int, previous_value: str | None) -> list[tuple[str, float]]:
-        """Values of segment *index* with probabilities, conditioned on the
-        previous segment's value when a transition entry exists."""
-        model = self.segment_models[index]
-        if index > 0 and previous_value is not None:
-            table = self.transitions[index - 1].get(previous_value)
-            if table:
-                # Blend the conditional distribution with the marginal so that
-                # unseen combinations still get some probability mass.
-                blended: dict[str, float] = dict(model.probabilities)
-                for value, p in table.items():
-                    blended[value] = 0.5 * blended.get(value, 0.0) + 0.5 * p
-                total = sum(blended.values())
-                return sorted(
-                    ((v, p / total) for v, p in blended.items()),
-                    key=lambda kv: (-kv[1], kv[0]),
-                )
-        return model.top_values()
-
-    def is_seed(self, nybbles: str) -> bool:
-        """True when the 32-nybble string is one of the model's seeds."""
-        return nybbles in self._seed_set
-
-    @property
-    def seed_count(self) -> int:
-        return int(self._seed_matrix.shape[0])
+    def is_seed(self, value: int) -> bool:
+        """True when the 128-bit *value* is one of the model's seeds."""
+        if self._seed_values is None:
+            self._seed_values = set(self.seed_batch.to_ints())
+        return value in self._seed_values
 
 
 #: Slack of the beam's selection threshold, relative to the threshold (and
@@ -278,11 +286,6 @@ def _limit(threshold: float) -> float:
     return threshold + _MARGIN * max(1.0, threshold)
 
 
-def _row_pointers(owners: np.ndarray, rows: int) -> np.ndarray:
-    """CSR row pointers of entries sorted by their owner row."""
-    return np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=rows))))
-
-
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row position, entry index) of *counts* consecutive entries per row,
     each from its row's start."""
@@ -295,9 +298,9 @@ class _CostRows:
     """Selection costs of one segment's values given the previous segment's.
 
     Row *u* (a previous-segment value id, or the root for segment 0) holds
-    ``-log p`` of what ``candidate_values(index, value_of[u])`` returns, with
-    no (previous alphabet x alphabet) table: a row is the segment's marginal
-    values (at most ``max_values_per_segment``) plus u's observed
+    ``-log p`` of what ``candidate_values(index, u)`` returns, with no
+    (previous alphabet x alphabet) table: a row is the segment's marginal
+    values (at most :data:`MAX_VALUES_PER_SEGMENT`) plus u's observed
     transitions.  A child's cost is ``offset[u] + raw``: ``offset[u]`` is the
     log of u's normalising total (0 for a row without transitions, which
     takes the marginal as is) and ``raw`` is ``-log m`` for a marginal value
@@ -326,45 +329,26 @@ class _CostRows:
         "extra_through",
     )
 
-    def __init__(
-        self,
-        model: "EntropyIPModel",
-        tables: "_SegmentTables",
-        index: int,
-        completion: np.ndarray,
-    ):
-        id_of = tables.id_of[index]
-        marginal = model.segment_models[index].top_values()
-        probabilities = np.array([p for _, p in marginal])
-        self.marginal_ids = np.array([id_of[value] for value, _ in marginal], dtype=np.int64)
+    def __init__(self, segment_model: SegmentModel, completion: np.ndarray):
+        probabilities = segment_model.marginal_probabilities
+        self.marginal_ids = segment_model.marginal_ids
         self.marginal_raw = -np.log(probabilities)
         self.marginal_completion = completion[self.marginal_ids]
-        owners: list[int] = []
-        children: list[int] = []
-        conditional: list[float] = []
-        previous_rows = 1
-        if index > 0:
-            previous_rows = len(tables.value_of[index - 1])
-            previous_id = tables.id_of[index - 1]
-            for previous, table in model.transitions[index - 1].items():
-                owners.extend([previous_id[previous]] * len(table))
-                children.extend(map(id_of.__getitem__, table))
-                conditional.extend(table.values())
-        owner = np.array(owners, dtype=np.int64)
-        child = np.array(children, dtype=np.int64)
-        size = len(tables.value_of[index])
+        widths = np.diff(segment_model.pointer)
+        previous_rows = len(widths)
+        owner = np.repeat(np.arange(previous_rows), widths)
+        child = segment_model.children
+        size = len(segment_model.alphabet)
         marginal_p = np.zeros(size)
         marginal_p[self.marginal_ids] = probabilities
         slot_of = np.full(size, -1, dtype=np.int64)
-        slot_of[self.marginal_ids] = np.arange(len(marginal))
-        blended = 0.5 * marginal_p[child] + 0.5 * np.array(conditional)
+        slot_of[self.marginal_ids] = np.arange(len(self.marginal_ids))
+        blended = 0.5 * marginal_p[child] + 0.5 * segment_model.conditional
         total = probabilities.sum() + np.bincount(
             owner, blended - marginal_p[child], minlength=previous_rows
         )
-        has_row = np.bincount(owner, minlength=previous_rows) > 0
-        self.offset = np.log(np.where(has_row, total, 1.0))
-        order = np.argsort(owner, kind="stable")
-        owner, child, raw = owner[order], child[order], -np.log(blended[order])
+        self.offset = np.log(np.where(widths > 0, total, 1.0))
+        raw = -np.log(blended)
         slot = slot_of[child]
         blend = slot >= 0
         self.blend_ptr = _row_pointers(owner[blend], previous_rows)
@@ -453,42 +437,36 @@ class _CostRows:
 
 
 class _SegmentTables:
-    """Integer-indexed views of a model's per-segment value alphabets.
+    """The beam's per-segment tables over a model's value ids.
 
-    The beam tracks paths as small integer value ids; these tables map ids
-    back to strings (for conditioning lookups), to their bits of the 128-bit
-    address (``contrib_hi``/``contrib_lo``) and to each segment's selection
-    costs (``rows``, built last segment first: each value's cheapest
-    completion is a backward min over the later segments).  ``best`` is the
-    root's f: the best path's selection cost.
+    ``contrib_hi``/``contrib_lo`` hold each value's bits of the 128-bit
+    address, and ``rows`` each segment's selection costs, built last
+    segment first: each value's cheapest completion is a backward min over
+    the later segments.  ``best`` is the root's f: the best path's
+    selection cost.
     """
 
-    __slots__ = ("id_of", "value_of", "contrib_hi", "contrib_lo", "rows", "best")
+    __slots__ = ("contrib_hi", "contrib_lo", "rows", "best")
 
-    def __init__(self, model: "EntropyIPModel"):
-        self.id_of: list[dict[str, int]] = []
-        self.value_of: list[list[str]] = []
+    def __init__(self, model: EntropyIPModel):
         self.contrib_hi: list[np.ndarray] = []
         self.contrib_lo: list[np.ndarray] = []
-        last = len(model.segments) - 1
-        for index, segment in enumerate(model.segments):
-            values = set(model.segment_models[index].probabilities)
-            if index > 0:
-                for table in model.transitions[index - 1].values():
-                    values.update(table)
-            if index < last:
-                values.update(model.transitions[index])
-            ordered = sorted(values)
-            shift = 4 * (NYBBLES - segment.end)
-            contributions = [int(value, 16) << shift for value in ordered]
-            self.id_of.append({value: i for i, value in enumerate(ordered)})
-            self.value_of.append(ordered)
-            self.contrib_hi.append(np.array([c >> 64 for c in contributions], np.uint64))
-            self.contrib_lo.append(np.array([c & LO_MASK for c in contributions], np.uint64))
-        completion = np.zeros(len(self.value_of[last]))
+        for segment_model in model.segment_models:
+            alphabet = segment_model.alphabet
+            shift = 4 * (NYBBLES - segment_model.segment.end)
+            zeros = np.zeros_like(alphabet)
+            if shift >= 64:
+                hi, lo = alphabet << np.uint64(shift - 64), zeros
+            elif shift:
+                hi, lo = alphabet >> np.uint64(64 - shift), alphabet << np.uint64(shift)
+            else:
+                hi, lo = zeros, alphabet
+            self.contrib_hi.append(hi)
+            self.contrib_lo.append(lo)
+        completion = np.zeros(len(model.segment_models[-1].alphabet))
         self.rows: list[_CostRows] = []
-        for index in range(last, -1, -1):
-            self.rows.insert(0, _CostRows(model, self, index, completion))
+        for segment_model in reversed(model.segment_models):
+            self.rows.insert(0, _CostRows(segment_model, completion))
             completion = self.rows[0].cheapest()
         self.best = completion
 
@@ -500,27 +478,6 @@ class _SegmentTables:
             hi |= self.contrib_hi[index][ids[:, index]]
             lo |= self.contrib_lo[index][ids[:, index]]
         return hi, lo
-
-
-class _Distribution:
-    """One memoised ``candidate_values`` row, indexed by value id.
-
-    ``logs`` follows the row's rank order and holds ``math.log`` of its
-    probabilities: the very floats the scalar loop subtracts.  Every
-    probability is positive (each candidate value was observed), so no
-    candidate is skipped.
-    """
-
-    __slots__ = ("logs", "_by_id", "_sorted_ids")
-
-    def __init__(self, ids: list[int], probabilities: list[float]):
-        self.logs = np.array([math.log(p) for p in probabilities])
-        self._by_id = np.argsort(ids)
-        self._sorted_ids = np.asarray(ids, dtype=np.int64)[self._by_id]
-
-    def rank_of(self, ids: np.ndarray) -> np.ndarray:
-        """The rank of each value id in this row."""
-        return self._by_id[np.searchsorted(self._sorted_ids, ids)]
 
 
 class EntropyIPGenerator:
@@ -535,27 +492,11 @@ class EntropyIPGenerator:
     def __init__(self, model: EntropyIPModel):
         self.model = model
         self._tables: _SegmentTables | None = None
-        self._distributions: dict[tuple[int, int | None], _Distribution] = {}
 
     def _ensure_tables(self) -> _SegmentTables:
         if self._tables is None:
             self._tables = _SegmentTables(self.model)
         return self._tables
-
-    def _distribution(self, index: int, previous_id: int | None) -> _Distribution:
-        """Memoised ``candidate_values`` for one (segment, previous value)."""
-        key = (index, previous_id)
-        cached = self._distributions.get(key)
-        if cached is None:
-            tables = self._ensure_tables()
-            previous = (
-                None if previous_id is None else tables.value_of[index - 1][previous_id]
-            )
-            candidates = self.model.candidate_values(index, previous)
-            ids = [tables.id_of[index][value] for value, _ in candidates]
-            cached = _Distribution(ids, [p for _, p in candidates])
-            self._distributions[key] = cached
-        return cached
 
     def generate(self, budget: int, include_seeds: bool = False) -> list[IPv6Address]:
         """Generate up to *budget* addresses, most probable first.
@@ -572,31 +513,26 @@ class EntropyIPGenerator:
         """
         if budget <= 0:
             return []
+        model = self.model
+        depth = len(model.segments)
+        alphabets = [segment_model.alphabet.tolist() for segment_model in model.segment_models]
+        shifts = [4 * (NYBBLES - segment.end) for segment in model.segments]
         results: list[IPv6Address] = []
-        # Heap entries: (negative log-probability, rank tuple, values tuple).
-        # Rank tuples are unique per state, so values are never compared.
-        heap: list[tuple[float, tuple[int, ...], tuple[str, ...]]] = [(0.0, (), ())]
-        num_segments = len(self.model.segments)
-        prefix_nybbles = "0" * (self.model.first_nybble - 1)
+        # Heap entries: (negative log-probability, rank tuple, value-id tuple).
+        # Rank tuples are unique per state, so value ids are never compared.
+        heap: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = [(0.0, (), ())]
         while heap and len(results) < budget:
             neg_logp, ranks, values = heapq.heappop(heap)
-            if len(values) == num_segments:
-                nybbles = prefix_nybbles + "".join(values)
-                if not include_seeds and self.model.is_seed(nybbles):
-                    continue
-                results.append(IPv6Address.from_nybbles(nybbles))
-                continue
             index = len(values)
-            previous = values[-1] if values else None
-            for rank, (value, probability) in enumerate(
-                self.model.candidate_values(index, previous)
-            ):
-                if probability <= 0:
-                    continue
-                heapq.heappush(
-                    heap,
-                    (neg_logp - math.log(probability), ranks + (rank,), values + (value,)),
-                )
+            if index == depth:
+                # The nybbles before the model's first are zero.
+                address = sum(alphabets[i][value] << shifts[i] for i, value in enumerate(values))
+                if include_seeds or not model.is_seed(address):
+                    results.append(IPv6Address(address))
+                continue
+            row = model.candidate_values(index, values[-1] if values else 0)
+            for rank, (value, log) in enumerate(zip(row.ids.tolist(), row.logs.tolist())):
+                heapq.heappush(heap, (neg_logp - log, ranks + (rank,), values + (value,)))
         return results
 
     def generate_batch(self, budget: int, include_seeds: bool = False) -> AddressBatch:
@@ -665,21 +601,18 @@ class EntropyIPGenerator:
         score = np.zeros(count)
         ranks = np.empty_like(ids)
         logs = np.empty(count)
+        previous = np.zeros(count, dtype=np.int64)  # the root
         for index in range(depth):
-            if index == 0:
-                groups = [(None, np.arange(count))]
-            else:
-                previous = ids[:, index - 1]
-                order = np.argsort(previous, kind="stable")
-                cuts = np.flatnonzero(np.diff(previous[order])) + 1
-                heads = previous[order[np.concatenate(([0], cuts))]].tolist()
-                groups = list(zip(heads, np.split(order, cuts)))
-            for previous_id, rows in groups:
-                distribution = self._distribution(index, previous_id)
-                rank = distribution.rank_of(ids[rows, index])
+            order = np.argsort(previous, kind="stable")
+            cuts = np.flatnonzero(np.diff(previous[order])) + 1
+            heads = previous[order[np.concatenate(([0], cuts))]].tolist()
+            for previous_id, rows in zip(heads, np.split(order, cuts)):
+                row = self.model.candidate_values(index, previous_id)
+                rank = row.rank_of(ids[rows, index])
                 ranks[rows, index] = rank
-                logs[rows] = distribution.logs[rank]
+                logs[rows] = row.logs[rank]
             # The scalar loop's own accumulation, one segment at a time.
             score = score - logs
+            previous = ids[:, index]
         keys = tuple(ranks[:, index] for index in range(depth - 1, -1, -1))
         return np.lexsort(keys + (score,))

@@ -203,9 +203,9 @@ class TestFlatLPM:
         flat = FlatLPM(*prefix_columns([]), [])
         batch = AddressBatch.from_ints([0, 1, FULL_MASK])
         assert flat.lookup_indices(batch).tolist() == [-1, -1, -1]
-        assert flat.lookup_values(batch) == [None, None, None]
         full = FlatLPM(*prefix_columns([IPv6Prefix(0, 0)]), ["everything"])
-        assert full.lookup_values(batch) == ["everything"] * 3
+        assert full.lookup_indices(batch).tolist() == [0, 0, 0]
+        assert full.objects == ["everything"]
 
 
 class TestBatchFanout:

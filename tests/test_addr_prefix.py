@@ -1,9 +1,8 @@
 """Tests for repro.addr.prefix."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.addr import IPv6Address, IPv6Prefix, parse_prefix, summarize_max_prefix
+from repro.addr import IPv6Address, IPv6Prefix, parse_prefix
 from repro.addr.prefix import group_by_prefix
 
 
@@ -120,29 +119,6 @@ class TestOrderingAndText:
 
     def test_hashable(self):
         assert len({IPv6Prefix.parse("2001:db8::/32"), IPv6Prefix.of(0x20010DB8 << 96, 32)}) == 1
-
-
-class TestSummarize:
-    def test_single_address(self):
-        p = summarize_max_prefix(["2001:db8::1"])
-        assert p.length == 128
-
-    def test_two_adjacent(self):
-        p = summarize_max_prefix(["2001:db8::0", "2001:db8::1"])
-        assert p == IPv6Prefix.parse("2001:db8::/127")
-
-    def test_spread(self):
-        p = summarize_max_prefix(["2001:db8::1", "2001:db8::ffff"])
-        assert p == IPv6Prefix.parse("2001:db8::/112")
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize_max_prefix([])
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**128 - 1), min_size=1, max_size=20))
-    def test_summary_covers_all(self, values):
-        prefix = summarize_max_prefix(values)
-        assert all(v in prefix for v in values)
 
 
 class TestGrouping:

@@ -12,7 +12,7 @@ from repro.genaddr import (
     GenerationPipeline,
     SixGenGenerator,
 )
-from repro.genaddr.entropy_ip import segment_positions
+from repro.genaddr.entropy_ip import MAX_SEGMENT_WIDTH, segment_positions
 from repro.genaddr.sixgen import SeedCluster
 from repro.netmodel.schemes import AddressingScheme, generate_addresses
 
@@ -30,22 +30,28 @@ class TestSegmentation:
         assert segment_positions([]) == []
 
     def test_uniform_entropy_single_segment(self):
-        segments = segment_positions([0.0] * 6, max_width=8)
+        segments = segment_positions([0.0] * 6)
         assert segments == [(1, 6)]
 
     def test_entropy_jump_splits(self):
-        segments = segment_positions([0.0, 0.0, 0.9, 0.9], threshold=0.1)
+        segments = segment_positions([0.0, 0.0, 0.9, 0.9])
         assert segments == [(1, 2), (3, 4)]
 
     def test_max_width_enforced(self):
-        segments = segment_positions([0.5] * 20, max_width=8)
-        assert all(end - start + 1 <= 8 for start, end in segments)
+        segments = segment_positions([0.5] * 20)
+        assert all(end - start + 1 <= MAX_SEGMENT_WIDTH for start, end in segments)
         assert segments[0][0] == 1 and segments[-1][1] == 20
 
     def test_segments_are_contiguous(self):
-        segments = segment_positions([0.1, 0.2, 0.9, 0.1, 0.5, 0.5], threshold=0.15)
+        segments = segment_positions([0.1, 0.2, 0.9, 0.1, 0.5, 0.5])
         flat = [p for s, e in segments for p in range(s, e + 1)]
         assert flat == list(range(1, 7))
+
+    def test_running_mean_adds_left_to_right(self):
+        """0.05 + 0.1 + 0.15 rounds up when added left to right, so 0.2 stays
+        within 0.1 of the mean.  The compensated builtin sum() of Python
+        3.12 and later rounds it down and would split 0.2 off."""
+        assert segment_positions([0.05, 0.1, 0.15, 0.2]) == [(1, 4)]
 
 
 class TestEntropyIPModel:
@@ -62,31 +68,43 @@ class TestEntropyIPModel:
 
     def test_segment_probabilities_normalised(self):
         model = EntropyIPModel(_seeds())
-        for segment_model in model.segment_models:
-            assert sum(segment_model.probabilities.values()) == pytest.approx(1.0)
+        for index, segment_model in enumerate(model.segment_models):
+            assert segment_model.marginal_probabilities.sum() == pytest.approx(1.0)
+            for previous_id in range(len(segment_model.pointer) - 1):
+                row = model.candidate_values(index, previous_id)
+                assert row.probabilities.sum() == pytest.approx(1.0)
 
     def test_is_seed(self):
         seeds = _seeds(count=50)
         model = EntropyIPModel(seeds)
-        assert model.is_seed(seeds[0].nybbles)
-        assert not model.is_seed(IPv6Address.parse("2a00::1").nybbles)
-        assert model.seed_count == 50
+        assert model.is_seed(seeds[0].value)
+        assert not model.is_seed(IPv6Address.parse("2a00::1").value)
+        assert len(model.seed_batch) == 50
 
     def test_wide_segments_keep_distinct_values(self):
-        """Segments wider than 16 nybbles must not collapse distinct values
-        (the packed representation exceeds 64 bits and is chunked)."""
-        import random
-
+        """Random addresses make segments of the widest kind, eight nybbles,
+        and each keeps every distinct value the seeds show there."""
         rng = random.Random(5)
         seeds = [IPv6Address(rng.getrandbits(128)) for _ in range(40)]
-        model = EntropyIPModel(seeds, max_segment_width=32)
-        assert any(s.width > 16 for s in model.segments)
+        model = EntropyIPModel(seeds)
+        assert max(s.width for s in model.segments) == MAX_SEGMENT_WIDTH
         seed_nybbles = {a.nybbles for a in seeds}
         for segment, segment_model in zip(model.segments, model.segment_models):
-            values = set(segment_model.probabilities)
+            values = [f"{v:0{segment.width}x}" for v in segment_model.alphabet.tolist()]
             expected = {n[segment.start - 1 : segment.end] for n in seed_nybbles}
-            assert values == expected
-            assert all(len(v) == segment.width for v in values)
+            assert values == sorted(expected)
+
+    @pytest.mark.parametrize("first_nybble", [0, 33, -3])
+    def test_first_nybble_out_of_range(self, first_nybble):
+        with pytest.raises(ValueError):
+            EntropyIPModel(_seeds(count=20), first_nybble=first_nybble)
+
+    @pytest.mark.parametrize(
+        "knob", ["entropy_threshold", "max_segment_width", "max_values_per_segment"]
+    )
+    def test_segmentation_constants_are_not_options(self, knob):
+        with pytest.raises(TypeError):
+            EntropyIPModel(_seeds(count=20), **{knob: 8})
 
 
 class TestEntropyIPGenerator:

@@ -7,13 +7,19 @@ batch engine's beam keeps a prefix only within a float margin of the k-th
 best and re-scores its survivors, so the cases that matter are ties (the
 rank tuple decides), seed-heavy tops (the beam widens in rounds) and spaces
 smaller than the budget (the beam holds every path).
+
+Both engines read the model's memoised candidate rows, so the fit has its
+own oracle: :func:`_string_model` writes the model out over the seeds' hex
+substrings, and every row must match it id for id and float for float.
 """
 
 import random
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.addr import IPv6Address, IPv6Prefix
+from repro.core.entropy import nybble_entropies
 from repro.genaddr import EntropyIPGenerator, EntropyIPModel
 from repro.netmodel.schemes import AddressingScheme, generate_addresses
 
@@ -28,16 +34,65 @@ def _space(model: EntropyIPModel) -> int:
     A segment's candidates after value u are its marginal values plus u's
     observed transitions (:meth:`EntropyIPModel.candidate_values`).
     """
-    ways = dict.fromkeys(model.segment_models[0].probabilities, 1)
-    for index in range(1, len(model.segments)):
-        marginal = model.segment_models[index].probabilities
-        following = dict.fromkeys(marginal, sum(ways.values()))
+    ways = {0: 1}  # the root
+    for index in range(len(model.segments)):
+        following: dict[int, int] = {}
         for value, count in ways.items():
-            for child in model.transitions[index - 1].get(value, {}):
-                if child not in marginal:
-                    following[child] = following.get(child, 0) + count
+            for child in model.candidate_values(index, value).ids.tolist():
+                following[child] = following.get(child, 0) + count
         ways = following
     return sum(ways.values())
+
+
+def _left_to_right(values) -> float:
+    """The floats' sum, added left to right (builtin sum() rounds
+    differently from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _string_model(seeds, first_nybble: int):
+    """Entropy/IP's fit written out over hex strings: the segments, each
+    segment's sorted alphabet and every candidate row, keyed by (segment,
+    previous value or None) and listing (value, probability) in row order."""
+    entropies = nybble_entropies(seeds, first_nybble)
+    segments, start = [], 1
+    for position in range(2, len(entropies) + 1):
+        running = entropies[start - 1 : position - 1]
+        mean = _left_to_right(running) / len(running)
+        if abs(entropies[position - 1] - mean) > 0.1 or len(running) >= 8:
+            segments.append((start, position - 1))
+            start = position
+    segments.append((start, len(entropies)))
+    segments = [(first_nybble + s - 1, first_nybble + e - 1) for s, e in segments]
+    nybbles = [seed.nybbles for seed in seeds]
+    columns = [[n[s - 1 : e] for n in nybbles] for s, e in segments]
+    alphabets = [sorted(set(column)) for column in columns]
+    rows = {}
+    for index, column in enumerate(columns):
+        ranked = sorted(Counter(column).items(), key=lambda kv: (-kv[1], kv[0]))[:64]
+        kept = sum(count for _, count in ranked)
+        marginal = {value: count / kept for value, count in ranked}
+        if index == 0:
+            rows[(0, None)] = list(marginal.items())
+            continue
+        transitions: dict[str, dict[str, int]] = {}
+        for (previous, child), count in sorted(Counter(zip(columns[index - 1], column)).items()):
+            transitions.setdefault(previous, {})[child] = count
+        for previous in alphabets[index - 1]:
+            children = transitions[previous]
+            total = sum(children.values())  # integer counts: exact
+            blended = dict(marginal)
+            for child, count in children.items():
+                blended[child] = 0.5 * blended.get(child, 0.0) + 0.5 * (count / total)
+            norm = _left_to_right(blended.values())
+            rows[(index, previous)] = sorted(
+                ((value, p / norm) for value, p in blended.items()),
+                key=lambda kv: (-kv[1], kv[0]),
+            )
+    return segments, alphabets, rows
 
 
 def _assert_engines_agree(generator: EntropyIPGenerator, budget: int, include_seeds: bool):
@@ -47,27 +102,56 @@ def _assert_engines_agree(generator: EntropyIPGenerator, budget: int, include_se
 
 
 @st.composite
-def generation_cases(draw):
+def seed_sets(draw):
+    """1-600 seeds of one addressing scheme, and the first nybble to model."""
     scheme = draw(st.sampled_from(AddressingScheme))
     count = draw(st.integers(min_value=1, max_value=600))
     seeds = generate_addresses(
         scheme, IPv6Prefix.parse("2001:db8::/32"), count, random.Random(draw(st.integers(0, 2**16)))
     )
-    model = EntropyIPModel(seeds, first_nybble=draw(st.integers(min_value=1, max_value=32)))
+    return seeds, draw(st.integers(min_value=1, max_value=32))
+
+
+@st.composite
+def generation_cases(draw):
+    seeds, first_nybble = draw(seed_sets())
+    model = EntropyIPModel(seeds, first_nybble=first_nybble)
     budget = draw(st.integers(min_value=0, max_value=min(_space(model) + 2, MAX_BUDGET)))
     return model, budget, draw(st.booleans())
 
 
-@settings(
+PROPERTY_SETTINGS = settings(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
     print_blob=True,
 )
+
+
+@PROPERTY_SETTINGS
 @given(case=generation_cases())
 def test_batch_emits_the_scalar_loops_addresses_in_its_order(case):
     model, budget, include_seeds = case
     _assert_engines_agree(EntropyIPGenerator(model), budget, include_seeds)
+
+
+@PROPERTY_SETTINGS
+@given(case=seed_sets())
+def test_fit_matches_the_string_model(case):
+    """Same segments, alphabets and candidate rows (ids, order and floats)
+    as the model written out over hex strings."""
+    seeds, first_nybble = case
+    model = EntropyIPModel(seeds, first_nybble=first_nybble)
+    segments, alphabets, rows = _string_model(seeds, first_nybble)
+    assert [(segment.start, segment.end) for segment in model.segments] == segments
+    for segment_model, alphabet in zip(model.segment_models, alphabets):
+        width = segment_model.segment.width
+        assert [f"{value:0{width}x}" for value in segment_model.alphabet.tolist()] == alphabet
+    id_of = [{value: i for i, value in enumerate(alphabet)} for alphabet in alphabets]
+    for (index, previous), expected in rows.items():
+        row = model.candidate_values(index, 0 if previous is None else id_of[index - 1][previous])
+        assert row.ids.tolist() == [id_of[index][value] for value, _ in expected], (index, previous)
+        assert row.probabilities.tolist() == [p for _, p in expected], (index, previous)
 
 
 def test_equal_probabilities_are_ordered_by_rank_tuple():
@@ -77,7 +161,7 @@ def test_equal_probabilities_are_ordered_by_rank_tuple():
         AddressingScheme.RANDOM_IID, IPv6Prefix.parse("2001:db8::/32"), 120, random.Random(4)
     )
     model = EntropyIPModel(seeds)
-    assert len(set(model.segment_models[-1].probabilities.values())) == 1
+    assert len(set(model.segment_models[-1].marginal_probabilities.tolist())) == 1
     generator = EntropyIPGenerator(model)
     for budget in (1, 64, 500, MAX_BUDGET):
         for include_seeds in (False, True):
