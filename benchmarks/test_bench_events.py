@@ -49,7 +49,7 @@ def _drain_seconds() -> float:
         start = time.perf_counter()
         for i in range(EVENT_COUNT):
             scheduler.schedule(i / EVENT_COUNT, noop)
-        scheduler.run_all()
+        scheduler.run_until(1.0)  # every event is scheduled before 1.0
         best = min(best, time.perf_counter() - start)
     return best
 

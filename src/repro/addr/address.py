@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 #: Number of nybbles (hex characters) in a full IPv6 address.
 NYBBLES = 32
@@ -26,9 +26,6 @@ FULL_MASK = (1 << BITS) - 1
 
 #: Mask of the low 64 bits (the interface identifier).
 LO_MASK = (1 << 64) - 1
-
-#: Hexadecimal alphabet used for nybble representations.
-HEX_ALPHABET = "0123456789abcdef"
 
 
 def _to_int(value: "IPv6Address | int | str") -> int:
@@ -69,14 +66,6 @@ class IPv6Address:
     def parse(cls, text: str) -> "IPv6Address":
         """Parse a textual IPv6 address (any RFC 5952 form)."""
         return cls(int(ipaddress.IPv6Address(text)))
-
-    @classmethod
-    def from_nybbles(cls, nybbles: Sequence[str] | str) -> "IPv6Address":
-        """Build an address from 32 hex characters (most significant first)."""
-        joined = "".join(nybbles)
-        if len(joined) != NYBBLES:
-            raise ValueError(f"expected {NYBBLES} nybbles, got {len(joined)}")
-        return cls(int(joined, 16))
 
     # -- representations ---------------------------------------------------
 

@@ -37,9 +37,7 @@ from repro import keyed
 from repro.addr.address import (
     BITS,
     FULL_MASK,
-    HEX_ALPHABET,
     LO_MASK,
-    NYBBLES,
     IPv6Address,
     _to_int,
 )
@@ -49,8 +47,6 @@ from repro.addr.prefix import IPv6Prefix
 U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _LO_MASK = LO_MASK
-
-_HEX_CHARS = np.array(list(HEX_ALPHABET))
 
 
 def _shl64(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -215,17 +211,6 @@ class AddressBatch:
             raise ValueError(f"invalid nybble span {first}..{last}")
         columns = [self.nybble(index) for index in range(first, last + 1)]
         return np.stack(columns, axis=1) if columns else np.zeros((len(self), 0), np.uint8)
-
-    def nybble_strings(self) -> list[str]:
-        """Every address as its 32-character lowercase hex string.
-
-        One vectorised character gather + view instead of per-address
-        formatting; the bulk counterpart of :attr:`IPv6Address.nybbles`.
-        """
-        if len(self) == 0:
-            return []
-        chars = _HEX_CHARS[self.nybbles_matrix()]
-        return chars.view(f"<U{NYBBLES}").ravel().tolist()
 
     def masked(self, length: int) -> "AddressBatch":
         """Every address truncated to its covering /*length* network.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.addr.address import BITS, FULL_MASK, IPv6Address, _to_int
 
@@ -97,34 +97,12 @@ class IPv6Prefix:
     def __contains__(self, item: "IPv6Address | IPv6Prefix | int | str") -> bool:
         return self.contains(item)
 
-    def overlaps(self, other: "IPv6Prefix") -> bool:
-        """True if the two prefixes share at least one address."""
-        return self.contains(other) or other.contains(self)
-
-    def supernet(self, length: int) -> "IPv6Prefix":
-        """The covering prefix of the given (shorter or equal) length."""
-        if length > self.length:
-            raise ValueError("supernet length must not exceed the prefix length")
-        return IPv6Prefix.of(self.network, length)
-
     # -- enumeration -------------------------------------------------------
-
-    def subnets(self, new_length: int) -> Iterator["IPv6Prefix"]:
-        """Iterate over all subnets of *new_length* inside this prefix.
-
-        The number of subnets is ``2**(new_length - length)``, so keep the
-        expansion small; to pick a few of many subnets, use
-        :meth:`nth_subnet` on their indices instead.
-        """
-        if new_length < self.length:
-            raise ValueError("new_length must not be shorter than the prefix length")
-        step = 1 << (BITS - new_length)
-        count = 1 << (new_length - self.length)
-        for i in range(count):
-            yield IPv6Prefix(self.network + i * step, new_length)
 
     def nth_subnet(self, new_length: int, index: int) -> "IPv6Prefix":
         """Return the *index*-th subnet of *new_length* without enumerating."""
+        if new_length < self.length:
+            raise ValueError("new_length must not be shorter than the prefix length")
         count = 1 << (new_length - self.length)
         if not 0 <= index < count:
             raise IndexError(f"subnet index {index} out of range for /{new_length}")

@@ -44,19 +44,6 @@ class PrefixTrie(Generic[V]):
             self._reindex()
         table[prefix.network >> (BITS - prefix.length)] = value
 
-    def remove(self, prefix: "IPv6Prefix | str") -> bool:
-        """Remove *prefix*; returns True if it was present."""
-        prefix = _coerce_prefix(prefix)
-        table = self._tables.get(prefix.length)
-        key = prefix.network >> (BITS - prefix.length)
-        if table is None or key not in table:
-            return False
-        del table[key]
-        if not table:
-            del self._tables[prefix.length]
-            self._reindex()
-        return True
-
     def _reindex(self) -> None:
         self._probes = tuple(
             (length, BITS - length, self._tables[length])
@@ -65,39 +52,14 @@ class PrefixTrie(Generic[V]):
 
     # -- lookup ------------------------------------------------------------
 
-    def longest_match(
-        self, address: "int | str | object"
-    ) -> Optional[tuple[IPv6Prefix, V]]:
-        """Return the most specific ``(prefix, value)`` covering *address*."""
-        value = _to_int(address)
-        best = self._deepest_match(value)
-        if best is None:
-            return None
-        length, best_value = best
-        return IPv6Prefix.of(value, length), best_value
-
     def lookup(self, address: "int | str | object") -> Optional[V]:
         """Value of the most specific covering prefix, or None."""
-        best = self._deepest_match(_to_int(address))
-        return None if best is None else best[1]
-
-    def covers(self, address: "int | str | object") -> bool:
-        """True when any stored prefix covers *address*."""
-        return self._deepest_match(_to_int(address)) is not None
-
-    def _deepest_match(self, value: int) -> Optional[tuple[int, V]]:
-        """``(length, value)`` of the most specific prefix covering *value*."""
-        for length, shift, table in self._probes:
+        value = _to_int(address)
+        for _, shift, table in self._probes:
             key = value >> shift
             if key in table:
-                return length, table[key]
+                return table[key]
         return None
-
-    def get_exact(self, prefix: "IPv6Prefix | str") -> Optional[V]:
-        """Value stored for exactly this prefix (no longest-prefix semantics)."""
-        prefix = _coerce_prefix(prefix)
-        table = self._tables.get(prefix.length, {})
-        return table.get(prefix.network >> (BITS - prefix.length))
 
     def __contains__(self, prefix: "IPv6Prefix | str") -> bool:
         prefix = _coerce_prefix(prefix)
@@ -119,11 +81,6 @@ class PrefixTrie(Generic[V]):
         entries.sort(key=lambda entry: (entry[0], entry[1]))
         for network, length, value in entries:
             yield IPv6Prefix(network, length), value
-
-    def prefixes(self) -> Iterator[IPv6Prefix]:
-        """Iterate all stored prefixes."""
-        for prefix, _ in self.items():
-            yield prefix
 
 
 def _coerce_prefix(prefix: "IPv6Prefix | str") -> IPv6Prefix:

@@ -57,10 +57,6 @@ class EventScheduler:
         heapq.heappush(self._heap, (float(time), seq, action))
         return seq
 
-    def peek(self) -> float | None:
-        """Timestamp of the next pending event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
-
     def run_until(self, time: float) -> int:
         """Fire every event with timestamp <= *time*; returns the count.
 
@@ -77,21 +73,4 @@ class EventScheduler:
             fired += 1
         if time > self._now:
             self._now = time
-        return fired
-
-    def run_next(self) -> bool:
-        """Fire exactly the next pending event; False when none remain."""
-        if not self._heap:
-            return False
-        event_time, _, action = heapq.heappop(self._heap)
-        if event_time > self._now:
-            self._now = event_time
-        action()
-        return True
-
-    def run_all(self) -> int:
-        """Fire every pending event (including newly scheduled ones)."""
-        fired = 0
-        while self.run_next():
-            fired += 1
         return fired

@@ -159,6 +159,12 @@ class ExperimentContext:
     def non_aliased_addresses(self) -> list[IPv6Address]:
         return self.aliased_split[1]
 
+    @cached_property
+    def non_aliased_batch(self) -> AddressBatch:
+        """:attr:`non_aliased_addresses` as a read-only batch, in hitlist order."""
+        batch = self.hitlist.address_batch
+        return batch.take(~self.apd_result.is_aliased_batch(batch)).readonly()
+
     # -- scans ---------------------------------------------------------------------------
 
     def scan(
@@ -189,8 +195,7 @@ class ExperimentContext:
     @cached_property
     def day0_scan(self) -> BatchProbeResult:
         """Five-protocol day-0 scan over the non-aliased scan targets."""
-        targets = AddressBatch.from_addresses(self.non_aliased_addresses)
-        return self.scan(targets, 0, seed=self.config.seed ^ 0x5CA)
+        return self.scan(self.non_aliased_batch, 0, seed=self.config.seed ^ 0x5CA)
 
     @cached_property
     def longitudinal_campaign(self) -> Sequence[BatchProbeResult]:

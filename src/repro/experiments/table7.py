@@ -106,8 +106,8 @@ def run(
         policy=ctx.policy,
     )
     report = pipeline.run(
-        ctx.non_aliased_addresses,
-        known_addresses=ctx.hitlist.addresses,
+        ctx.non_aliased_batch,
+        known_addresses=ctx.hitlist.address_batch,
         day=0,
         probe=True,
         apd_result=ctx.apd_result,

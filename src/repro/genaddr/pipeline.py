@@ -293,14 +293,15 @@ class GenerationPipeline:
     def run(
         self,
         non_aliased_addresses: "Sequence[IPv6Address] | AddressBatch",
-        known_addresses: Iterable[IPv6Address] = (),
+        known_addresses: "Iterable[IPv6Address] | AddressBatch" = (),
         day: int = 0,
         probe: bool = True,
         apd_result: "APDResult | None" = None,
     ) -> GenerationReport:
         """Run the full pipeline and (optionally) probe the generated targets.
 
-        With *apd_result* given, generated candidates falling inside prefixes
+        Both address inputs may be batches or address lists; the fast engine
+        reads a batch as it is.  With *apd_result* given, generated candidates falling inside prefixes
         the detector labelled aliased are dropped before probing -- reusing
         the cached APD verdicts instead of re-probing any prefix.
         """
@@ -312,8 +313,8 @@ class GenerationPipeline:
 
     def _run_reference(
         self,
-        non_aliased_addresses: Sequence[IPv6Address],
-        known_addresses: Iterable[IPv6Address],
+        non_aliased_addresses: "Sequence[IPv6Address] | AddressBatch",
+        known_addresses: "Iterable[IPv6Address] | AddressBatch",
         day: int,
         probe: bool,
         apd_result: "APDResult | None",
@@ -325,12 +326,11 @@ class GenerationPipeline:
         seeds_by_as = self.seeds_by_as(non_aliased_addresses)
         raw_by_tool: dict[str, list[IPv6Address]] = {tool: [] for tool in TOOLS}
         for asn, seeds in sorted(seeds_by_as.items()):
-            sixgen_seed = self._rng.getrandbits(32)
+            self._rng.getrandbits(32)  # one draw per AS: the capping samples' stream
             budget = self.generation_budget_per_as
             entropy_model = EntropyIPModel(seeds)
             entropy_addresses = EntropyIPGenerator(entropy_model).generate(budget)
-            sixgen = SixGenGenerator(seeds, seed=sixgen_seed, policy=self.policy)
-            sixgen_addresses = sixgen.generate(budget)
+            sixgen_addresses = SixGenGenerator(seeds, policy=self.policy).generate(budget)
             for tool, addresses in zip(TOOLS, (entropy_addresses, sixgen_addresses)):
                 capped = sample_capped(addresses, self.generated_cap_per_as, self._rng)
                 raw_by_tool[tool].extend(capped)
@@ -363,7 +363,7 @@ class GenerationPipeline:
     def _run_batch(
         self,
         non_aliased_addresses: "Sequence[IPv6Address] | AddressBatch",
-        known_addresses: Iterable[IPv6Address],
+        known_addresses: "Iterable[IPv6Address] | AddressBatch",
         day: int,
         probe: bool,
         apd_result: "APDResult | None",
@@ -374,20 +374,21 @@ class GenerationPipeline:
             if isinstance(non_aliased_addresses, AddressBatch)
             else AddressBatch.from_addresses(non_aliased_addresses)
         )
-        known_list = list(known_addresses)
-        known_sorted = (
-            AddressBatch.from_addresses(known_list) if known_list else seeds
-        ).unique()
+        known = (
+            known_addresses
+            if isinstance(known_addresses, AddressBatch)
+            else AddressBatch.from_addresses(known_addresses)
+        )
+        known_sorted = (known if len(known) else seeds).unique()
         report = GenerationReport()
         seeds_by_as = self.seeds_by_as_batch(seeds)
         raw_by_tool: dict[str, list[AddressBatch]] = {tool: [] for tool in TOOLS}
         for asn, seed_batch in sorted(seeds_by_as.items()):
-            sixgen_seed = self._rng.getrandbits(32)
+            self._rng.getrandbits(32)  # one draw per AS: the capping samples' stream
             budget = self.generation_budget_per_as
             entropy_model = EntropyIPModel(seed_batch)
             entropy_batch = EntropyIPGenerator(entropy_model).generate_batch(budget)
-            sixgen = SixGenGenerator(seed_batch, seed=sixgen_seed, policy=self.policy)
-            sixgen_batch = sixgen.generate_batch(budget)
+            sixgen_batch = SixGenGenerator(seed_batch, policy=self.policy).generate_batch(budget)
             for tool, generated in zip(TOOLS, (entropy_batch, sixgen_batch)):
                 capped = sample_capped_batch(generated, self.generated_cap_per_as, self._rng)
                 raw_by_tool[tool].append(capped)

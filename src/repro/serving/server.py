@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.hitlist import HitlistService
 from repro.netmodel.services import Protocol
@@ -127,10 +127,6 @@ class HitlistServer:
         with self._publish_lock:
             self.service.run_day(day)
             return self._current
-
-    def publish_days(self, days: Sequence[int]) -> list[HitlistSnapshot]:
-        """Publish several days in order."""
-        return [self.publish_day(day) for day in days]
 
     def publish_day_async(self, day: int) -> "Future[HitlistSnapshot]":
         """Queue *day* on the single-worker background build lane.

@@ -66,14 +66,6 @@ class TestRepresentation:
         assert str(addr) == "2001:db8::1"
         assert "2001:db8::1" in repr(addr)
 
-    def test_from_nybbles_roundtrip(self):
-        addr = IPv6Address.parse("2001:db8::abcd")
-        assert IPv6Address.from_nybbles(addr.nybbles) == addr
-
-    def test_from_nybbles_wrong_length(self):
-        with pytest.raises(ValueError):
-            IPv6Address.from_nybbles("abcd")
-
     def test_nybbles_of_helper(self):
         assert nybbles_of("::1") == "0" * 31 + "1"
 
@@ -165,7 +157,7 @@ class TestProperties:
     @given(st.integers(min_value=0, max_value=FULL_MASK))
     def test_nybble_roundtrip(self, value):
         addr = IPv6Address(value)
-        assert IPv6Address.from_nybbles(addr.nybbles) == addr
+        assert IPv6Address(int(addr.nybbles, 16)) == addr
 
     @given(st.integers(min_value=0, max_value=FULL_MASK))
     def test_compressed_roundtrip(self, value):

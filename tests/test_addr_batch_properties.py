@@ -60,7 +60,6 @@ class TestPackUnpack:
         addresses = [IPv6Address(v) for v in values]
         batch = AddressBatch.from_addresses(addresses)
         assert batch.to_addresses() == addresses
-        assert batch.nybble_strings() == [a.nybbles for a in addresses]
 
     @settings(deadline=None)
     @given(address_lists, st.integers(min_value=0, max_value=128))

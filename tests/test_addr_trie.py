@@ -11,7 +11,7 @@ class TestBasicOperations:
     def test_insert_and_exact_lookup(self):
         trie = PrefixTrie()
         trie.insert("2001:db8::/32", "a")
-        assert trie.get_exact("2001:db8::/32") == "a"
+        assert list(trie.items()) == [(IPv6Prefix.parse("2001:db8::/32"), "a")]
         assert "2001:db8::/32" in trie
         assert len(trie) == 1
 
@@ -19,22 +19,14 @@ class TestBasicOperations:
         trie = PrefixTrie()
         trie.insert("2001:db8::/32", "a")
         trie.insert("2001:db8::/32", "b")
-        assert trie.get_exact("2001:db8::/32") == "b"
+        assert trie.lookup("2001:db8::1") == "b"
         assert len(trie) == 1
-
-    def test_remove(self):
-        trie = PrefixTrie()
-        trie.insert("2001:db8::/32", "a")
-        assert trie.remove("2001:db8::/32")
-        assert not trie.remove("2001:db8::/32")
-        assert len(trie) == 0
-        assert trie.lookup("2001:db8::1") is None
 
     def test_missing_exact(self):
         trie = PrefixTrie()
         trie.insert("2001:db8::/32", 1)
-        assert trie.get_exact("2001:db8::/48") is None
         assert "2001:db8::/48" not in trie
+        assert "2001:db8::/32" in trie
 
 
 class TestLongestPrefixMatch:
@@ -45,18 +37,10 @@ class TestLongestPrefixMatch:
         assert trie.lookup("2001:db8:1::1") == "long"
         assert trie.lookup("2001:db8:2::1") == "short"
 
-    def test_longest_match_returns_prefix(self):
-        trie = PrefixTrie()
-        trie.insert("2001:db8::/32", "v")
-        prefix, value = trie.longest_match("2001:db8::1")
-        assert prefix == IPv6Prefix.parse("2001:db8::/32")
-        assert value == "v"
-
     def test_no_match(self):
         trie = PrefixTrie()
         trie.insert("2001:db8::/32", "v")
-        assert trie.longest_match("2002::1") is None
-        assert not trie.covers("2002::1")
+        assert trie.lookup("2002::1") is None
 
     def test_default_route(self):
         trie = PrefixTrie()
@@ -87,12 +71,6 @@ class TestIteration:
         listed = [p for p, _ in trie.items()]
         assert listed == sorted(IPv6Prefix.parse(p) for p in prefixes)
 
-    def test_prefixes_iteration(self):
-        trie = PrefixTrie()
-        trie.insert("2001:db8::/32", 1)
-        trie.insert("2001:db9::/32", 2)
-        assert len(list(trie.prefixes())) == 2
-
 
 #: Addresses for the model test: random ones, plus shared anchors so that
 #: stored prefixes nest and queries fall inside them.
@@ -109,42 +87,30 @@ class TestAgainstReferenceModel:
             min_size=1,
             max_size=30,
         ),
-        st.lists(
-            st.tuples(st.booleans(), st.integers(min_value=0, max_value=29)),
-            min_size=1,
-            max_size=60,
-        ),
+        st.lists(st.integers(min_value=0, max_value=29), min_size=1, max_size=60),
         st.lists(_ADDRESSES, min_size=1, max_size=20),
     )
     def test_matches_bruteforce(self, pool, operations, queries):
-        """Interleaved inserts, value replacements and removals track a dict."""
+        """Inserts and value replacements track a dict."""
         trie = PrefixTrie()
         model = {}
-        for step, (insert, i) in enumerate(operations):
+        for step, i in enumerate(operations):
             prefix = pool[i % len(pool)]
-            if insert:
-                trie.insert(prefix, step)
-                model[prefix] = step
-            else:
-                assert trie.remove(prefix) == (prefix in model)
-                model.pop(prefix, None)
+            trie.insert(prefix, step)
+            model[prefix] = step
             assert len(trie) == len(model)
-            assert (prefix in trie) == (prefix in model)
-            assert trie.get_exact(prefix) == model.get(prefix)
+            assert prefix in trie
         assert list(trie.items()) == sorted(model.items())
         for q in queries:
             covering = [p for p in model if q in p]
             expected = max(covering, key=lambda p: p.length) if covering else None
-            got = trie.longest_match(q)
-            assert got == (None if expected is None else (expected, model[expected]))
-            assert trie.lookup(q) == (None if got is None else got[1])
-            assert trie.covers(q) == (got is not None)
+            assert trie.lookup(q) == (None if expected is None else model[expected])
 
     def test_many_random_disjoint_prefixes(self):
         rng = random.Random(7)
         trie = PrefixTrie()
         base = IPv6Prefix.parse("2001:db8::/32")
-        subs = list(base.subnets(40))
+        subs = [base.nth_subnet(40, i) for i in range(256)]
         for i, sub in enumerate(subs):
             trie.insert(sub, i)
         assert len(trie) == 256

@@ -1,7 +1,9 @@
 """Tests for the Entropy/IP and 6Gen generators and the generation pipeline."""
 
+import functools
 import random
 
+import numpy as np
 import pytest
 
 from repro.addr import IPv6Address, IPv6Prefix
@@ -13,7 +15,7 @@ from repro.genaddr import (
     SixGenGenerator,
 )
 from repro.genaddr.entropy_ip import MAX_SEGMENT_WIDTH, segment_positions
-from repro.genaddr.sixgen import SeedCluster
+from repro.genaddr.sixgen import MAX_CLUSTERS, SeedCluster
 from repro.netmodel.schemes import AddressingScheme, generate_addresses
 
 #: The fast engine and its scalar reference twin.
@@ -164,38 +166,55 @@ class TestEntropyIPGenerator:
                 )
 
 
+def _cluster(*values: int) -> SeedCluster:
+    """The cluster of seed addresses *values*, merged in argument order (row
+    *k* is the *k*-th value)."""
+    clusters = [
+        SeedCluster(
+            np.uint16(1)
+            << np.array([value >> shift & 0xF for shift in range(124, -4, -4)], np.uint16),
+            np.array([row]),
+        )
+        for row, value in enumerate(values)
+    ]
+    return functools.reduce(SeedCluster.merged_with, clusters)
+
+
 class TestSeedCluster:
     def test_from_seed_is_singleton(self):
-        cluster = SeedCluster.from_seed("0" * 32)
+        cluster = _cluster(0)
+        assert cluster.mask.dtype == np.uint16 and cluster.mask.shape == (32,)
         assert cluster.size == 1
         assert cluster.density == 1.0
-        assert cluster.free_positions == []
+        assert cluster.values() == [(0,)] * 32
 
     def test_merge_grows_ranges(self):
-        a = SeedCluster.from_seed("0" * 31 + "1")
-        b = SeedCluster.from_seed("0" * 31 + "2")
-        merged = a.merged_with(b)
+        a, b = _cluster(0x1), _cluster(0x2)
+        merged = _cluster(0x1, 0x2)
         assert merged.size == 2
-        assert merged.free_positions == [31]
+        assert merged.values() == [(0,)] * 31 + [(1, 2)]
+        assert merged.rows.tolist() == [0, 1]
         assert a.merged_size(b) == 2
 
     def test_enumerate_respects_budget(self):
-        a = SeedCluster.from_seed("0" * 30 + "11")
-        b = SeedCluster.from_seed("0" * 30 + "22")
-        merged = a.merged_with(b)
+        merged = _cluster(0x11, 0x22)
         assert merged.size == 4
         assert len(merged.enumerate_addresses(3)) == 3
         assert len(merged.enumerate_addresses(10)) == 4
+
+    def test_mask_and_rows_are_read_only(self):
+        cluster = _cluster(0x1, 0x2)
+        with pytest.raises(ValueError):
+            cluster.mask[0] = 0xFFFF
+        with pytest.raises(ValueError):
+            cluster.rows[0] = 5
 
 
 class TestSeedClusterBudgetEdges:
     @pytest.fixture()
     def wide_cluster(self):
         """A cluster whose wildcard space (3 x 2 = 6) is fully known."""
-        a = SeedCluster.from_seed("0" * 30 + "11")
-        b = SeedCluster.from_seed("0" * 30 + "22")
-        c = SeedCluster.from_seed("0" * 30 + "31")
-        merged = a.merged_with(b).merged_with(c)
+        merged = _cluster(0x11, 0x22, 0x31)
         assert merged.size == 6
         return merged
 
@@ -221,22 +240,23 @@ class TestSeedClusterBudgetEdges:
             assert [a.value for a in scalar] == wide_cluster.enumerate_batch(budget).to_ints()
 
     def test_enumeration_is_lexicographic(self, wide_cluster):
-        enumerated = [a.nybbles for a in wide_cluster.enumerate_addresses(10**6)]
-        assert enumerated == sorted(enumerated)
+        enumerated = [a.value for a in wide_cluster.enumerate_addresses(10**6)]
+        assert enumerated == [0x11, 0x12, 0x21, 0x22, 0x31, 0x32]
 
     def test_singleton_cluster_enumerates_itself(self):
-        cluster = SeedCluster.from_seed("2" + "0" * 31)
-        assert [a.nybbles for a in cluster.enumerate_addresses(5)] == ["2" + "0" * 31]
+        cluster = _cluster(2 << 124)
+        assert [a.value for a in cluster.enumerate_addresses(5)] == [2 << 124]
         assert cluster.enumerate_batch(5).to_ints() == [2 << 124]
 
-    def test_unsorted_ranges_preserve_product_order(self):
-        """enumerate_batch must follow the ranges as given, like product()."""
-        cluster = SeedCluster(
-            ranges=(("3", "1"),) + tuple((c,) for c in "0" * 30) + (("2", "0"),),
-            seeds=[],
-        )
-        scalar = cluster.enumerate_addresses(10)
-        assert [a.value for a in scalar] == cluster.enumerate_batch(10).to_ints()
+    def test_network_and_interface_nybbles_vary_together(self):
+        """Values at the first nybble and on both sides of the /64 boundary
+        land in the right half of the batch's hi/lo pair."""
+        cluster = _cluster(0x1 << 124 | 0x3 << 64 | 0x5 << 60, 0xF << 124 | 0xA << 64 | 0x6 << 60)
+        assert cluster.size == 8
+        scalar = [a.value for a in cluster.enumerate_addresses(8)]
+        assert scalar == sorted(scalar)
+        for budget in (1, 3, 8):
+            assert cluster.enumerate_batch(budget).to_ints() == scalar[:budget]
 
 
 class TestSixGen:
@@ -255,8 +275,7 @@ class TestSixGen:
 
     def test_cluster_count_positive(self):
         generator = SixGenGenerator(_seeds(count=100))
-        assert generator.cluster_count > 0
-        assert len(generator.clusters[:3]) <= 3
+        assert 0 < len(generator.clusters) <= MAX_CLUSTERS
 
     def test_budget_respected(self):
         generator = SixGenGenerator(_seeds(AddressingScheme.STRUCTURED, count=150))
@@ -266,14 +285,15 @@ class TestSixGen:
     def test_duplicate_seeds_handled(self):
         seeds = [IPv6Address.parse("2001:db8::1")] * 10 + [IPv6Address.parse("2001:db8::2")]
         generator = SixGenGenerator(seeds)
-        assert generator.cluster_count >= 1
+        assert len(generator.seed_batch) == 2
+        assert sorted(generator.clusters[0].rows.tolist()) == [0, 1]
 
     def test_cluster_of_identical_seeds(self):
         """All-duplicate seed lists collapse to one singleton cluster."""
         seeds = [IPv6Address.parse("2001:db8::1")] * 10
         for policy in POLICIES:
             generator = SixGenGenerator(seeds, policy=policy)
-            assert generator.cluster_count == 1
+            assert len(generator.clusters) == 1
             assert generator.clusters[0].size == 1
             assert generator.clusters[0].density == 1.0
             # The only enumerable address is the seed itself: excluded by
@@ -290,11 +310,18 @@ class TestSixGen:
         seeds = _seeds(AddressingScheme.STRUCTURED, count=180, seed=2)
         reference = SixGenGenerator(seeds, policy=ExecutionPolicy(reference=True))
         batch = SixGenGenerator(seeds)
-        assert reference.clusters == batch.clusters
+        assert [(c.mask.tolist(), c.rows.tolist()) for c in reference.clusters] == [
+            (c.mask.tolist(), c.rows.tolist()) for c in batch.clusters
+        ]
         for budget in (0, 1, 25, 500):
             assert [
                 a.value for a in reference.generate(budget)
             ] == batch.generate_batch(budget).to_ints(), budget
+
+    @pytest.mark.parametrize("knob", ["max_cluster_size", "max_clusters", "seed"])
+    def test_constants_are_not_options(self, knob):
+        with pytest.raises(TypeError):
+            SixGenGenerator(_seeds(count=20), **{knob: 8})
 
     def test_generate_budget_exceeding_enumerable_space(self):
         """A budget far beyond the clusters' total range must not loop/raise."""

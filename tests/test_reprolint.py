@@ -528,6 +528,7 @@ def test_repository_declares_the_core_invariants():
         "src/repro/serving/snapshot.py",
         "src/repro/addr/batch.py",
         "src/repro/core/apd.py",
+        "src/repro/genaddr/sixgen.py",
     ):
         path = REPO_ROOT / rel
         sources.append(SourceFile.load(path, path.as_posix()))
@@ -538,6 +539,7 @@ def test_repository_declares_the_core_invariants():
     assert "_start_keys" in context.frozen_arrays["FlatLPM"]
     assert "_responsive" in context.frozen_arrays["HitlistSnapshot"]
     assert context.frozen_arrays["APDResult"] == ("keys", "_outcomes", "verdicts")
+    assert context.frozen_arrays["SeedCluster"] == ("mask", "rows")
 
 
 def test_r1_covers_the_events_layer():

@@ -83,7 +83,7 @@ def assert_same_snapshot(snapshot: HitlistSnapshot, expected: HitlistSnapshot) -
 def published():
     """The run-up plus ten days, each published on one server."""
     server = build("server", "baseline", **SCENARIO)
-    return server, server.publish_days(list(DAYS))
+    return server, [server.publish_day(day) for day in DAYS]
 
 
 def test_the_scenario_has_days_without_records(published):
@@ -104,7 +104,8 @@ def test_the_reference_engine_publishes_the_same_snapshots(published):
     so each of its snapshots equals the batch server's, row for row."""
     _, snapshots = published
     reference = build("server", "baseline", policy=ExecutionPolicy(reference=True), **SCENARIO)
-    for snapshot, expected in zip(reference.publish_days(list(DAYS)), snapshots, strict=True):
+    published = [reference.publish_day(day) for day in DAYS]
+    for snapshot, expected in zip(published, snapshots, strict=True):
         assert_same_snapshot(snapshot, expected)
 
 
@@ -134,7 +135,8 @@ def test_no_record_day_builds_no_lpm_and_converts_no_rows(monkeypatch):
     monkeypatch.setattr(FlatLPM, "__init__", counting_lpm_init)
     monkeypatch.setattr(AddressBatch, "to_ints", counting_to_ints)
     server = build("server", "baseline", **SCENARIO)
-    server.publish_days(list(range(LAST_RECORD_DAY)))
+    for day in range(LAST_RECORD_DAY):
+        server.publish_day(day)
     calls.clear()
     server.publish_day(LAST_RECORD_DAY)
     assert calls["lpm"] >= 1 and calls["to_ints"] >= 1
@@ -154,7 +156,8 @@ def test_publish_after_a_rejected_day_equals_a_full_build():
             raise RuntimeError("rejected")
 
     server = build("server", "baseline", validate_hook=reject, **SCENARIO)
-    server.publish_days(list(range(LAST_RECORD_DAY)))
+    for day in range(LAST_RECORD_DAY):
+        server.publish_day(day)
     before = server.current
     with pytest.raises(RuntimeError, match="rejected"):
         server.publish_day(LAST_RECORD_DAY)
